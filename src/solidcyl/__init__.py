@@ -34,7 +34,6 @@ from .solid_angle import (
     Method,
     SolidAngle,
     macklin_params,
-    method_policy,
     omega_circ,
     omega_circ_macklin,
     omega_circ_third_kind,
@@ -66,7 +65,6 @@ __all__ = [
     "MacklinParams",
     "params_from_geometry",
     "macklin_params",
-    "method_policy",
     "omega_cyl0",
     "omega_cyl0_series",
     "omega_circ",

@@ -24,6 +24,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 
 from . import verify as verify_mod
@@ -36,6 +37,8 @@ __all__ = ["main"]
 
 _QUAD_TOL_CYL0 = 1e-12
 _QUAD_TOL_DISC = 1e-10
+_AXIS_OPTIONS = frozenset(("--L", "--d", "--z"))
+_NEGATIVE_LEAD = re.compile(r"-[\d.]")
 
 
 def _fmt(v: float) -> str:
@@ -243,8 +246,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_negative_values(argv: list[str]) -> list[str]:
+    """Join "--z -2:3:3:linear" into "--z=-2:3:3:linear".
+
+    argparse takes any token that starts with '-' and is not a plain negative
+    number for an option, so a negative range start, list entry or exponent
+    form would otherwise leave its axis option without a value.
+    """
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _AXIS_OPTIONS and _NEGATIVE_LEAD.match(tok):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_glue_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except SolidCylError as exc:

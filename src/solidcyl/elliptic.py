@@ -187,6 +187,24 @@ def carlson_rc(x: float, y: float) -> float:
     return (math.log1p(w) + 0.5 * math.log(x / y)) / math.sqrt(d)
 
 
+def _rd_rj_tail(E2: float, E3: float, E4: float, E5: float) -> float:
+    """Degree-5 Taylor tail shared by R_D and R_J, in the symmetric functions E2..E5."""
+    return (
+        1.0
+        - 3.0 * E2 / 14.0
+        + E3 / 6.0
+        + 9.0 * E2 * E2 / 88.0
+        - 3.0 * E4 / 22.0
+        - 9.0 * E2 * E3 / 52.0
+        + 3.0 * E5 / 26.0
+        - E2 * E2 * E2 / 16.0
+        + 3.0 * E3 * E3 / 40.0
+        + 3.0 * E2 * E4 / 20.0
+        + 45.0 * E2 * E2 * E3 / 272.0
+        - 9.0 * (E3 * E4 + E2 * E5) / 68.0
+    )
+
+
 def carlson_rd(x: float, y: float, z: float) -> float:
     """Carlson R_D(x,y,z) = (3/2) integral_0^inf dt / (sqrt((t+x)(t+y)) (t+z)^{3/2}).
 
@@ -222,21 +240,7 @@ def carlson_rd(x: float, y: float, z: float) -> float:
     E3 = (3.0 * X * Y - 8.0 * Z * Z) * Z
     E4 = 3.0 * (X * Y - Z * Z) * Z * Z
     E5 = X * Y * Z * Z * Z
-    series = (
-        1.0
-        - 3.0 * E2 / 14.0
-        + E3 / 6.0
-        + 9.0 * E2 * E2 / 88.0
-        - 3.0 * E4 / 22.0
-        - 9.0 * E2 * E3 / 52.0
-        + 3.0 * E5 / 26.0
-        - E2 * E2 * E2 / 16.0
-        + 3.0 * E3 * E3 / 40.0
-        + 3.0 * E2 * E4 / 20.0
-        + 45.0 * E2 * E2 * E3 / 272.0
-        - 9.0 * (E3 * E4 + E2 * E5) / 68.0
-    )
-    return pow4 * series / (A * math.sqrt(A)) + 3.0 * acc
+    return pow4 * _rd_rj_tail(E2, E3, E4, E5) / (A * math.sqrt(A)) + 3.0 * acc
 
 
 def carlson_rj(x: float, y: float, z: float, p: float) -> float:
@@ -279,21 +283,7 @@ def carlson_rj(x: float, y: float, z: float, p: float) -> float:
     E3 = X * Y * Z + 2.0 * E2 * P + 4.0 * P * P * P
     E4 = (2.0 * X * Y * Z + E2 * P + 3.0 * P * P * P) * P
     E5 = X * Y * Z * P * P
-    series = (
-        1.0
-        - 3.0 * E2 / 14.0
-        + E3 / 6.0
-        + 9.0 * E2 * E2 / 88.0
-        - 3.0 * E4 / 22.0
-        - 9.0 * E2 * E3 / 52.0
-        + 3.0 * E5 / 26.0
-        - E2 * E2 * E2 / 16.0
-        + 3.0 * E3 * E3 / 40.0
-        + 3.0 * E2 * E4 / 20.0
-        + 45.0 * E2 * E2 * E3 / 272.0
-        - 9.0 * (E3 * E4 + E2 * E5) / 68.0
-    )
-    return pow4 * series / (A * math.sqrt(A)) + 6.0 * acc
+    return pow4 * _rd_rj_tail(E2, E3, E4, E5) / (A * math.sqrt(A)) + 6.0 * acc
 
 
 def _sin_cos2(phi: float) -> tuple[float, float]:

@@ -106,13 +106,15 @@ def _check_quad_pre(cfg: CanonicalConfig, tol: float) -> None:
         raise DomainError(f"tol must be >= 1e-13; got {tol!r}")
 
 
-def _run_quad(f, a: float, b: float, tol: float, what: str) -> float:
-    out = integrate.quad(f, a, b, epsabs=tol, epsrel=tol, limit=_SUBDIV, full_output=1)
+def _run_quad(f, a: float, b: float, epsabs: float, epsrel: float, what: str) -> float:
+    out = integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=_SUBDIV, full_output=1)
     val, abserr = out[0], out[1]
     if len(out) > 3:
         raise OracleFailure(f"{what} did not converge within {_SUBDIV} subdivisions: {out[3]}")
-    if abserr > 100.0 * max(tol, tol * abs(val)):
-        raise OracleFailure(f"{what} error estimate {abserr!r} exceeds requested tol {tol!r}")
+    if abserr > 100.0 * max(epsabs, epsrel * abs(val)):
+        raise OracleFailure(
+            f"{what} error estimate {abserr!r} exceeds requested epsabs {epsabs!r} / epsrel {epsrel!r}"
+        )
     return val
 
 
@@ -134,7 +136,9 @@ def quad_cyl0_phi(cfg: CanonicalConfig, tol: float = 1e-12) -> float:
         rho = _rho_minus(phi_o - u * u, r, d)
         return 2.0 * u / math.hypot(L, rho)
 
-    val = _run_quad(f, 0.0, math.sqrt(phi_o), tol * _TWO_PI / L, "phi-form quadrature")
+    # the integral is omega * 2 pi / L: scale the absolute tolerance to it,
+    # but the relative one carries over unchanged
+    val = _run_quad(f, 0.0, math.sqrt(phi_o), tol * _TWO_PI / L, tol, "phi-form quadrature")
     return L / _TWO_PI * val
 
 
@@ -157,7 +161,7 @@ def quad_cyl0_gamma(cfg: CanonicalConfig, tol: float = 1e-12) -> float:
         bracket = 2.0 * r * (t - 2.0 * d * cos_g * cos_g) / rho_sq
         return 2.0 * v * bracket / math.sqrt(L * L + rho_sq)
 
-    val = _run_quad(f, 0.0, math.sqrt(math.pi / 2 - gamma_o), tol * _TWO_PI / L, "gamma-form quadrature")
+    val = _run_quad(f, 0.0, math.sqrt(math.pi / 2 - gamma_o), tol * _TWO_PI / L, tol, "gamma-form quadrature")
     return L / _TWO_PI * val
 
 

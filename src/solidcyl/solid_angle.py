@@ -31,14 +31,20 @@ omega_circ
     The third-kind forms and the Macklin form are kept as cross-check paths;
     all three agree to roundoff away from d = r.
 
+Each quantity has one default route: the exact limits below where they
+apply, the elliptic form everywhere else. The large-L series for omega_cyl0
+(omega_cyl0_series, or method=Method.SERIES) is an explicit verification
+route only. Each closed form calls every distinct Carlson tuple once: the
+shell term takes 2 R_F + 2 R_J, the disc term 2 R_F + 2 R_D.
+
 Near-boundary arithmetic: (1-n), (1-m) and (1-m/n) are always computed from
 the geometry ((d-r)/(d+r), (L^2+(d-r)^2)/(L^2+(d+r)^2), L/sqrt(L^2+(d+r)^2)),
 never as subtractions from 1, so d -> r and L -> 0 keep full precision. The
-same applies inside the kernels: every elliptic call goes through the
-*_from_parts entries with sin, cos^2, 1 - m sin^2 and 1 - n sin^2 expressed
-as exact products of geometry factors (see EllipticParams), never recovered
-from a rounded angle. Rebuilding them from the angle costs up to eight
-digits near the corners (d -> r, L -> 0) where those factors vanish.
+same applies inside the kernels: every elliptic call gets sin, cos^2,
+1 - m sin^2 and 1 - n sin^2 as exact products of geometry factors (see
+EllipticParams), never recovered from a rounded angle. Rebuilding them from
+the angle costs up to eight digits near the corners (d -> r, L -> 0) where
+those factors vanish.
 
 Special values (the formulas above degenerate there, exact limits are used):
 omega_cyl0 = 1/4 at d = r with L > 0, and 0 at L = 0; omega_circ at L = 0 is
@@ -54,7 +60,6 @@ import math
 from dataclasses import dataclass
 
 from . import elliptic
-from .elliptic import Amplitude, Characteristic, Parameter
 from .errors import DivergentError, DomainError, OnAxisError
 from .geometry import CanonicalConfig, CylinderSpec, SignedTermList, SourcePoint, TermKind, decompose
 
@@ -65,7 +70,6 @@ __all__ = [
     "MacklinParams",
     "params_from_geometry",
     "macklin_params",
-    "method_policy",
     "omega_cyl0",
     "omega_cyl0_series",
     "omega_circ",
@@ -115,13 +119,10 @@ class SolidAngle:
 class EllipticParams:
     """Stable parameter bundle shared by the closed forms.
 
-    gamma_o/phi_o exist only for d >= r (lateral-surface geometry), epsilon
-    only for m < 1 (equivalently m_prime > 0, which is what the code tests:
-    m itself may round up to 1.0 while the complement is still resolved);
-    the unused entries are None.
-
-    Besides the angles themselves the bundle carries the Carlson-ready parts
-    of each amplitude as exact products of geometry factors:
+    m and n are checked to lie in [0, 1] (roundoff past the ends is clamped).
+    The bundle carries no angles, only the Carlson-ready parts of the two
+    amplitudes gamma_o = (pi/2 + arcsin(r/d))/2 and
+    epsilon = arcsin sqrt((1-n)/(1-m)), as exact products of geometry factors:
 
         sin^2(gamma_o) = (d+r)/2d      cos^2(gamma_o) = (d-r)/2d
         1 - m sin^2(gamma_o) = (L^2 + (d-r)(d+r)) / (L^2 + (d+r)^2)
@@ -130,16 +131,15 @@ class EllipticParams:
         cos^2(eps) = 4 r d L^2 / ((d+r)^2 (L^2+(d-r)^2))
         1 - m' sin^2(eps) = n exactly (so no field is needed for it)
 
-    These go straight into the elliptic *_from_parts entries; see the module
-    docstring for why.
+    The gamma_o parts exist only for d >= r (lateral-surface geometry), the
+    epsilon parts only for m_prime > 0 (m itself may round up to 1.0 while
+    the complement is still resolved); the unused entries are None. These
+    go straight into the Carlson kernels; see the module docstring for why.
     """
 
-    m: Parameter
-    n: Characteristic
+    m: float
+    n: float
     m_prime: float
-    gamma_o: Amplitude | None
-    epsilon: Amplitude | None
-    phi_o: float | None
     sqrt_one_minus_n: float
     sqrt_one_minus_m_over_n: float
     one_minus_n: float
@@ -182,37 +182,31 @@ def params_from_geometry(cfg: CanonicalConfig) -> EllipticParams:
     t = d - r
     den_m = L * L + s * s
     den_t = L * L + t * t
-    n = Characteristic(4.0 * r * d / (s * s))
-    m = Parameter(min(4.0 * r * d / den_m, n.n))
+    n = elliptic._clamp_unit(4.0 * r * d / (s * s), "characteristic n")
+    m = elliptic._clamp_unit(min(4.0 * r * d / den_m, n), "parameter m")
     m_prime = den_t / den_m
     sqrt_one_minus_n = abs(t) / s
     one_minus_n = (t / s) * (t / s)
     sqrt_one_minus_m_over_n = L / math.hypot(L, s)
 
-    phi_o = gamma_o = sin_gamma_o = cos2_gamma_o = y_gamma_o = p_gamma_o = None
+    sin_gamma_o = cos2_gamma_o = y_gamma_o = p_gamma_o = None
     if d >= r:
-        phi_o = math.asin(min(1.0, r / d))
-        gamma_o = Amplitude((math.pi / 2 + phi_o) / 2.0)
         # half-angle of pi/2 + phi_o, so sin^2/cos^2 close over (d +- r)/2d
         sin_gamma_o = min(1.0, math.sqrt(s / (2.0 * d)))
         cos2_gamma_o = t / (2.0 * d)
         y_gamma_o = (L * L + t * s) / den_m
         p_gamma_o = t / s
 
-    epsilon = sin_epsilon = cos2_epsilon = None
+    sin_epsilon = cos2_epsilon = None
     if m_prime > 0.0:
         sin2 = min(1.0, (t * t * den_m) / (s * s * den_t))  # (1-n)/(1-m)
         sin_epsilon = math.sqrt(sin2)
         cos2_epsilon = 4.0 * r * d * L * L / (s * s * den_t)
-        epsilon = Amplitude(math.asin(sin_epsilon))
 
     return EllipticParams(
         m=m,
         n=n,
         m_prime=m_prime,
-        gamma_o=gamma_o,
-        epsilon=epsilon,
-        phi_o=phi_o,
         sqrt_one_minus_n=sqrt_one_minus_n,
         sqrt_one_minus_m_over_n=sqrt_one_minus_m_over_n,
         one_minus_n=one_minus_n,
@@ -225,28 +219,23 @@ def params_from_geometry(cfg: CanonicalConfig) -> EllipticParams:
     )
 
 
-def method_policy(cfg: CanonicalConfig) -> Method:
-    """Deterministic route selection for the canonical evaluators.
-
-    SPECIAL whenever an exact limit applies (L = 0, d = r, d = 0); SERIES in
-    the near-tangent region sqrt(d^2 - r^2) < L/10 where the elliptic form
-    loses digits to cancellation; ELLIPTIC otherwise.
-    """
-    L, r, d = cfg.L, cfg.r, cfg.d
-    if L == 0.0 or d == 0.0 or d == r:
-        return Method.SPECIAL
-    if d > r and (d - r) * (d + r) < (L * L) / 100.0:
-        return Method.SERIES
-    return Method.ELLIPTIC
-
-
 def omega_cyl0(cfg: CanonicalConfig, method: Method | None = None) -> SolidAngle:
     """Lateral surface of height L from a base-plane source at d >= r.
 
-    The result lies in [0, 1/4]. method forces ELLIPTIC or SERIES in the
-    regular region; exact limits (L = 0, d = r) are always taken as SPECIAL.
-    The tangent limit is approached slowly: near d = r,
+    The result lies in [0, 1/4]. Exact limits (L = 0, d = r) are always
+    taken as SPECIAL; otherwise the elliptic form is the route, and
+    method=Method.SERIES asks for omega_cyl0_series instead (an explicit
+    verification route, never chosen by default). The tangent limit is
+    approached slowly: near d = r,
     1/4 - omega ~ arccos(r/d)/(2 pi) ~ sqrt(2 (d/r - 1))/(2 pi).
+
+    With Pi(n; phi|m) = F(phi|m) + (n/3) sin^3(phi) R_J and
+    1 - sqrt(1-n) = 2r/(d+r), the closed form needs one R_F and one R_J per
+    amplitude (pi/2 and gamma_o):
+
+        2 pi omega / sqrt(1-m/n) = sqrt(1-n) (n/3) [R_J(0, m', 1, 1-n)
+                                     - sin^3(gamma_o) R_J(cos^2, y, 1, p)]
+                                 - 2r/(d+r) [K(m) - F(gamma_o|m)].
     """
     L, r, d = cfg.L, cfg.r, cfg.d
     if d < r:
@@ -259,23 +248,19 @@ def omega_cyl0(cfg: CanonicalConfig, method: Method | None = None) -> SolidAngle
     if d == r:
         # rho vanishes identically: a quarter sphere for any L > 0
         return SolidAngle(0.25, Method.SPECIAL, _ERR_SPECIAL)
-
-    route = method if method is not None else method_policy(cfg)
-    if route is Method.SERIES:
+    if method is Method.SERIES:
         return omega_cyl0_series(cfg)
 
     p = params_from_geometry(cfg)
-    n_f = p.n.n
-    third = elliptic.incomplete_Pi_from_parts(
-        1.0, 0.0, p.m_prime, p.one_minus_n, n_f
-    ) - elliptic.incomplete_Pi_from_parts(
-        p.sin_gamma_o, p.cos2_gamma_o, p.y_gamma_o, p.p_gamma_o, n_f
-    )
+    s_g = p.sin_gamma_o
     first = elliptic.complete_K_from_complement(p.m_prime) - elliptic.incomplete_F_from_parts(
-        p.sin_gamma_o, p.cos2_gamma_o, p.y_gamma_o
+        s_g, p.cos2_gamma_o, p.y_gamma_o
     )
-    value = p.sqrt_one_minus_m_over_n * (p.sqrt_one_minus_n * third - first) / _TWO_PI
-    return SolidAngle(value, Method.ELLIPTIC, _ERR_ELLIPTIC)
+    third = elliptic.carlson_rj(0.0, p.m_prime, 1.0, p.one_minus_n) - s_g * s_g * s_g * elliptic.carlson_rj(
+        p.cos2_gamma_o, p.y_gamma_o, 1.0, p.p_gamma_o
+    )
+    bracket = p.sqrt_one_minus_n * (p.n / 3.0) * third - (2.0 * r / (d + r)) * first
+    return SolidAngle(p.sqrt_one_minus_m_over_n * bracket / _TWO_PI, Method.ELLIPTIC, _ERR_ELLIPTIC)
 
 
 def omega_cyl0_series(cfg: CanonicalConfig, terms: int = 3) -> SolidAngle:
@@ -346,17 +331,20 @@ def omega_circ(cfg: CanonicalConfig) -> SolidAngle:
         return SolidAngle(_omega_circ_equal_distance(L, r), Method.SPECIAL, _ERR_SPECIAL)
 
     p = params_from_geometry(cfg)
+    # K and E share R_F(0, m', 1); the incomplete integrals carry parameter
+    # m', so their y = 1 - m' sin^2(eps) collapses to n exactly
+    # (m' sin^2(eps) = (d-r)^2/(d+r)^2 algebraically) and F(eps|m'), E(eps|m')
+    # share R_F(cos^2(eps), n, 1)
     K = elliptic.complete_K_from_complement(p.m_prime)
-    E = elliptic.complete_E_from_complement(p.m_prime)
-    # the incomplete integrals carry parameter m', so their y = 1 - m' sin^2(eps)
-    # collapses to n exactly (m' sin^2(eps) = (d-r)^2/(d+r)^2 algebraically)
-    F_eps = elliptic.incomplete_F_from_parts(p.sin_epsilon, p.cos2_epsilon, p.n.n)
-    E_eps = elliptic.incomplete_E_from_parts(p.sin_epsilon, p.cos2_epsilon, p.n.n, p.m_prime)
+    E = K - (p.m / 3.0) * elliptic.carlson_rd(0.0, p.m_prime, 1.0)
+    s_e, c2_e = p.sin_epsilon, p.cos2_epsilon
+    F_eps = s_e * elliptic.carlson_rf(c2_e, p.n, 1.0)
+    E_eps = F_eps - (p.m_prime / 3.0) * s_e * s_e * s_e * elliptic.carlson_rd(c2_e, p.n, 1.0)
     cross = (E - K) * F_eps + K * E_eps
     s_n = p.sqrt_one_minus_n
     radial = p.sqrt_one_minus_m_over_n * K / _TWO_PI
     if d > r:
-        value = 0.25 - (p.n.n / (1.0 + s_n)) * radial - cross / _TWO_PI
+        value = 0.25 - (p.n / (1.0 + s_n)) * radial - cross / _TWO_PI
     else:
         value = 0.25 - (1.0 + s_n) * radial + cross / _TWO_PI
     return SolidAngle(value, Method.ELLIPTIC, _ERR_ELLIPTIC)
@@ -378,7 +366,7 @@ def omega_circ_third_kind(cfg: CanonicalConfig) -> SolidAngle:
             "complete Pi(n; m) diverges at n = 1 (d = r); use omega_circ's equal-distance form"
         )
     p = params_from_geometry(cfg)
-    Pi = elliptic.incomplete_Pi_from_parts(1.0, 0.0, p.m_prime, p.one_minus_n, p.n.n)
+    Pi = elliptic.incomplete_Pi_from_parts(1.0, 0.0, p.m_prime, p.one_minus_n, p.n)
     K = elliptic.complete_K_from_complement(p.m_prime)
     s = p.sqrt_one_minus_m_over_n
     if d > r:
@@ -473,10 +461,10 @@ def omega_total(
     """Whole-surface solid angle at an arbitrary source position.
 
     Decomposes the position (see geometry.decompose) and sums the canonical
-    terms. method forces the omega_cyl0 route (ELLIPTIC or SERIES) where the
-    region allows it; the reported tag is ELLIPTIC if any term used it, then
-    SERIES, then SPECIAL. Pass a precomputed decomposition to avoid repeating
-    it.
+    terms. Every term takes its default route (exact limit or elliptic form);
+    method=Method.SERIES sends the regular omega_cyl0 terms to the series
+    instead. The reported tag is ELLIPTIC if any term used it, then SERIES,
+    then SPECIAL. Pass a precomputed decomposition to avoid repeating it.
     """
     dec = decomposition if decomposition is not None else decompose(cyl, src)
     total = 0.0

@@ -187,6 +187,15 @@ def test_table_bad_axis_spec_exits_two(capsys):
         assert exc.value.code == 2
 
 
+def test_table_axis_takes_leading_minus_as_separate_token(capsys):
+    for axis in ("-2:3:3:linear", "-2,3"):
+        code, glued, _ = _run(capsys, ["table", "--L", "1", "--d", "2", f"--z={axis}"])
+        assert code == 0
+        code, split, _ = _run(capsys, ["table", "--L", "1", "--d", "2", "--z", axis])
+        assert code == 0
+        assert split == glued
+
+
 def test_table_out_file(tmp_path, capsys):
     path = tmp_path / "grid.csv"
     code, out, _ = _run(capsys, ["table", "--L", "1", "--d", "2", "--out", str(path)])

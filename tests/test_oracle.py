@@ -26,6 +26,16 @@ def test_phi_form_frozen_value():
     assert got == pytest.approx(0.072462447677148198, rel=1e-12)
 
 
+def test_short_shell_frozen_value_meets_relative_tol():
+    # 40-digit mpmath quadrature of the phi form. At L << r the integral is
+    # omega * 2 pi / L, so a tolerance scaled by 2 pi / L is absolute only;
+    # applied as the relative one too it let the phi form miss by 1e-10
+    cfg = CanonicalConfig(0.01113431086461422, 1.0, 1.0000197362243135)
+    expected = 0.24894930628538344937
+    assert oracle.quad_cyl0_phi(cfg, tol=1e-12) == pytest.approx(expected, rel=1e-12)
+    assert oracle.quad_cyl0_gamma(cfg, tol=1e-12) == pytest.approx(expected, rel=1e-12)
+
+
 @pytest.mark.parametrize(
     "cfg",
     [

@@ -19,7 +19,6 @@ from solidcyl.solid_angle import (
     Method,
     SolidAngle,
     macklin_params,
-    method_policy,
     omega_circ,
     omega_circ_macklin,
     omega_circ_third_kind,
@@ -40,22 +39,22 @@ lengths = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
 def test_params_worked_examples():
     # L = 0 with d = r: both parameters degenerate to 1
     p = params_from_geometry(CanonicalConfig(0.0, 1.0, 1.0))
-    assert p.m.m == 1.0 and p.n.n == 1.0 and p.m_prime == 0.0
-    assert p.epsilon is None
+    assert p.m == 1.0 and p.n == 1.0 and p.m_prime == 0.0
+    assert p.sin_epsilon is None
 
     p = params_from_geometry(CanonicalConfig(2.0, 1.0, 1.0))
-    assert p.n.n == 1.0
-    assert p.m.m == pytest.approx(0.5, rel=1e-15)
+    assert p.n == 1.0
+    assert p.m == pytest.approx(0.5, rel=1e-15)
 
     p = params_from_geometry(CanonicalConfig(1.0, 1.0, 3.0))
-    assert p.m.m == pytest.approx(12.0 / 17.0, rel=1e-15)
-    assert p.n.n == pytest.approx(0.75, rel=1e-15)
+    assert p.m == pytest.approx(12.0 / 17.0, rel=1e-15)
+    assert p.n == pytest.approx(0.75, rel=1e-15)
 
 
 @given(L=lengths, r=lengths, d=lengths)
 def test_params_ordering_invariant(L, r, d):
     p = params_from_geometry(CanonicalConfig(L, r, d))
-    assert 0.0 <= p.m.m <= p.n.n <= 1.0
+    assert 0.0 <= p.m <= p.n <= 1.0
     assert 0.0 <= p.m_prime <= 1.0
     assert 0.0 <= p.sqrt_one_minus_n <= 1.0
     assert 0.0 <= p.sqrt_one_minus_m_over_n <= 1.0
@@ -67,23 +66,21 @@ def test_params_parts_are_consistent(L, r, d):
     assert p.one_minus_n == pytest.approx(p.sqrt_one_minus_n**2, rel=4e-16, abs=0.0)
     if d >= r:
         assert p.sin_gamma_o**2 + p.cos2_gamma_o == pytest.approx(1.0, rel=4e-16)
-        assert p.y_gamma_o == pytest.approx(1.0 - p.m.m * p.sin_gamma_o**2, rel=1e-12, abs=1e-15)
-        assert p.p_gamma_o == pytest.approx(1.0 - p.n.n * p.sin_gamma_o**2, rel=1e-12, abs=1e-15)
-        assert p.gamma_o.phi == pytest.approx((math.pi / 2 + p.phi_o) / 2.0, rel=1e-15)
+        assert p.y_gamma_o == pytest.approx(1.0 - p.m * p.sin_gamma_o**2, rel=1e-12, abs=1e-15)
+        assert p.p_gamma_o == pytest.approx(1.0 - p.n * p.sin_gamma_o**2, rel=1e-12, abs=1e-15)
     else:
-        assert p.gamma_o is None and p.phi_o is None
+        assert p.sin_gamma_o is None and p.cos2_gamma_o is None
     # epsilon exists away from m = 1, with exact-product sin/cos parts
-    assert p.epsilon is not None
+    assert p.sin_epsilon is not None
     assert p.sin_epsilon**2 + p.cos2_epsilon == pytest.approx(1.0, rel=4e-16)
-    assert math.sin(p.epsilon.phi) == pytest.approx(p.sin_epsilon, rel=1e-12, abs=1e-15)
 
 
 def test_params_epsilon_vanishes_only_at_m_one():
-    assert params_from_geometry(CanonicalConfig(0.0, 1.0, 1.0)).epsilon is None
+    assert params_from_geometry(CanonicalConfig(0.0, 1.0, 1.0)).sin_epsilon is None
     # float m rounds to 1.0 here, but m' stays resolved and epsilon exists
     p = params_from_geometry(CanonicalConfig(1e-12, 1.0, 1.0 + 1e-12))
-    assert p.m.m == 1.0 and p.m_prime > 0.0
-    assert p.epsilon is not None
+    assert p.m == 1.0 and p.m_prime > 0.0
+    assert p.sin_epsilon is not None
 
 
 def test_params_on_axis_rejected():
@@ -93,32 +90,44 @@ def test_params_on_axis_rejected():
 
 def test_params_m_equals_n_iff_flat():
     flat = params_from_geometry(CanonicalConfig(0.0, 1.0, 2.0))
-    assert flat.m.m == flat.n.n
+    assert flat.m == flat.n
     tall = params_from_geometry(CanonicalConfig(2.0, 1.0, 2.0))
-    assert tall.m.m < tall.n.n
+    assert tall.m < tall.n
 
 
-# -------------------------------------------------------------- method policy
+# -------------------------------------------------------------- default routes
 
 
 def test_method_policy_routes():
-    assert method_policy(CanonicalConfig(0.0, 1.0, 2.0)) is Method.SPECIAL
-    assert method_policy(CanonicalConfig(1.0, 1.0, 1.0)) is Method.SPECIAL
-    assert method_policy(CanonicalConfig(1.0, 1.0, 0.0)) is Method.SPECIAL
-    # sqrt(d^2 - r^2) < L/10 is the series region
-    assert method_policy(CanonicalConfig(10.0, 1.0, 1.1)) is Method.SERIES
-    assert method_policy(CanonicalConfig(1.0, 1.0, 2.0)) is Method.ELLIPTIC
-    assert method_policy(CanonicalConfig(1.0, 1.0, 0.5)) is Method.ELLIPTIC
+    # exact limits are SPECIAL; everywhere else the elliptic form is the route
+    assert omega_cyl0(CanonicalConfig(0.0, 1.0, 2.0)).method is Method.SPECIAL
+    assert omega_cyl0(CanonicalConfig(1.0, 1.0, 1.0)).method is Method.SPECIAL
+    assert omega_circ(CanonicalConfig(1.0, 1.0, 0.0)).method is Method.SPECIAL
+    # sqrt(d^2 - r^2) < L/10, once sent to the series, stays elliptic
+    assert omega_cyl0(CanonicalConfig(10.0, 1.0, 1.1)).method is Method.ELLIPTIC
+    assert omega_cyl0(CanonicalConfig(1.0, 1.0, 2.0)).method is Method.ELLIPTIC
+    assert omega_circ(CanonicalConfig(1.0, 1.0, 0.5)).method is Method.ELLIPTIC
 
 
 # ------------------------------------------------------------------ omega_cyl0
 
 
-def test_cyl0_reference_value():
-    # quad_cyl0_phi(L=2, r=1, d=2, tol=1e-13) = 0.072462447677148198
-    got = omega_cyl0(CanonicalConfig(2.0, 1.0, 2.0))
+@pytest.mark.parametrize(
+    "L, d, expected",
+    [
+        # quad_cyl0_phi(L=2, r=1, d=2, tol=1e-13)
+        (2.0, 2.0, 0.072462447677148198),
+        # 40-digit mpmath quadrature of the phi form; near-tangent points
+        # (sqrt(d^2 - r^2) < L/10) where the large-L series misses by ~1e-10
+        (30.0, 2.0, 0.083272850198708943622),
+        (50.0, 3.0, 0.054035948648945231722),
+    ],
+    ids=["L2-d2", "L30-d2", "L50-d3"],
+)
+def test_cyl0_reference_value(L, d, expected):
+    got = omega_cyl0(CanonicalConfig(L, 1.0, d))
     assert got.method is Method.ELLIPTIC
-    assert got.value == pytest.approx(0.072462447677148198, rel=1e-13)
+    assert got.value == pytest.approx(expected, rel=1e-13)
 
 
 def test_cyl0_special_values():
@@ -177,10 +186,10 @@ def test_cyl0_monotone_in_L_and_d():
 
 def test_series_matches_elliptic_in_region():
     cfg = CanonicalConfig(10.0, 1.0, 1.05)
-    assert method_policy(cfg) is Method.SERIES
-    s = omega_cyl0(cfg)
-    e = omega_cyl0(cfg, method=Method.ELLIPTIC)
+    s = omega_cyl0(cfg, method=Method.SERIES)
+    e = omega_cyl0(cfg)
     assert s.method is Method.SERIES
+    assert e.method is Method.ELLIPTIC
     assert s.value == pytest.approx(e.value, rel=5e-5)
 
 
@@ -356,7 +365,10 @@ def test_total_below_base_sums_signed_terms():
 
 def test_total_method_tag_precedence():
     assert omega_total(CylinderSpec(3.0, 1.0), SourcePoint(2.0, 1.5)).method is Method.ELLIPTIC
-    assert omega_total(CylinderSpec(20.0, 1.0), SourcePoint(1.01, 10.0)).method is Method.SERIES
+    # SERIES only on request; by default the same terms are ELLIPTIC
+    assert omega_total(CylinderSpec(20.0, 1.0), SourcePoint(1.01, 10.0)).method is Method.ELLIPTIC
+    forced = omega_total(CylinderSpec(20.0, 1.0), SourcePoint(1.01, 10.0), method=Method.SERIES)
+    assert forced.method is Method.SERIES
     assert omega_total(CylinderSpec(3.0, 1.0), SourcePoint(0.5, 1.0)).method is Method.SPECIAL
 
 
