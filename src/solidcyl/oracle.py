@@ -24,17 +24,26 @@ The disc oracle integrates the projected-area element L dA / rho^3 over polar
 disc coordinates directly. The Monte Carlo oracle casts isotropic rays
 (uniform cos(theta), uniform azimuth) and intersects each against the finite
 cylinder: quadratic interval on the infinite shell intersected with the axial
-slab, hit iff the interval reaches positive ray parameter.
+slab, hit iff the interval reaches positive ray parameter. Its 10^6-ray
+Philox blocks are independent: each is tested in cache-sized slices, the
+blocks run on one thread per usable CPU, and their integer hit counts are
+summed, so the estimate is bit-identical for any worker count.
+
+SciPy is imported only inside the quadrature oracles, so importing this
+module (and the CLI) loads NumPy alone.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, OracleFailure
 from .geometry import CanonicalConfig, CylinderSpec, SourcePoint
@@ -53,6 +62,7 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 _SUBDIV = 10_000  # adaptive subdivision budget before declaring failure
 _BLOCK = 1_000_000  # Monte Carlo rays per independent Philox stream
+_SLICE = 1 << 15  # rays per intersection-test slice, a multiple of 16
 
 
 @dataclass(frozen=True)
@@ -107,6 +117,8 @@ def _check_quad_pre(cfg: CanonicalConfig, tol: float) -> None:
 
 
 def _run_quad(f, a: float, b: float, epsabs: float, epsrel: float, what: str) -> float:
+    from scipy import integrate
+
     out = integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=_SUBDIV, full_output=1)
     val, abserr = out[0], out[1]
     if len(out) > 3:
@@ -172,6 +184,8 @@ def quad_disc(cfg: CanonicalConfig, tol: float = 1e-10) -> float:
     with R^2 = L^2 + d^2 + s^2 - 2 d s cos(phi). Requires L > 0 (the L = 0
     disc is a discontinuous limit that quadrature cannot see).
     """
+    from scipy import integrate
+
     L, r, d = cfg.L, cfg.r, cfg.d
     _check_quad_pre(cfg, tol)
     base = L * L + d * d
@@ -203,6 +217,55 @@ class McEstimate:
             raise DomainError("std_error must be >= 0 and samples >= 1")
 
 
+def _worker_count(blocks: int) -> int:
+    """Threads for a run of `blocks` Philox blocks: one per usable CPU, at most one per block."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(cpus, blocks)
+
+
+def _slice_hits(cos_t: np.ndarray, az: np.ndarray, L: float, px: float, pz: float, c: float) -> int:
+    sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
+    vx = sin_t * np.cos(az)
+    vy = sin_t * np.sin(az)
+    vz = cos_t
+
+    a = vx * vx + vy * vy
+    b = px * vx
+    disc = b * b - a * c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sq = np.sqrt(np.maximum(0.0, disc))
+        rad_lo = (-b - sq) / a
+        rad_hi = (-b + sq) / a
+        ax_a = (0.0 - pz) / vz
+        ax_b = (L - pz) / vz
+
+    vertical = a == 0.0
+    empty_rad = ~vertical & (disc < 0.0)
+    rad_lo = np.where(vertical, -np.inf if c <= 0.0 else np.inf, rad_lo)
+    rad_hi = np.where(vertical, np.inf if c <= 0.0 else -np.inf, rad_hi)
+    rad_lo = np.where(empty_rad, np.inf, rad_lo)
+    rad_hi = np.where(empty_rad, -np.inf, rad_hi)
+
+    horizontal = vz == 0.0
+    in_slab = 0.0 <= pz <= L
+    ax_lo = np.where(horizontal, -np.inf if in_slab else np.inf, np.minimum(ax_a, ax_b))
+    ax_hi = np.where(horizontal, np.inf if in_slab else -np.inf, np.maximum(ax_a, ax_b))
+
+    lo = np.maximum(rad_lo, ax_lo)
+    hi = np.minimum(rad_hi, ax_hi)
+    return int(np.count_nonzero((lo <= hi) & (hi > 0.0)))
+
+
+def _block_hits(base: np.random.Philox, block: int, n: int, L: float, px: float, pz: float, c: float) -> int:
+    """Hits among the n rays of Philox block `block`; depends on nothing else."""
+    g = np.random.Generator(base.jumped(block))
+    cos_t = g.uniform(-1.0, 1.0, n)
+    az = g.uniform(0.0, _TWO_PI, n)
+    return sum(
+        _slice_hits(cos_t[i : i + _SLICE], az[i : i + _SLICE], L, px, pz, c) for i in range(0, n, _SLICE)
+    )
+
+
 def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -> McEstimate:
     """Isotropic ray caster for the whole closed surface.
 
@@ -212,7 +275,20 @@ def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -
     at some positive ray parameter. Streams are Philox blocks of 10^6 rays,
     block i drawn from the seed generator jumped i times, so a fixed seed
     gives a bit-identical estimate regardless of how blocks are scheduled.
+
+    Each block draws its cos(theta) and azimuth arrays (8 MB each) and then
+    tests them in slices of 2^15 rays, so the intersection temporaries stay
+    in cache. Blocks run on a thread pool of min(usable CPUs, blocks)
+    workers, since NumPy releases the GIL in its draws and ufuncs. The
+    integer hit counts are summed, so the result does not depend on the
+    worker count. Each worker holds one block at a time, about 20 MB (the two
+    draw arrays plus slice temporaries), so peak memory grows as workers x
+    ~20 MB on top of the interpreter and NumPy.
     """
+    try:
+        samples, seed = operator.index(samples), operator.index(seed)
+    except TypeError:
+        raise DomainError(f"samples and seed must be integers; got {samples!r}, {seed!r}") from None
     if samples < 1:
         raise DomainError(f"samples must be >= 1; got {samples!r}")
     L, r = cyl.L, cyl.r
@@ -220,46 +296,10 @@ def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -
     c = px * px - r * r  # radial quadratic constant term (py = 0 by symmetry)
 
     base = np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF)
-    hits = 0
-    done = 0
-    block = 0
-    while done < samples:
-        n = min(_BLOCK, samples - done)
-        g = np.random.Generator(base.jumped(block))
-        cos_t = g.uniform(-1.0, 1.0, n)
-        az = g.uniform(0.0, _TWO_PI, n)
-        sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
-        vx = sin_t * np.cos(az)
-        vy = sin_t * np.sin(az)
-        vz = cos_t
-
-        a = vx * vx + vy * vy
-        b = px * vx
-        disc = b * b - a * c
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sq = np.sqrt(np.maximum(0.0, disc))
-            rad_lo = (-b - sq) / a
-            rad_hi = (-b + sq) / a
-            ax_a = (0.0 - pz) / vz
-            ax_b = (L - pz) / vz
-
-        vertical = a == 0.0
-        empty_rad = ~vertical & (disc < 0.0)
-        rad_lo = np.where(vertical, -np.inf if c <= 0.0 else np.inf, rad_lo)
-        rad_hi = np.where(vertical, np.inf if c <= 0.0 else -np.inf, rad_hi)
-        rad_lo = np.where(empty_rad, np.inf, rad_lo)
-        rad_hi = np.where(empty_rad, -np.inf, rad_hi)
-
-        horizontal = vz == 0.0
-        in_slab = 0.0 <= pz <= L
-        ax_lo = np.where(horizontal, -np.inf if in_slab else np.inf, np.minimum(ax_a, ax_b))
-        ax_hi = np.where(horizontal, np.inf if in_slab else -np.inf, np.maximum(ax_a, ax_b))
-
-        lo = np.maximum(rad_lo, ax_lo)
-        hi = np.minimum(rad_hi, ax_hi)
-        hits += int(np.count_nonzero((lo <= hi) & (hi > 0.0)))
-        done += n
-        block += 1
+    run = partial(_block_hits, base, L=L, px=px, pz=pz, c=c)
+    sizes = [min(_BLOCK, samples - start) for start in range(0, samples, _BLOCK)]
+    with ThreadPoolExecutor(max_workers=_worker_count(len(sizes))) as pool:
+        hits = sum(pool.map(run, range(len(sizes)), sizes))
 
     p = hits / samples
     return McEstimate(

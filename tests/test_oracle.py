@@ -6,9 +6,14 @@ no elliptic machinery, and against frozen values from earlier runs.
 """
 
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import solidcyl
 from solidcyl import oracle
 from solidcyl.elliptic import complete_K
 from solidcyl.errors import DomainError, OracleFailure
@@ -207,6 +212,67 @@ def test_mc_rejects_nonpositive_samples():
         oracle.mc_total(CylinderSpec(1.0, 1.0), SourcePoint(2.0, 0.5), 0)
     with pytest.raises(DomainError):
         oracle.mc_total(CylinderSpec(1.0, 1.0), SourcePoint(2.0, 0.5), -5)
+
+
+@pytest.mark.parametrize("samples, seed", [(2.5, 0), (1e6, 0), (1000, 1.5)])
+def test_mc_rejects_non_integer_samples_and_seed(samples, seed):
+    with pytest.raises(DomainError):
+        oracle.mc_total(CylinderSpec(1.0, 1.0), SourcePoint(2.0, 0.5), samples, seed=seed)
+
+
+def test_mc_accepts_numpy_integer_samples_and_seed():
+    est = oracle.mc_total(CylinderSpec(1.0, 1.0), SourcePoint(2.0, 0.5), np.int64(1000), seed=np.uint32(1))
+    assert est == oracle.mc_total(CylinderSpec(1.0, 1.0), SourcePoint(2.0, 0.5), 1000, seed=1)
+    assert type(est.samples) is int and type(est.seed) is int
+
+
+# hits measured with the serial, unsliced caster; any change to the Philox
+# draws, to the slicing or to the scheduling of blocks shows up here
+@pytest.mark.parametrize(
+    "L, r, d, z, samples, seed, hits",
+    [
+        (3.0, 1.0, 2.0, -1.0, 2_500_001, 42, 126694),
+        (3.0, 1.0, 2.0, 1.5, 1_000_000, 0, 132899),
+        (1.0, 1.0, 0.0, -10.0, 400_000, 3, 932),
+        (0.05, 1.0, 40.0, 0.01, 1_234_567, 5, 6),
+        (2.0, 1.0, 1.0, 0.0, 777_777, 8, 194469),
+        (3.0, 2.0, 1.0, 1.5, 10_000, 7, 10000),
+        (1.0, 1.0, 0.5, -0.25, 65_537, 11, 23265),
+    ],
+)
+def test_mc_frozen_hit_counts(L, r, d, z, samples, seed, hits):
+    est = oracle.mc_total(CylinderSpec(L, r), SourcePoint(d, z), samples, seed=seed)
+    assert est.hit_fraction == hits / samples
+    assert est.samples == samples and est.seed == seed
+
+
+def test_mc_estimate_independent_of_worker_count(monkeypatch):
+    cyl, src = CylinderSpec(3.0, 1.0), SourcePoint(2.0, -1.0)
+    default = oracle.mc_total(cyl, src, 3_000_001, seed=13)
+    monkeypatch.setattr(oracle, "_worker_count", lambda blocks: 1)
+    assert oracle.mc_total(cyl, src, 3_000_001, seed=13) == default
+
+
+def test_mc_runs_where_sched_getaffinity_is_missing(monkeypatch):
+    cyl, src = CylinderSpec(3.0, 1.0), SourcePoint(2.0, -1.0)
+    default = oracle.mc_total(cyl, src, 2_000_001, seed=4)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert 1 <= oracle._worker_count(3) <= 3
+    assert oracle.mc_total(cyl, src, 2_000_001, seed=4) == default
+
+
+def test_cli_and_mc_do_not_import_scipy():
+    code = (
+        "import sys, solidcyl.cli\n"
+        "from solidcyl.geometry import CylinderSpec, SourcePoint\n"
+        "from solidcyl.oracle import mc_total\n"
+        "mc_total(CylinderSpec(1.0, 1.0), SourcePoint(2.0, 0.5), 10_000)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(solidcyl.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------------------- AGM
