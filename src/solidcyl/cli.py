@@ -31,7 +31,7 @@ from . import verify as verify_mod
 from .errors import SolidCylError
 from .geometry import CanonicalConfig, CylinderSpec, SourcePoint, TermKind, decompose
 from .oracle import mc_total, quad_cyl0_phi, quad_disc
-from .solid_angle import Method, SolidAngle, omega_circ, omega_cyl0, omega_total
+from .solid_angle import Method, SolidAngle, omega_circ, omega_cyl0, omega_cyl0_series, omega_total
 
 __all__ = ["main"]
 
@@ -90,36 +90,46 @@ def _resolve_seed(explicit: int | None) -> int:
         raise SolidCylError(f"SOLIDCYL_SEED must be an integer; got {env!r}") from exc
 
 
-def _quadrature_total(cyl: CylinderSpec, src: SourcePoint) -> SolidAngle:
-    """Sum the decomposition with the quadrature oracles instead of closed forms."""
+def _route_total(cyl: CylinderSpec, src: SourcePoint, method: str) -> SolidAngle:
+    """Sum the decomposition on a verification route, in units of r.
+
+    "quadrature" takes quad_cyl0_phi and quad_disc for every term; "series"
+    takes omega_cyl0_series for the shells and omega_circ for the discs.
+    Terms of zero height (a strip, or a disc seen edge-on from d > r) add
+    nothing and are skipped.
+    """
     total = 0.0
     err = 0.0
     for term in decompose(cyl, src):
         if term.kind is TermKind.CONSTANT:
             total += term.coefficient * term.constant_value
-        elif term.L_eff == 0.0:
-            # zero-height lateral strip or in-plane disc seen edge-on (d > r)
             continue
-        elif term.kind is TermKind.CYL0:
-            total += term.coefficient * quad_cyl0_phi(CanonicalConfig(term.L_eff, cyl.r, src.d), tol=_QUAD_TOL_CYL0)
-            err += _QUAD_TOL_CYL0
+        if term.L_eff == 0.0:
+            continue
+        sub = CanonicalConfig(term.L_eff / cyl.r, 1.0, src.d / cyl.r)
+        shell = term.kind is TermKind.CYL0
+        if method == "series":
+            part = omega_cyl0_series(sub) if shell else omega_circ(sub)
+            value, term_err = part.value, part.err_estimate
+        elif shell:
+            value, term_err = quad_cyl0_phi(sub, tol=_QUAD_TOL_CYL0), _QUAD_TOL_CYL0
         else:
-            total += term.coefficient * quad_disc(CanonicalConfig(term.L_eff, cyl.r, src.d), tol=_QUAD_TOL_DISC)
-            err += _QUAD_TOL_DISC
-    return SolidAngle(total, Method.QUADRATURE, err)
+            value, term_err = quad_disc(sub, tol=_QUAD_TOL_DISC), _QUAD_TOL_DISC
+        total += term.coefficient * value
+        err += term_err
+    return SolidAngle(total, Method(method), err)
 
 
 def _evaluate(args) -> tuple[SolidAngle, str]:
     cyl = CylinderSpec(args.L, args.r)
     src = SourcePoint(args.d, args.z)
     terms = decompose(cyl, src).describe()
-    if args.method == "quadrature":
-        return _quadrature_total(cyl, src), terms
+    if args.method in ("quadrature", "series"):
+        return _route_total(cyl, src, args.method), terms
     if args.method == "montecarlo":
         est = mc_total(cyl, src, args.samples, _resolve_seed(args.seed))
         return SolidAngle(est.hit_fraction, Method.MONTECARLO, est.std_error), terms
-    forced = {"auto": None, "elliptic": Method.ELLIPTIC, "series": Method.SERIES}[args.method]
-    return omega_total(cyl, src, method=forced), terms
+    return omega_total(cyl, src), terms
 
 
 def _cmd_compute(args) -> int:

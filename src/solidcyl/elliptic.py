@@ -38,14 +38,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import DivergentError, DomainError
 
 __all__ = [
-    "Parameter",
-    "Characteristic",
-    "Amplitude",
     "carlson_rf",
     "carlson_rc",
     "carlson_rd",
@@ -78,49 +74,12 @@ def _clamp_unit(value: float, name: str) -> float:
     return min(1.0, max(0.0, v))
 
 
-@dataclass(frozen=True)
-class Parameter:
-    """Elliptic parameter m = k^2, clamped to [0, 1] within a 4*eps guard band."""
-
-    m: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", _clamp_unit(self.m, "parameter m"))
-
-
-@dataclass(frozen=True)
-class Characteristic:
-    """Third-kind characteristic n, clamped to [0, 1] within a 4*eps guard band."""
-
-    n: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "n", _clamp_unit(self.n, "characteristic n"))
-
-
-@dataclass(frozen=True)
-class Amplitude:
-    """Amplitude angle phi in [0, pi/2], clamped within a 4*eps guard band."""
-
-    phi: float
-
-    def __post_init__(self):
-        v = float(self.phi)
-        if math.isnan(v) or v < -_GUARD or v > _HALF_PI + _GUARD:
-            raise DomainError(f"amplitude phi must lie in [0, pi/2]; got {self.phi!r}")
-        object.__setattr__(self, "phi", min(_HALF_PI, max(0.0, v)))
-
-
-def _param(m) -> float:
-    return m.m if isinstance(m, Parameter) else Parameter(m).m
-
-
-def _char(n) -> float:
-    return n.n if isinstance(n, Characteristic) else Characteristic(n).n
-
-
-def _amp(phi) -> float:
-    return phi.phi if isinstance(phi, Amplitude) else Amplitude(phi).phi
+def _amp(phi: float) -> float:
+    """Snap roundoff-level excursions outside [0, pi/2] back to the boundary."""
+    v = float(phi)
+    if math.isnan(v) or v < -_GUARD or v > _HALF_PI + _GUARD:
+        raise DomainError(f"amplitude phi must lie in [0, pi/2]; got {phi!r}")
+    return min(_HALF_PI, max(0.0, v))
 
 
 def _check_rf_args(x: float, y: float, z: float) -> None:
@@ -370,53 +329,49 @@ def incomplete_Pi_from_parts(s: float, c2: float, y: float, p: float, n: float) 
     return f + (n / 3.0) * s * s * s * carlson_rj(c2, y, 1.0, p)
 
 
-def complete_K(m) -> float:
+def complete_K(m: float) -> float:
     """Complete elliptic integral of the first kind, K(m) = F(pi/2 | m)."""
-    m = _param(m)
-    if m == 1.0:
-        raise DivergentError("complete_K requires m < 1: K(m) diverges as m -> 1")
-    return carlson_rf(0.0, 1.0 - m, 1.0)
+    return complete_K_from_complement(1.0 - _clamp_unit(m, "parameter m"))
 
 
-def complete_E(m) -> float:
+def complete_E(m: float) -> float:
     """Complete elliptic integral of the second kind, E(m) = E(pi/2 | m)."""
-    m = _param(m)
-    return complete_E_from_complement(1.0 - m)
+    return complete_E_from_complement(1.0 - _clamp_unit(m, "parameter m"))
 
 
-def incomplete_F(phi, m) -> float:
+def incomplete_F(phi: float, m: float) -> float:
     """Incomplete first-kind integral F(phi | m); m = 1 allowed for phi < pi/2."""
     phi = _amp(phi)
-    m = _param(m)
+    m = _clamp_unit(m, "parameter m")
     s, c2 = _sin_cos2(phi)
     return incomplete_F_from_parts(s, c2, (1.0 - m) + m * c2)
 
 
-def incomplete_E(phi, m) -> float:
+def incomplete_E(phi: float, m: float) -> float:
     """Incomplete second-kind integral E(phi | m)."""
     phi = _amp(phi)
-    m = _param(m)
+    m = _clamp_unit(m, "parameter m")
     s, c2 = _sin_cos2(phi)
     return incomplete_E_from_parts(s, c2, (1.0 - m) + m * c2, m)
 
 
-def incomplete_Pi(n, phi, m) -> float:
+def incomplete_Pi(n: float, phi: float, m: float) -> float:
     """Incomplete third-kind integral Pi(n; phi | m) for n, m in [0, 1].
 
     Diverges (and raises) when n = 1 or m = 1 together with phi = pi/2.
     Any ordering of n and m is accepted; 1 - n sin^2 > 0 keeps R_J in its
     circular case either way.
     """
-    n = _char(n)
+    n = _clamp_unit(n, "characteristic n")
     phi = _amp(phi)
-    m = _param(m)
+    m = _clamp_unit(m, "parameter m")
     s, c2 = _sin_cos2(phi)
     y = (1.0 - m) + m * c2
     p = (1.0 - n) + n * c2
     return incomplete_Pi_from_parts(s, c2, y, p, n)
 
 
-def complete_Pi(n, m) -> float:
+def complete_Pi(n: float, m: float) -> float:
     """Complete third-kind integral Pi(n; m) = Pi(n; pi/2 | m), n < 1, m < 1.
 
     Same reduction as incomplete_Pi with (sin, cos) = (1, 0), so the two agree

@@ -31,11 +31,13 @@ omega_circ
     The third-kind forms and the Macklin form are kept as cross-check paths;
     all three agree to roundoff away from d = r.
 
-Each quantity has one default route: the exact limits below where they
-apply, the elliptic form everywhere else. The large-L series for omega_cyl0
-(omega_cyl0_series, or method=Method.SERIES) is an explicit verification
-route only. Each closed form calls every distinct Carlson tuple once: the
-shell term takes 2 R_F + 2 R_J, the disc term 2 R_F + 2 R_D.
+Each quantity has one route: the exact limits below where they apply, the
+elliptic form everywhere else. The large-L series (omega_cyl0_series) and
+the disc cross-check paths are separate functions for verification only;
+no evaluator takes a route argument. Each closed form calls every distinct
+Carlson tuple once: the shell term takes 2 R_F + 2 R_J, the disc term
+2 R_F + 2 R_D. omega_total divides every length by r before it builds the
+canonical terms, so the answer is the same at any uniform scale.
 
 Near-boundary arithmetic: (1-n), (1-m) and (1-m/n) are always computed from
 the geometry ((d-r)/(d+r), (L^2+(d-r)^2)/(L^2+(d+r)^2), L/sqrt(L^2+(d+r)^2)),
@@ -61,7 +63,7 @@ from dataclasses import dataclass
 
 from . import elliptic
 from .errors import DivergentError, DomainError, OnAxisError
-from .geometry import CanonicalConfig, CylinderSpec, SignedTermList, SourcePoint, TermKind, decompose
+from .geometry import CanonicalConfig, CylinderSpec, SourcePoint, TermKind, decompose
 
 __all__ = [
     "Method",
@@ -219,14 +221,13 @@ def params_from_geometry(cfg: CanonicalConfig) -> EllipticParams:
     )
 
 
-def omega_cyl0(cfg: CanonicalConfig, method: Method | None = None) -> SolidAngle:
+def omega_cyl0(cfg: CanonicalConfig) -> SolidAngle:
     """Lateral surface of height L from a base-plane source at d >= r.
 
-    The result lies in [0, 1/4]. Exact limits (L = 0, d = r) are always
-    taken as SPECIAL; otherwise the elliptic form is the route, and
-    method=Method.SERIES asks for omega_cyl0_series instead (an explicit
-    verification route, never chosen by default). The tangent limit is
-    approached slowly: near d = r,
+    The result lies in [0, 1/4]. Exact limits (L = 0, d = r) are taken as
+    SPECIAL; everywhere else the elliptic form is the route (the large-L
+    series is the separate verification route omega_cyl0_series). The
+    tangent limit is approached slowly: near d = r,
     1/4 - omega ~ arccos(r/d)/(2 pi) ~ sqrt(2 (d/r - 1))/(2 pi).
 
     With Pi(n; phi|m) = F(phi|m) + (n/3) sin^3(phi) R_J and
@@ -240,16 +241,12 @@ def omega_cyl0(cfg: CanonicalConfig, method: Method | None = None) -> SolidAngle
     L, r, d = cfg.L, cfg.r, cfg.d
     if d < r:
         raise DomainError(f"omega_cyl0 requires d >= r (source outside the shell); got d={d!r} < r={r!r}")
-    if method not in (None, Method.ELLIPTIC, Method.SERIES):
-        raise DomainError(f"omega_cyl0 method must be ELLIPTIC or SERIES; got {method!r}")
 
     if L == 0.0:
         return SolidAngle(0.0, Method.SPECIAL, 0.0)
     if d == r:
         # rho vanishes identically: a quarter sphere for any L > 0
         return SolidAngle(0.25, Method.SPECIAL, _ERR_SPECIAL)
-    if method is Method.SERIES:
-        return omega_cyl0_series(cfg)
 
     p = params_from_geometry(cfg)
     s_g = p.sin_gamma_o
@@ -452,41 +449,25 @@ def omega_circ_macklin(cfg: CanonicalConfig) -> SolidAngle:
     return SolidAngle(omega_4pi / (2.0 * _TWO_PI), Method.ELLIPTIC, _ERR_ELLIPTIC)
 
 
-def omega_total(
-    cyl: CylinderSpec,
-    src: SourcePoint,
-    method: Method | None = None,
-    decomposition: SignedTermList | None = None,
-) -> SolidAngle:
+def omega_total(cyl: CylinderSpec, src: SourcePoint) -> SolidAngle:
     """Whole-surface solid angle at an arbitrary source position.
 
     Decomposes the position (see geometry.decompose) and sums the canonical
-    terms. Every term takes its default route (exact limit or elliptic form);
-    method=Method.SERIES sends the regular omega_cyl0 terms to the series
-    instead. The reported tag is ELLIPTIC if any term used it, then SERIES,
-    then SPECIAL. Pass a precomputed decomposition to avoid repeating it.
+    terms, each in units of r and on its one route (exact limit or elliptic
+    form). The tag is ELLIPTIC if any term took the elliptic form, and
+    SPECIAL otherwise.
     """
-    dec = decomposition if decomposition is not None else decompose(cyl, src)
     total = 0.0
     err = 0.0
-    used: set[Method] = set()
-    for term in dec:
+    tag = Method.SPECIAL
+    for term in decompose(cyl, src):
         if term.kind is TermKind.CONSTANT:
             total += term.coefficient * term.constant_value
             continue
-        sub = CanonicalConfig(term.L_eff, cyl.r, src.d)
-        if term.kind is TermKind.CYL0:
-            part = omega_cyl0(sub, method=method)
-        else:
-            part = omega_circ(sub)
+        sub = CanonicalConfig(term.L_eff / cyl.r, 1.0, src.d / cyl.r)
+        part = omega_cyl0(sub) if term.kind is TermKind.CYL0 else omega_circ(sub)
         total += term.coefficient * part.value
         err += part.err_estimate
-        used.add(part.method)
-
-    if Method.ELLIPTIC in used:
-        tag = Method.ELLIPTIC
-    elif Method.SERIES in used:
-        tag = Method.SERIES
-    else:
-        tag = Method.SPECIAL
+        if part.method is Method.ELLIPTIC:
+            tag = Method.ELLIPTIC
     return SolidAngle(total, tag, err)

@@ -108,7 +108,7 @@ def suite_cyl0_quad(points: int, rng: random.Random, tol: float) -> SuiteResult:
     worst = _Worst()
     for _ in range(points):
         cfg = CanonicalConfig(_log_uniform(rng, 1e-3, 100.0), 1.0, 1.0 + _log_uniform(rng, 1e-6, 99.0))
-        a = solid_angle.omega_cyl0(cfg, method=solid_angle.Method.ELLIPTIC).value
+        a = solid_angle.omega_cyl0(cfg).value
         q = oracle.quad_cyl0_phi(cfg, tol=1e-12)
         worst.update(abs(a - q), f"(L={cfg.L!r}, r=1.0, d={cfg.d!r})")
     return SuiteResult("cyl0_quad", points, worst.dev, tol, worst.where, worst.dev <= tol)
@@ -175,7 +175,7 @@ def suite_scale_invariance(points: int, rng: random.Random, tol: float) -> Suite
         L = _log_uniform(rng, 0.01, 100.0)
         cyl = CylinderSpec(L, 1.0)
         src = _random_source(rng, L)
-        k = _log_uniform(rng, 1e-3, 1e3)
+        k = _log_uniform(rng, 1e-300, 1e300)
         a = solid_angle.omega_total(cyl, src).value
         b = solid_angle.omega_total(
             CylinderSpec(k * cyl.L, k * cyl.r), SourcePoint(k * src.d, k * src.z)

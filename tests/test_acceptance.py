@@ -24,7 +24,6 @@ from solidcyl.elliptic import (
 )
 from solidcyl.geometry import CanonicalConfig, CylinderSpec, SourcePoint
 from solidcyl.solid_angle import (
-    Method,
     omega_circ,
     omega_circ_macklin,
     omega_circ_third_kind,
@@ -91,7 +90,7 @@ def test_criterion_2_lateral_vs_quadrature():
     for d in (math.exp(x) for x in _linspace(math.log(1.001), math.log(100.0), 20)):
         for L in (math.exp(x) for x in _linspace(math.log(0.01), math.log(100.0), 25)):
             cfg = CanonicalConfig(L, 1.0, d)
-            closed = omega_cyl0(cfg, method=Method.ELLIPTIC).value
+            closed = omega_cyl0(cfg).value
             quad = oracle.quad_cyl0_phi(cfg, tol=1e-12)
             dev = abs(closed - quad)
             if dev > worst_abs:
@@ -165,7 +164,7 @@ def test_criterion_4_series_agreement():
             w = frac * L / 10.0  # sqrt(d^2 - r^2), kept inside the validity region
             cfg = CanonicalConfig(L, 1.0, math.sqrt(1.0 + w * w))
             series = omega_cyl0_series(cfg, terms=3).value
-            exact = omega_cyl0(cfg, method=Method.ELLIPTIC).value
+            exact = omega_cyl0(cfg).value
             dev = abs(series - exact) / abs(exact)
             if dev > worst:
                 worst, worst_cfg = dev, cfg

@@ -73,6 +73,32 @@ def test_compute_quadrature_route_agrees(capsys):
     assert _omega_line(out_quad) == pytest.approx(_omega_line(out_auto), abs=1e-9)
 
 
+def test_compute_series_route_is_tagged_series(capsys):
+    # z < 0 adds a default-route disc term; the tag still names the route
+    code, out, _ = _run(capsys, ["compute", "--L", "20", "--r", "1", "--d", "1.01", "--z", "-1", "--method", "series"])
+    assert code == 0
+    assert "method = series" in out
+    assert "omega = 0.088505521667603365" in out
+    code, out, _ = _run(capsys, ["compute", "--L", "20", "--r", "1", "--d", "1.01", "--z", "10", "--method", "series"])
+    assert code == 0 and "method = series" in out
+
+
+def test_compute_elliptic_route_is_the_default(capsys):
+    argv = ["compute", "--L", "20", "--r", "1", "--d", "1.01", "--z", "-1"]
+    _, out_auto, _ = _run(capsys, argv)
+    code, out_elliptic, _ = _run(capsys, argv + ["--method", "elliptic"])
+    assert code == 0
+    assert out_elliptic == out_auto
+    assert "method = elliptic" in out_auto
+
+
+def test_compute_tiny_uniform_scale_matches_unit_scale(capsys):
+    code, out, err = _run(capsys, ["compute", "--L", "1e-160", "--r", "1e-160", "--d", "2e-160", "--z", "-5e-161"])
+    assert code == 0 and err == ""
+    unit = omega_total(CylinderSpec(1.0, 1.0), SourcePoint(2.0, -0.5)).value
+    assert _omega_line(out) == pytest.approx(unit, abs=1e-12)
+
+
 def test_compute_montecarlo_seed_determinism(capsys):
     argv = [
         "compute", "--L", "3", "--r", "1", "--d", "2", "--z", "1.5",

@@ -13,9 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solidcyl.elliptic import (
-    Amplitude,
-    Characteristic,
-    Parameter,
     carlson_rc,
     carlson_rd,
     carlson_rf,
@@ -265,32 +262,28 @@ def test_incomplete_E_at_full_corner():
 
 
 def test_parameter_guard_band():
-    assert Parameter(-1e-17).m == 0.0
-    assert Parameter(1.0 + 2e-16).m == 1.0
-    with pytest.raises(DomainError):
-        Parameter(1.001)
-    with pytest.raises(DomainError):
-        Parameter(-1e-3)
-    with pytest.raises(DomainError):
-        Parameter(float("nan"))
+    # m within 4 eps of [0, 1] is snapped onto the boundary, anything past it raises
+    assert complete_K(-1e-17) == complete_K(0.0)
+    assert complete_E(1.0 + 2e-16) == complete_E(1.0) == 1.0
+    with pytest.raises(DomainError, match="parameter m"):
+        complete_K(1.001)
+    with pytest.raises(DomainError, match="parameter m"):
+        complete_K(-1e-3)
+    with pytest.raises(DomainError, match="parameter m"):
+        complete_K(float("nan"))
 
 
 def test_characteristic_and_amplitude_guards():
-    assert Characteristic(1.0).n == 1.0
-    with pytest.raises(DomainError):
-        Characteristic(2.0)
-    assert Amplitude(HALF_PI + 1e-16).phi == HALF_PI
-    assert Amplitude(-1e-17).phi == 0.0
-    with pytest.raises(DomainError):
-        Amplitude(2.0)
-    with pytest.raises(DomainError):
-        Amplitude(-0.5)
-
-
-def test_wrappers_accept_wrapped_and_raw_arguments():
-    m = Parameter(0.5)
-    assert complete_K(m) == complete_K(0.5)
-    assert incomplete_Pi(Characteristic(0.3), Amplitude(1.0), m) == incomplete_Pi(0.3, 1.0, 0.5)
+    assert incomplete_Pi(1.0, 1.0, 0.5) == incomplete_Pi(1.0 + 2e-16, 1.0, 0.5)
+    with pytest.raises(DomainError, match="characteristic n"):
+        incomplete_Pi(2.0, 1.0, 0.5)
+    assert incomplete_F(HALF_PI + 1e-16, 0.5) == incomplete_F(HALF_PI, 0.5)
+    assert incomplete_F(math.nextafter(HALF_PI, 2.0), 0.5) == incomplete_F(HALF_PI, 0.5)
+    assert incomplete_F(-1e-17, 0.5) == 0.0
+    with pytest.raises(DomainError, match="amplitude phi"):
+        incomplete_F(2.0, 0.5)
+    with pytest.raises(DomainError, match="amplitude phi"):
+        incomplete_F(-0.5, 0.5)
 
 
 # ------------------------------------------------- cross-check against mpmath
