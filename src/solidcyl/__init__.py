@@ -30,10 +30,8 @@ from .geometry import (
 )
 from .solid_angle import (
     EllipticParams,
-    MacklinParams,
     Method,
     SolidAngle,
-    macklin_params,
     omega_circ,
     omega_circ_macklin,
     omega_circ_third_kind,
@@ -62,9 +60,7 @@ __all__ = [
     "Method",
     "SolidAngle",
     "EllipticParams",
-    "MacklinParams",
     "params_from_geometry",
-    "macklin_params",
     "omega_cyl0",
     "omega_cyl0_series",
     "omega_circ",

@@ -256,7 +256,8 @@ def _sin_cos2(phi: float) -> tuple[float, float]:
 
 # The *_from_parts evaluators take the Carlson arguments directly instead of
 # (phi, m, n).  Callers that know exact product expressions for sin(phi),
-# cos^2(phi), y = 1 - m sin^2(phi) and p = 1 - n sin^2(phi) must use these:
+# cos^2(phi), y = 1 - m sin^2(phi) and p = 1 - n sin^2(phi) must use these
+# or the Carlson kernels themselves, as the closed forms in solid_angle do:
 # rebuilding y or p from a rounded angle or from 1 - n loses up to half the
 # significand when the true value is near zero, and that error is NOT damped
 # by the integral (dPi/dn blows up as p -> 0).  The (phi, m) wrappers below

@@ -34,10 +34,13 @@ omega_circ
 Each quantity has one route: the exact limits below where they apply, the
 elliptic form everywhere else. The large-L series (omega_cyl0_series) and
 the disc cross-check paths are separate functions for verification only;
-no evaluator takes a route argument. Each closed form calls every distinct
-Carlson tuple once: the shell term takes 2 R_F + 2 R_J, the disc term
-2 R_F + 2 R_D. omega_total divides every length by r before it builds the
-canonical terms, so the answer is the same at any uniform scale.
+no evaluator takes a route argument. Each closed form takes its exact parts
+and calls elliptic.carlson_* once per distinct argument tuple, with no
+wrapper in between: the shell term takes 2 R_F + 2 R_J, the disc term
+2 R_F + 2 R_D, the third-kind disc form 1 R_F + 1 R_J and the Macklin form
+3 R_F + 3 R_D. Every evaluator works in units of r, so the answer is the
+same at any uniform scale, whether omega_total builds the canonical terms
+or a caller passes one directly.
 
 Near-boundary arithmetic: (1-n), (1-m) and (1-m/n) are always computed from
 the geometry ((d-r)/(d+r), (L^2+(d-r)^2)/(L^2+(d+r)^2), L/sqrt(L^2+(d+r)^2)),
@@ -69,9 +72,7 @@ __all__ = [
     "Method",
     "SolidAngle",
     "EllipticParams",
-    "MacklinParams",
     "params_from_geometry",
-    "macklin_params",
     "omega_cyl0",
     "omega_cyl0_series",
     "omega_circ",
@@ -119,7 +120,7 @@ class SolidAngle:
 
 @dataclass(frozen=True)
 class EllipticParams:
-    """Stable parameter bundle shared by the closed forms.
+    """Stable parameter bundle shared by the closed forms, in units of r.
 
     m and n are checked to lie in [0, 1] (roundoff past the ends is clamped).
     The bundle carries no angles, only the Carlson-ready parts of the two
@@ -128,15 +129,17 @@ class EllipticParams:
 
         sin^2(gamma_o) = (d+r)/2d      cos^2(gamma_o) = (d-r)/2d
         1 - m sin^2(gamma_o) = (L^2 + (d-r)(d+r)) / (L^2 + (d+r)^2)
-        1 - n sin^2(gamma_o) = (d-r)/(d+r)
+        1 - n sin^2(gamma_o) = (d-r)/(d+r) = sqrt_one_minus_n exactly
         sin^2(eps) = (d-r)^2 (L^2+(d+r)^2) / ((d+r)^2 (L^2+(d-r)^2))
         cos^2(eps) = 4 r d L^2 / ((d+r)^2 (L^2+(d-r)^2))
-        1 - m' sin^2(eps) = n exactly (so no field is needed for it)
+        1 - m' sin^2(eps) = n exactly
 
-    The gamma_o parts exist only for d >= r (lateral-surface geometry), the
-    epsilon parts only for m_prime > 0 (m itself may round up to 1.0 while
-    the complement is still resolved); the unused entries are None. These
-    go straight into the Carlson kernels; see the module docstring for why.
+    so neither 1 - n sin^2(gamma_o) nor 1 - m' sin^2(eps) has a field of its
+    own. The gamma_o parts exist only for d >= r (lateral-surface geometry),
+    the epsilon parts only for m_prime > 0 (m itself may round up to 1.0
+    while the complement is still resolved); the unused entries are None.
+    These go straight into the Carlson kernels; see the module docstring for
+    why.
     """
 
     m: float
@@ -148,62 +151,49 @@ class EllipticParams:
     sin_gamma_o: float | None
     cos2_gamma_o: float | None
     y_gamma_o: float | None
-    p_gamma_o: float | None
     sin_epsilon: float | None
     cos2_epsilon: float | None
 
 
-@dataclass(frozen=True)
-class MacklinParams:
-    """Amplitudes of the Macklin disc form; theta always dominates |psi|."""
-
-    alpha: float  # d / L
-    beta: float  # r / L
-    theta: float
-    psi: float
-
-    def __post_init__(self):
-        slack = 4.0 * 2.220446049250313e-16
-        if not 0.0 <= self.theta <= math.pi / 2 + slack:
-            raise DomainError(f"theta must lie in [0, pi/2]; got {self.theta!r}")
-        if not abs(self.psi) <= math.pi / 2 + slack:
-            raise DomainError(f"psi must lie in [-pi/2, pi/2]; got {self.psi!r}")
-        if self.theta + slack < abs(self.psi):
-            raise DomainError(f"expected theta >= |psi|; got {self.theta!r} < |{self.psi!r}|")
-
-
 def params_from_geometry(cfg: CanonicalConfig) -> EllipticParams:
-    """Compute m, n and companions from (L, r, d) without 1-x subtractions."""
-    L, r, d = cfg.L, cfg.r, cfg.d
+    """Compute m, n and companions from (L, r, d) without 1-x subtractions.
+
+    L and d are taken in units of r (d - r from the unscaled lengths, so a
+    source a few ulp off the wall keeps its offset), and the rest is computed
+    at r = 1: no uniform scale of (L, r, d) under- or overflows.
+    """
+    L, d = cfg.L / cfg.r, cfg.d / cfg.r
     if d == 0.0:
         raise OnAxisError(
             "elliptic parametrization is undefined on the axis (d = 0); "
             "omega_circ handles that case in closed form"
         )
-    s = d + r
-    t = d - r
+    s = d + 1.0
+    t = (cfg.d - cfg.r) / cfg.r
     den_m = L * L + s * s
+    if math.isinf(den_m):
+        ratio, value = ("L/r", L) if math.isinf(L * L) else ("d/r", d)
+        raise DomainError(f"L^2 + (d+r)^2 overflows in units of r: {ratio} = {value!r} is too large")
     den_t = L * L + t * t
-    n = elliptic._clamp_unit(4.0 * r * d / (s * s), "characteristic n")
-    m = elliptic._clamp_unit(min(4.0 * r * d / den_m, n), "parameter m")
+    n = elliptic._clamp_unit(4.0 * d / (s * s), "characteristic n")
+    m = elliptic._clamp_unit(min(4.0 * d / den_m, n), "parameter m")
     m_prime = den_t / den_m
     sqrt_one_minus_n = abs(t) / s
     one_minus_n = (t / s) * (t / s)
     sqrt_one_minus_m_over_n = L / math.hypot(L, s)
 
-    sin_gamma_o = cos2_gamma_o = y_gamma_o = p_gamma_o = None
-    if d >= r:
+    sin_gamma_o = cos2_gamma_o = y_gamma_o = None
+    if cfg.d >= cfg.r:
         # half-angle of pi/2 + phi_o, so sin^2/cos^2 close over (d +- r)/2d
         sin_gamma_o = min(1.0, math.sqrt(s / (2.0 * d)))
         cos2_gamma_o = t / (2.0 * d)
         y_gamma_o = (L * L + t * s) / den_m
-        p_gamma_o = t / s
 
     sin_epsilon = cos2_epsilon = None
     if m_prime > 0.0:
         sin2 = min(1.0, (t * t * den_m) / (s * s * den_t))  # (1-n)/(1-m)
         sin_epsilon = math.sqrt(sin2)
-        cos2_epsilon = 4.0 * r * d * L * L / (s * s * den_t)
+        cos2_epsilon = 4.0 * d * L * L / (s * s * den_t)
 
     return EllipticParams(
         m=m,
@@ -215,7 +205,6 @@ def params_from_geometry(cfg: CanonicalConfig) -> EllipticParams:
         sin_gamma_o=sin_gamma_o,
         cos2_gamma_o=cos2_gamma_o,
         y_gamma_o=y_gamma_o,
-        p_gamma_o=p_gamma_o,
         sin_epsilon=sin_epsilon,
         cos2_epsilon=cos2_epsilon,
     )
@@ -230,13 +219,15 @@ def omega_cyl0(cfg: CanonicalConfig) -> SolidAngle:
     tangent limit is approached slowly: near d = r,
     1/4 - omega ~ arccos(r/d)/(2 pi) ~ sqrt(2 (d/r - 1))/(2 pi).
 
-    With Pi(n; phi|m) = F(phi|m) + (n/3) sin^3(phi) R_J and
-    1 - sqrt(1-n) = 2r/(d+r), the closed form needs one R_F and one R_J per
-    amplitude (pi/2 and gamma_o):
+    With Pi(n; phi|m) = F(phi|m) + (n/3) sin^3(phi) R_J,
+    1 - n sin^2(gamma_o) = sqrt(1-n) and 1 - sqrt(1-n) = 2r/(d+r), the
+    closed form needs one R_F and one R_J per amplitude (pi/2 and gamma_o):
 
         2 pi omega / sqrt(1-m/n) = sqrt(1-n) (n/3) [R_J(0, m', 1, 1-n)
-                                     - sin^3(gamma_o) R_J(cos^2, y, 1, p)]
-                                 - 2r/(d+r) [K(m) - F(gamma_o|m)].
+                                     - sin^3(gamma_o) R_J(cos^2, y, 1, sqrt(1-n))]
+                                 - 2r/(d+r) [K(m) - F(gamma_o|m)]
+
+    with K(m) = R_F(0, m', 1) and F(gamma_o|m) = sin(gamma_o) R_F(cos^2, y, 1).
     """
     L, r, d = cfg.L, cfg.r, cfg.d
     if d < r:
@@ -249,14 +240,12 @@ def omega_cyl0(cfg: CanonicalConfig) -> SolidAngle:
         return SolidAngle(0.25, Method.SPECIAL, _ERR_SPECIAL)
 
     p = params_from_geometry(cfg)
-    s_g = p.sin_gamma_o
-    first = elliptic.complete_K_from_complement(p.m_prime) - elliptic.incomplete_F_from_parts(
-        s_g, p.cos2_gamma_o, p.y_gamma_o
-    )
+    s_g, c2_g, y_g = p.sin_gamma_o, p.cos2_gamma_o, p.y_gamma_o
+    first = elliptic.carlson_rf(0.0, p.m_prime, 1.0) - s_g * elliptic.carlson_rf(c2_g, y_g, 1.0)
     third = elliptic.carlson_rj(0.0, p.m_prime, 1.0, p.one_minus_n) - s_g * s_g * s_g * elliptic.carlson_rj(
-        p.cos2_gamma_o, p.y_gamma_o, 1.0, p.p_gamma_o
+        c2_g, y_g, 1.0, p.sqrt_one_minus_n
     )
-    bracket = p.sqrt_one_minus_n * (p.n / 3.0) * third - (2.0 * r / (d + r)) * first
+    bracket = p.sqrt_one_minus_n * (p.n / 3.0) * third - (2.0 / (d / r + 1.0)) * first
     return SolidAngle(p.sqrt_one_minus_m_over_n * bracket / _TWO_PI, Method.ELLIPTIC, _ERR_ELLIPTIC)
 
 
@@ -285,12 +274,14 @@ def omega_cyl0_series(cfg: CanonicalConfig, terms: int = 3) -> SolidAngle:
     x = min(1.0, r / d)
     phi_o = math.asin(x)
     resid = math.acos(x)  # pi/2 - phi_o, without cancellation
-    rd_cos = r * math.sqrt(max(0.0, (d - r) * (d + r)))  # r d cos(phi_o)
+    # the rest in units of r, with d - r taken from the unscaled lengths
+    L, d, t = L / r, d / r, (d - r) / r
+    d_cos = math.sqrt(t * (d + 1.0))  # d cos(phi_o)
     inv_L2 = 1.0 / (L * L)
 
     t1 = phi_o
-    t2 = -0.5 * (rd_cos - r * r * resid) * inv_L2
-    t3 = 0.375 * (rd_cos * (d * d + 2.0 * r * r) - r * r * (r * r + 2.0 * d * d) * resid) * inv_L2 * inv_L2
+    t2 = -0.5 * (d_cos - resid) * inv_L2
+    t3 = 0.375 * (d_cos * (d * d + 2.0) - (1.0 + 2.0 * d * d) * resid) * inv_L2 * inv_L2
 
     total = t1
     if terms >= 2:
@@ -322,7 +313,7 @@ def omega_circ(cfg: CanonicalConfig) -> SolidAngle:
     if L == 0.0:
         value = 0.0 if d > r else (0.25 if d == r else 0.5)
         return SolidAngle(value, Method.SPECIAL, 0.0)
-    if d == 0.0:
+    if d / r == 0.0:  # on the axis in units of r
         return SolidAngle(0.5 * (1.0 - L / math.hypot(L, r)), Method.SPECIAL, _ERR_SPECIAL)
     if d == r:
         return SolidAngle(_omega_circ_equal_distance(L, r), Method.SPECIAL, _ERR_SPECIAL)
@@ -351,7 +342,8 @@ def omega_circ_third_kind(cfg: CanonicalConfig) -> SolidAngle:
     """Cross-check path for omega_circ using complete third-kind integrals.
 
     Regular region only: L > 0, 0 < d != r (the limits are owned by
-    omega_circ).
+    omega_circ). K(m) = R_F(0, m', 1) and
+    Pi(n; m) = K(m) + (n/3) R_J(0, m', 1, 1-n): one R_F and one R_J.
     """
     L, r, d = cfg.L, cfg.r, cfg.d
     if L <= 0.0:
@@ -363,33 +355,14 @@ def omega_circ_third_kind(cfg: CanonicalConfig) -> SolidAngle:
             "complete Pi(n; m) diverges at n = 1 (d = r); use omega_circ's equal-distance form"
         )
     p = params_from_geometry(cfg)
-    Pi = elliptic.incomplete_Pi_from_parts(1.0, 0.0, p.m_prime, p.one_minus_n, p.n)
-    K = elliptic.complete_K_from_complement(p.m_prime)
+    K = elliptic.carlson_rf(0.0, p.m_prime, 1.0)
+    Pi = K + (p.n / 3.0) * elliptic.carlson_rj(0.0, p.m_prime, 1.0, p.one_minus_n)
     s = p.sqrt_one_minus_m_over_n
     if d > r:
         value = s * (p.sqrt_one_minus_n * Pi - K) / _TWO_PI
     else:
         value = 0.5 - s * (p.sqrt_one_minus_n * Pi + K) / _TWO_PI
     return SolidAngle(value, Method.ELLIPTIC, _ERR_ELLIPTIC)
-
-
-def macklin_params(cfg: CanonicalConfig) -> MacklinParams:
-    """Amplitudes (theta, psi) of the Macklin disc form; requires L > 0."""
-    L, r, d = cfg.L, cfg.r, cfg.d
-    if L <= 0.0:
-        raise DomainError(f"macklin amplitudes require L > 0; got L={L!r}")
-    alpha = d / L
-    beta = r / L
-    sq1a = math.hypot(1.0, alpha)
-    A = math.hypot(1.0, alpha + beta)
-    B = beta + sq1a
-    C = math.hypot(1.0, alpha - beta)
-    theta = math.asin(min(1.0, A / B))
-    # sin(psi) = (sqrt(1+alpha^2) - beta)/C, with the difference expanded to
-    # its sign-revealing quotient so beta ~ sqrt(1+alpha^2) cannot cancel
-    sin_psi = ((1.0 + alpha * alpha) - beta * beta) / ((sq1a + beta) * C)
-    psi = math.asin(max(-1.0, min(1.0, sin_psi)))
-    return MacklinParams(alpha=alpha, beta=beta, theta=theta, psi=psi)
 
 
 def omega_circ_macklin(cfg: CanonicalConfig) -> SolidAngle:
@@ -402,9 +375,14 @@ def omega_circ_macklin(cfg: CanonicalConfig) -> SolidAngle:
                               + 2 beta / (sqrt(1+(alpha+beta)^2)
                                           (beta + sqrt(1+alpha^2))) }
 
-    psi < 0 (source closer than the disc rim is wide) enters through the odd
-    extension F(-psi) = -F(psi). d = r is rejected per contract; callers are
-    routed to omega_circ's equal-distance form.
+    where sin(theta) = sqrt(1+(alpha+beta)^2) / (beta + sqrt(1+alpha^2)) and
+    sin(psi) = (sqrt(1+alpha^2) - beta) / sqrt(1+(alpha-beta)^2). The angles
+    are never formed: each amplitude enters as its exact parts sin, cos^2 and
+    1 - m' sin^2, its F and E share one R_F(cos^2, y, 1), and K and E share
+    R_F(0, m', 1), so the form takes 3 R_F + 3 R_D. psi < 0 (source closer
+    than the disc rim is wide) enters through the odd extension
+    F(-psi) = -F(psi). d = r is rejected per contract; callers are routed to
+    omega_circ's equal-distance form.
     """
     L, r, d = cfg.L, cfg.r, cfg.d
     if L <= 0.0:
@@ -413,8 +391,7 @@ def omega_circ_macklin(cfg: CanonicalConfig) -> SolidAngle:
         raise DivergentError(
             "omega_circ_macklin rejects d = r; use omega_circ's equal-distance form"
         )
-    mp = macklin_params(cfg)
-    alpha, beta = mp.alpha, mp.beta
+    alpha, beta = d / L, r / L
     u = math.hypot(1.0, alpha)
     A = math.hypot(1.0, alpha + beta)
     B = beta + u
@@ -427,22 +404,21 @@ def omega_circ_macklin(cfg: CanonicalConfig) -> SolidAngle:
     g_minus = 2.0 * beta / (u + alpha)
     g_plus = 2.0 * beta * (u + alpha)
 
-    K = elliptic.complete_K_from_complement(m_prime)
-    E = elliptic.complete_E_from_complement(m_prime)
-
-    s_theta = min(1.0, A / B)
-    c2_theta = g_minus / (B * B)
-    y_theta = g_plus / (B * B)
-    F_sum = elliptic.incomplete_F_from_parts(s_theta, c2_theta, y_theta)
-    E_sum = elliptic.incomplete_E_from_parts(s_theta, c2_theta, y_theta, m_prime)
+    K = elliptic.carlson_rf(0.0, m_prime, 1.0)
+    E = K - ((1.0 - m_prime) / 3.0) * elliptic.carlson_rd(0.0, m_prime, 1.0)
 
     num_psi = (1.0 + alpha * alpha) - beta * beta  # sign of sin(psi)
     s_psi = min(1.0, abs(num_psi) / ((u + beta) * C))
-    c2_psi = g_minus / (C * C)
-    y_psi = g_plus / (A * A)
-    sign = 1.0 if num_psi >= 0.0 else -1.0
-    F_sum += sign * elliptic.incomplete_F_from_parts(s_psi, c2_psi, y_psi)
-    E_sum += sign * elliptic.incomplete_E_from_parts(s_psi, c2_psi, y_psi, m_prime)
+    # (sign, sin, cos^2, y) of theta and psi
+    amplitudes = (
+        (1.0, min(1.0, A / B), g_minus / (B * B), g_plus / (B * B)),
+        (1.0 if num_psi >= 0.0 else -1.0, s_psi, g_minus / (C * C), g_plus / (A * A)),
+    )
+    F_sum = E_sum = 0.0
+    for sign, s, c2, y in amplitudes:
+        F = s * elliptic.carlson_rf(c2, y, 1.0)
+        F_sum += sign * F
+        E_sum += sign * (F - (m_prime / 3.0) * s * s * s * elliptic.carlson_rd(c2, y, 1.0))
 
     tail = 2.0 * beta / (A * B)
     omega_4pi = _TWO_PI + 2.0 * (K - E) * F_sum - 2.0 * K * (E_sum + tail)

@@ -61,7 +61,8 @@ class _Worst:
         self.where = "n/a"
 
     def update(self, dev: float, where: str) -> None:
-        if dev > self.dev:
+        # NaN outranks every number, so a NaN deviation fails the suite
+        if dev > self.dev or (math.isnan(dev) and not math.isnan(self.dev)):
             self.dev = dev
             self.where = where
 

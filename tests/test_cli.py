@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from solidcyl import cli
+from solidcyl import cli, elliptic, oracle
 from solidcyl import verify as verify_mod
 from solidcyl.geometry import CanonicalConfig, CylinderSpec, SourcePoint
 from solidcyl.solid_angle import omega_total
@@ -277,6 +277,26 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
     assert code == 1
     assert any(line.startswith("FAIL disc_cross") for line in out.splitlines())
     assert "FAILED" in out
+
+
+@pytest.mark.parametrize(
+    "suite, module, name, fake",
+    [
+        ("cyl0_quad", oracle, "quad_cyl0_phi", lambda cfg, tol: math.nan),
+        ("cyl0_pair", oracle, "quad_cyl0_gamma", lambda cfg, tol: math.nan),
+        ("agm", elliptic, "complete_K", lambda m: math.nan),
+        ("legendre", elliptic, "complete_K", lambda m: math.nan),
+    ],
+    ids=["cyl0_quad", "cyl0_pair", "agm", "legendre"],
+)
+def test_verify_nan_deviation_fails_the_suite(monkeypatch, suite, module, name, fake):
+    # a NaN deviation compares false against every bound; it must still fail
+    monkeypatch.setattr(module, name, fake)
+    res = verify_mod.run_suite(suite, 20, 0)
+    assert math.isnan(res.max_dev)
+    assert res.worst != "n/a"
+    assert not res.passed
+    assert res.line().startswith(f"FAIL {suite}")
 
 
 def test_verify_tolerance_override_can_fail_a_suite(capsys):

@@ -6,18 +6,19 @@ they are hard-coded so these tests do not depend on scipy at runtime.
 """
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from solidcyl import elliptic
 from solidcyl.errors import DivergentError, DomainError, OnAxisError, SolidCylError
 from solidcyl.geometry import CanonicalConfig, CylinderSpec, SourcePoint
 from solidcyl.solid_angle import (
     EllipticParams,
     Method,
     SolidAngle,
-    macklin_params,
     omega_circ,
     omega_circ_macklin,
     omega_circ_third_kind,
@@ -66,7 +67,8 @@ def test_params_parts_are_consistent(L, r, d):
     if d >= r:
         assert p.sin_gamma_o**2 + p.cos2_gamma_o == pytest.approx(1.0, rel=4e-16)
         assert p.y_gamma_o == pytest.approx(1.0 - p.m * p.sin_gamma_o**2, rel=1e-12, abs=1e-15)
-        assert p.p_gamma_o == pytest.approx(1.0 - p.n * p.sin_gamma_o**2, rel=1e-12, abs=1e-15)
+        # 1 - n sin^2(gamma_o) has no field of its own: it is sqrt(1-n)
+        assert p.sqrt_one_minus_n == pytest.approx(1.0 - p.n * p.sin_gamma_o**2, rel=1e-12, abs=1e-15)
     else:
         assert p.sin_gamma_o is None and p.cos2_gamma_o is None
     # epsilon exists away from m = 1, with exact-product sin/cos parts
@@ -231,6 +233,8 @@ def test_circ_on_axis_closed_form():
     got = omega_circ(CanonicalConfig(1.0, 1.0, 0.0))
     assert got.value == pytest.approx(0.5 * (1.0 - 1.0 / math.sqrt(2.0)), rel=1e-15)
     assert got.value == pytest.approx(0.14644660940672627, rel=1e-15)
+    # d/r underflows to 0: on the axis in units of r
+    assert omega_circ(CanonicalConfig(1e300, 1e300, 1e-300)) == got
 
 
 def test_circ_flat_limit_table():
@@ -315,15 +319,54 @@ def test_macklin_handles_axis():
     assert got.value == pytest.approx(0.14644660940672627, rel=1e-12)
 
 
-def test_macklin_amplitudes():
-    mp = macklin_params(CanonicalConfig(1.0, 1.0, 3.0))
-    assert 0.0 <= mp.theta <= math.pi / 2
-    assert abs(mp.psi) <= mp.theta
-    # wide disc seen from near the axis: psi goes negative
-    wide = macklin_params(CanonicalConfig(1.0, 3.0, 1.0))
-    assert wide.psi < 0.0
-    with pytest.raises(DomainError):
-        macklin_params(CanonicalConfig(0.0, 1.0, 2.0))
+def test_macklin_far_field_thin_gap():
+    # L/r ~ 0.002 and d/r ~ 780 put both amplitudes within 1e-9 of pi/2,
+    # where an angle built by asin lost the digits that order them
+    cfg = CanonicalConfig(0.001887444049215204, 1.0, 778.818586432147)
+    a = omega_circ(cfg).value
+    c = omega_circ_macklin(cfg).value
+    # the disc_cross metric: relative, with an absolute floor of 1e-4
+    assert abs(a - c) / max(abs(a), abs(c), 1e-4) <= 1e-10
+
+
+# ------------------------------------------------------ Carlson calls per form
+
+
+def _carlson_calls(monkeypatch, fn, cfg):
+    """(kernel, args) of every R_F, R_D and R_J call fn makes on cfg."""
+    calls = []
+    for name in ("carlson_rf", "carlson_rd", "carlson_rj"):
+        kernel = getattr(elliptic, name)
+
+        def wrapped(*args, _name=name, _kernel=kernel):
+            calls.append((_name, args))
+            return _kernel(*args)
+
+        monkeypatch.setattr(elliptic, name, wrapped)
+    fn(cfg)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "fn, L, d, counts",
+    [
+        (omega_cyl0, 1.0, 2.0, {"carlson_rf": 2, "carlson_rj": 2}),
+        (omega_cyl0, 1e-3, 1.0 + 1e-9, {"carlson_rf": 2, "carlson_rj": 2}),
+        (omega_circ, 1.0, 2.0, {"carlson_rf": 2, "carlson_rd": 2}),
+        (omega_circ, 1.0, 0.5, {"carlson_rf": 2, "carlson_rd": 2}),
+        (omega_circ_third_kind, 1.0, 2.0, {"carlson_rf": 1, "carlson_rj": 1}),
+        (omega_circ_third_kind, 1.0, 0.5, {"carlson_rf": 1, "carlson_rj": 1}),
+        (omega_circ_macklin, 1.0, 2.0, {"carlson_rf": 3, "carlson_rd": 3}),
+        (omega_circ_macklin, 1.0, 0.5, {"carlson_rf": 3, "carlson_rd": 3}),
+        # beta > sqrt(1 + alpha^2): psi < 0
+        (omega_circ_macklin, 0.5, 0.25, {"carlson_rf": 3, "carlson_rd": 3}),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else None,
+)
+def test_closed_forms_call_each_carlson_tuple_once(monkeypatch, fn, L, d, counts):
+    calls = _carlson_calls(monkeypatch, fn, CanonicalConfig(L, 1.0, d))
+    assert len(set(calls)) == len(calls), f"repeated tuple in {calls}"
+    assert Counter(name for name, _ in calls) == counts
 
 
 # ----------------------------------------------------------------- omega_total
@@ -400,6 +443,31 @@ def test_total_survives_uniform_rescale(L, d, z, k):
     unit = omega_total(CylinderSpec(L, 1.0), SourcePoint(d, z)).value
     scaled = omega_total(CylinderSpec(L * k, k), SourcePoint(d * k, z * k)).value
     assert scaled == pytest.approx(unit, abs=1e-15)
+
+
+@pytest.mark.parametrize("k", [1e-300, 1e-160, 1e-150, 1e150, 1e160, 1e300])
+@pytest.mark.parametrize(
+    "fn", [omega_cyl0, omega_cyl0_series, omega_circ, omega_circ_third_kind, omega_circ_macklin]
+)
+def test_canonical_evaluators_survive_uniform_rescale(fn, k):
+    # each evaluator works in units of r, so direct calls at any scale agree
+    unit = fn(CanonicalConfig(3.0, 1.0, 2.0)).value
+    scaled = fn(CanonicalConfig(3.0 * k, k, 2.0 * k)).value
+    assert scaled == pytest.approx(unit, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "cyl, src, ratio",
+    [
+        (CylinderSpec(1.0, 1.0), SourcePoint(1e155, -0.5), "d/r"),
+        (CylinderSpec(1e155, 1.0), SourcePoint(2.0, -0.5), "L/r"),
+    ],
+    ids=["far-d", "tall-L"],
+)
+def test_far_field_overflow_names_its_ratio(cyl, src, ratio):
+    # L^2 + (d+r)^2 overflows in units of r; the error says so, not the kernel
+    with pytest.raises(DomainError, match=f"overflows in units of r: {ratio} = 1e\\+155"):
+        omega_total(cyl, src)
 
 
 finite_lengths = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
