@@ -31,16 +31,34 @@ omega_circ
     The third-kind forms and the Macklin form are kept as cross-check paths;
     all three agree to roundoff away from d = r.
 
+near face (omega_total only)
+    Below the base outside the shell, omega_total needs CIRC(h) - CYL0(h).
+    The shell form and the disc's third-kind form carry the same complete
+    Pi(n; m) and K(m), which cancel in closed form (see _near_face):
+
+        CIRC(h) - CYL0(h) = (2 pi)^-1 sqrt(1 - m/n) [ sqrt(1-n) (n/3)
+                              sin^3(gamma_o) R_J(cos^2, y, 1, sqrt(1-n))
+                              - 2r/(d+r) sin(gamma_o) R_F(cos^2, y, 1) ]
+
+    It is -1/4 + omega_circ's equal-distance form at d = r and 0 at h = 0.
+
 Each quantity has one route: the exact limits below where they apply, the
 elliptic form everywhere else. The large-L series (omega_cyl0_series) and
 the disc cross-check paths are separate functions for verification only;
 no evaluator takes a route argument. Each closed form takes its exact parts
 and calls elliptic.carlson_* once per distinct argument tuple, with no
 wrapper in between: the shell term takes 2 R_F + 2 R_J, the disc term
-2 R_F + 2 R_D, the third-kind disc form 1 R_F + 1 R_J and the Macklin form
-3 R_F + 3 R_D. Every evaluator works in units of r, so the answer is the
-same at any uniform scale, whether omega_total builds the canonical terms
-or a caller passes one directly.
+2 R_F + 2 R_D, the near face 1 R_F + 1 R_J, the third-kind disc form
+1 R_F + 1 R_J and the Macklin form 3 R_F + 3 R_D. So a 3-term omega_total
+costs 3 R_F + 3 R_J.
+
+The closed forms live in private functions of plain floats at r = 1
+(_params, _cyl0, _circ, _near_face). omega_total sums them directly, and
+omega_cyl0, omega_circ and params_from_geometry are thin wrappers over the
+same functions: validate, take the exact limits, divide by r, wrap the
+result. Every evaluator works in units of r, so the answer is the same at
+any uniform scale, whether omega_total builds the canonical terms or a
+caller passes one directly.
 
 Near-boundary arithmetic: (1-n), (1-m) and (1-m/n) are always computed from
 the geometry ((d-r)/(d+r), (L^2+(d-r)^2)/(L^2+(d+r)^2), L/sqrt(L^2+(d+r)^2)),
@@ -53,8 +71,10 @@ those factors vanish.
 
 Special values (the formulas above degenerate there, exact limits are used):
 omega_cyl0 = 1/4 at d = r with L > 0, and 0 at L = 0; omega_circ at L = 0 is
-{0, 1/4, 1/2} for d {>, =, <} r; on axis omega_circ = (1 - L/sqrt(L^2+r^2))/2;
-at d = r omega_circ = 1/4 - sqrt(1-m1) K(m1)/(2 pi) with m1 = 4r^2/(L^2+4r^2).
+{0, 1/4, 1/2} for d {>, =, <} r; on axis omega_circ = (1 - L/hyp)/2, which is
+evaluated as r^2/(2 hyp (hyp + L)) with hyp = sqrt(L^2+r^2) so that a far
+disc keeps its relative accuracy; at d = r
+omega_circ = 1/4 - sqrt(1-m1) K(m1)/(2 pi) with m1 = 4r^2/(L^2+4r^2).
 Note omega_cyl0 is discontinuous at the corner (d -> r+, L -> 0).
 """
 
@@ -155,39 +175,30 @@ class EllipticParams:
     cos2_epsilon: float | None
 
 
-def params_from_geometry(cfg: CanonicalConfig) -> EllipticParams:
-    """Compute m, n and companions from (L, r, d) without 1-x subtractions.
+def _params(L: float, d: float, t: float) -> tuple:
+    """EllipticParams' fields, in field order, at r = 1 from L, d and t = d - 1.
 
-    L and d are taken in units of r (d - r from the unscaled lengths, so a
-    source a few ulp off the wall keeps its offset), and the rest is computed
-    at r = 1: no uniform scale of (L, r, d) under- or overflows.
+    t comes in separately so a caller can take d - r from unscaled lengths.
+    n = 4d/(d+1)^2 exceeds 1 by a few ulp at most and m <= n, so min() is
+    the whole clamp. Raises DomainError when L^2 + (d+1)^2 overflows.
     """
-    L, d = cfg.L / cfg.r, cfg.d / cfg.r
-    if d == 0.0:
-        raise OnAxisError(
-            "elliptic parametrization is undefined on the axis (d = 0); "
-            "omega_circ handles that case in closed form"
-        )
     s = d + 1.0
-    t = (cfg.d - cfg.r) / cfg.r
-    den_m = L * L + s * s
+    LL = L * L
+    den_m = LL + s * s
     if math.isinf(den_m):
-        ratio, value = ("L/r", L) if math.isinf(L * L) else ("d/r", d)
+        ratio, value = ("L/r", L) if math.isinf(LL) else ("d/r", d)
         raise DomainError(f"L^2 + (d+r)^2 overflows in units of r: {ratio} = {value!r} is too large")
-    den_t = L * L + t * t
-    n = elliptic._clamp_unit(4.0 * d / (s * s), "characteristic n")
-    m = elliptic._clamp_unit(min(4.0 * d / den_m, n), "parameter m")
+    den_t = LL + t * t
+    n = min(1.0, 4.0 * d / (s * s))
+    m = min(4.0 * d / den_m, n)
     m_prime = den_t / den_m
-    sqrt_one_minus_n = abs(t) / s
-    one_minus_n = (t / s) * (t / s)
-    sqrt_one_minus_m_over_n = L / math.hypot(L, s)
 
     sin_gamma_o = cos2_gamma_o = y_gamma_o = None
-    if cfg.d >= cfg.r:
+    if t >= 0.0:
         # half-angle of pi/2 + phi_o, so sin^2/cos^2 close over (d +- r)/2d
         sin_gamma_o = min(1.0, math.sqrt(s / (2.0 * d)))
         cos2_gamma_o = t / (2.0 * d)
-        y_gamma_o = (L * L + t * s) / den_m
+        y_gamma_o = (LL + t * s) / den_m
 
     sin_epsilon = cos2_epsilon = None
     if m_prime > 0.0:
@@ -195,19 +206,56 @@ def params_from_geometry(cfg: CanonicalConfig) -> EllipticParams:
         sin_epsilon = math.sqrt(sin2)
         cos2_epsilon = 4.0 * d * L * L / (s * s * den_t)
 
-    return EllipticParams(
-        m=m,
-        n=n,
-        m_prime=m_prime,
-        sqrt_one_minus_n=sqrt_one_minus_n,
-        sqrt_one_minus_m_over_n=sqrt_one_minus_m_over_n,
-        one_minus_n=one_minus_n,
-        sin_gamma_o=sin_gamma_o,
-        cos2_gamma_o=cos2_gamma_o,
-        y_gamma_o=y_gamma_o,
-        sin_epsilon=sin_epsilon,
-        cos2_epsilon=cos2_epsilon,
+    return (
+        m,
+        n,
+        m_prime,
+        abs(t) / s,
+        L / math.hypot(L, s),
+        (t / s) * (t / s),
+        sin_gamma_o,
+        cos2_gamma_o,
+        y_gamma_o,
+        sin_epsilon,
+        cos2_epsilon,
     )
+
+
+def params_from_geometry(cfg: CanonicalConfig) -> EllipticParams:
+    """Compute m, n and companions from (L, r, d) without 1-x subtractions.
+
+    L and d are taken in units of r (d - r from the unscaled lengths, so a
+    source a few ulp off the wall keeps its offset), and the rest is computed
+    at r = 1: no uniform scale of (L, r, d) under- or overflows.
+    """
+    d = cfg.d / cfg.r
+    if d == 0.0:
+        raise OnAxisError(
+            "elliptic parametrization is undefined on the axis (d = 0); "
+            "omega_circ handles that case in closed form"
+        )
+    return EllipticParams(*_params(cfg.L / cfg.r, d, (cfg.d - cfg.r) / cfg.r))
+
+
+def _cyl0(L: float, d: float, t: float) -> float:
+    """Shell term's elliptic form at r = 1: L > 0, d > 1, t = d - 1."""
+    _, n, m_prime, s_n, s_mn, one_minus_n, s_g, c2_g, y_g, _, _ = _params(L, d, t)
+    first = elliptic.carlson_rf(0.0, m_prime, 1.0) - s_g * elliptic.carlson_rf(c2_g, y_g, 1.0)
+    third = elliptic.carlson_rj(0.0, m_prime, 1.0, one_minus_n) - s_g * s_g * s_g * elliptic.carlson_rj(
+        c2_g, y_g, 1.0, s_n
+    )
+    bracket = s_n * (n / 3.0) * third - (2.0 / (d + 1.0)) * first
+    return s_mn * bracket / _TWO_PI
+
+
+def _shell(L: float, r: float, d: float) -> tuple[float, Method, float]:
+    """(value, method, err) of the shell term for d >= r, exact limits included."""
+    if L == 0.0:
+        return 0.0, Method.SPECIAL, 0.0
+    if d == r:
+        # rho vanishes identically: a quarter sphere for any L > 0
+        return 0.25, Method.SPECIAL, _ERR_SPECIAL
+    return _cyl0(L / r, d / r, (d - r) / r), Method.ELLIPTIC, _ERR_ELLIPTIC
 
 
 def omega_cyl0(cfg: CanonicalConfig) -> SolidAngle:
@@ -229,24 +277,9 @@ def omega_cyl0(cfg: CanonicalConfig) -> SolidAngle:
 
     with K(m) = R_F(0, m', 1) and F(gamma_o|m) = sin(gamma_o) R_F(cos^2, y, 1).
     """
-    L, r, d = cfg.L, cfg.r, cfg.d
-    if d < r:
-        raise DomainError(f"omega_cyl0 requires d >= r (source outside the shell); got d={d!r} < r={r!r}")
-
-    if L == 0.0:
-        return SolidAngle(0.0, Method.SPECIAL, 0.0)
-    if d == r:
-        # rho vanishes identically: a quarter sphere for any L > 0
-        return SolidAngle(0.25, Method.SPECIAL, _ERR_SPECIAL)
-
-    p = params_from_geometry(cfg)
-    s_g, c2_g, y_g = p.sin_gamma_o, p.cos2_gamma_o, p.y_gamma_o
-    first = elliptic.carlson_rf(0.0, p.m_prime, 1.0) - s_g * elliptic.carlson_rf(c2_g, y_g, 1.0)
-    third = elliptic.carlson_rj(0.0, p.m_prime, 1.0, p.one_minus_n) - s_g * s_g * s_g * elliptic.carlson_rj(
-        c2_g, y_g, 1.0, p.sqrt_one_minus_n
-    )
-    bracket = p.sqrt_one_minus_n * (p.n / 3.0) * third - (2.0 / (d / r + 1.0)) * first
-    return SolidAngle(p.sqrt_one_minus_m_over_n * bracket / _TWO_PI, Method.ELLIPTIC, _ERR_ELLIPTIC)
+    if cfg.d < cfg.r:
+        raise DomainError(f"omega_cyl0 requires d >= r (source outside the shell); got d={cfg.d!r} < r={cfg.r!r}")
+    return SolidAngle(*_shell(cfg.L, cfg.r, cfg.d))
 
 
 def omega_cyl0_series(cfg: CanonicalConfig, terms: int = 3) -> SolidAngle:
@@ -271,12 +304,12 @@ def omega_cyl0_series(cfg: CanonicalConfig, terms: int = 3) -> SolidAngle:
     if terms not in (1, 2, 3):
         raise DomainError(f"terms must be 1, 2 or 3 (three coefficients exist); got {terms!r}")
 
-    x = min(1.0, r / d)
-    phi_o = math.asin(x)
-    resid = math.acos(x)  # pi/2 - phi_o, without cancellation
-    # the rest in units of r, with d - r taken from the unscaled lengths
+    # in units of r, with d - r taken from the unscaled lengths: a rounded
+    # r/d would lose the digits of pi/2 - phi_o near d = r
     L, d, t = L / r, d / r, (d - r) / r
-    d_cos = math.sqrt(t * (d + 1.0))  # d cos(phi_o)
+    d_cos = math.sqrt(t * (d + 1.0))  # d cos(phi_o) = cot(phi_o)
+    phi_o = math.atan2(1.0, d_cos)
+    resid = math.atan(d_cos)  # pi/2 - phi_o
     inv_L2 = 1.0 / (L * L)
 
     t1 = phi_o
@@ -292,15 +325,48 @@ def omega_cyl0_series(cfg: CanonicalConfig, terms: int = 3) -> SolidAngle:
     return SolidAngle(max(0.0, total / _TWO_PI), Method.SERIES, err)
 
 
-def _omega_circ_equal_distance(L: float, r: float) -> float:
-    # d = r, L > 0: both complete integrals collapse onto m1 = 4 r^2 / (L^2 + 4 r^2).
-    # Work with the complement (L/hypot)^2 so K stays finite when m1 rounds to 1.
+def _equal_distance_gap(L: float, r: float) -> float:
+    # 1/4 - omega_circ at d = r, L > 0: both complete integrals collapse onto
+    # m1 = 4 r^2 / (L^2 + 4 r^2). Work with the complement (L/hypot)^2 so K
+    # stays finite when m1 rounds to 1.
     sqrt_m1c = L / math.hypot(L, 2.0 * r)
     m1c = sqrt_m1c * sqrt_m1c
     if m1c == 0.0:
         # sqrt_m1c * K underflows past the last digit of 1/4
-        return 0.25
-    return 0.25 - sqrt_m1c * elliptic.complete_K_from_complement(m1c) / _TWO_PI
+        return 0.0
+    return sqrt_m1c * elliptic.complete_K_from_complement(m1c) / _TWO_PI
+
+
+def _circ(L: float, d: float, t: float) -> float:
+    """Disc term's elliptic form at r = 1: L > 0, 0 < d != 1, t = d - 1."""
+    m, n, m_prime, s_n, s_mn, _, _, _, _, s_e, c2_e = _params(L, d, t)
+    # K and E share R_F(0, m', 1); the incomplete integrals carry parameter
+    # m', so their y = 1 - m' sin^2(eps) collapses to n exactly
+    # (m' sin^2(eps) = (d-r)^2/(d+r)^2 algebraically) and F(eps|m'), E(eps|m')
+    # share R_F(cos^2(eps), n, 1)
+    K = elliptic.complete_K_from_complement(m_prime)
+    E = K - (m / 3.0) * elliptic.carlson_rd(0.0, m_prime, 1.0)
+    F_eps = s_e * elliptic.carlson_rf(c2_e, n, 1.0)
+    E_eps = F_eps - (m_prime / 3.0) * s_e * s_e * s_e * elliptic.carlson_rd(c2_e, n, 1.0)
+    cross = (E - K) * F_eps + K * E_eps
+    radial = s_mn * K / _TWO_PI
+    if t > 0.0:
+        return 0.25 - (n / (1.0 + s_n)) * radial - cross / _TWO_PI
+    return 0.25 - (1.0 + s_n) * radial + cross / _TWO_PI
+
+
+def _disc(L: float, r: float, d: float) -> tuple[float, Method, float]:
+    """(value, method, err) of the disc term, exact limits included."""
+    if L == 0.0:
+        return (0.0 if d > r else (0.25 if d == r else 0.5)), Method.SPECIAL, 0.0
+    if d / r == 0.0:  # on the axis in units of r
+        L = L / r
+        hyp = math.hypot(L, 1.0)
+        # 1 - L/hyp without the cancellation that ruins it for L >> r
+        return 0.5 / (hyp * (hyp + L)), Method.SPECIAL, _ERR_SPECIAL
+    if d == r:
+        return 0.25 - _equal_distance_gap(L, r), Method.SPECIAL, _ERR_SPECIAL
+    return _circ(L / r, d / r, (d - r) / r), Method.ELLIPTIC, _ERR_ELLIPTIC
 
 
 def omega_circ(cfg: CanonicalConfig) -> SolidAngle:
@@ -309,33 +375,37 @@ def omega_circ(cfg: CanonicalConfig) -> SolidAngle:
     Default evaluation uses the first/second-kind form; exact limits (L = 0,
     d = 0, d = r) take their closed expressions.
     """
-    L, r, d = cfg.L, cfg.r, cfg.d
-    if L == 0.0:
-        value = 0.0 if d > r else (0.25 if d == r else 0.5)
-        return SolidAngle(value, Method.SPECIAL, 0.0)
-    if d / r == 0.0:  # on the axis in units of r
-        return SolidAngle(0.5 * (1.0 - L / math.hypot(L, r)), Method.SPECIAL, _ERR_SPECIAL)
-    if d == r:
-        return SolidAngle(_omega_circ_equal_distance(L, r), Method.SPECIAL, _ERR_SPECIAL)
+    return SolidAngle(*_disc(cfg.L, cfg.r, cfg.d))
 
-    p = params_from_geometry(cfg)
-    # K and E share R_F(0, m', 1); the incomplete integrals carry parameter
-    # m', so their y = 1 - m' sin^2(eps) collapses to n exactly
-    # (m' sin^2(eps) = (d-r)^2/(d+r)^2 algebraically) and F(eps|m'), E(eps|m')
-    # share R_F(cos^2(eps), n, 1)
-    K = elliptic.complete_K_from_complement(p.m_prime)
-    E = K - (p.m / 3.0) * elliptic.carlson_rd(0.0, p.m_prime, 1.0)
-    s_e, c2_e = p.sin_epsilon, p.cos2_epsilon
-    F_eps = s_e * elliptic.carlson_rf(c2_e, p.n, 1.0)
-    E_eps = F_eps - (p.m_prime / 3.0) * s_e * s_e * s_e * elliptic.carlson_rd(c2_e, p.n, 1.0)
-    cross = (E - K) * F_eps + K * E_eps
-    s_n = p.sqrt_one_minus_n
-    radial = p.sqrt_one_minus_m_over_n * K / _TWO_PI
-    if d > r:
-        value = 0.25 - (p.n / (1.0 + s_n)) * radial - cross / _TWO_PI
-    else:
-        value = 0.25 - (1.0 + s_n) * radial + cross / _TWO_PI
-    return SolidAngle(value, Method.ELLIPTIC, _ERR_ELLIPTIC)
+
+def _near_face(h: float, d: float, t: float) -> float:
+    """CIRC(h) - CYL0(h) at r = 1 for h > 0, d > 1, t = d - 1.
+
+    The disc's third-kind form 2 pi CIRC = sqrt(1-m/n) [sqrt(1-n) Pi(n; m)
+    - K(m)] and the shell form share Pi(n; m) = K + (n/3) R_J(0, m', 1, 1-n),
+    and 1 - sqrt(1-n) = 2/(d+1), so the complete integrals cancel exactly:
+
+        2 pi (CIRC - CYL0) / sqrt(1-m/n)
+            = sqrt(1-n) (n/3) sin^3(gamma_o) R_J(cos^2, y, 1, sqrt(1-n))
+              - 2/(d+1) sin(gamma_o) R_F(cos^2, y, 1)
+
+    one R_F and one R_J, both at gamma_o.
+    """
+    _, n, _, s_n, s_mn, _, s_g, c2_g, y_g, _, _ = _params(h, d, t)
+    third = s_g * s_g * s_g * elliptic.carlson_rj(c2_g, y_g, 1.0, s_n)
+    first = s_g * elliptic.carlson_rf(c2_g, y_g, 1.0)
+    return s_mn * (s_n * (n / 3.0) * third - (2.0 / (d + 1.0)) * first) / _TWO_PI
+
+
+def _face(h: float, d: float) -> tuple[float, Method, float]:
+    """(value, method, err) of CIRC(h) - CYL0(h) at r = 1 for d >= 1."""
+    if h == 0.0:
+        return _disc(0.0, 1.0, d)  # CYL0(0) = 0
+    if d == 1.0:
+        # both shells are exactly 1/4 at d = r, so CYL0(L+h) plus this rounds
+        # to omega_circ's equal-distance value bit for bit
+        return -_equal_distance_gap(h, 1.0), Method.SPECIAL, _ERR_SPECIAL
+    return _near_face(h, d, d - 1.0), Method.ELLIPTIC, _ERR_ELLIPTIC
 
 
 def omega_circ_third_kind(cfg: CanonicalConfig) -> SolidAngle:
@@ -429,21 +499,30 @@ def omega_total(cyl: CylinderSpec, src: SourcePoint) -> SolidAngle:
     """Whole-surface solid angle at an arbitrary source position.
 
     Decomposes the position (see geometry.decompose) and sums the canonical
-    terms, each in units of r and on its one route (exact limit or elliptic
-    form). The tag is ELLIPTIC if any term took the elliptic form, and
-    SPECIAL otherwise.
+    terms in units of r, each on its one route (exact limit or elliptic
+    form), as plain floats: no per-term object is built. Below the
+    base outside the shell, the terms -CYL0(h) + CIRC(h) are evaluated as
+    one near-face term whose complete integrals cancel in closed form, so a
+    3-term total costs 3 R_F + 3 R_J. The tag is ELLIPTIC if any term took
+    an elliptic form, and SPECIAL otherwise.
     """
-    total = 0.0
-    err = 0.0
+    terms = decompose(cyl, src).terms
+    head = terms[0]
+    if head.kind is TermKind.CONSTANT:
+        return SolidAngle(head.constant_value, Method.SPECIAL, 0.0)
+    r = cyl.r
+    d = src.d / r
+    if head.kind is TermKind.CIRC:
+        parts = (_disc(head.L_eff / r, 1.0, d),)
+    elif len(terms) == 2:
+        parts = (_shell(head.L_eff / r, 1.0, d), _shell(terms[1].L_eff / r, 1.0, d))
+    else:
+        parts = (_shell(head.L_eff / r, 1.0, d), _face(terms[2].L_eff / r, d))
+    total = err = 0.0
     tag = Method.SPECIAL
-    for term in decompose(cyl, src):
-        if term.kind is TermKind.CONSTANT:
-            total += term.coefficient * term.constant_value
-            continue
-        sub = CanonicalConfig(term.L_eff / cyl.r, 1.0, src.d / cyl.r)
-        part = omega_cyl0(sub) if term.kind is TermKind.CYL0 else omega_circ(sub)
-        total += term.coefficient * part.value
-        err += part.err_estimate
-        if part.method is Method.ELLIPTIC:
+    for value, method, term_err in parts:
+        total += value
+        err += term_err
+        if method is Method.ELLIPTIC:
             tag = Method.ELLIPTIC
     return SolidAngle(total, tag, err)

@@ -8,6 +8,7 @@ they are hard-coded so these tests do not depend on scipy at runtime.
 import math
 from collections import Counter
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from solidcyl import elliptic
 from solidcyl.errors import DivergentError, DomainError, OnAxisError, SolidCylError
 from solidcyl.geometry import CanonicalConfig, CylinderSpec, SourcePoint
 from solidcyl.solid_angle import (
+    _near_face,
     EllipticParams,
     Method,
     SolidAngle,
@@ -208,6 +210,13 @@ def test_series_leading_term_is_aperture():
     assert got.value == pytest.approx(math.asin(0.5) / TWO_PI, rel=1e-12)
 
 
+def test_series_residual_angle_keeps_the_wall_offset():
+    # d - r = 6e-13 r: a rounded r/d gave pi/2 - phi_o ~ 1e-8 off, which the
+    # 1/L^2 terms blew up to a clamped 1.0 (err_estimate 1.6)
+    cfg = CanonicalConfig(0.00041540695732741206, 0.37283520203015524, 0.3728352020307544)
+    assert omega_cyl0_series(cfg).value == pytest.approx(omega_cyl0(cfg).value, abs=1e-12)
+
+
 def test_series_domain_errors():
     with pytest.raises(DivergentError):
         omega_cyl0_series(CanonicalConfig(0.0, 1.0, 2.0))
@@ -235,6 +244,17 @@ def test_circ_on_axis_closed_form():
     assert got.value == pytest.approx(0.14644660940672627, rel=1e-15)
     # d/r underflows to 0: on the axis in units of r
     assert omega_circ(CanonicalConfig(1e300, 1e300, 1e-300)) == got
+
+
+@pytest.mark.parametrize("z", [-1e3, -1e4, -1e6])
+def test_circ_on_axis_far_field_is_relative_exact(z):
+    # 1 - L/hypot(L, r) cancels for L >> r; the closed form below does not
+    got = omega_total(CylinderSpec(1.0, 1.0), SourcePoint(0.0, z)).value
+    with mpmath.workdps(40):
+        h = mpmath.mpf(-z)
+        hyp = mpmath.sqrt(h * h + 1)
+        exact = 1 / (2 * hyp * (hyp + h))
+    assert got == pytest.approx(float(exact), rel=1e-14, abs=0.0)
 
 
 def test_circ_flat_limit_table():
@@ -332,6 +352,11 @@ def test_macklin_far_field_thin_gap():
 # ------------------------------------------------------ Carlson calls per form
 
 
+def omega_total_below_base(cfg):
+    """omega_total of a cylinder (L, r) from a source at d, half a radius below its base."""
+    return omega_total(CylinderSpec(cfg.L, cfg.r), SourcePoint(cfg.d, -0.5 * cfg.r))
+
+
 def _carlson_calls(monkeypatch, fn, cfg):
     """(kernel, args) of every R_F, R_D and R_J call fn makes on cfg."""
     calls = []
@@ -360,6 +385,8 @@ def _carlson_calls(monkeypatch, fn, cfg):
         (omega_circ_macklin, 1.0, 0.5, {"carlson_rf": 3, "carlson_rd": 3}),
         # beta > sqrt(1 + alpha^2): psi < 0
         (omega_circ_macklin, 0.5, 0.25, {"carlson_rf": 3, "carlson_rd": 3}),
+        # +CYL0(L+h) and the fused near face CIRC(h) - CYL0(h)
+        (omega_total_below_base, 3.0, 2.0, {"carlson_rf": 3, "carlson_rj": 3}),
     ],
     ids=lambda v: v.__name__ if callable(v) else None,
 )
@@ -431,6 +458,91 @@ def test_total_range_and_end_swap(L, d, zf):
     b = omega_total(cyl, SourcePoint(d, L - z))
     assert 0.0 <= a.value <= 1.0
     assert abs(a.value - b.value) <= 1e-12
+
+
+def _below_base_reference(L, d, h):
+    """40-digit quadrature of the whole body seen from (d > 1, z = -h), r = 1.
+
+    Each azimuth crosses the body between the near and far wall distances
+    rho1, rho2; the highest point seen is the top rim on the near wall,
+    (L + h, rho1), and the lowest the base rim on the far wall, (h, rho2).
+    """
+    with mpmath.workdps(40):
+        d, a, b = mpmath.mpf(d), mpmath.mpf(h), mpmath.mpf(L) + mpmath.mpf(h)
+
+        def integrand(phi):
+            c = d * mpmath.cos(phi)
+            w = mpmath.sqrt(max(1 - (d * mpmath.sin(phi)) ** 2, 0))
+            rho1, rho2 = (d * d - 1) / (c + w), c + w
+            return b / mpmath.sqrt(b * b + rho1 * rho1) - a / mpmath.sqrt(a * a + rho2 * rho2)
+
+        return float(mpmath.quad(integrand, [0, mpmath.asin(1 / d)]) / (2 * mpmath.pi))
+
+
+@pytest.mark.parametrize("d", [1e3, 1e4, 1e6])
+def test_total_far_field_is_relative_exact(d):
+    # the separate -CYL0(h) + CIRC(h) cancelled down to 1.6e-9 .. 7.9e-7 relative here
+    got = omega_total(CylinderSpec(1.0, 1.0), SourcePoint(d, -0.5)).value
+    assert got == pytest.approx(_below_base_reference(1.0, d, 0.5), rel=1e-14, abs=0.0)
+
+
+def test_total_far_field_asymptote():
+    # the body's side, 2 r L, seen from d = 1e150: 2/(4 pi d^2) up to O(1/d)
+    got = omega_total(CylinderSpec(1.0, 1.0), SourcePoint(1e150, -0.5)).value
+    assert got == pytest.approx(1.0 / (TWO_PI * 1e300), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "h, d",
+    [(0.5, 2.0), (1e-3, 1.0 + 1e-10), (1.0, 1.0 + 1e-10), (30.0, 1.0 + 1e-6), (1e-2, 50.0), (3.0, 1e4), (1e2, 1.5)],
+)
+def test_near_face_matches_quadrature(h, d):
+    # CIRC(h) - CYL0(h) keeps only the disc's far-rim integral:
+    # -(2 pi)^-1 integral_0^phi_o h / sqrt(h^2 + rho2^2) dphi
+    with mpmath.workdps(40):
+        D, H = mpmath.mpf(d), mpmath.mpf(h)
+
+        def far_rim(phi):
+            rho2 = D * mpmath.cos(phi) + mpmath.sqrt(max(1 - (D * mpmath.sin(phi)) ** 2, 0))
+            return H / mpmath.sqrt(H * H + rho2 * rho2)
+
+        exact = -float(mpmath.quad(far_rim, [0, mpmath.asin(1 / D)]) / (2 * mpmath.pi))
+    assert _near_face(h, d, d - 1.0) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
+def test_near_face_limits():
+    # d = r: omega_circ's equal-distance form minus the quarter-sphere shell
+    cyl, src = CylinderSpec(3.0, 1.0), SourcePoint(1.0, -2.0)
+    assert omega_total(cyl, src).value == omega_circ(CanonicalConfig(2.0, 1.0, 1.0)).value
+    # h = 0: both terms vanish, the far shell is all that is left
+    assert omega_total(cyl, SourcePoint(2.0, 0.0)) == omega_cyl0(CanonicalConfig(3.0, 1.0, 2.0))
+
+
+@given(
+    L=lengths,
+    d=lengths,
+    r=lengths,
+    zf=st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True),
+)
+@settings(max_examples=300)
+def test_total_two_shells_are_the_shell_evaluator(L, d, r, zf):
+    # between the end planes, outside the shell: one implementation for both paths
+    assume(d >= r)
+    z = zf * L
+    assume(0.0 < z and z <= L / 2.0)
+    near = omega_cyl0(CanonicalConfig(z / r, 1.0, d / r))
+    far = omega_cyl0(CanonicalConfig((L - z) / r, 1.0, d / r))
+    got = omega_total(CylinderSpec(L, r), SourcePoint(d, z))
+    assert got.value == near.value + far.value
+    assert got.err_estimate == near.err_estimate + far.err_estimate
+
+
+@given(L=lengths, d=lengths, r=lengths, h=lengths)
+@settings(max_examples=300)
+def test_total_inner_disc_is_the_disc_evaluator(L, d, r, h):
+    # below the base inside the rim only the near disc is seen
+    assume(d < r)
+    assert omega_total(CylinderSpec(L, r), SourcePoint(d, -h)) == omega_circ(CanonicalConfig(h / r, 1.0, d / r))
 
 
 @pytest.mark.parametrize("k", [1e-300, 1e-160, 1e-150, 1e150, 1e160, 1e300])
