@@ -25,6 +25,12 @@ z in {0, L}) sees the tangent quarter space, 1/4. Both are emitted as
 CONSTANT terms because the CYL0/CIRC limits that meet there disagree. A
 source on the lateral surface strictly between the end planes needs no
 special casing: the CYL0 branch already yields 1/4 + 1/4 = 1/2.
+
+The split is one private function of plain floats, _split, which returns
+the region and its raw L_eff values. decompose builds Term objects from it
+for callers that inspect the terms (the CLI's `compute` output and its
+verification routes); solid_angle.omega_total evaluates the same floats and
+builds no Term, so there is a single case split.
 """
 
 from __future__ import annotations
@@ -158,51 +164,57 @@ class SignedTermList:
         return " ".join(t.describe() for t in self.terms)
 
 
-def _constant(cyl: CylinderSpec, src: SourcePoint, value: float) -> SignedTermList:
-    return SignedTermList(cyl, src, (Term(1, TermKind.CONSTANT, 0.0, value),))
+def _split(L: float, r: float, d: float, z: float) -> tuple[str, float, float]:
+    """The case split on plain floats: (region, a, b).
+
+    z is reflected to the near half first (z -> L - z for z > L/2); a and b
+    are the raw L_eff values, not yet in units of r:
+
+        region    terms                        a       b
+        "const"   CONSTANT a                   value   0
+        "disc"    +CIRC(a)                     -z      0
+        "shells"  +CYL0(a) +CYL0(b)            z       L - z
+        "below"   +CYL0(a) -CYL0(b) +CIRC(b)   L - z   -z
+
+    decompose builds its Terms from this split and solid_angle.omega_total
+    sums its floats directly, so both see the same regions and lengths.
+    """
+    if z > L / 2.0:
+        z = L - z
+
+    if d < r:
+        if z < 0.0:
+            return "disc", -z, 0.0
+        # z = 0 is on an end face: outside limit 1/2 (inside limit would
+        # be 1); z > 0 is enclosed
+        return "const", (0.5 if z == 0.0 else 1.0), 0.0
+
+    if d == r and z == 0.0:
+        # on a rim: tangent quarter space
+        return "const", 0.25, 0.0
+
+    if z <= 0.0:
+        return "below", L - z, -z
+    return "shells", z, L - z
 
 
 def decompose(cyl: CylinderSpec, src: SourcePoint) -> SignedTermList:
     """Split an arbitrary source position into canonical signed terms.
 
     The mirror half z > L/2 is reflected (z -> L - z) first so one code path
-    serves both ends; total solid angle is invariant under the end swap.
+    serves both ends; total solid angle is invariant under the end swap. The
+    split itself is _split, which omega_total shares.
     """
-    L, r = cyl.L, cyl.r
-    d, z = src.d, src.z
-    if z > L / 2.0:
-        z = L - z
-
-    if d < r:
-        if z < 0.0:
-            return SignedTermList(cyl, src, (Term(1, TermKind.CIRC, -z),))
-        if z == 0.0:
-            # on an end face: outside limit (inside limit would be 1)
-            return _constant(cyl, src, 0.5)
-        return _constant(cyl, src, 1.0)
-
-    if d == r and z == 0.0:
-        # on a rim: tangent quarter space
-        return _constant(cyl, src, 0.25)
-
-    if z <= 0.0:
-        return SignedTermList(
-            cyl,
-            src,
-            (
-                Term(1, TermKind.CYL0, L - z),
-                Term(-1, TermKind.CYL0, -z),
-                Term(1, TermKind.CIRC, -z),
-            ),
-        )
-    return SignedTermList(
-        cyl,
-        src,
-        (
-            Term(1, TermKind.CYL0, z),
-            Term(1, TermKind.CYL0, L - z),
-        ),
-    )
+    region, a, b = _split(cyl.L, cyl.r, src.d, src.z)
+    if region == "const":
+        terms = (Term(1, TermKind.CONSTANT, 0.0, a),)
+    elif region == "disc":
+        terms = (Term(1, TermKind.CIRC, a),)
+    elif region == "below":
+        terms = (Term(1, TermKind.CYL0, a), Term(-1, TermKind.CYL0, b), Term(1, TermKind.CIRC, b))
+    else:
+        terms = (Term(1, TermKind.CYL0, a), Term(1, TermKind.CYL0, b))
+    return SignedTermList(cyl, src, terms)
 
 
 def scale(cfg: CanonicalConfig, k: float) -> CanonicalConfig:

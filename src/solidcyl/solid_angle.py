@@ -53,12 +53,15 @@ wrapper in between: the shell term takes 2 R_F + 2 R_J, the disc term
 costs 3 R_F + 3 R_J.
 
 The closed forms live in private functions of plain floats at r = 1
-(_params, _cyl0, _circ, _near_face). omega_total sums them directly, and
-omega_cyl0, omega_circ and params_from_geometry are thin wrappers over the
-same functions: validate, take the exact limits, divide by r, wrap the
-result. Every evaluator works in units of r, so the answer is the same at
-any uniform scale, whether omega_total builds the canonical terms or a
-caller passes one directly.
+(_cyl0, _circ, _near_face). Each takes only its side of the parameters:
+_gamma_params (the gamma_o parts) for the shell and the near face,
+_eps_params (the epsilon parts) for the disc. omega_total runs
+geometry's float case split and sums these functions directly, and
+omega_cyl0, omega_circ and params_from_geometry (both parts combined) are
+thin wrappers over the same functions: validate, take the exact limits,
+divide by r, wrap the result. Every evaluator works in units of r, so the
+answer is the same at any uniform scale, whether omega_total forms the
+canonical terms or a caller passes one directly.
 
 Near-boundary arithmetic: (1-n), (1-m) and (1-m/n) are always computed from
 the geometry ((d-r)/(d+r), (L^2+(d-r)^2)/(L^2+(d+r)^2), L/sqrt(L^2+(d+r)^2)),
@@ -86,7 +89,8 @@ from dataclasses import dataclass
 
 from . import elliptic
 from .errors import DivergentError, DomainError, OnAxisError
-from .geometry import CanonicalConfig, CylinderSpec, SourcePoint, TermKind, decompose
+from .geometry import CanonicalConfig, CylinderSpec, SourcePoint, _split
+from .geometry import decompose  # noqa: F401 - perfbench's tracer wraps solid_angle.decompose
 
 __all__ = [
     "Method",
@@ -175,47 +179,63 @@ class EllipticParams:
     cos2_epsilon: float | None
 
 
-def _params(L: float, d: float, t: float) -> tuple:
-    """EllipticParams' fields, in field order, at r = 1 from L, d and t = d - 1.
-
-    t comes in separately so a caller can take d - r from unscaled lengths.
-    n = 4d/(d+1)^2 exceeds 1 by a few ulp at most and m <= n, so min() is
-    the whole clamp. Raises DomainError when L^2 + (d+1)^2 overflows.
-    """
-    s = d + 1.0
-    LL = L * L
+def _den_m(L: float, LL: float, d: float, s: float) -> float:
+    """L^2 + (d+1)^2 at r = 1, with s = d + 1; raises DomainError when it overflows."""
     den_m = LL + s * s
     if math.isinf(den_m):
         ratio, value = ("L/r", L) if math.isinf(LL) else ("d/r", d)
         raise DomainError(f"L^2 + (d+r)^2 overflows in units of r: {ratio} = {value!r} is too large")
+    return den_m
+
+
+def _gamma_params(L: float, d: float, t: float) -> tuple:
+    """The shell side of EllipticParams at r = 1, for t = d - 1 >= 0.
+
+    Returns (n, m', sqrt(1-n), sqrt(1-m/n), sin, cos^2, y of gamma_o), the
+    fields _cyl0 and _near_face read; 1 - n is sqrt(1-n)^2 bit for bit. t
+    comes in separately so a caller can take d - r from unscaled lengths.
+    n = 4d/(d+1)^2 exceeds 1 by a few ulp at most, so min() is the whole
+    clamp.
+    """
+    s = d + 1.0
+    LL = L * L
+    den_m = _den_m(L, LL, d, s)
+    return (
+        min(1.0, 4.0 * d / (s * s)),
+        (LL + t * t) / den_m,
+        abs(t) / s,
+        L / math.hypot(L, s),
+        # half-angle of pi/2 + phi_o, so sin^2/cos^2 close over (d +- r)/2d
+        min(1.0, math.sqrt(s / (2.0 * d))),
+        t / (2.0 * d),
+        (LL + t * s) / den_m,
+    )
+
+
+def _eps_params(L: float, d: float, t: float) -> tuple:
+    """The disc side of EllipticParams at r = 1, for t = d - 1 of either sign.
+
+    Returns (m, n, m', sqrt(1-n), sqrt(1-m/n), sin, cos^2 of epsilon), the
+    fields _circ reads; the epsilon parts are None when m' = 0. m <= n, so
+    min() clamps both.
+    """
+    s = d + 1.0
+    LL = L * L
+    den_m = _den_m(L, LL, d, s)
     den_t = LL + t * t
     n = min(1.0, 4.0 * d / (s * s))
-    m = min(4.0 * d / den_m, n)
     m_prime = den_t / den_m
-
-    sin_gamma_o = cos2_gamma_o = y_gamma_o = None
-    if t >= 0.0:
-        # half-angle of pi/2 + phi_o, so sin^2/cos^2 close over (d +- r)/2d
-        sin_gamma_o = min(1.0, math.sqrt(s / (2.0 * d)))
-        cos2_gamma_o = t / (2.0 * d)
-        y_gamma_o = (LL + t * s) / den_m
-
     sin_epsilon = cos2_epsilon = None
     if m_prime > 0.0:
         sin2 = min(1.0, (t * t * den_m) / (s * s * den_t))  # (1-n)/(1-m)
         sin_epsilon = math.sqrt(sin2)
         cos2_epsilon = 4.0 * d * L * L / (s * s * den_t)
-
     return (
-        m,
+        min(4.0 * d / den_m, n),
         n,
         m_prime,
         abs(t) / s,
         L / math.hypot(L, s),
-        (t / s) * (t / s),
-        sin_gamma_o,
-        cos2_gamma_o,
-        y_gamma_o,
         sin_epsilon,
         cos2_epsilon,
     )
@@ -234,14 +254,19 @@ def params_from_geometry(cfg: CanonicalConfig) -> EllipticParams:
             "elliptic parametrization is undefined on the axis (d = 0); "
             "omega_circ handles that case in closed form"
         )
-    return EllipticParams(*_params(cfg.L / cfg.r, d, (cfg.d - cfg.r) / cfg.r))
+    L, t = cfg.L / cfg.r, (cfg.d - cfg.r) / cfg.r
+    m, n, m_prime, s_n, s_mn, s_e, c2_e = _eps_params(L, d, t)
+    s_g = c2_g = y_g = None
+    if t >= 0.0:
+        s_g, c2_g, y_g = _gamma_params(L, d, t)[4:]
+    return EllipticParams(m, n, m_prime, s_n, s_mn, s_n * s_n, s_g, c2_g, y_g, s_e, c2_e)
 
 
 def _cyl0(L: float, d: float, t: float) -> float:
     """Shell term's elliptic form at r = 1: L > 0, d > 1, t = d - 1."""
-    _, n, m_prime, s_n, s_mn, one_minus_n, s_g, c2_g, y_g, _, _ = _params(L, d, t)
+    n, m_prime, s_n, s_mn, s_g, c2_g, y_g = _gamma_params(L, d, t)
     first = elliptic.carlson_rf(0.0, m_prime, 1.0) - s_g * elliptic.carlson_rf(c2_g, y_g, 1.0)
-    third = elliptic.carlson_rj(0.0, m_prime, 1.0, one_minus_n) - s_g * s_g * s_g * elliptic.carlson_rj(
+    third = elliptic.carlson_rj(0.0, m_prime, 1.0, s_n * s_n) - s_g * s_g * s_g * elliptic.carlson_rj(
         c2_g, y_g, 1.0, s_n
     )
     bracket = s_n * (n / 3.0) * third - (2.0 / (d + 1.0)) * first
@@ -339,7 +364,7 @@ def _equal_distance_gap(L: float, r: float) -> float:
 
 def _circ(L: float, d: float, t: float) -> float:
     """Disc term's elliptic form at r = 1: L > 0, 0 < d != 1, t = d - 1."""
-    m, n, m_prime, s_n, s_mn, _, _, _, _, s_e, c2_e = _params(L, d, t)
+    m, n, m_prime, s_n, s_mn, s_e, c2_e = _eps_params(L, d, t)
     # K and E share R_F(0, m', 1); the incomplete integrals carry parameter
     # m', so their y = 1 - m' sin^2(eps) collapses to n exactly
     # (m' sin^2(eps) = (d-r)^2/(d+r)^2 algebraically) and F(eps|m'), E(eps|m')
@@ -391,7 +416,7 @@ def _near_face(h: float, d: float, t: float) -> float:
 
     one R_F and one R_J, both at gamma_o.
     """
-    _, n, _, s_n, s_mn, _, s_g, c2_g, y_g, _, _ = _params(h, d, t)
+    n, _, s_n, s_mn, s_g, c2_g, y_g = _gamma_params(h, d, t)
     third = s_g * s_g * s_g * elliptic.carlson_rj(c2_g, y_g, 1.0, s_n)
     first = s_g * elliptic.carlson_rf(c2_g, y_g, 1.0)
     return s_mn * (s_n * (n / 3.0) * third - (2.0 / (d + 1.0)) * first) / _TWO_PI
@@ -498,26 +523,26 @@ def omega_circ_macklin(cfg: CanonicalConfig) -> SolidAngle:
 def omega_total(cyl: CylinderSpec, src: SourcePoint) -> SolidAngle:
     """Whole-surface solid angle at an arbitrary source position.
 
-    Decomposes the position (see geometry.decompose) and sums the canonical
-    terms in units of r, each on its one route (exact limit or elliptic
-    form), as plain floats: no per-term object is built. Below the
-    base outside the shell, the terms -CYL0(h) + CIRC(h) are evaluated as
-    one near-face term whose complete integrals cancel in closed form, so a
-    3-term total costs 3 R_F + 3 R_J. The tag is ELLIPTIC if any term took
+    Splits the position into regions with the float case split that
+    geometry.decompose also uses, and sums the canonical terms in units of
+    r, each on its one route (exact limit or elliptic form), as plain
+    floats: no Term and no per-term object is built, only the result. Below
+    the base outside the shell, the terms -CYL0(h) + CIRC(h) are evaluated
+    as one near-face term whose complete integrals cancel in closed form, so
+    a 3-term total costs 3 R_F + 3 R_J. The tag is ELLIPTIC if any term took
     an elliptic form, and SPECIAL otherwise.
     """
-    terms = decompose(cyl, src).terms
-    head = terms[0]
-    if head.kind is TermKind.CONSTANT:
-        return SolidAngle(head.constant_value, Method.SPECIAL, 0.0)
+    region, a, b = _split(cyl.L, cyl.r, src.d, src.z)
+    if region == "const":
+        return SolidAngle(a, Method.SPECIAL, 0.0)
     r = cyl.r
     d = src.d / r
-    if head.kind is TermKind.CIRC:
-        parts = (_disc(head.L_eff / r, 1.0, d),)
-    elif len(terms) == 2:
-        parts = (_shell(head.L_eff / r, 1.0, d), _shell(terms[1].L_eff / r, 1.0, d))
+    if region == "disc":
+        parts = (_disc(a / r, 1.0, d),)
+    elif region == "shells":
+        parts = (_shell(a / r, 1.0, d), _shell(b / r, 1.0, d))
     else:
-        parts = (_shell(head.L_eff / r, 1.0, d), _face(terms[2].L_eff / r, d))
+        parts = (_shell(a / r, 1.0, d), _face(b / r, d))
     total = err = 0.0
     tag = Method.SPECIAL
     for value, method, term_err in parts:

@@ -10,14 +10,17 @@ from collections import Counter
 
 import mpmath
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from solidcyl import elliptic
+from solidcyl import elliptic, geometry, solid_angle
 from solidcyl.errors import DivergentError, DomainError, OnAxisError, SolidCylError
-from solidcyl.geometry import CanonicalConfig, CylinderSpec, SourcePoint
+from solidcyl.geometry import CanonicalConfig, CylinderSpec, SourcePoint, TermKind, _split, decompose
 from solidcyl.solid_angle import (
+    _disc,
+    _face,
     _near_face,
+    _shell,
     EllipticParams,
     Method,
     SolidAngle,
@@ -518,6 +521,10 @@ def test_near_face_limits():
     assert omega_total(cyl, SourcePoint(2.0, 0.0)) == omega_cyl0(CanonicalConfig(3.0, 1.0, 2.0))
 
 
+ULP_UP = math.nextafter(1.0, 2.0)  # 1 + 1 ulp
+ULP_DOWN = math.nextafter(1.0, 0.0)  # 1 - 1 ulp
+
+
 @given(
     L=lengths,
     d=lengths,
@@ -525,6 +532,12 @@ def test_near_face_limits():
     zf=st.floats(min_value=0.0, max_value=0.5, exclude_min=True, exclude_max=True),
 )
 @settings(max_examples=300)
+@example(L=3.0, d=1.0, r=1.0, zf=0.5)  # d = r, z = L/2
+@example(L=3.0, d=ULP_UP, r=1.0, zf=0.5)  # d = r + 1 ulp
+@example(L=3.0, d=2.0, r=1.0, zf=0.5 - 2.0**-54)  # z = L/2 - 1 ulp
+@example(L=6e-200, d=2e-200, r=2e-200, zf=0.5)
+@example(L=6e-200, d=2e-200 * ULP_UP, r=2e-200, zf=0.5 - 2.0**-54)
+@example(L=6e200, d=4e200, r=2e200, zf=0.5)
 def test_total_two_shells_are_the_shell_evaluator(L, d, r, zf):
     # between the end planes, outside the shell: one implementation for both paths
     assume(d >= r)
@@ -539,10 +552,100 @@ def test_total_two_shells_are_the_shell_evaluator(L, d, r, zf):
 
 @given(L=lengths, d=lengths, r=lengths, h=lengths)
 @settings(max_examples=300)
+@example(L=3.0, d=0.5, r=1.0, h=0.0)  # z = -0.0: on the end face
+@example(L=0.0, d=0.5, r=1.0, h=2.0)
+@example(L=0.0, d=0.5, r=1.0, h=0.0)
+@example(L=3.0, d=0.0, r=1.0, h=2.0)  # on the axis
+@example(L=3.0, d=ULP_DOWN, r=1.0, h=2.0)  # d = r - 1 ulp
+@example(L=3e-200, d=2e-200 * ULP_DOWN, r=2e-200, h=5e-201)
+@example(L=3e200, d=0.0, r=2e200, h=1e200)
 def test_total_inner_disc_is_the_disc_evaluator(L, d, r, h):
     # below the base inside the rim only the near disc is seen
     assume(d < r)
     assert omega_total(CylinderSpec(L, r), SourcePoint(d, -h)) == omega_circ(CanonicalConfig(h / r, 1.0, d / r))
+
+
+def _outcome(fn, *args):
+    """fn's SolidAngle as (value, method, err_estimate), or its error's type and message."""
+    try:
+        res = fn(*args)
+    except SolidCylError as exc:
+        return type(exc), str(exc)
+    return res.value, res.method, res.err_estimate
+
+
+def _total_from_terms(cyl, src):
+    """omega_total rebuilt from decompose's Terms with the same per-term functions."""
+    terms = decompose(cyl, src).terms
+    head = terms[0]
+    if head.kind is TermKind.CONSTANT:
+        return SolidAngle(head.constant_value, Method.SPECIAL, 0.0)
+    r, d = cyl.r, src.d / cyl.r
+    if head.kind is TermKind.CIRC:
+        parts = [_disc(head.L_eff / r, 1.0, d)]
+    elif len(terms) == 2:
+        parts = [_shell(t.L_eff / r, 1.0, d) for t in terms]
+    else:
+        # -CYL0(h) + CIRC(h) at one h is the fused near face
+        assert (terms[1].kind, terms[2].kind) == (TermKind.CYL0, TermKind.CIRC)
+        assert terms[1].L_eff == terms[2].L_eff
+        parts = [_shell(head.L_eff / r, 1.0, d), _face(terms[2].L_eff / r, d)]
+    elliptic_route = any(method is Method.ELLIPTIC for _, method, _ in parts)
+    return SolidAngle(
+        sum((p[0] for p in parts), 0.0),
+        Method.ELLIPTIC if elliptic_route else Method.SPECIAL,
+        sum((p[2] for p in parts), 0.0),
+    )
+
+
+def _assert_one_split(L, r, d, z):
+    cyl, src = CylinderSpec(L, r), SourcePoint(d, z)
+    calls = []
+
+    def spy(*args):
+        result = _split(*args)
+        calls.append((args, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(geometry, "_split", spy)
+        mp.setattr(solid_angle, "_split", spy)
+        total = _outcome(omega_total, cyl, src)
+        decompose(cyl, src)
+    # one split each, on the same arguments
+    assert len(calls) == 2 and calls[0] == calls[1], (L, r, d, z, calls)
+    # and omega_total sums exactly the terms decompose emits from it
+    assert total == _outcome(_total_from_terms, cyl, src), (L, r, d, z)
+
+
+def _boundary_grid():
+    """(L, r, d, z) on the split's edges: z at -0.0, 0, L/2 +- 1 ulp and L; d at 0 and r +- 1 ulp; L = 0."""
+    for r in (1e-200, 0.37, 1.0, 3.0, 1e200):
+        for L in (0.0, 0.3 * r, 2.0 * r, 7.5 * r):
+            half = L / 2.0
+            zs = (-0.0, 0.0, half, math.nextafter(half, math.inf), math.nextafter(half, -math.inf), L)
+            zs += (-math.e * r, math.pi * L + r / 3.0)
+            ds = (0.0, r, math.nextafter(r, math.inf), math.nextafter(r, 0.0), 0.5 * r, 2.0 * r)
+            for z in zs:
+                for d in ds:
+                    yield L, r, d, z
+
+
+@given(
+    L=lengths,
+    r=st.sampled_from([1e-200, 0.37, 1.0, 3.0, 1e200]),
+    d_over_r=st.one_of(st.just(0.0), st.just(1.0), lengths),
+    z_over_L=st.floats(min_value=-2.0, max_value=3.0, allow_nan=False),
+)
+@settings(max_examples=400)
+def test_total_and_decompose_share_one_split(L, r, d_over_r, z_over_L):
+    # omega_total sums exactly the terms decompose emits: same region, same L_eff bits
+    _assert_one_split(L * r, r, d_over_r * r, z_over_L * L * r)
+
+
+def test_total_and_decompose_share_one_split_on_the_boundaries():
+    for L, r, d, z in _boundary_grid():
+        _assert_one_split(L, r, d, z)
 
 
 @pytest.mark.parametrize("k", [1e-300, 1e-160, 1e-150, 1e150, 1e160, 1e300])
