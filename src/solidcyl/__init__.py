@@ -8,7 +8,7 @@ into randomized pass/fail suites.
 
 >>> from solidcyl import CylinderSpec, SourcePoint, omega_total
 >>> omega_total(CylinderSpec(L=3.0, r=1.0), SourcePoint(d=2.0, z=1.5)).value
-0.13301674013959272
+0.13301674013959267
 """
 
 from .errors import (

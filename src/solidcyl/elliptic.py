@@ -64,6 +64,11 @@ _EPS = sys.float_info.epsilon
 _GUARD = 4.0 * _EPS
 _HALF_PI = math.pi / 2.0
 _MAX_ITER = 200
+# duplication stop factors (Carlson 1995): the loop ends once
+# 4^-n * max|A0 - arg| times the factor drops below |A|
+_RF_STOP = (3.0 * _EPS) ** (-0.125)
+_RD_STOP = (0.25 * _EPS) ** (-0.125)
+_RJ_STOP = (0.2 * _EPS) ** (-0.125)
 
 
 def _clamp_unit(value: float, name: str) -> float:
@@ -101,7 +106,7 @@ def carlson_rf(x: float, y: float, z: float) -> float:
     x, y, z = float(x), float(y), float(z)
     _check_rf_args(x, y, z)
     A0 = (x + y + z) / 3.0
-    q = (3.0 * _EPS) ** (-0.125) * max(abs(A0 - x), abs(A0 - y), abs(A0 - z))
+    q = _RF_STOP * max(abs(A0 - x), abs(A0 - y), abs(A0 - z))
     A, xn, yn, zn = A0, x, y, z
     pow4 = 1.0
     for _ in range(_MAX_ITER):
@@ -175,7 +180,7 @@ def carlson_rd(x: float, y: float, z: float) -> float:
     if x == 0.0 and y == 0.0:
         raise DomainError("carlson_rd diverges when both x and y are zero")
     A0 = (x + y + 3.0 * z) / 5.0
-    q = (0.25 * _EPS) ** (-0.125) * max(abs(A0 - x), abs(A0 - y), abs(A0 - z))
+    q = _RD_STOP * max(abs(A0 - x), abs(A0 - y), abs(A0 - z))
     A, xn, yn, zn = A0, x, y, z
     pow4 = 1.0
     acc = 0.0
@@ -214,7 +219,7 @@ def carlson_rj(x: float, y: float, z: float, p: float) -> float:
         raise DomainError(f"carlson_rj requires p > 0 (circular case); got p={p!r}")
     A0 = (x + y + z + 2.0 * p) / 5.0
     delta = (p - x) * (p - y) * (p - z)
-    q = (0.2 * _EPS) ** (-0.125) * max(abs(A0 - x), abs(A0 - y), abs(A0 - z), abs(A0 - p))
+    q = _RJ_STOP * max(abs(A0 - x), abs(A0 - y), abs(A0 - z), abs(A0 - p))
     A, xn, yn, zn, pn = A0, x, y, z, p
     pow4 = 1.0
     acc = 0.0

@@ -18,6 +18,16 @@ omega_cyl0
                     sqrt(1-n) [Pi(n; m) - Pi(n; gamma_o | m)]
                   - [K(m) - F(gamma_o | m)] }.
 
+    Carlson's addition theorem folds each complete-minus-incomplete pair
+    into one integral at the complementary amplitude, and its leftover R_C
+    is an arctangent (derivation in omega_cyl0). With a = sqrt(d^2 - r^2),
+    x = m' sin^2(gamma_o), y = 1 - m sin^2(gamma_o) and
+    p = (1-n) cos^2(gamma_o) + x, the form evaluated is
+
+        2 pi omega = atan(2 L r / (a sqrt(L^2 + a^2)))
+                   - sqrt(1-m/n) cos(gamma_o) [ 2r/(d+r) R_F(x, m', y)
+                       - sqrt(1-n) (n/3) cos^2(gamma_o) R_J(x, m', y, p) ].
+
 omega_circ
     End disc of radius r at axial distance L from the source plane, source at
     radial distance d from the disc axis. The default path uses only first
@@ -47,10 +57,10 @@ elliptic form everywhere else. The large-L series (omega_cyl0_series) and
 the disc cross-check paths are separate functions for verification only;
 no evaluator takes a route argument. Each closed form takes its exact parts
 and calls elliptic.carlson_* once per distinct argument tuple, with no
-wrapper in between: the shell term takes 2 R_F + 2 R_J, the disc term
-2 R_F + 2 R_D, the near face 1 R_F + 1 R_J, the third-kind disc form
-1 R_F + 1 R_J and the Macklin form 3 R_F + 3 R_D. So a 3-term omega_total
-costs 3 R_F + 3 R_J.
+wrapper in between: the shell term takes 1 R_F + 1 R_J and one
+arctangent, the disc term 2 R_F + 2 R_D, the near face 1 R_F + 1 R_J, the
+third-kind disc form 1 R_F + 1 R_J and the Macklin form 3 R_F + 3 R_D. So a
+2-term or 3-term omega_total costs 2 R_F + 2 R_J.
 
 The closed forms live in private functions of plain floats at r = 1
 (_cyl0, _circ, _near_face). Each takes only its side of the parameters:
@@ -68,9 +78,9 @@ the geometry ((d-r)/(d+r), (L^2+(d-r)^2)/(L^2+(d+r)^2), L/sqrt(L^2+(d+r)^2)),
 never as subtractions from 1, so d -> r and L -> 0 keep full precision. The
 same applies inside the kernels: every elliptic call gets sin, cos^2,
 1 - m sin^2 and 1 - n sin^2 as exact products of geometry factors (see
-EllipticParams), never recovered from a rounded angle. Rebuilding them from
-the angle costs up to eight digits near the corners (d -> r, L -> 0) where
-those factors vanish.
+EllipticParams; the shell's x and p are sums of such products), never
+recovered from a rounded angle. Rebuilding them from the angle costs up to
+eight digits near the corners (d -> r, L -> 0) where those factors vanish.
 
 Special values (the formulas above degenerate there, exact limits are used):
 omega_cyl0 = 1/4 at d = r with L > 0, and 0 at L = 0; omega_circ at L = 0 is
@@ -192,7 +202,8 @@ def _gamma_params(L: float, d: float, t: float) -> tuple:
     """The shell side of EllipticParams at r = 1, for t = d - 1 >= 0.
 
     Returns (n, m', sqrt(1-n), sqrt(1-m/n), sin, cos^2, y of gamma_o), the
-    fields _cyl0 and _near_face read; 1 - n is sqrt(1-n)^2 bit for bit. t
+    fields _near_face reads (_cyl0 reads all but sin); 1 - n is
+    sqrt(1-n)^2 bit for bit. t
     comes in separately so a caller can take d - r from unscaled lengths.
     n = 4d/(d+1)^2 exceeds 1 by a few ulp at most, so min() is the whole
     clamp.
@@ -264,13 +275,18 @@ def params_from_geometry(cfg: CanonicalConfig) -> EllipticParams:
 
 def _cyl0(L: float, d: float, t: float) -> float:
     """Shell term's elliptic form at r = 1: L > 0, d > 1, t = d - 1."""
-    n, m_prime, s_n, s_mn, s_g, c2_g, y_g = _gamma_params(L, d, t)
-    first = elliptic.carlson_rf(0.0, m_prime, 1.0) - s_g * elliptic.carlson_rf(c2_g, y_g, 1.0)
-    third = elliptic.carlson_rj(0.0, m_prime, 1.0, s_n * s_n) - s_g * s_g * s_g * elliptic.carlson_rj(
-        c2_g, y_g, 1.0, s_n
-    )
-    bracket = s_n * (n / 3.0) * third - (2.0 / (d + 1.0)) * first
-    return s_mn * bracket / _TWO_PI
+    n, m_prime, s_n, s_mn, _, c2_g, y_g = _gamma_params(L, d, t)
+    s = d + 1.0
+    ts = t * s
+    x = m_prime * (s / (2.0 * d))  # m' sin^2(gamma_o)
+    p = s_n * s_n * c2_g + x
+    first = elliptic.carlson_rf(x, m_prime, y_g)
+    third = elliptic.carlson_rj(x, m_prime, y_g, p)
+    bracket = (2.0 / s) * first - s_n * (n / 3.0) * c2_g * third
+    # the addition theorem's R_C term in closed form; two roots so that
+    # t s (L^2 + t s) cannot overflow before L^2 + s^2 does
+    arc = math.atan(2.0 * L / (math.sqrt(ts) * math.sqrt(L * L + ts)))
+    return (arc - s_mn * math.sqrt(c2_g) * bracket) / _TWO_PI
 
 
 def _shell(L: float, r: float, d: float) -> tuple[float, Method, float]:
@@ -294,13 +310,36 @@ def omega_cyl0(cfg: CanonicalConfig) -> SolidAngle:
 
     With Pi(n; phi|m) = F(phi|m) + (n/3) sin^3(phi) R_J,
     1 - n sin^2(gamma_o) = sqrt(1-n) and 1 - sqrt(1-n) = 2r/(d+r), the
-    closed form needs one R_F and one R_J per amplitude (pi/2 and gamma_o):
+    paper's form is two complete-minus-incomplete pairs:
 
         2 pi omega / sqrt(1-m/n) = sqrt(1-n) (n/3) [R_J(0, m', 1, 1-n)
                                      - sin^3(gamma_o) R_J(cos^2, y, 1, sqrt(1-n))]
                                  - 2r/(d+r) [K(m) - F(gamma_o|m)]
 
-    with K(m) = R_F(0, m', 1) and F(gamma_o|m) = sin(gamma_o) R_F(cos^2, y, 1).
+    with K(m) = R_F(0, m', 1) and F(gamma_o|m) = sin(gamma_o) R_F(cos^2, y, 1),
+    y = 1 - m sin^2(gamma_o). Carlson's addition theorem (Numer. Math. 33,
+    1979; DLMF 19.26(i)) with lambda = cot^2(gamma_o) and
+    mu = m' tan^2(gamma_o), so that lambda mu = m', folds each pair into one
+    integral at the complementary amplitude. With x = m' sin^2(gamma_o),
+    p0 = 1 - n and p = p0 cos^2(gamma_o) + x:
+
+        K(m) - F(gamma_o|m) = cos(gamma_o) R_F(x, m', y)
+        R_J(0, m', 1, p0) - sin^3(gamma_o) R_J(cos^2, y, 1, sqrt(1-n))
+            = cos^3(gamma_o) R_J(x, m', y, p) + 3 R_C(g - e, g)
+
+    where g = p0 (p0 + lambda)(p0 + mu) and e = p0 n (n - m). Times its
+    prefactor sqrt(1-m/n) sqrt(1-n) n, the R_C term is exactly
+    atan(2 L r / (a sqrt(L^2 + a^2))) with a = sqrt(d^2 - r^2), so
+
+        2 pi omega = atan(2 L r / (a sqrt(L^2 + a^2)))
+                   - sqrt(1-m/n) cos(gamma_o) [ 2r/(d+r) R_F(x, m', y)
+                       - sqrt(1-n) (n/3) cos^2(gamma_o) R_J(x, m', y, p) ]
+
+    one R_F and one R_J on the same (x, m', y). The arctangent tends to
+    pi/2 as d -> r, where the bracket's cos(gamma_o) vanishes: the 1/4
+    limit. Its argument is taken from the geometry; R_C(g - e, g) with the
+    gap g - (g - e) found by subtraction loses digits. sin^2(gamma_o) enters
+    as (d+r)/2d, not as the square of a rounded sine.
     """
     if cfg.d < cfg.r:
         raise DomainError(f"omega_cyl0 requires d >= r (source outside the shell); got d={cfg.d!r} < r={cfg.r!r}")
@@ -529,8 +568,8 @@ def omega_total(cyl: CylinderSpec, src: SourcePoint) -> SolidAngle:
     floats: no Term and no per-term object is built, only the result. Below
     the base outside the shell, the terms -CYL0(h) + CIRC(h) are evaluated
     as one near-face term whose complete integrals cancel in closed form, so
-    a 3-term total costs 3 R_F + 3 R_J. The tag is ELLIPTIC if any term took
-    an elliptic form, and SPECIAL otherwise.
+    a 2-term or 3-term total costs 2 R_F + 2 R_J. The tag is ELLIPTIC if
+    any term took an elliptic form, and SPECIAL otherwise.
     """
     region, a, b = _split(cyl.L, cyl.r, src.d, src.z)
     if region == "const":

@@ -43,7 +43,7 @@ def test_compute_round_trips_library_value(capsys):
     assert code == 0 and err == ""
     ref = omega_total(CylinderSpec(3.0, 1.0), SourcePoint(2.0, 1.5)).value
     # 17 significant digits: the printed text parses back to the exact double
-    assert _omega_line(out) == ref == 0.13301674013959272
+    assert _omega_line(out) == ref == 0.13301674013959267
     assert "method = elliptic" in out
     assert "terms = +cyl0(L_eff=1.5) +cyl0(L_eff=1.5)" in out
 
@@ -324,4 +324,4 @@ def test_module_entry_point_smoke():
         timeout=60,
     )
     assert proc.returncode == 0
-    assert "omega = 0.13301674013959272" in proc.stdout
+    assert "omega = 0.13301674013959267" in proc.stdout

@@ -136,6 +136,43 @@ def test_cyl0_reference_value(L, d, expected):
     assert got.value == pytest.approx(expected, rel=1e-13)
 
 
+def _paper_cyl0(L, d):
+    """omega_cyl0 at r = 1 from the paper's two-pair form, on mpmath's Carlson kernels at 40 digits.
+
+    sqrt(1-m/n) {sqrt(1-n) [Pi(n; m) - Pi(n; gamma_o|m)] - [K(m) - F(gamma_o|m)]}
+    over 2 pi, every parameter formed from the exact float d.
+    """
+    with mpmath.workdps(40):
+        L, d = mpmath.mpf(L), mpmath.mpf(d)
+        t, s = d - 1, d + 1
+        den = L * L + s * s
+        m_prime, y = (L * L + t * t) / den, (L * L + t * s) / den
+        sin2, cos2 = s / (2 * d), t / (2 * d)
+        n, s_n = 4 * d / (s * s), t / s
+        first = mpmath.elliprf(0, m_prime, 1) - mpmath.sqrt(sin2) * mpmath.elliprf(cos2, y, 1)
+        third = mpmath.elliprj(0, m_prime, 1, s_n * s_n) - sin2 * mpmath.sqrt(sin2) * mpmath.elliprj(
+            cos2, y, 1, s_n
+        )
+        pi_pair = first + (n / 3) * third
+        return L / mpmath.sqrt(den) * (s_n * pi_pair - first) / (2 * mpmath.pi)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [1.0 + 1e-14, 1.0 + 1e-12, 1.0 + 1e-10, 1.0 + 1e-8, 1.0 + 1e-6, 1.0 + 1e-3]
+    + [1.5, 10.0, 1e3, 1e5, 1e7, 1e9, 1e12],
+)
+def test_cyl0_matches_the_paper_form(d):
+    # the addition theorem's R_C term enters as an arctangent of the exact
+    # geometry; forming it as carlson_rc(gamma - delta, gamma) instead fails
+    # at the small-L near-wall points, and the far points pin the end where
+    # sqrt(1-m/n) and n are both tiny
+    for L in (1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e4):
+        got = omega_cyl0(CanonicalConfig(L, 1.0, d)).value
+        exact = _paper_cyl0(L, d)
+        assert abs(got - exact) <= 2e-15 * exact, (L, d, got)
+
+
 def test_cyl0_special_values():
     flat = omega_cyl0(CanonicalConfig(0.0, 1.0, 2.0))
     assert flat.value == 0.0 and flat.method is Method.SPECIAL
@@ -360,6 +397,11 @@ def omega_total_below_base(cfg):
     return omega_total(CylinderSpec(cfg.L, cfg.r), SourcePoint(cfg.d, -0.5 * cfg.r))
 
 
+def omega_total_beside_shell(cfg):
+    """omega_total of a cylinder (L, r) from a source at d, a quarter of L above its base."""
+    return omega_total(CylinderSpec(cfg.L, cfg.r), SourcePoint(cfg.d, 0.25 * cfg.L))
+
+
 def _carlson_calls(monkeypatch, fn, cfg):
     """(kernel, args) of every R_F, R_D and R_J call fn makes on cfg."""
     calls = []
@@ -378,8 +420,8 @@ def _carlson_calls(monkeypatch, fn, cfg):
 @pytest.mark.parametrize(
     "fn, L, d, counts",
     [
-        (omega_cyl0, 1.0, 2.0, {"carlson_rf": 2, "carlson_rj": 2}),
-        (omega_cyl0, 1e-3, 1.0 + 1e-9, {"carlson_rf": 2, "carlson_rj": 2}),
+        (omega_cyl0, 1.0, 2.0, {"carlson_rf": 1, "carlson_rj": 1}),
+        (omega_cyl0, 1e-3, 1.0 + 1e-9, {"carlson_rf": 1, "carlson_rj": 1}),
         (omega_circ, 1.0, 2.0, {"carlson_rf": 2, "carlson_rd": 2}),
         (omega_circ, 1.0, 0.5, {"carlson_rf": 2, "carlson_rd": 2}),
         (omega_circ_third_kind, 1.0, 2.0, {"carlson_rf": 1, "carlson_rj": 1}),
@@ -389,7 +431,9 @@ def _carlson_calls(monkeypatch, fn, cfg):
         # beta > sqrt(1 + alpha^2): psi < 0
         (omega_circ_macklin, 0.5, 0.25, {"carlson_rf": 3, "carlson_rd": 3}),
         # +CYL0(L+h) and the fused near face CIRC(h) - CYL0(h)
-        (omega_total_below_base, 3.0, 2.0, {"carlson_rf": 3, "carlson_rj": 3}),
+        (omega_total_below_base, 3.0, 2.0, {"carlson_rf": 2, "carlson_rj": 2}),
+        # +CYL0(z) + CYL0(L - z); at z = L/2 both would be one tuple, called twice
+        (omega_total_beside_shell, 3.0, 2.0, {"carlson_rf": 2, "carlson_rj": 2}),
     ],
     ids=lambda v: v.__name__ if callable(v) else None,
 )
