@@ -88,7 +88,8 @@ def _amp(phi: float) -> float:
 
 
 def _check_rf_args(x: float, y: float, z: float) -> None:
-    if x < 0.0 or y < 0.0 or z < 0.0:
+    # written as `not >=` so that NaN fails the check too
+    if not x >= 0.0 or not y >= 0.0 or not z >= 0.0:
         raise DomainError(f"carlson arguments must be nonnegative; got ({x!r}, {y!r}, {z!r})")
     if (x == 0.0) + (y == 0.0) + (z == 0.0) > 1:
         raise DomainError("at most one of x, y, z may be zero (integral diverges)")
@@ -133,10 +134,10 @@ def carlson_rf(x: float, y: float, z: float) -> float:
 
 
 def carlson_rc(x: float, y: float) -> float:
-    """Degenerate form R_C(x,y) = R_F(x,y,y), by closed formulas. x >= 0, y > 0."""
+    """Degenerate form R_C(x,y) = R_F(x,y,y), by closed formulas. Finite x >= 0, y > 0."""
     x, y = float(x), float(y)
-    if x < 0.0 or y <= 0.0:
-        raise DomainError(f"carlson_rc requires x >= 0 and y > 0; got ({x!r}, {y!r})")
+    if not 0.0 <= x < math.inf or not y > 0.0:
+        raise DomainError(f"carlson_rc requires finite x >= 0 and y > 0; got ({x!r}, {y!r})")
     if x == y:
         return 1.0 / math.sqrt(x)
     if y > x:
@@ -175,7 +176,7 @@ def carlson_rd(x: float, y: float, z: float) -> float:
     x, y >= 0 with at most one zero; z > 0.
     """
     x, y, z = float(x), float(y), float(z)
-    if x < 0.0 or y < 0.0 or z <= 0.0:
+    if not x >= 0.0 or not y >= 0.0 or not z > 0.0:
         raise DomainError(f"carlson_rd requires x, y >= 0 and z > 0; got ({x!r}, {y!r}, {z!r})")
     if x == 0.0 and y == 0.0:
         raise DomainError("carlson_rd diverges when both x and y are zero")
@@ -215,7 +216,7 @@ def carlson_rj(x: float, y: float, z: float, p: float) -> float:
     """
     x, y, z, p = float(x), float(y), float(z), float(p)
     _check_rf_args(x, y, z)
-    if p <= 0.0:
+    if not p > 0.0:
         raise DomainError(f"carlson_rj requires p > 0 (circular case); got p={p!r}")
     A0 = (x + y + z + 2.0 * p) / 5.0
     delta = (p - x) * (p - y) * (p - z)

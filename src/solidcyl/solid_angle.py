@@ -44,7 +44,7 @@ omega_circ
 near face (omega_total only)
     Below the base outside the shell, omega_total needs CIRC(h) - CYL0(h).
     The shell form and the disc's third-kind form carry the same complete
-    Pi(n; m) and K(m), which cancel in closed form (see _near_face):
+    Pi(n; m) and K(m), which cancel in closed form (see _face):
 
         CIRC(h) - CYL0(h) = (2 pi)^-1 sqrt(1 - m/n) [ sqrt(1-n) (n/3)
                               sin^3(gamma_o) R_J(cos^2, y, 1, sqrt(1-n))
@@ -62,14 +62,15 @@ arctangent, the disc term 2 R_F + 2 R_D, the near face 1 R_F + 1 R_J, the
 third-kind disc form 1 R_F + 1 R_J and the Macklin form 3 R_F + 3 R_D. So a
 2-term or 3-term omega_total costs 2 R_F + 2 R_J.
 
-The closed forms live in private functions of plain floats at r = 1
-(_cyl0, _circ, _near_face). Each takes only its side of the parameters:
-_gamma_params (the gamma_o parts) for the shell and the near face,
-_eps_params (the epsilon parts) for the disc. omega_total runs
-geometry's float case split and sums these functions directly, and
-omega_cyl0, omega_circ and params_from_geometry (both parts combined) are
-thin wrappers over the same functions: validate, take the exact limits,
-divide by r, wrap the result. Every evaluator works in units of r, so the
+Each canonical term is one private function of plain floats at r = 1:
+_shell(L, d, t), _disc(L, d, t) and _face(h, d, t), with t = d - 1. Each
+takes the term's exact limits, then evaluates its closed form, and returns
+(value, method, err). The shell and the near face compute only the gamma_o
+parts of the parameters (_gamma_params), the disc only the epsilon parts
+(_eps_params). omega_total runs geometry's float case split and sums these
+functions directly; omega_cyl0 and omega_circ validate their input, convert
+it to units of r (_units) and call the same functions, and
+params_from_geometry and omega_cyl0_series take the same units. So the
 answer is the same at any uniform scale, whether omega_total forms the
 canonical terms or a caller passes one directly.
 
@@ -202,7 +203,7 @@ def _gamma_params(L: float, d: float, t: float) -> tuple:
     """The shell side of EllipticParams at r = 1, for t = d - 1 >= 0.
 
     Returns (n, m', sqrt(1-n), sqrt(1-m/n), sin, cos^2, y of gamma_o), the
-    fields _near_face reads (_cyl0 reads all but sin); 1 - n is
+    fields _face reads (_shell reads all but sin); 1 - n is
     sqrt(1-n)^2 bit for bit. t
     comes in separately so a caller can take d - r from unscaled lengths.
     n = 4d/(d+1)^2 exceeds 1 by a few ulp at most, so min() is the whole
@@ -227,7 +228,7 @@ def _eps_params(L: float, d: float, t: float) -> tuple:
     """The disc side of EllipticParams at r = 1, for t = d - 1 of either sign.
 
     Returns (m, n, m', sqrt(1-n), sqrt(1-m/n), sin, cos^2 of epsilon), the
-    fields _circ reads; the epsilon parts are None when m' = 0. m <= n, so
+    fields _disc reads; the epsilon parts are None when m' = 0. m <= n, so
     min() clamps both.
     """
     s = d + 1.0
@@ -252,20 +253,28 @@ def _eps_params(L: float, d: float, t: float) -> tuple:
     )
 
 
+def _units(cfg: CanonicalConfig) -> tuple[float, float, float]:
+    """(L, d, t) in units of r, t = d - 1 taken from the unscaled lengths.
+
+    Forming d - r before dividing keeps the offset of a source a few ulp off
+    the wall, and nothing is squared before the division, so no uniform
+    scale of (L, r, d) under- or overflows.
+    """
+    return cfg.L / cfg.r, cfg.d / cfg.r, (cfg.d - cfg.r) / cfg.r
+
+
 def params_from_geometry(cfg: CanonicalConfig) -> EllipticParams:
     """Compute m, n and companions from (L, r, d) without 1-x subtractions.
 
-    L and d are taken in units of r (d - r from the unscaled lengths, so a
-    source a few ulp off the wall keeps its offset), and the rest is computed
-    at r = 1: no uniform scale of (L, r, d) under- or overflows.
+    L and d are taken in units of r (_units) and the rest is computed at
+    r = 1, so no uniform scale of (L, r, d) under- or overflows.
     """
-    d = cfg.d / cfg.r
+    L, d, t = _units(cfg)
     if d == 0.0:
         raise OnAxisError(
             "elliptic parametrization is undefined on the axis (d = 0); "
             "omega_circ handles that case in closed form"
         )
-    L, t = cfg.L / cfg.r, (cfg.d - cfg.r) / cfg.r
     m, n, m_prime, s_n, s_mn, s_e, c2_e = _eps_params(L, d, t)
     s_g = c2_g = y_g = None
     if t >= 0.0:
@@ -273,8 +282,13 @@ def params_from_geometry(cfg: CanonicalConfig) -> EllipticParams:
     return EllipticParams(m, n, m_prime, s_n, s_mn, s_n * s_n, s_g, c2_g, y_g, s_e, c2_e)
 
 
-def _cyl0(L: float, d: float, t: float) -> float:
-    """Shell term's elliptic form at r = 1: L > 0, d > 1, t = d - 1."""
+def _shell(L: float, d: float, t: float) -> tuple[float, Method, float]:
+    """(value, method, err) of the shell term at r = 1 for d >= 1, t = d - 1."""
+    if L == 0.0:
+        return 0.0, Method.SPECIAL, 0.0
+    if t == 0.0:
+        # rho vanishes identically: a quarter sphere for any L > 0
+        return 0.25, Method.SPECIAL, _ERR_SPECIAL
     n, m_prime, s_n, s_mn, _, c2_g, y_g = _gamma_params(L, d, t)
     s = d + 1.0
     ts = t * s
@@ -286,17 +300,7 @@ def _cyl0(L: float, d: float, t: float) -> float:
     # the addition theorem's R_C term in closed form; two roots so that
     # t s (L^2 + t s) cannot overflow before L^2 + s^2 does
     arc = math.atan(2.0 * L / (math.sqrt(ts) * math.sqrt(L * L + ts)))
-    return (arc - s_mn * math.sqrt(c2_g) * bracket) / _TWO_PI
-
-
-def _shell(L: float, r: float, d: float) -> tuple[float, Method, float]:
-    """(value, method, err) of the shell term for d >= r, exact limits included."""
-    if L == 0.0:
-        return 0.0, Method.SPECIAL, 0.0
-    if d == r:
-        # rho vanishes identically: a quarter sphere for any L > 0
-        return 0.25, Method.SPECIAL, _ERR_SPECIAL
-    return _cyl0(L / r, d / r, (d - r) / r), Method.ELLIPTIC, _ERR_ELLIPTIC
+    return (arc - s_mn * math.sqrt(c2_g) * bracket) / _TWO_PI, Method.ELLIPTIC, _ERR_ELLIPTIC
 
 
 def omega_cyl0(cfg: CanonicalConfig) -> SolidAngle:
@@ -343,7 +347,7 @@ def omega_cyl0(cfg: CanonicalConfig) -> SolidAngle:
     """
     if cfg.d < cfg.r:
         raise DomainError(f"omega_cyl0 requires d >= r (source outside the shell); got d={cfg.d!r} < r={cfg.r!r}")
-    return SolidAngle(*_shell(cfg.L, cfg.r, cfg.d))
+    return SolidAngle(*_shell(*_units(cfg)))
 
 
 def omega_cyl0_series(cfg: CanonicalConfig, terms: int = 3) -> SolidAngle:
@@ -358,27 +362,30 @@ def omega_cyl0_series(cfg: CanonicalConfig, terms: int = 3) -> SolidAngle:
 
     Valid for sqrt(d^2 - r^2) < L; err_estimate is the first omitted term's
     magnitude, or the last included one when all three are used (no further
-    coefficients are available).
+    coefficients are available). Where a kept term or that error term
+    overflows (L/r too small for the expansion), DivergentError is raised.
     """
-    L, r, d = cfg.L, cfg.r, cfg.d
-    if d < r:
-        raise DomainError(f"omega_cyl0_series requires d >= r; got d={d!r} < r={r!r}")
-    if L <= 0.0:
-        raise DivergentError(f"the 1/L^2 expansion has no L = 0 limit; got L={L!r}")
+    if cfg.d < cfg.r:
+        raise DomainError(f"omega_cyl0_series requires d >= r; got d={cfg.d!r} < r={cfg.r!r}")
+    if cfg.L <= 0.0:
+        raise DivergentError(f"the 1/L^2 expansion has no L = 0 limit; got L={cfg.L!r}")
     if terms not in (1, 2, 3):
         raise DomainError(f"terms must be 1, 2 or 3 (three coefficients exist); got {terms!r}")
 
-    # in units of r, with d - r taken from the unscaled lengths: a rounded
-    # r/d would lose the digits of pi/2 - phi_o near d = r
-    L, d, t = L / r, d / r, (d - r) / r
+    # d - r from the unscaled lengths: a rounded r/d would lose the digits of
+    # pi/2 - phi_o near d = r
+    L, d, t = _units(cfg)
     d_cos = math.sqrt(t * (d + 1.0))  # d cos(phi_o) = cot(phi_o)
     phi_o = math.atan2(1.0, d_cos)
     resid = math.atan(d_cos)  # pi/2 - phi_o
-    inv_L2 = 1.0 / (L * L)
+    inv_L2 = 1.0 / (L * L) if L * L > 0.0 else math.inf
 
     t1 = phi_o
     t2 = -0.5 * (d_cos - resid) * inv_L2
     t3 = 0.375 * (d_cos * (d * d + 2.0) - (1.0 + 2.0 * d * d) * resid) * inv_L2 * inv_L2
+    # the kept terms and the one err_estimate is taken from
+    if not all(map(math.isfinite, (t1, t2, t3)[: min(terms + 1, 3)])):
+        raise DivergentError(f"the 1/L^2 expansion overflows at L/r = {L!r}; use omega_cyl0")
 
     total = t1
     if terms >= 2:
@@ -389,48 +396,43 @@ def omega_cyl0_series(cfg: CanonicalConfig, terms: int = 3) -> SolidAngle:
     return SolidAngle(max(0.0, total / _TWO_PI), Method.SERIES, err)
 
 
-def _equal_distance_gap(L: float, r: float) -> float:
-    # 1/4 - omega_circ at d = r, L > 0: both complete integrals collapse onto
-    # m1 = 4 r^2 / (L^2 + 4 r^2). Work with the complement (L/hypot)^2 so K
-    # stays finite when m1 rounds to 1.
-    sqrt_m1c = L / math.hypot(L, 2.0 * r)
+def _equal_distance_gap(L: float) -> float:
+    # 1/4 - omega_circ at d = r = 1, L > 0: both complete integrals collapse
+    # onto m1 = 4 / (L^2 + 4). Work with the complement (L/hypot)^2 so K
+    # stays finite when m1 rounds to 1. L = inf (L/r overflowed) is the far
+    # limit m1 = 0.
+    sqrt_m1c = L / math.hypot(L, 2.0) if L < math.inf else 1.0
     m1c = sqrt_m1c * sqrt_m1c
     if m1c == 0.0:
         # sqrt_m1c * K underflows past the last digit of 1/4
         return 0.0
-    return sqrt_m1c * elliptic.complete_K_from_complement(m1c) / _TWO_PI
+    return sqrt_m1c * elliptic.carlson_rf(0.0, m1c, 1.0) / _TWO_PI
 
 
-def _circ(L: float, d: float, t: float) -> float:
-    """Disc term's elliptic form at r = 1: L > 0, 0 < d != 1, t = d - 1."""
+def _disc(L: float, d: float, t: float) -> tuple[float, Method, float]:
+    """(value, method, err) of the disc term at r = 1 for d >= 0, t = d - 1."""
+    if L == 0.0:
+        return (0.0 if t > 0.0 else (0.25 if t == 0.0 else 0.5)), Method.SPECIAL, 0.0
+    if d == 0.0:  # on the axis
+        hyp = math.hypot(L, 1.0)
+        # 1 - L/hyp without the cancellation that ruins it for L >> r
+        return 0.5 / (hyp * (hyp + L)), Method.SPECIAL, _ERR_SPECIAL
+    if t == 0.0:
+        return 0.25 - _equal_distance_gap(L), Method.SPECIAL, _ERR_SPECIAL
     m, n, m_prime, s_n, s_mn, s_e, c2_e = _eps_params(L, d, t)
     # K and E share R_F(0, m', 1); the incomplete integrals carry parameter
     # m', so their y = 1 - m' sin^2(eps) collapses to n exactly
     # (m' sin^2(eps) = (d-r)^2/(d+r)^2 algebraically) and F(eps|m'), E(eps|m')
     # share R_F(cos^2(eps), n, 1)
-    K = elliptic.complete_K_from_complement(m_prime)
+    K = elliptic.carlson_rf(0.0, m_prime, 1.0)
     E = K - (m / 3.0) * elliptic.carlson_rd(0.0, m_prime, 1.0)
     F_eps = s_e * elliptic.carlson_rf(c2_e, n, 1.0)
     E_eps = F_eps - (m_prime / 3.0) * s_e * s_e * s_e * elliptic.carlson_rd(c2_e, n, 1.0)
     cross = (E - K) * F_eps + K * E_eps
     radial = s_mn * K / _TWO_PI
     if t > 0.0:
-        return 0.25 - (n / (1.0 + s_n)) * radial - cross / _TWO_PI
-    return 0.25 - (1.0 + s_n) * radial + cross / _TWO_PI
-
-
-def _disc(L: float, r: float, d: float) -> tuple[float, Method, float]:
-    """(value, method, err) of the disc term, exact limits included."""
-    if L == 0.0:
-        return (0.0 if d > r else (0.25 if d == r else 0.5)), Method.SPECIAL, 0.0
-    if d / r == 0.0:  # on the axis in units of r
-        L = L / r
-        hyp = math.hypot(L, 1.0)
-        # 1 - L/hyp without the cancellation that ruins it for L >> r
-        return 0.5 / (hyp * (hyp + L)), Method.SPECIAL, _ERR_SPECIAL
-    if d == r:
-        return 0.25 - _equal_distance_gap(L, r), Method.SPECIAL, _ERR_SPECIAL
-    return _circ(L / r, d / r, (d - r) / r), Method.ELLIPTIC, _ERR_ELLIPTIC
+        return 0.25 - (n / (1.0 + s_n)) * radial - cross / _TWO_PI, Method.ELLIPTIC, _ERR_ELLIPTIC
+    return 0.25 - (1.0 + s_n) * radial + cross / _TWO_PI, Method.ELLIPTIC, _ERR_ELLIPTIC
 
 
 def omega_circ(cfg: CanonicalConfig) -> SolidAngle:
@@ -439,11 +441,11 @@ def omega_circ(cfg: CanonicalConfig) -> SolidAngle:
     Default evaluation uses the first/second-kind form; exact limits (L = 0,
     d = 0, d = r) take their closed expressions.
     """
-    return SolidAngle(*_disc(cfg.L, cfg.r, cfg.d))
+    return SolidAngle(*_disc(*_units(cfg)))
 
 
-def _near_face(h: float, d: float, t: float) -> float:
-    """CIRC(h) - CYL0(h) at r = 1 for h > 0, d > 1, t = d - 1.
+def _face(h: float, d: float, t: float) -> tuple[float, Method, float]:
+    """(value, method, err) of CIRC(h) - CYL0(h) at r = 1 for d >= 1, t = d - 1.
 
     The disc's third-kind form 2 pi CIRC = sqrt(1-m/n) [sqrt(1-n) Pi(n; m)
     - K(m)] and the shell form share Pi(n; m) = K + (n/3) R_J(0, m', 1, 1-n),
@@ -455,21 +457,17 @@ def _near_face(h: float, d: float, t: float) -> float:
 
     one R_F and one R_J, both at gamma_o.
     """
+    if h == 0.0:
+        return _disc(0.0, d, t)  # CYL0(0) = 0
+    if t == 0.0:
+        # both shells are exactly 1/4 at d = r, so CYL0(L+h) plus this rounds
+        # to omega_circ's equal-distance value bit for bit
+        return -_equal_distance_gap(h), Method.SPECIAL, _ERR_SPECIAL
     n, _, s_n, s_mn, s_g, c2_g, y_g = _gamma_params(h, d, t)
     third = s_g * s_g * s_g * elliptic.carlson_rj(c2_g, y_g, 1.0, s_n)
     first = s_g * elliptic.carlson_rf(c2_g, y_g, 1.0)
-    return s_mn * (s_n * (n / 3.0) * third - (2.0 / (d + 1.0)) * first) / _TWO_PI
-
-
-def _face(h: float, d: float) -> tuple[float, Method, float]:
-    """(value, method, err) of CIRC(h) - CYL0(h) at r = 1 for d >= 1."""
-    if h == 0.0:
-        return _disc(0.0, 1.0, d)  # CYL0(0) = 0
-    if d == 1.0:
-        # both shells are exactly 1/4 at d = r, so CYL0(L+h) plus this rounds
-        # to omega_circ's equal-distance value bit for bit
-        return -_equal_distance_gap(h, 1.0), Method.SPECIAL, _ERR_SPECIAL
-    return _near_face(h, d, d - 1.0), Method.ELLIPTIC, _ERR_ELLIPTIC
+    face = s_mn * (s_n * (n / 3.0) * third - (2.0 / (d + 1.0)) * first) / _TWO_PI
+    return face, Method.ELLIPTIC, _ERR_ELLIPTIC
 
 
 def omega_circ_third_kind(cfg: CanonicalConfig) -> SolidAngle:
@@ -576,12 +574,13 @@ def omega_total(cyl: CylinderSpec, src: SourcePoint) -> SolidAngle:
         return SolidAngle(a, Method.SPECIAL, 0.0)
     r = cyl.r
     d = src.d / r
+    t = d - 1.0
     if region == "disc":
-        parts = (_disc(a / r, 1.0, d),)
+        parts = (_disc(a / r, d, t),)
     elif region == "shells":
-        parts = (_shell(a / r, 1.0, d), _shell(b / r, 1.0, d))
+        parts = (_shell(a / r, d, t), _shell(b / r, d, t))
     else:
-        parts = (_shell(a / r, 1.0, d), _face(b / r, d))
+        parts = (_shell(a / r, d, t), _face(b / r, d, t))
     total = err = 0.0
     tag = Method.SPECIAL
     for value, method, term_err in parts:

@@ -2,8 +2,9 @@
 
 Each suite draws configurations from a seeded generator, evaluates a
 cross-check (formula vs formula, formula vs oracle, or an invariant) and
-reports the worst deviation it saw together with the configuration that
-produced it. The CLI's verify command runs all suites and fails on any
+yields one (deviation, where) pair per check. run_suite alone counts the
+checks and reports the worst deviation together with the configuration
+that produced it. The CLI's verify command runs all suites and fails on any
 violation; the test suite reuses them with fault injection to prove they
 can actually catch a broken build.
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import elliptic, oracle, solid_angle
@@ -55,18 +57,6 @@ class SuiteResult:
         )
 
 
-class _Worst:
-    def __init__(self):
-        self.dev = 0.0
-        self.where = "n/a"
-
-    def update(self, dev: float, where: str) -> None:
-        # NaN outranks every number, so a NaN deviation fails the suite
-        if dev > self.dev or (math.isnan(dev) and not math.isnan(self.dev)):
-            self.dev = dev
-            self.where = where
-
-
 def _log_uniform(rng: random.Random, lo: float, hi: float) -> float:
     return math.exp(rng.uniform(math.log(lo), math.log(hi)))
 
@@ -93,41 +83,38 @@ def _rel_floored(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-4)
 
 
-def suite_disc_cross(points: int, rng: random.Random, tol: float) -> SuiteResult:
-    worst = _Worst()
+def suite_disc_cross(points: int, rng: random.Random) -> Iterator[tuple[float, str]]:
     for _ in range(points):
         cfg = CanonicalConfig(_log_uniform(rng, 0.01, 100.0), 1.0, _disc_ratio(rng))
         a = solid_angle.omega_circ(cfg).value
         b = solid_angle.omega_circ_third_kind(cfg).value
         c = solid_angle.omega_circ_macklin(cfg).value
         dev = max(_rel_floored(a, b), _rel_floored(a, c), _rel_floored(b, c))
-        worst.update(dev, f"(L={cfg.L!r}, r=1.0, d={cfg.d!r})")
-    return SuiteResult("disc_cross", points, worst.dev, tol, worst.where, worst.dev <= tol)
+        yield dev, f"(L={cfg.L!r}, r=1.0, d={cfg.d!r})"
 
 
-def suite_cyl0_quad(points: int, rng: random.Random, tol: float) -> SuiteResult:
-    worst = _Worst()
+def _shell_config(rng: random.Random) -> CanonicalConfig:
+    return CanonicalConfig(_log_uniform(rng, 1e-3, 100.0), 1.0, 1.0 + _log_uniform(rng, 1e-6, 99.0))
+
+
+def suite_cyl0_quad(points: int, rng: random.Random) -> Iterator[tuple[float, str]]:
     for _ in range(points):
-        cfg = CanonicalConfig(_log_uniform(rng, 1e-3, 100.0), 1.0, 1.0 + _log_uniform(rng, 1e-6, 99.0))
+        cfg = _shell_config(rng)
         a = solid_angle.omega_cyl0(cfg).value
         q = oracle.quad_cyl0_phi(cfg, tol=1e-12)
-        worst.update(abs(a - q), f"(L={cfg.L!r}, r=1.0, d={cfg.d!r})")
-    return SuiteResult("cyl0_quad", points, worst.dev, tol, worst.where, worst.dev <= tol)
+        yield abs(a - q), f"(L={cfg.L!r}, r=1.0, d={cfg.d!r})"
 
 
-def suite_cyl0_pair(points: int, rng: random.Random, tol: float) -> SuiteResult:
-    worst = _Worst()
+def suite_cyl0_pair(points: int, rng: random.Random) -> Iterator[tuple[float, str]]:
     for _ in range(points):
-        cfg = CanonicalConfig(_log_uniform(rng, 1e-3, 100.0), 1.0, 1.0 + _log_uniform(rng, 1e-6, 99.0))
+        cfg = _shell_config(rng)
         p = oracle.quad_cyl0_phi(cfg, tol=1e-12)
         g = oracle.quad_cyl0_gamma(cfg, tol=1e-12)
-        worst.update(abs(p - g), f"(L={cfg.L!r}, r=1.0, d={cfg.d!r})")
-    return SuiteResult("cyl0_pair", points, worst.dev, tol, worst.where, worst.dev <= tol)
+        yield abs(p - g), f"(L={cfg.L!r}, r=1.0, d={cfg.d!r})"
 
 
-def suite_legendre(points: int, rng: random.Random, tol: float) -> SuiteResult:
+def suite_legendre(points: int, rng: random.Random) -> Iterator[tuple[float, str]]:
     # E(m) K(1-m) + E(1-m) K(m) - K(m) K(1-m) = pi/2
-    worst = _Worst()
     for _ in range(points):
         m = rng.uniform(1e-6, 1.0 - 1e-6)
         lhs = (
@@ -135,43 +122,34 @@ def suite_legendre(points: int, rng: random.Random, tol: float) -> SuiteResult:
             + elliptic.complete_E(1.0 - m) * elliptic.complete_K(m)
             - elliptic.complete_K(m) * elliptic.complete_K(1.0 - m)
         )
-        worst.update(abs(lhs - math.pi / 2) / (math.pi / 2), f"m={m!r}")
-    return SuiteResult("legendre", points, worst.dev, tol, worst.where, worst.dev <= tol)
+        yield abs(lhs - math.pi / 2) / (math.pi / 2), f"m={m!r}"
 
 
-def suite_agm(points: int, rng: random.Random, tol: float) -> SuiteResult:
-    worst = _Worst()
+def suite_agm(points: int, rng: random.Random) -> Iterator[tuple[float, str]]:
     for _ in range(points):
         m = 1.0 - _log_uniform(rng, 1e-10, 1.0)
-        dev = _rel(elliptic.complete_K(m), oracle.agm_complete_first_kind(m))
-        worst.update(dev, f"m={m!r}")
-    return SuiteResult("agm", points, worst.dev, tol, worst.where, worst.dev <= tol)
+        yield _rel(elliptic.complete_K(m), oracle.agm_complete_first_kind(m)), f"m={m!r}"
 
 
-def suite_trivial_identities(points: int, rng: random.Random, tol: float) -> SuiteResult:
-    worst = _Worst()
+def suite_trivial_identities(points: int, rng: random.Random) -> Iterator[tuple[float, str]]:
     for _ in range(max(points, 8)):
         phi = rng.uniform(0.0, math.pi / 2)
         m = rng.uniform(0.0, 0.999999)
-        worst.update(abs(elliptic.incomplete_F(phi, 0.0) - phi), f"F(phi|0), phi={phi!r}")
-        worst.update(
+        yield abs(elliptic.incomplete_F(phi, 0.0) - phi), f"F(phi|0), phi={phi!r}"
+        yield (
             _rel(elliptic.incomplete_Pi(0.0, phi, m), elliptic.incomplete_F(phi, m)),
             f"Pi(0;phi|m), phi={phi!r}, m={m!r}",
         )
-    worst.update(abs(elliptic.complete_E(1.0) - 1.0), "E(1)")
-    worst.update(abs(elliptic.complete_K(0.0) - math.pi / 2), "K(0)")
-    worst.update(abs(elliptic.complete_E(0.0) - math.pi / 2), "E(0)")
-    return SuiteResult(
-        "trivial_identities", max(points, 8) * 2 + 3, worst.dev, tol, worst.where, worst.dev <= tol
-    )
+    yield abs(elliptic.complete_E(1.0) - 1.0), "E(1)"
+    yield abs(elliptic.complete_K(0.0) - math.pi / 2), "K(0)"
+    yield abs(elliptic.complete_E(0.0) - math.pi / 2), "E(0)"
 
 
 def _random_source(rng: random.Random, L: float) -> SourcePoint:
     return SourcePoint(_log_uniform(rng, 0.01, 100.0), rng.uniform(-2.0 * L, 3.0 * L))
 
 
-def suite_scale_invariance(points: int, rng: random.Random, tol: float) -> SuiteResult:
-    worst = _Worst()
+def suite_scale_invariance(points: int, rng: random.Random) -> Iterator[tuple[float, str]]:
     for _ in range(points):
         L = _log_uniform(rng, 0.01, 100.0)
         cyl = CylinderSpec(L, 1.0)
@@ -182,51 +160,42 @@ def suite_scale_invariance(points: int, rng: random.Random, tol: float) -> Suite
             CylinderSpec(k * cyl.L, k * cyl.r), SourcePoint(k * src.d, k * src.z)
         ).value
         # absolute: omega is already a dimensionless fraction of 4 pi
-        worst.update(abs(a - b), f"(L={L!r}, r=1.0, d={src.d!r}, z={src.z!r}, k={k!r})")
-    return SuiteResult("scale_invariance", points, worst.dev, tol, worst.where, worst.dev <= tol)
+        yield abs(a - b), f"(L={L!r}, r=1.0, d={src.d!r}, z={src.z!r}, k={k!r})"
 
 
-def suite_end_swap(points: int, rng: random.Random, tol: float) -> SuiteResult:
+def suite_end_swap(points: int, rng: random.Random) -> Iterator[tuple[float, str]]:
     # reflecting the source through the cylinder midplane preserves omega
-    worst = _Worst()
     for _ in range(points):
         L = _log_uniform(rng, 0.01, 100.0)
         cyl = CylinderSpec(L, 1.0)
         src = _random_source(rng, L)
         a = solid_angle.omega_total(cyl, src).value
         b = solid_angle.omega_total(cyl, SourcePoint(src.d, L - src.z)).value
-        worst.update(abs(a - b), f"(L={L!r}, r=1.0, d={src.d!r}, z={src.z!r})")
-    return SuiteResult("end_swap", points, worst.dev, tol, worst.where, worst.dev <= tol)
+        yield abs(a - b), f"(L={L!r}, r=1.0, d={src.d!r}, z={src.z!r})"
 
 
-def suite_omega_range(points: int, rng: random.Random, tol: float) -> SuiteResult:
-    worst = _Worst()
-    checks = 0
+def _escape(cyl: CylinderSpec, src: SourcePoint) -> tuple[float, str]:
+    v = solid_angle.omega_total(cyl, src).value
+    return max(0.0 - v, v - 1.0, 0.0), f"(L={cyl.L!r}, r=1.0, d={src.d!r}, z={src.z!r})"
+
+
+def suite_omega_range(points: int, rng: random.Random) -> Iterator[tuple[float, str]]:
     for _ in range(points):
         L = _log_uniform(rng, 0.01, 100.0)
-        cyl = CylinderSpec(L, 1.0)
-        src = _random_source(rng, L)
-        v = solid_angle.omega_total(cyl, src).value
-        escape = max(0.0 - v, v - 1.0, 0.0)
-        worst.update(escape, f"(L={L!r}, r=1.0, d={src.d!r}, z={src.z!r})")
-        checks += 1
+        yield _escape(CylinderSpec(L, 1.0), _random_source(rng, L))
     for src in (SourcePoint(0.5, 0.0), SourcePoint(1.0, 0.0), SourcePoint(1.0, 0.5)):
-        v = solid_angle.omega_total(CylinderSpec(1.0, 1.0), src).value
-        escape = max(0.0 - v, v - 1.0, 0.0)
-        worst.update(escape, f"(L=1.0, r=1.0, d={src.d!r}, z={src.z!r})")
-        checks += 1
-    return SuiteResult("omega_range", checks, worst.dev, tol, worst.where, worst.dev <= tol)
+        yield _escape(CylinderSpec(1.0, 1.0), src)
 
 
-def suite_discontinuity(points: int, rng: random.Random, tol: float) -> SuiteResult:
+def suite_discontinuity(points: int, rng: random.Random) -> Iterator[tuple[float, str]]:
     # the two iterated limits at the (d=r, L=0) corner disagree: L -> 0 first
     # collapses the lateral view to 0, d -> r first pins it at 1/4
     del points, rng
     on_edge = solid_angle.omega_cyl0(CanonicalConfig(1e-9, 1.0, 1.0)).value
     off_edge = solid_angle.omega_cyl0(CanonicalConfig(1e-9, 1.0, 1.0 + 1e-4)).value
-    dev = max(abs(on_edge - 0.25), off_edge)
     where = f"omega(d=r)={on_edge!r}, omega(d=r+1e-4)={off_edge!r} at L=1e-9"
-    return SuiteResult("discontinuity", 2, dev, tol, where, dev <= tol)
+    yield abs(on_edge - 0.25), where
+    yield off_edge, where
 
 
 SUITES = {
@@ -253,7 +222,14 @@ def run_suite(name: str, points: int, seed: int, tolerance: float | None = None)
     n = max(1, int(points * _POINT_SCALE.get(name, 1.0)))
     # string seeds hash through sha512, so child streams are stable across runs
     rng = random.Random(f"{seed}:{name}")
-    return SUITES[name](n, rng, tol)
+    max_dev, worst, checks = 0.0, "n/a", 0
+    for dev, where in SUITES[name](n, rng):
+        checks += 1
+        # the first maximum wins, and NaN outranks every number, so a NaN
+        # deviation fails the suite
+        if dev > max_dev or (math.isnan(dev) and not math.isnan(max_dev)):
+            max_dev, worst = dev, where
+    return SuiteResult(name, checks, max_dev, tol, worst, max_dev <= tol)
 
 
 def run_all(points: int = 200, seed: int = 0, overrides: dict[str, float] | None = None) -> list[SuiteResult]:

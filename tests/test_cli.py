@@ -152,6 +152,13 @@ def test_domain_error_exits_one(capsys):
     assert err.startswith("error:")
 
 
+def test_series_divergence_exits_one_without_traceback(capsys):
+    code, _, err = _run(capsys, ["compute", "--L", "1e-200", "--r", "1", "--d", "2", "--method", "series"])
+    assert code == 1
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_missing_arguments_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["compute", "--L", "3"])

@@ -133,6 +133,27 @@ def test_carlson_domain_guards():
         carlson_rc(1.0, 0.0)
 
 
+@pytest.mark.parametrize(
+    "kernel, arity, slot",
+    [
+        pytest.param(kernel, arity, slot, id=f"{kernel.__name__}-{slot}")
+        for kernel, arity in ((carlson_rf, 3), (carlson_rc, 2), (carlson_rd, 3), (carlson_rj, 4))
+        for slot in range(arity)
+    ],
+)
+def test_carlson_kernels_reject_nan(kernel, arity, slot):
+    # NaN compares false against every bound; the guard must still fire at once
+    args = [0.5] * arity
+    args[slot] = math.nan
+    with pytest.raises(DomainError, match="requires|nonnegative"):
+        kernel(*args)
+
+
+def test_carlson_rc_rejects_infinite_x():
+    with pytest.raises(DomainError, match="finite x"):
+        carlson_rc(math.inf, 1.0)
+
+
 # ------------------------------------------------------------- exact identities
 
 

@@ -19,7 +19,6 @@ from solidcyl.geometry import CanonicalConfig, CylinderSpec, SourcePoint, TermKi
 from solidcyl.solid_angle import (
     _disc,
     _face,
-    _near_face,
     _shell,
     EllipticParams,
     Method,
@@ -266,6 +265,21 @@ def test_series_domain_errors():
         omega_cyl0_series(CanonicalConfig(1.0, 1.0, 2.0), terms=4)
     with pytest.raises(DomainError):
         omega_cyl0_series(CanonicalConfig(1.0, 1.0, 2.0), terms=0)
+
+
+@pytest.mark.parametrize("L", [1e-80, 1e-155, 1e-200, 1e-300])
+@pytest.mark.parametrize("d", [1.0, 2.0])
+def test_series_at_tiny_L_returns_a_bound_or_diverges(L, d):
+    # 1/L^2 overflows here; a kept term or the error term that is not finite
+    # must surface as DivergentError, never as a raw error or a NaN estimate
+    try:
+        got = omega_cyl0_series(CanonicalConfig(L, 1.0, d))
+    except DivergentError as exc:
+        assert f"L/r = {L!r}" in str(exc)
+        return
+    assert math.isfinite(got.err_estimate)
+    if d == 1.0:
+        assert got.value == 0.25
 
 
 # ------------------------------------------------------------------ omega_circ
@@ -554,7 +568,7 @@ def test_near_face_matches_quadrature(h, d):
             return H / mpmath.sqrt(H * H + rho2 * rho2)
 
         exact = -float(mpmath.quad(far_rim, [0, mpmath.asin(1 / D)]) / (2 * mpmath.pi))
-    assert _near_face(h, d, d - 1.0) == pytest.approx(exact, rel=1e-13, abs=0.0)
+    assert _face(h, d, d - 1.0)[0] == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
 def test_near_face_limits():
@@ -625,15 +639,16 @@ def _total_from_terms(cyl, src):
     if head.kind is TermKind.CONSTANT:
         return SolidAngle(head.constant_value, Method.SPECIAL, 0.0)
     r, d = cyl.r, src.d / cyl.r
+    t = d - 1.0
     if head.kind is TermKind.CIRC:
-        parts = [_disc(head.L_eff / r, 1.0, d)]
+        parts = [_disc(head.L_eff / r, d, t)]
     elif len(terms) == 2:
-        parts = [_shell(t.L_eff / r, 1.0, d) for t in terms]
+        parts = [_shell(term.L_eff / r, d, t) for term in terms]
     else:
         # -CYL0(h) + CIRC(h) at one h is the fused near face
         assert (terms[1].kind, terms[2].kind) == (TermKind.CYL0, TermKind.CIRC)
         assert terms[1].L_eff == terms[2].L_eff
-        parts = [_shell(head.L_eff / r, 1.0, d), _face(terms[2].L_eff / r, d)]
+        parts = [_shell(head.L_eff / r, d, t), _face(terms[2].L_eff / r, d, t)]
     elliptic_route = any(method is Method.ELLIPTIC for _, method, _ in parts)
     return SolidAngle(
         sum((p[0] for p in parts), 0.0),
@@ -704,14 +719,21 @@ def test_total_survives_uniform_rescale(L, d, z, k):
     assert scaled == pytest.approx(unit, abs=1e-15)
 
 
-@pytest.mark.parametrize("k", [1e-300, 1e-160, 1e-150, 1e150, 1e160, 1e300])
 @pytest.mark.parametrize(
-    "fn", [omega_cyl0, omega_cyl0_series, omega_circ, omega_circ_third_kind, omega_circ_macklin]
+    "fn, L, d, k",
+    [
+        pytest.param(fn, 3.0, 2.0, k, id=f"{fn.__name__}-{k!r}")
+        for fn in (omega_cyl0, omega_cyl0_series, omega_circ, omega_circ_third_kind, omega_circ_macklin)
+        for k in (1e-300, 1e-160, 1e-150, 1e150, 1e160, 1e300)
+    ]
+    # the equal-distance disc near both ends of the double range
+    + [pytest.param(omega_circ, 0.5, 1.0, k, id=f"equal-distance-{k!r}") for k in (2.0**1023, 1.7e308)]
+    + [pytest.param(omega_circ, 2.0, 1.0, k, id=f"equal-distance-{k!r}") for k in (5e-324, 2.0**-1060, 1e-310)],
 )
-def test_canonical_evaluators_survive_uniform_rescale(fn, k):
+def test_canonical_evaluators_survive_uniform_rescale(fn, L, d, k):
     # each evaluator works in units of r, so direct calls at any scale agree
-    unit = fn(CanonicalConfig(3.0, 1.0, 2.0)).value
-    scaled = fn(CanonicalConfig(3.0 * k, k, 2.0 * k)).value
+    unit = fn(CanonicalConfig(L, 1.0, d)).value
+    scaled = fn(CanonicalConfig(L * k, k, d * k)).value
     assert scaled == pytest.approx(unit, abs=1e-15)
 
 
