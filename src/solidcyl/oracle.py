@@ -49,9 +49,7 @@ from .errors import DomainError, OracleFailure
 from .geometry import CanonicalConfig, CylinderSpec, SourcePoint
 
 __all__ = [
-    "IntegrandState",
     "McEstimate",
-    "integrand_state",
     "quad_cyl0_phi",
     "quad_cyl0_gamma",
     "quad_disc",
@@ -65,48 +63,8 @@ _BLOCK = 1_000_000  # Monte Carlo rays per independent Philox stream
 _SLICE = 1 << 15  # rays per intersection-test slice, a multiple of 16
 
 
-@dataclass(frozen=True)
-class IntegrandState:
-    """One sample of the change of variables linking the two lateral forms.
-
-    rho_minus is the near-wall chord radius at azimuth phi; gamma_minus is
-    the image of phi under the half-angle map gamma = pi/2 - phi_half where
-    tan(phi_half) = sin(phi) rho / (r + d - cos(phi) rho). The two
-    parametrizations must describe the same radius: rho_minus^2 equals
-    (d+r)^2 - 4 d r sin^2(gamma_minus) to roundoff.
-    """
-
-    phi: float
-    rho_minus: float
-    gamma_minus: float
-
-
 def _rho_minus(phi: float, r: float, d: float) -> float:
     return d * math.cos(phi) - math.sqrt(max(0.0, r * r - (d * math.sin(phi)) ** 2))
-
-
-def integrand_state(cfg: CanonicalConfig, phi: float) -> IntegrandState:
-    L, r, d = cfg.L, cfg.r, cfg.d
-    if d < r:
-        raise DomainError(f"integrand state requires d >= r; got d={d!r} < r={r!r}")
-    phi_o = math.asin(min(1.0, r / d))
-    if not 0.0 <= phi <= phi_o:
-        raise DomainError(f"phi={phi!r} outside [0, phi_o={phi_o!r}]")
-    rho = _rho_minus(phi, r, d)
-    phi_half = math.atan2(math.sin(phi) * rho, r + d - math.cos(phi) * rho)
-    gamma = math.pi / 2 - phi_half
-
-    lo = d - r
-    hi = math.sqrt(max(0.0, (d - r) * (d + r)))
-    slack = 1e-12 * max(1.0, d)
-    if not lo - slack <= rho <= hi + slack:
-        raise OracleFailure(f"rho_minus={rho!r} escaped [{lo!r}, {hi!r}] at phi={phi!r}")
-    rho_gamma_sq = (d - r) ** 2 + 4.0 * d * r * math.cos(gamma) ** 2
-    if abs(rho_gamma_sq - rho * rho) > 1e-10 * max(1.0, rho * rho):
-        raise OracleFailure(
-            f"gamma map inconsistent at phi={phi!r}: rho^2={rho * rho!r} vs {rho_gamma_sq!r}"
-        )
-    return IntegrandState(phi=phi, rho_minus=rho, gamma_minus=gamma)
 
 
 def _check_quad_pre(cfg: CanonicalConfig, tol: float) -> None:

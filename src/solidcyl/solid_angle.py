@@ -31,14 +31,19 @@ omega_cyl0
 omega_circ
     End disc of radius r at axial distance L from the source plane, source at
     radial distance d from the disc axis. The default path uses only first
-    and second kind integrals (epsilon = arcsin sqrt((1-n)/(1-m)), m' = 1-m):
+    and second kind integrals, with m' = 1-m and a signed amplitude
+    sin(eps) = sgn(d-r) sqrt((1-n)/(1-m)):
 
-        d > r:  1/4 - (2 pi)^-1 n/(1+sqrt(1-n)) sqrt(1-m/n) K(m)
-                    - (2 pi)^-1 {[E(m)-K(m)] F(eps|m') + K(m) E(eps|m')}
-        d < r:  1/4 - (2 pi)^-1 (1+sqrt(1-n)) sqrt(1-m/n) K(m)
-                    + (2 pi)^-1 {[E(m)-K(m)] F(eps|m') + K(m) E(eps|m')}
+        omega = 1/4 - (2 pi)^-1 { 2r/(d+r) sqrt(1-m/n) K(m)
+                                  + [E(m)-K(m)] F(eps|m') + K(m) E(eps|m') }
 
-    The third-kind forms and the Macklin form are kept as cross-check paths;
+    The paper writes this as two forms with eps >= 0, one for d > r and one
+    for d < r. F(eps|m') and E(eps|m') are odd in eps, and the paper's
+    radial factors n/(1+sqrt(1-n)) = 1 - sqrt(1-n) (d > r) and
+    1 + sqrt(1-n) (d < r) both equal 2r/(d+r), so one expression covers
+    both sides of the rim, as in Macklin's form.
+
+    The third-kind form and the Macklin form are kept as cross-check paths;
     all three agree to roundoff away from d = r.
 
 near face (omega_total only)
@@ -68,19 +73,22 @@ takes the term's exact limits, then evaluates its closed form, and returns
 (value, method, err). The shell and the near face compute only the gamma_o
 parts of the parameters (_gamma_params), the disc only the epsilon parts
 (_eps_params). omega_total runs geometry's float case split and sums these
-functions directly; omega_cyl0 and omega_circ validate their input, convert
-it to units of r (_units) and call the same functions, and
-params_from_geometry and omega_cyl0_series take the same units. So the
-answer is the same at any uniform scale, whether omega_total forms the
-canonical terms or a caller passes one directly.
+functions directly; omega_cyl0 and omega_circ validate their input and call
+the same functions, and params_from_geometry and omega_cyl0_series work in
+the same units. So the answer is the same at any uniform scale, whether
+omega_total forms the canonical terms or a caller passes one directly.
 
-Near-boundary arithmetic: (1-n), (1-m) and (1-m/n) are always computed from
-the geometry ((d-r)/(d+r), (L^2+(d-r)^2)/(L^2+(d+r)^2), L/sqrt(L^2+(d+r)^2)),
-never as subtractions from 1, so d -> r and L -> 0 keep full precision. The
-same applies inside the kernels: every elliptic call gets sin, cos^2,
-1 - m sin^2 and 1 - n sin^2 as exact products of geometry factors (see
-EllipticParams; the shell's x and p are sums of such products), never
-recovered from a rounded angle. Rebuilding them from the angle costs up to
+Near-boundary arithmetic: lengths become ratios in one place,
+_units(L, r, d) = (L/r, d/r, (d-r)/r), which every evaluator and
+omega_total call. d - r is formed before the division, so a source a few
+ulp off the wall keeps its offset at any r. (1-n), (1-m) and (1-m/n) are
+always computed from the geometry ((d-r)/(d+r),
+(L^2+(d-r)^2)/(L^2+(d+r)^2), L/sqrt(L^2+(d+r)^2)), never as subtractions
+from 1, so d -> r and L -> 0 keep full precision. The same applies inside
+the kernels: every elliptic call gets sin, cos^2, 1 - m sin^2 and
+1 - n sin^2 as exact products of geometry factors (see EllipticParams; the
+shell's x and p are sums of such products), never recovered from a rounded
+angle. Rebuilding them from the angle costs up to
 eight digits near the corners (d -> r, L -> 0) where those factors vanish.
 
 Special values (the formulas above degenerate there, exact limits are used):
@@ -170,9 +178,12 @@ class EllipticParams:
         1 - m' sin^2(eps) = n exactly
 
     so neither 1 - n sin^2(gamma_o) nor 1 - m' sin^2(eps) has a field of its
-    own. The gamma_o parts exist only for d >= r (lateral-surface geometry),
-    the epsilon parts only for m_prime > 0 (m itself may round up to 1.0
-    while the complement is still resolved); the unused entries are None.
+    own. sin_epsilon carries the sign of d - r (eps < 0 inside the rim),
+    which lets the disc's two forms be one; sqrt_one_minus_n is
+    |d-r|/(d+r). The gamma_o parts exist only for d >= r (lateral-surface
+    geometry), the epsilon parts only for m_prime > 0 (m itself may round up
+    to 1.0 while the complement is still resolved); the unused entries are
+    None.
     These go straight into the Carlson kernels; see the module docstring for
     why.
     """
@@ -239,9 +250,10 @@ def _eps_params(L: float, d: float, t: float) -> tuple:
     m_prime = den_t / den_m
     sin_epsilon = cos2_epsilon = None
     if m_prime > 0.0:
-        sin2 = min(1.0, (t * t * den_m) / (s * s * den_t))  # (1-n)/(1-m)
-        sin_epsilon = math.sqrt(sin2)
-        cos2_epsilon = 4.0 * d * L * L / (s * s * den_t)
+        # products of ratios at most 1, so nothing overflows before den_m does
+        u = t / s
+        sin_epsilon = math.copysign(math.sqrt(min(1.0, u * u * (den_m / den_t))), t)
+        cos2_epsilon = n * (LL / den_t)
     return (
         min(4.0 * d / den_m, n),
         n,
@@ -253,14 +265,15 @@ def _eps_params(L: float, d: float, t: float) -> tuple:
     )
 
 
-def _units(cfg: CanonicalConfig) -> tuple[float, float, float]:
+def _units(L: float, r: float, d: float) -> tuple[float, float, float]:
     """(L, d, t) in units of r, t = d - 1 taken from the unscaled lengths.
 
-    Forming d - r before dividing keeps the offset of a source a few ulp off
-    the wall, and nothing is squared before the division, so no uniform
-    scale of (L, r, d) under- or overflows.
+    The one place where lengths become ratios. Forming d - r before dividing
+    keeps the offset of a source a few ulp off the wall, and nothing is
+    squared before the division, so no uniform scale of (L, r, d) under- or
+    overflows.
     """
-    return cfg.L / cfg.r, cfg.d / cfg.r, (cfg.d - cfg.r) / cfg.r
+    return L / r, d / r, (d - r) / r
 
 
 def params_from_geometry(cfg: CanonicalConfig) -> EllipticParams:
@@ -269,7 +282,7 @@ def params_from_geometry(cfg: CanonicalConfig) -> EllipticParams:
     L and d are taken in units of r (_units) and the rest is computed at
     r = 1, so no uniform scale of (L, r, d) under- or overflows.
     """
-    L, d, t = _units(cfg)
+    L, d, t = _units(cfg.L, cfg.r, cfg.d)
     if d == 0.0:
         raise OnAxisError(
             "elliptic parametrization is undefined on the axis (d = 0); "
@@ -347,7 +360,7 @@ def omega_cyl0(cfg: CanonicalConfig) -> SolidAngle:
     """
     if cfg.d < cfg.r:
         raise DomainError(f"omega_cyl0 requires d >= r (source outside the shell); got d={cfg.d!r} < r={cfg.r!r}")
-    return SolidAngle(*_shell(*_units(cfg)))
+    return SolidAngle(*_shell(*_units(cfg.L, cfg.r, cfg.d)))
 
 
 def omega_cyl0_series(cfg: CanonicalConfig, terms: int = 3) -> SolidAngle:
@@ -374,7 +387,7 @@ def omega_cyl0_series(cfg: CanonicalConfig, terms: int = 3) -> SolidAngle:
 
     # d - r from the unscaled lengths: a rounded r/d would lose the digits of
     # pi/2 - phi_o near d = r
-    L, d, t = _units(cfg)
+    L, d, t = _units(cfg.L, cfg.r, cfg.d)
     d_cos = math.sqrt(t * (d + 1.0))  # d cos(phi_o) = cot(phi_o)
     phi_o = math.atan2(1.0, d_cos)
     resid = math.atan(d_cos)  # pi/2 - phi_o
@@ -419,7 +432,7 @@ def _disc(L: float, d: float, t: float) -> tuple[float, Method, float]:
         return 0.5 / (hyp * (hyp + L)), Method.SPECIAL, _ERR_SPECIAL
     if t == 0.0:
         return 0.25 - _equal_distance_gap(L), Method.SPECIAL, _ERR_SPECIAL
-    m, n, m_prime, s_n, s_mn, s_e, c2_e = _eps_params(L, d, t)
+    m, n, m_prime, _, s_mn, s_e, c2_e = _eps_params(L, d, t)
     # K and E share R_F(0, m', 1); the incomplete integrals carry parameter
     # m', so their y = 1 - m' sin^2(eps) collapses to n exactly
     # (m' sin^2(eps) = (d-r)^2/(d+r)^2 algebraically) and F(eps|m'), E(eps|m')
@@ -429,10 +442,9 @@ def _disc(L: float, d: float, t: float) -> tuple[float, Method, float]:
     F_eps = s_e * elliptic.carlson_rf(c2_e, n, 1.0)
     E_eps = F_eps - (m_prime / 3.0) * s_e * s_e * s_e * elliptic.carlson_rd(c2_e, n, 1.0)
     cross = (E - K) * F_eps + K * E_eps
-    radial = s_mn * K / _TWO_PI
-    if t > 0.0:
-        return 0.25 - (n / (1.0 + s_n)) * radial - cross / _TWO_PI, Method.ELLIPTIC, _ERR_ELLIPTIC
-    return 0.25 - (1.0 + s_n) * radial + cross / _TWO_PI, Method.ELLIPTIC, _ERR_ELLIPTIC
+    # the paper's n/(1 + sqrt(1-n)) (d > r) and 1 + sqrt(1-n) (d < r) are
+    # both 2/(d+1), and sin(eps) carries the sign of t: one form for both sides
+    return 0.25 - ((2.0 / (d + 1.0)) * s_mn * K + cross) / _TWO_PI, Method.ELLIPTIC, _ERR_ELLIPTIC
 
 
 def omega_circ(cfg: CanonicalConfig) -> SolidAngle:
@@ -441,7 +453,7 @@ def omega_circ(cfg: CanonicalConfig) -> SolidAngle:
     Default evaluation uses the first/second-kind form; exact limits (L = 0,
     d = 0, d = r) take their closed expressions.
     """
-    return SolidAngle(*_disc(*_units(cfg)))
+    return SolidAngle(*_disc(*_units(cfg.L, cfg.r, cfg.d)))
 
 
 def _face(h: float, d: float, t: float) -> tuple[float, Method, float]:
@@ -489,11 +501,8 @@ def omega_circ_third_kind(cfg: CanonicalConfig) -> SolidAngle:
     p = params_from_geometry(cfg)
     K = elliptic.carlson_rf(0.0, p.m_prime, 1.0)
     Pi = K + (p.n / 3.0) * elliptic.carlson_rj(0.0, p.m_prime, 1.0, p.one_minus_n)
-    s = p.sqrt_one_minus_m_over_n
-    if d > r:
-        value = s * (p.sqrt_one_minus_n * Pi - K) / _TWO_PI
-    else:
-        value = 0.5 - s * (p.sqrt_one_minus_n * Pi + K) / _TWO_PI
+    u = math.copysign(p.sqrt_one_minus_n, d - r)
+    value = (0.5 if d < r else 0.0) + p.sqrt_one_minus_m_over_n * (u * Pi - K) / _TWO_PI
     return SolidAngle(value, Method.ELLIPTIC, _ERR_ELLIPTIC)
 
 
@@ -528,23 +537,25 @@ def omega_circ_macklin(cfg: CanonicalConfig) -> SolidAngle:
     A = math.hypot(1.0, alpha + beta)
     B = beta + u
     C = math.hypot(1.0, alpha - beta)
-    m_prime = (C * C) / (A * A)
+    m_prime = (C / A) * (C / A)
 
-    # cos^2 and y = 1 - m' sin^2 of both amplitudes share the factors
-    # g_minus = 2 beta (sqrt(1+alpha^2) - alpha) and g_plus with +alpha:
-    # B^2 - A^2 = g_minus, B^2 - C^2 = g_plus, A^2 - (sqrt(1+a^2)-beta)^2 = g_plus
-    g_minus = 2.0 * beta / (u + alpha)
-    g_plus = 2.0 * beta * (u + alpha)
+    # cos^2 and y = 1 - m' sin^2 of both amplitudes are g_minus or g_plus over
+    # a square, with g_minus = 2 beta / (sqrt(1+alpha^2) + alpha) and g_plus =
+    # 2 beta (sqrt(1+alpha^2) + alpha): B^2 - A^2 = g_minus, B^2 - C^2 = g_plus,
+    # A^2 - (sqrt(1+a^2)-beta)^2 = g_plus. Each is formed as a product of
+    # ratios at most 1, so no square overflows at small L/r.
+    w, v = 2.0 * beta, u + alpha
 
     K = elliptic.carlson_rf(0.0, m_prime, 1.0)
     E = K - ((1.0 - m_prime) / 3.0) * elliptic.carlson_rd(0.0, m_prime, 1.0)
 
-    num_psi = (1.0 + alpha * alpha) - beta * beta  # sign of sin(psi)
-    s_psi = min(1.0, abs(num_psi) / ((u + beta) * C))
+    # C sin(psi) = sqrt(1+alpha^2) - beta, formed as
+    # (1 + (alpha-beta)(alpha+beta)) / (sqrt(1+alpha^2) + beta)
+    q = 1.0 / (u + beta) + (alpha - beta) * ((alpha + beta) / (u + beta))
     # (sign, sin, cos^2, y) of theta and psi
     amplitudes = (
-        (1.0, min(1.0, A / B), g_minus / (B * B), g_plus / (B * B)),
-        (1.0 if num_psi >= 0.0 else -1.0, s_psi, g_minus / (C * C), g_plus / (A * A)),
+        (1.0, min(1.0, A / B), (w / B) / v / B, (w / B) * (v / B)),
+        (math.copysign(1.0, q), min(1.0, abs(q) / C), (w / C) / v / C, (w / A) * (v / A)),
     )
     F_sum = E_sum = 0.0
     for sign, s, c2, y in amplitudes:
@@ -552,7 +563,7 @@ def omega_circ_macklin(cfg: CanonicalConfig) -> SolidAngle:
         F_sum += sign * F
         E_sum += sign * (F - (m_prime / 3.0) * s * s * s * elliptic.carlson_rd(c2, y, 1.0))
 
-    tail = 2.0 * beta / (A * B)
+    tail = (w / A) / B
     omega_4pi = _TWO_PI + 2.0 * (K - E) * F_sum - 2.0 * K * (E_sum + tail)
     return SolidAngle(omega_4pi / (2.0 * _TWO_PI), Method.ELLIPTIC, _ERR_ELLIPTIC)
 
@@ -572,15 +583,14 @@ def omega_total(cyl: CylinderSpec, src: SourcePoint) -> SolidAngle:
     region, a, b = _split(cyl.L, cyl.r, src.d, src.z)
     if region == "const":
         return SolidAngle(a, Method.SPECIAL, 0.0)
-    r = cyl.r
-    d = src.d / r
-    t = d - 1.0
+    a, d, t = _units(a, cyl.r, src.d)
+    b /= cyl.r
     if region == "disc":
-        parts = (_disc(a / r, d, t),)
+        parts = (_disc(a, d, t),)
     elif region == "shells":
-        parts = (_shell(a / r, d, t), _shell(b / r, d, t))
+        parts = (_shell(a, d, t), _shell(b, d, t))
     else:
-        parts = (_shell(a / r, d, t), _face(b / r, d, t))
+        parts = (_shell(a, d, t), _face(b, d, t))
     total = err = 0.0
     tag = Method.SPECIAL
     for value, method, term_err in parts:

@@ -78,7 +78,7 @@ def test_compute_series_route_is_tagged_series(capsys):
     code, out, _ = _run(capsys, ["compute", "--L", "20", "--r", "1", "--d", "1.01", "--z", "-1", "--method", "series"])
     assert code == 0
     assert "method = series" in out
-    assert "omega = 0.088505521667603365" in out
+    assert "omega = 0.088505521667603393" in out
     code, out, _ = _run(capsys, ["compute", "--L", "20", "--r", "1", "--d", "1.01", "--z", "10", "--method", "series"])
     assert code == 0 and "method = series" in out
 

@@ -90,40 +90,6 @@ def test_quad_preconditions():
         oracle.quad_cyl0_phi(CanonicalConfig(1.0, 1.0, 2.0), tol=1e-14)
 
 
-# -------------------------------------------------------------- integrand state
-
-
-def test_integrand_state_endpoints():
-    cfg = CanonicalConfig(1.0, 1.0, 2.0)
-    phi_o = math.asin(0.5)
-    at0 = oracle.integrand_state(cfg, 0.0)
-    assert at0.rho_minus == pytest.approx(1.0, rel=1e-15)  # d - r
-    assert at0.gamma_minus == pytest.approx(math.pi / 2, rel=1e-15)
-    at_end = oracle.integrand_state(cfg, phi_o)
-    assert at_end.rho_minus == pytest.approx(math.sqrt(3.0), rel=1e-12)
-    assert at_end.gamma_minus == pytest.approx((math.pi / 2 + phi_o) / 2.0, rel=1e-12)
-
-
-def test_integrand_state_interior_monotone():
-    cfg = CanonicalConfig(1.0, 1.0, 3.0)
-    phi_o = math.asin(1.0 / 3.0)
-    states = [oracle.integrand_state(cfg, f * phi_o) for f in (0.0, 0.25, 0.5, 0.75, 1.0)]
-    rhos = [s.rho_minus for s in states]
-    gammas = [s.gamma_minus for s in states]
-    assert rhos == sorted(rhos)
-    assert gammas == sorted(gammas, reverse=True)
-
-
-def test_integrand_state_rejects_bad_phi():
-    cfg = CanonicalConfig(1.0, 1.0, 2.0)
-    with pytest.raises(DomainError):
-        oracle.integrand_state(cfg, -0.1)
-    with pytest.raises(DomainError):
-        oracle.integrand_state(cfg, 1.0)  # > phi_o for d = 2r
-    with pytest.raises(DomainError):
-        oracle.integrand_state(CanonicalConfig(1.0, 1.0, 0.5), 0.1)
-
-
 # ------------------------------------------------------------------- end discs
 
 

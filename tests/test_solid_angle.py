@@ -20,6 +20,7 @@ from solidcyl.solid_angle import (
     _disc,
     _face,
     _shell,
+    _units,
     EllipticParams,
     Method,
     SolidAngle,
@@ -351,6 +352,55 @@ def test_circ_monotone_decreasing_in_L_and_d():
     assert omega_circ(CanonicalConfig(1.0, 1.0, 0.8)).value < base
 
 
+def _paper_circ(L, d):
+    """omega_circ at r = 1 from the paper's two first/second-kind forms, on mpmath's Carlson kernels at 40 digits.
+
+        d > r: 1/4 - n/(1+sqrt(1-n)) sqrt(1-m/n) K(m)/(2 pi) - X/(2 pi)
+        d < r: 1/4 - (1+sqrt(1-n)) sqrt(1-m/n) K(m)/(2 pi) + X/(2 pi)
+
+    with X = [E(m)-K(m)] F(eps|m') + K(m) E(eps|m'), eps in [0, pi/2] and
+    every parameter formed from the exact float d.
+    """
+    with mpmath.workdps(40):
+        L, d = mpmath.mpf(L), mpmath.mpf(d)
+        t, s = d - 1, d + 1
+        den, den_t = L * L + s * s, L * L + t * t
+        m_prime, m, n = den_t / den, 4 * d / den, 4 * d / (s * s)
+        s_n, s_mn = abs(t) / s, L / mpmath.sqrt(den)
+        sin_e = mpmath.sqrt(t * t * den / (s * s * den_t))
+        cos2, y = 4 * d * L * L / (s * s * den_t), 1 - m_prime * sin_e**2
+        K = mpmath.elliprf(0, m_prime, 1)
+        E = K - (m / 3) * mpmath.elliprd(0, m_prime, 1)
+        F_eps = sin_e * mpmath.elliprf(cos2, y, 1)
+        E_eps = F_eps - (m_prime / 3) * sin_e**3 * mpmath.elliprd(cos2, y, 1)
+        cross = (E - K) * F_eps + K * E_eps
+        if t > 0:
+            value = mpmath.mpf(1) / 4 - (n / (1 + s_n) * s_mn * K + cross) / (2 * mpmath.pi)
+        else:
+            value = mpmath.mpf(1) / 4 - ((1 + s_n) * s_mn * K - cross) / (2 * mpmath.pi)
+        return float(value)
+
+
+@pytest.mark.parametrize("d", [1e-3, 0.5, 1.0 - 1e-12, 1.0 + 1e-12, 2.0, 1e3])
+def test_circ_matches_the_paper_form_on_both_sides_of_the_rim(d):
+    # one expression with a signed sin(eps) stands for both of the paper's forms
+    for L in (1e-6, 1e-2, 1.0, 1e2):
+        got = omega_circ(CanonicalConfig(L, 1.0, d)).value
+        assert abs(got - _paper_circ(L, d)) <= 1e-15, (L, d, got)
+
+
+@pytest.mark.parametrize("h", [1e151, 1e152, 1e153, 1.3e154])
+@pytest.mark.parametrize("d", [0.14, 0.9, 2.0, 470.0])
+def test_disc_far_field_is_a_tiny_fraction(h, d):
+    # the true value is about r^2 / (4 h^2); the epsilon parts are products of
+    # ratios at most 1, where 4 d L^2 formed first overflowed near L/r = 1e154
+    if d < 1.0:
+        got = omega_total(CylinderSpec(1.0, 1.0), SourcePoint(d, -h))
+    else:
+        got = omega_circ(CanonicalConfig(h, 1.0, d))
+    assert 0.0 <= got.value <= 1e-15
+
+
 # --------------------------------------------------- disc cross-formula paths
 
 
@@ -401,6 +451,14 @@ def test_macklin_far_field_thin_gap():
     c = omega_circ_macklin(cfg).value
     # the disc_cross metric: relative, with an absolute floor of 1e-4
     assert abs(a - c) / max(abs(a), abs(c), 1e-4) <= 1e-10
+
+
+@pytest.mark.parametrize("L", [1e-300, 1e-200])
+@pytest.mark.parametrize("d", [0.5, 2.0])
+def test_macklin_survives_the_flat_limit(L, d):
+    # alpha, beta ~ r/L: squares of A, B, C overflow, ratios of them do not
+    cfg = CanonicalConfig(L, 1.0, d)
+    assert abs(omega_circ_macklin(cfg).value - omega_circ(cfg).value) <= 1e-13
 
 
 # ------------------------------------------------------ Carlson calls per form
@@ -553,6 +611,21 @@ def test_total_far_field_asymptote():
     assert got == pytest.approx(1.0 / (TWO_PI * 1e300), rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("k", [1, 3, 7])
+@pytest.mark.parametrize("r", [3.0, 0.37, 7.0, 3e-200])
+def test_total_near_the_wall_at_any_radius(r, k):
+    # a source k ulp off the wall: d - r is formed before the division by r
+    d = r
+    for _ in range(k):
+        d = math.nextafter(d, math.inf)
+    L, z = 2.0 * r, 0.75 * r
+    got = omega_total(CylinderSpec(L, r), SourcePoint(d, z)).value
+    with mpmath.workdps(40):
+        R, D = mpmath.mpf(r), mpmath.mpf(d)
+        exact = sum(_paper_cyl0(mpmath.mpf(h) / R, D / R) for h in (z, L - z))
+    assert abs(got - float(exact)) <= 1e-15, (r, k, got)
+
+
 @pytest.mark.parametrize(
     "h, d",
     [(0.5, 2.0), (1e-3, 1.0 + 1e-10), (1.0, 1.0 + 1e-10), (30.0, 1.0 + 1e-6), (1e-2, 50.0), (3.0, 1e4), (1e2, 1.5)],
@@ -601,8 +674,8 @@ def test_total_two_shells_are_the_shell_evaluator(L, d, r, zf):
     assume(d >= r)
     z = zf * L
     assume(0.0 < z and z <= L / 2.0)
-    near = omega_cyl0(CanonicalConfig(z / r, 1.0, d / r))
-    far = omega_cyl0(CanonicalConfig((L - z) / r, 1.0, d / r))
+    near = omega_cyl0(CanonicalConfig(z, r, d))
+    far = omega_cyl0(CanonicalConfig(L - z, r, d))
     got = omega_total(CylinderSpec(L, r), SourcePoint(d, z))
     assert got.value == near.value + far.value
     assert got.err_estimate == near.err_estimate + far.err_estimate
@@ -620,7 +693,7 @@ def test_total_two_shells_are_the_shell_evaluator(L, d, r, zf):
 def test_total_inner_disc_is_the_disc_evaluator(L, d, r, h):
     # below the base inside the rim only the near disc is seen
     assume(d < r)
-    assert omega_total(CylinderSpec(L, r), SourcePoint(d, -h)) == omega_circ(CanonicalConfig(h / r, 1.0, d / r))
+    assert omega_total(CylinderSpec(L, r), SourcePoint(d, -h)) == omega_circ(CanonicalConfig(h, r, d))
 
 
 def _outcome(fn, *args):
@@ -638,17 +711,19 @@ def _total_from_terms(cyl, src):
     head = terms[0]
     if head.kind is TermKind.CONSTANT:
         return SolidAngle(head.constant_value, Method.SPECIAL, 0.0)
-    r, d = cyl.r, src.d / cyl.r
-    t = d - 1.0
+
+    def units(L):
+        return _units(L, cyl.r, src.d)
+
     if head.kind is TermKind.CIRC:
-        parts = [_disc(head.L_eff / r, d, t)]
+        parts = [_disc(*units(head.L_eff))]
     elif len(terms) == 2:
-        parts = [_shell(term.L_eff / r, d, t) for term in terms]
+        parts = [_shell(*units(term.L_eff)) for term in terms]
     else:
         # -CYL0(h) + CIRC(h) at one h is the fused near face
         assert (terms[1].kind, terms[2].kind) == (TermKind.CYL0, TermKind.CIRC)
         assert terms[1].L_eff == terms[2].L_eff
-        parts = [_shell(head.L_eff / r, d, t), _face(terms[2].L_eff / r, d, t)]
+        parts = [_shell(*units(head.L_eff)), _face(*units(terms[2].L_eff))]
     elliptic_route = any(method is Method.ELLIPTIC for _, method, _ in parts)
     return SolidAngle(
         sum((p[0] for p in parts), 0.0),
