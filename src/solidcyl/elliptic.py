@@ -28,10 +28,15 @@ epsilon termination, not configurable). The Legendre-style wrappers reduce to
 with 1 - m sin^2 phi evaluated as (1 - m) + m cos^2 phi so the dangerous
 corner m -> 1, phi -> pi/2 keeps full precision.
 
-Delivered relative accuracy is a few ulp for R_F/R_D and slightly worse for
-R_J; the advertised budgets are 1e-13 for K, E, F, incomplete E and 1e-12 for
-Pi. Independent cross-checks (AGM, quadrature of the defining integrals,
-mpmath) live in the oracle module and the test suite, never on this path.
+R_D is evaluated as R_J(x, y, z, z), so the two share one duplication loop
+and one degree-5 tail. Against 40-digit mpmath, R_F, R_D and R_J are each
+within 1e-15 relative (a few ulp) on x in {0} and 10^(-k/2), y in 10^(-k/2)
+(k = 0..16), z = 1 and p from 1 down to 1e-14, and so is R_C(1, y) for
+y = 1 +- 10^-k and y = 10^-k. R_J scaled by s^(3/2) stays within 1e-15 of
+its unit-scale value for argument scales s from 1e-200 to 1e200; the test
+suite checks both. Independent cross-checks (AGM, quadrature of the defining
+integrals, mpmath) live in the oracle module and the test suite, never on
+this path.
 """
 
 from __future__ import annotations
@@ -67,8 +72,9 @@ _MAX_ITER = 200
 # duplication stop factors (Carlson 1995): the loop ends once
 # 4^-n * max|A0 - arg| times the factor drops below |A|
 _RF_STOP = (3.0 * _EPS) ** (-0.125)
-_RD_STOP = (0.25 * _EPS) ** (-0.125)
 _RJ_STOP = (0.2 * _EPS) ** (-0.125)
+# complement m' = 1 - m at or below which E(m) rounds to 1
+_E_IS_ONE = 2.0**-57
 
 
 def _clamp_unit(value: float, name: str) -> float:
@@ -146,81 +152,48 @@ def carlson_rc(x: float, y: float) -> float:
             return _HALF_PI / math.sqrt(d)
         return math.atan(math.sqrt(d / x)) / math.sqrt(d)
     # atanh(w) with w = sqrt(1 - y/x) is ill-conditioned as w -> 1; expand it
-    # through 1 - w^2 = y/x instead: atanh(w) = log1p(w) + log(x/y)/2
+    # through 1 - w^2 = y/x instead: atanh(w) = log1p(w) + log(x/y)/2, with
+    # log(x/y) spelled log1p(d/y) to keep the exact d = x - y as x -> y
     d = x - y
     w = math.sqrt(d / x)
-    return (math.log1p(w) + 0.5 * math.log(x / y)) / math.sqrt(d)
-
-
-def _rd_rj_tail(E2: float, E3: float, E4: float, E5: float) -> float:
-    """Degree-5 Taylor tail shared by R_D and R_J, in the symmetric functions E2..E5."""
-    return (
-        1.0
-        - 3.0 * E2 / 14.0
-        + E3 / 6.0
-        + 9.0 * E2 * E2 / 88.0
-        - 3.0 * E4 / 22.0
-        - 9.0 * E2 * E3 / 52.0
-        + 3.0 * E5 / 26.0
-        - E2 * E2 * E2 / 16.0
-        + 3.0 * E3 * E3 / 40.0
-        + 3.0 * E2 * E4 / 20.0
-        + 45.0 * E2 * E2 * E3 / 272.0
-        - 9.0 * (E3 * E4 + E2 * E5) / 68.0
-    )
+    return (math.log1p(w) + 0.5 * math.log1p(d / y)) / math.sqrt(d)
 
 
 def carlson_rd(x: float, y: float, z: float) -> float:
     """Carlson R_D(x,y,z) = (3/2) integral_0^inf dt / (sqrt((t+x)(t+y)) (t+z)^{3/2}).
 
-    x, y >= 0 with at most one zero; z > 0.
+    x, y >= 0 with at most one zero; z > 0. Evaluated as R_J(x, y, z, z) on
+    R_J's duplication loop, which needs no R_C when p equals z.
     """
     x, y, z = float(x), float(y), float(z)
     if not x >= 0.0 or not y >= 0.0 or not z > 0.0:
         raise DomainError(f"carlson_rd requires x, y >= 0 and z > 0; got ({x!r}, {y!r}, {z!r})")
     if x == 0.0 and y == 0.0:
         raise DomainError("carlson_rd diverges when both x and y are zero")
-    A0 = (x + y + 3.0 * z) / 5.0
-    q = _RD_STOP * max(abs(A0 - x), abs(A0 - y), abs(A0 - z))
-    A, xn, yn, zn = A0, x, y, z
-    pow4 = 1.0
-    acc = 0.0
-    for _ in range(_MAX_ITER):
-        if pow4 * q < abs(A):
-            break
-        sx, sy, sz = math.sqrt(xn), math.sqrt(yn), math.sqrt(zn)
-        lam = sx * (sy + sz) + sy * sz
-        acc += pow4 / (sz * (zn + lam))
-        A = (A + lam) / 4.0
-        xn = (xn + lam) / 4.0
-        yn = (yn + lam) / 4.0
-        zn = (zn + lam) / 4.0
-        pow4 /= 4.0
-    else:  # pragma: no cover
-        raise DomainError("carlson_rd duplication failed to converge")
-    X = (A0 - x) * pow4 / A
-    Y = (A0 - y) * pow4 / A
-    Z = -(X + Y) / 3.0
-    E2 = X * Y - 6.0 * Z * Z
-    E3 = (3.0 * X * Y - 8.0 * Z * Z) * Z
-    E4 = 3.0 * (X * Y - Z * Z) * Z * Z
-    E5 = X * Y * Z * Z * Z
-    return pow4 * _rd_rj_tail(E2, E3, E4, E5) / (A * math.sqrt(A)) + 3.0 * acc
+    return _rj(x, y, z, z)
 
 
 def carlson_rj(x: float, y: float, z: float, p: float) -> float:
     """Carlson R_J(x,y,z,p), the third-kind carrier. Circular case only: p > 0.
 
     x, y, z nonnegative with at most one zero. Each duplication step absorbs a
-    piece of the integral through R_C(1, 1 + e_n).
+    piece of the integral through R_C(1, 1 + e_n), with 1 + e_n formed as the
+    product 2 sqrt(p_n) (p_n + lam_n) / d_n, d_n = prod(sqrt(p_n) + sqrt(x_n)):
+    both factors are positive, so nothing cancels however small p is.
     """
     x, y, z, p = float(x), float(y), float(z), float(p)
     _check_rf_args(x, y, z)
     if not p > 0.0:
         raise DomainError(f"carlson_rj requires p > 0 (circular case); got p={p!r}")
+    return _rj(x, y, z, p)
+
+
+def _rj(x: float, y: float, z: float, p: float) -> float:
+    """R_J duplication and degree-5 tail on checked floats; R_D is _rj(x, y, z, z)."""
     A0 = (x + y + z + 2.0 * p) / 5.0
-    delta = (p - x) * (p - y) * (p - z)
     q = _RJ_STOP * max(abs(A0 - x), abs(A0 - y), abs(A0 - z), abs(A0 - p))
+    # p equal to an argument keeps p_n equal to it, so every 1 + e_n is exactly 1
+    need_rc = not (p == x or p == y or p == z)
     A, xn, yn, zn, pn = A0, x, y, z, p
     pow4 = 1.0
     acc = 0.0
@@ -230,8 +203,10 @@ def carlson_rj(x: float, y: float, z: float, p: float) -> float:
         sx, sy, sz, sp = math.sqrt(xn), math.sqrt(yn), math.sqrt(zn), math.sqrt(pn)
         lam = sx * (sy + sz) + sy * sz
         dn = (sp + sx) * (sp + sy) * (sp + sz)
-        en = delta * pow4 * pow4 * pow4 / (dn * dn)
-        acc += pow4 / dn * carlson_rc(1.0, 1.0 + en)
+        term = pow4 / dn
+        if need_rc:
+            term *= carlson_rc(1.0, 2.0 * sp * (pn + lam) / dn)
+        acc += term
         A = (A + lam) / 4.0
         xn = (xn + lam) / 4.0
         yn = (yn + lam) / 4.0
@@ -248,7 +223,21 @@ def carlson_rj(x: float, y: float, z: float, p: float) -> float:
     E3 = X * Y * Z + 2.0 * E2 * P + 4.0 * P * P * P
     E4 = (2.0 * X * Y * Z + E2 * P + 3.0 * P * P * P) * P
     E5 = X * Y * Z * P * P
-    return pow4 * _rd_rj_tail(E2, E3, E4, E5) / (A * math.sqrt(A)) + 6.0 * acc
+    tail = (
+        1.0
+        - 3.0 * E2 / 14.0
+        + E3 / 6.0
+        + 9.0 * E2 * E2 / 88.0
+        - 3.0 * E4 / 22.0
+        - 9.0 * E2 * E3 / 52.0
+        + 3.0 * E5 / 26.0
+        - E2 * E2 * E2 / 16.0
+        + 3.0 * E3 * E3 / 40.0
+        + 3.0 * E2 * E4 / 20.0
+        + 45.0 * E2 * E2 * E3 / 272.0
+        - 9.0 * (E3 * E4 + E2 * E5) / 68.0
+    )
+    return pow4 * tail / (A * math.sqrt(A)) + 6.0 * acc
 
 
 def _sin_cos2(phi: float) -> tuple[float, float]:
@@ -287,13 +276,20 @@ def complete_K_from_complement(m_prime: float) -> float:
 
 
 def complete_E_from_complement(m_prime: float) -> float:
-    """E(m) evaluated from m' = 1 - m."""
+    """E(m) evaluated from m' = 1 - m.
+
+    Uses the positive sum E = (m'/3) [R_D(0, m', 1) + R_D(0, 1, m')] (DLMF
+    19.25.1) rather than K - (m/3) R_D(0, m', 1), whose two terms nearly
+    cancel as m -> 1.
+    """
     if m_prime < 0.0 or m_prime > 1.0:
         raise DomainError(f"complement must lie in [0, 1]; got {m_prime!r}")
-    if m_prime == 0.0:
+    # E - 1 < 7.2e-17 here, so E rounds to 1; the sum would overflow for
+    # subnormal m'
+    if m_prime <= _E_IS_ONE:
         return 1.0
-    m = 1.0 - m_prime
-    return carlson_rf(0.0, m_prime, 1.0) - (m / 3.0) * carlson_rd(0.0, m_prime, 1.0)
+    e = (m_prime / 3.0) * (carlson_rd(0.0, m_prime, 1.0) + carlson_rd(0.0, 1.0, m_prime))
+    return max(1.0, e)
 
 
 def incomplete_F_from_parts(s: float, c2: float, y: float) -> float:
@@ -307,9 +303,10 @@ def incomplete_F_from_parts(s: float, c2: float, y: float) -> float:
 def incomplete_E_from_parts(s: float, c2: float, y: float, m: float) -> float:
     """E(phi | m) from parts; m only scales the R_D term so its rounding is benign."""
     _check_parts(s, c2, y)
+    if c2 == 0.0:
+        # phi = pi/2 and y = 1 - m: the complete case, evaluated identically
+        return complete_E_from_complement(y)
     if y == 0.0:
-        if c2 == 0.0:
-            return 1.0
         raise DomainError("y = 0 with cos^2 > 0 implies m > 1")
     f = s * carlson_rf(c2, y, 1.0)
     if m == 0.0:

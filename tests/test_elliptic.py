@@ -116,8 +116,8 @@ def test_rc_embeds_in_rf(x, y):
 
 @given(x=positive, y=positive, z=positive)
 def test_rj_reduces_to_rd(x, y, z):
-    # R_J(x, y, z, z) = R_D(x, y, z)
-    assert carlson_rj(x, y, z, z) == pytest.approx(carlson_rd(x, y, z), rel=1e-13)
+    # R_J(x, y, z, z) = R_D(x, y, z); both run the same duplication loop
+    assert carlson_rj(x, y, z, z) == carlson_rd(x, y, z)
 
 
 def test_carlson_domain_guards():
@@ -184,6 +184,20 @@ def test_complete_monotonicity(m1, m2):
     lo, hi = sorted((m1, m2))
     assert complete_K(lo) <= complete_K(hi)
     assert complete_E(lo) >= complete_E(hi)
+
+
+def test_complete_E_monotone_near_one():
+    # the pair hypothesis once found inverted when E was K - (m/3) R_D
+    assert complete_E(0.9999989999999999) >= complete_E(0.999999)
+
+
+def test_complete_E_bounded_and_monotone_down_to_subnormal_complement():
+    # m' from 1 down to the smallest subnormal; E must rise towards pi/2 as m'
+    # grows and never leave [1, pi/2]
+    grid = sorted([5e-324, 1e-310, 1e-300] + [10.0 ** (-k / 4) for k in range(1201)])
+    values = [complete_E_from_complement(mp) for mp in grid]
+    assert all(1.0 <= e <= HALF_PI for e in values)
+    assert all(a <= b for a, b in zip(values, values[1:]))
 
 
 @given(phi=amplitude, m=unit_open)
@@ -342,3 +356,48 @@ def test_incomplete_Pi_against_mpmath(n, phi, m):
     with mpmath.workdps(30):
         ref = float(mpmath.ellippi(n, phi, m))
     assert incomplete_Pi(n, phi, m) == pytest.approx(ref, rel=1e-12)
+
+
+# The kernels on a grid spanning 16 decades in x and y and 14 in p, where R_J
+# used to form 1 + e_n by cancellation and R_C(x, y) lost digits as y -> x.
+_GRID_X = [0.0] + [10.0 ** (-k / 2) for k in range(17)]
+_GRID_Y = [10.0 ** (-k / 2) for k in range(17)]
+_GRID_XY = [(x, y) for x in _GRID_X for y in _GRID_Y]
+
+
+def _worst_rel(kernel, reference, tuples):
+    worst = 0.0
+    with mpmath.workdps(40):
+        for args in tuples:
+            exact = reference(*args)
+            worst = max(worst, float(abs((kernel(*args) - exact) / exact)))
+    return worst
+
+
+def test_rf_rd_against_mpmath_on_grid():
+    tuples = [(x, y, 1.0) for x, y in _GRID_XY]
+    assert _worst_rel(carlson_rf, mpmath.elliprf, tuples) <= 1e-15
+    assert _worst_rel(carlson_rd, mpmath.elliprd, tuples) <= 1e-15
+
+
+@pytest.mark.parametrize("p", [1.0, 1e-4, 1e-8, 1e-12, 1e-14])
+def test_rj_against_mpmath_on_grid(p):
+    tuples = [(x, y, 1.0, p) for x, y in _GRID_XY]
+    assert _worst_rel(carlson_rj, mpmath.elliprj, tuples) <= 1e-15
+
+
+def test_rc_against_mpmath_near_equal_and_small_arguments():
+    ys = [2.0] + [1.0 + 10.0**-k for k in range(1, 17)] + [1.0 - 10.0**-k for k in range(1, 17)]
+    ys += [10.0**-k for k in range(17)]
+    assert _worst_rel(carlson_rc, mpmath.elliprc, [(1.0, y) for y in ys]) <= 1e-15
+
+
+@pytest.mark.parametrize("s", [1e100, 1e-100, 1e150, 1e-150, 1e200, 1e-200])
+@pytest.mark.parametrize(
+    "x, y, z, p", [(0.3, 2.0, 1.0, 1e-3), (0.0, 0.5, 1.0, 4.0), (1.0, 1e-4, 3.0, 1e-8)]
+)
+def test_rj_homogeneous_at_extreme_scales(s, x, y, z, p):
+    # R_J(s x, s y, s z, s p) = s^(-3/2) R_J(x, y, z, p)
+    unit = carlson_rj(x, y, z, p)
+    scaled = carlson_rj(s * x, s * y, s * z, s * p) * s**1.5
+    assert scaled == pytest.approx(unit, rel=1e-15)
