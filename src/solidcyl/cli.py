@@ -186,6 +186,16 @@ def _cmd_table(args) -> int:
     return 0
 
 
+def _parse_points(text: str) -> int:
+    try:
+        points = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad point count {text!r}") from exc
+    if points < 1:
+        raise argparse.ArgumentTypeError(f"points must be at least 1; got {points}")
+    return points
+
+
 def _parse_tolerance(text: str) -> tuple[str, float]:
     name, sep, raw = text.partition("=")
     if not sep:
@@ -243,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     tab.set_defaults(func=_cmd_table)
 
     ver = sub.add_parser("verify", help="run the randomized verification suites")
-    ver.add_argument("--points", type=int, default=200, help="configurations per suite (default 200)")
+    ver.add_argument("--points", type=_parse_points, default=200, help="configurations per suite (default 200)")
     ver.add_argument("--seed", type=int, default=None, help="RNG seed (beats SOLIDCYL_SEED; default 0)")
     ver.add_argument(
         "--tolerance",

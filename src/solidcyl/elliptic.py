@@ -29,14 +29,26 @@ with 1 - m sin^2 phi evaluated as (1 - m) + m cos^2 phi so the dangerous
 corner m -> 1, phi -> pi/2 keeps full precision.
 
 R_D is evaluated as R_J(x, y, z, z), so the two share one duplication loop
-and one degree-5 tail. Against 40-digit mpmath, R_F, R_D and R_J are each
+and one degree-5 tail. Each R_J duplication step absorbs R_C(1, 1 + e_n),
+evaluated inline with carlson_rc's own expressions (atan above 1, log1p
+below), so the step makes no function call and the bits match carlson_rc.
+Against 40-digit mpmath, R_F, R_D and R_J are each
 within 1e-15 relative (a few ulp) on x in {0} and 10^(-k/2), y in 10^(-k/2)
 (k = 0..16), z = 1 and p from 1 down to 1e-14, and so is R_C(1, y) for
 y = 1 +- 10^-k and y = 10^-k. R_J scaled by s^(3/2) stays within 1e-15 of
 its unit-scale value for argument scales s from 1e-200 to 1e200; the test
-suite checks both. Independent cross-checks (AGM, quadrature of the defining
-integrals, mpmath) live in the oracle module and the test suite, never on
-this path.
+suite checks both.
+
+The closed form of the end disc needs the complete pair K(m) and K(m) - E(m)
+on its own. _complete_pair takes both from one arithmetic-geometric mean
+loop (DLMF 19.8.5-19.8.6), which converges quadratically where duplication
+on (0, m', 1) converges slowest; both stay within 1e-15 relative of 40-digit
+mpmath for m' from subnormal to 1. complete_K, complete_E and the two disc
+cross-check forms stay on the Carlson kernels, so the cross-checks test the
+pair against separate code, and the oracle's AGM stays a second opinion on
+Carlson's K. Independent cross-checks (the oracle's AGM, quadrature of the
+defining integrals, mpmath) live in the oracle module and the test suite,
+never on this path.
 """
 
 from __future__ import annotations
@@ -112,20 +124,22 @@ def carlson_rf(x: float, y: float, z: float) -> float:
     """
     x, y, z = float(x), float(y), float(z)
     _check_rf_args(x, y, z)
+    sqrt = math.sqrt
     A0 = (x + y + z) / 3.0
     q = _RF_STOP * max(abs(A0 - x), abs(A0 - y), abs(A0 - z))
     A, xn, yn, zn = A0, x, y, z
     pow4 = 1.0
+    # A > 0 throughout: the arguments are nonnegative with at most one zero
     for _ in range(_MAX_ITER):
-        if pow4 * q < abs(A):
+        if pow4 * q < A:
             break
-        sx, sy, sz = math.sqrt(xn), math.sqrt(yn), math.sqrt(zn)
+        sx, sy, sz = sqrt(xn), sqrt(yn), sqrt(zn)
         lam = sx * (sy + sz) + sy * sz
-        A = (A + lam) / 4.0
-        xn = (xn + lam) / 4.0
-        yn = (yn + lam) / 4.0
-        zn = (zn + lam) / 4.0
-        pow4 /= 4.0
+        A = (A + lam) * 0.25
+        xn = (xn + lam) * 0.25
+        yn = (yn + lam) * 0.25
+        zn = (zn + lam) * 0.25
+        pow4 *= 0.25
     else:  # pragma: no cover - termination is geometric
         raise DomainError("carlson_rf duplication failed to converge")
     X = (A0 - x) * pow4 / A
@@ -190,6 +204,7 @@ def carlson_rj(x: float, y: float, z: float, p: float) -> float:
 
 def _rj(x: float, y: float, z: float, p: float) -> float:
     """R_J duplication and degree-5 tail on checked floats; R_D is _rj(x, y, z, z)."""
+    sqrt = math.sqrt
     A0 = (x + y + z + 2.0 * p) / 5.0
     q = _RJ_STOP * max(abs(A0 - x), abs(A0 - y), abs(A0 - z), abs(A0 - p))
     # p equal to an argument keeps p_n equal to it, so every 1 + e_n is exactly 1
@@ -197,22 +212,35 @@ def _rj(x: float, y: float, z: float, p: float) -> float:
     A, xn, yn, zn, pn = A0, x, y, z, p
     pow4 = 1.0
     acc = 0.0
+    # A > 0 throughout: the callers check x, y, z >= 0 (one zero at most), p > 0
     for _ in range(_MAX_ITER):
-        if pow4 * q < abs(A):
+        if pow4 * q < A:
             break
-        sx, sy, sz, sp = math.sqrt(xn), math.sqrt(yn), math.sqrt(zn), math.sqrt(pn)
+        sx, sy, sz, sp = sqrt(xn), sqrt(yn), sqrt(zn), sqrt(pn)
         lam = sx * (sy + sz) + sy * sz
         dn = (sp + sx) * (sp + sy) * (sp + sz)
         term = pow4 / dn
         if need_rc:
-            term *= carlson_rc(1.0, 2.0 * sp * (pn + lam) / dn)
+            # R_C(1, e) with carlson_rc's own expressions at x = 1, so the
+            # bits match; R_C(1, 1) = 1, and any other e goes to carlson_rc
+            e = 2.0 * sp * (pn + lam) / dn
+            if e > 1.0:
+                g = e - 1.0
+                w = sqrt(g)
+                term *= math.atan(w) / w
+            elif 0.0 < e < 1.0:
+                g = 1.0 - e
+                w = sqrt(g)
+                term *= (math.log1p(w) + 0.5 * math.log1p(g / e)) / w
+            elif e != 1.0:
+                term *= carlson_rc(1.0, e)
         acc += term
-        A = (A + lam) / 4.0
-        xn = (xn + lam) / 4.0
-        yn = (yn + lam) / 4.0
-        zn = (zn + lam) / 4.0
-        pn = (pn + lam) / 4.0
-        pow4 /= 4.0
+        A = (A + lam) * 0.25
+        xn = (xn + lam) * 0.25
+        yn = (yn + lam) * 0.25
+        zn = (zn + lam) * 0.25
+        pn = (pn + lam) * 0.25
+        pow4 *= 0.25
     else:  # pragma: no cover
         raise DomainError("carlson_rj duplication failed to converge")
     X = (A0 - x) * pow4 / A
@@ -290,6 +318,35 @@ def complete_E_from_complement(m_prime: float) -> float:
         return 1.0
     e = (m_prime / 3.0) * (carlson_rd(0.0, m_prime, 1.0) + carlson_rd(0.0, 1.0, m_prime))
     return max(1.0, e)
+
+
+def _complete_pair(m: float, m_prime: float) -> tuple[float, float]:
+    """(K(m), K(m) - E(m)) from one AGM loop (DLMF 19.8.5-19.8.6).
+
+    The caller passes m' and m = 1 - m' each as accurately as it knows them:
+    K depends on m' alone, and m enters only as c_0^2, so K - E carries the
+    relative error of m. The loop runs a_0 = 1, b_0 = sqrt(m') with c_0^2 = m, and
+    c_{n+1}^2 = (c_n^2 / (4 a_{n+1}))^2 keeps every c_n without the
+    cancelling a_n - b_n. Then K = (pi/2)/a_N and
+    K - E = K sum_n 2^(n-1) c_n^2, a sum of positive terms, so K - E keeps
+    its relative accuracy as m -> 0 and as m -> 1. The loop stops once
+    c_n^2 <= eps a_n^2: a_{n+1} then agrees with b_{n+1} to eps, and the
+    next c^2 adds less than eps^2 to the sum.
+    """
+    if m_prime == 0.0:
+        raise DivergentError("complete_K requires m < 1: K(m) diverges as m -> 1")
+    a, b, c2 = 1.0, math.sqrt(m_prime), m
+    total, weight = 0.5 * c2, 0.5
+    while c2 > _EPS * a * a:
+        a_next = 0.5 * (a + b)
+        b = math.sqrt(a * b)
+        c = c2 / (4.0 * a_next)
+        c2 = c * c
+        a = a_next
+        weight += weight
+        total += weight * c2
+    K = _HALF_PI / a
+    return K, K * total
 
 
 def incomplete_F_from_parts(s: float, c2: float, y: float) -> float:

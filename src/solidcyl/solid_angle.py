@@ -63,9 +63,12 @@ the disc cross-check paths are separate functions for verification only;
 no evaluator takes a route argument. Each closed form takes its exact parts
 and calls elliptic.carlson_* once per distinct argument tuple, with no
 wrapper in between: the shell term takes 1 R_F + 1 R_J and one
-arctangent, the disc term 2 R_F + 2 R_D, the near face 1 R_F + 1 R_J, the
-third-kind disc form 1 R_F + 1 R_J and the Macklin form 3 R_F + 3 R_D. So a
-2-term or 3-term omega_total costs 2 R_F + 2 R_J.
+arctangent, the disc term 1 R_F + 1 R_D at epsilon plus one AGM loop for
+its complete K(m) and K(m) - E(m) (elliptic._complete_pair, also the K of
+the equal-distance form), the near face 1 R_F + 1 R_J, the third-kind disc
+form 1 R_F + 1 R_J and the Macklin form 3 R_F + 3 R_D. So a 2-term or
+3-term omega_total costs 2 R_F + 2 R_J, and no hot-path kernel call has a
+zero argument.
 
 Each canonical term is one private function of plain floats at r = 1:
 _shell(L, d, t), _disc(L, d, t) and _face(h, d, t), with t = d - 1. Each
@@ -373,10 +376,11 @@ def omega_cyl0_series(cfg: CanonicalConfig, terms: int = 3) -> SolidAngle:
                  + 3/8 [ r d (d^2 + 2 r^2) cos(phi_o)
                          - r^2 (r^2 + 2 d^2) (pi/2 - phi_o) ] / L^4 - ... }
 
-    Valid for sqrt(d^2 - r^2) < L; err_estimate is the first omitted term's
-    magnitude, or the last included one when all three are used (no further
-    coefficients are available). Where a kept term or that error term
-    overflows (L/r too small for the expansion), DivergentError is raised.
+    Valid for sqrt(d^2 - r^2) < L, and DivergentError is raised outside
+    that radius; err_estimate is the first omitted term's magnitude, or the
+    last included one when all three are used (no further coefficients are
+    available). Where a kept term or that error term overflows (L/r too
+    small for the expansion, at d = r), DivergentError is raised too.
     """
     if cfg.d < cfg.r:
         raise DomainError(f"omega_cyl0_series requires d >= r; got d={cfg.d!r} < r={cfg.r!r}")
@@ -388,7 +392,11 @@ def omega_cyl0_series(cfg: CanonicalConfig, terms: int = 3) -> SolidAngle:
     # d - r from the unscaled lengths: a rounded r/d would lose the digits of
     # pi/2 - phi_o near d = r
     L, d, t = _units(cfg.L, cfg.r, cfg.d)
-    d_cos = math.sqrt(t * (d + 1.0))  # d cos(phi_o) = cot(phi_o)
+    d_cos = math.sqrt(t * (d + 1.0))  # d cos(phi_o) = cot(phi_o) = sqrt(d^2 - r^2)
+    if L <= d_cos:
+        raise DivergentError(
+            f"the 1/L^2 expansion needs sqrt(d^2 - r^2) < L; got L/r = {L!r} <= {d_cos!r}; use omega_cyl0"
+        )
     phi_o = math.atan2(1.0, d_cos)
     resid = math.atan(d_cos)  # pi/2 - phi_o
     inv_L2 = 1.0 / (L * L) if L * L > 0.0 else math.inf
@@ -413,13 +421,14 @@ def _equal_distance_gap(L: float) -> float:
     # 1/4 - omega_circ at d = r = 1, L > 0: both complete integrals collapse
     # onto m1 = 4 / (L^2 + 4). Work with the complement (L/hypot)^2 so K
     # stays finite when m1 rounds to 1. L = inf (L/r overflowed) is the far
-    # limit m1 = 0.
+    # limit m1 = 0. Of m1 itself K needs only the AGM's stop test, for
+    # which 1 - m1c serves.
     sqrt_m1c = L / math.hypot(L, 2.0) if L < math.inf else 1.0
     m1c = sqrt_m1c * sqrt_m1c
     if m1c == 0.0:
         # sqrt_m1c * K underflows past the last digit of 1/4
         return 0.0
-    return sqrt_m1c * elliptic.carlson_rf(0.0, m1c, 1.0) / _TWO_PI
+    return sqrt_m1c * elliptic._complete_pair(1.0 - m1c, m1c)[0] / _TWO_PI
 
 
 def _disc(L: float, d: float, t: float) -> tuple[float, Method, float]:
@@ -433,15 +442,17 @@ def _disc(L: float, d: float, t: float) -> tuple[float, Method, float]:
     if t == 0.0:
         return 0.25 - _equal_distance_gap(L), Method.SPECIAL, _ERR_SPECIAL
     m, n, m_prime, _, s_mn, s_e, c2_e = _eps_params(L, d, t)
-    # K and E share R_F(0, m', 1); the incomplete integrals carry parameter
-    # m', so their y = 1 - m' sin^2(eps) collapses to n exactly
+    # K and K - E come from one AGM loop. K - E scales with m, so m is taken
+    # as 1 - m' where that subtraction rounds once (m' < 1/2): near m = 1 it
+    # is up to a few ulp closer than the quotient 4d/(L^2+(d+1)^2). The
+    # incomplete integrals carry parameter m', so their
+    # y = 1 - m' sin^2(eps) collapses to n exactly
     # (m' sin^2(eps) = (d-r)^2/(d+r)^2 algebraically) and F(eps|m'), E(eps|m')
     # share R_F(cos^2(eps), n, 1)
-    K = elliptic.carlson_rf(0.0, m_prime, 1.0)
-    E = K - (m / 3.0) * elliptic.carlson_rd(0.0, m_prime, 1.0)
+    K, K_minus_E = elliptic._complete_pair(1.0 - m_prime if m_prime < 0.5 else m, m_prime)
     F_eps = s_e * elliptic.carlson_rf(c2_e, n, 1.0)
     E_eps = F_eps - (m_prime / 3.0) * s_e * s_e * s_e * elliptic.carlson_rd(c2_e, n, 1.0)
-    cross = (E - K) * F_eps + K * E_eps
+    cross = K * E_eps - K_minus_E * F_eps
     # the paper's n/(1 + sqrt(1-n)) (d > r) and 1 + sqrt(1-n) (d < r) are
     # both 2/(d+1), and sin(eps) carries the sign of t: one form for both sides
     return 0.25 - ((2.0 / (d + 1.0)) * s_mn * K + cross) / _TWO_PI, Method.ELLIPTIC, _ERR_ELLIPTIC

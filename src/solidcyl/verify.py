@@ -218,6 +218,8 @@ _POINT_SCALE = {"cyl0_quad": 0.5, "cyl0_pair": 0.2, "scale_invariance": 0.5, "en
 def run_suite(name: str, points: int, seed: int, tolerance: float | None = None) -> SuiteResult:
     if name not in SUITES:
         raise DomainError(f"unknown verification suite {name!r}; known: {sorted(SUITES)}")
+    if not points >= 1:
+        raise DomainError(f"points must be at least 1; got {points!r}")
     tol = DEFAULT_TOLERANCES[name] if tolerance is None else tolerance
     n = max(1, int(points * _POINT_SCALE.get(name, 1.0)))
     # string seeds hash through sha512, so child streams are stable across runs

@@ -13,6 +13,7 @@ import pytest
 
 from solidcyl import cli, elliptic, oracle
 from solidcyl import verify as verify_mod
+from solidcyl.errors import DomainError
 from solidcyl.geometry import CanonicalConfig, CylinderSpec, SourcePoint
 from solidcyl.solid_angle import omega_total
 
@@ -78,7 +79,7 @@ def test_compute_series_route_is_tagged_series(capsys):
     code, out, _ = _run(capsys, ["compute", "--L", "20", "--r", "1", "--d", "1.01", "--z", "-1", "--method", "series"])
     assert code == 0
     assert "method = series" in out
-    assert "omega = 0.088505521667603393" in out
+    assert "omega = 0.088505521667603448" in out
     code, out, _ = _run(capsys, ["compute", "--L", "20", "--r", "1", "--d", "1.01", "--z", "10", "--method", "series"])
     assert code == 0 and "method = series" in out
 
@@ -312,6 +313,22 @@ def test_verify_tolerance_override_can_fail_a_suite(capsys):
     )
     assert code == 1
     assert any(line.startswith("FAIL disc_cross") for line in out.splitlines())
+
+
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_verify_rejects_fewer_than_one_point(capsys, points):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--points", points])
+    assert exc.value.code == 2
+    assert "points must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("points", [0, -1])
+def test_verify_runners_reject_fewer_than_one_point(points):
+    with pytest.raises(DomainError):
+        verify_mod.run_suite("agm", points, 0)
+    with pytest.raises(DomainError):
+        verify_mod.run_all(points=points)
 
 
 def test_verify_bad_tolerance_spec_exits_two(capsys):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solidcyl.elliptic import (
+    _complete_pair,
     carlson_rc,
     carlson_rd,
     carlson_rf,
@@ -390,6 +391,29 @@ def test_rc_against_mpmath_near_equal_and_small_arguments():
     ys = [2.0] + [1.0 + 10.0**-k for k in range(1, 17)] + [1.0 - 10.0**-k for k in range(1, 17)]
     ys += [10.0**-k for k in range(17)]
     assert _worst_rel(carlson_rc, mpmath.elliprc, [(1.0, y) for y in ys]) <= 1e-15
+
+
+def test_complete_pair_against_mpmath():
+    # m is the exact complement of m', so the reference K is finite down to
+    # subnormal m'; the float m passed in is its nearest double
+    worst = 0.0
+    with mpmath.workdps(40):
+        for m_prime in [5e-324, 1e-300, 1e-30] + [10.0 ** (-k / 2) for k in range(33)]:
+            m = mpmath.fsub(1, m_prime, exact=True)
+            K, K_minus_E = _complete_pair(float(m), m_prime)
+            ref_K = mpmath.ellipk(m)
+            ref_gap = (m / 3) * mpmath.elliprd(0, m_prime, 1)
+            worst = max(worst, float(abs(K - ref_K) / ref_K))
+            if ref_gap == 0:
+                assert K_minus_E == 0.0
+            else:
+                worst = max(worst, float(abs(K_minus_E - ref_gap) / ref_gap))
+    assert worst <= 1e-15
+
+
+def test_complete_pair_diverges_at_zero_complement():
+    with pytest.raises(DivergentError):
+        _complete_pair(1.0, 0.0)
 
 
 @pytest.mark.parametrize("s", [1e100, 1e-100, 1e150, 1e-150, 1e200, 1e-200])

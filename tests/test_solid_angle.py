@@ -268,6 +268,13 @@ def test_series_domain_errors():
         omega_cyl0_series(CanonicalConfig(1.0, 1.0, 2.0), terms=0)
 
 
+@pytest.mark.parametrize("L, d", [(1e-5, 2.0), (1.0, 2.0), (1.0, math.sqrt(2.0)), (0.5, 1.2)])
+def test_series_raises_outside_its_radius(L, d):
+    # sqrt(d^2 - r^2) >= L: the 1/L^2 expansion diverges, however small its terms look
+    with pytest.raises(DivergentError, match=f"L/r = {L!r}"):
+        omega_cyl0_series(CanonicalConfig(L, 1.0, d))
+
+
 @pytest.mark.parametrize("L", [1e-80, 1e-155, 1e-200, 1e-300])
 @pytest.mark.parametrize("d", [1.0, 2.0])
 def test_series_at_tiny_L_returns_a_bound_or_diverges(L, d):
@@ -381,12 +388,22 @@ def _paper_circ(L, d):
         return float(value)
 
 
-@pytest.mark.parametrize("d", [1e-3, 0.5, 1.0 - 1e-12, 1.0 + 1e-12, 2.0, 1e3])
+@pytest.mark.parametrize("d", [1e-3, 0.5, 1.0 - 1e-3, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 + 1e-3, 2.0, 1e3])
 def test_circ_matches_the_paper_form_on_both_sides_of_the_rim(d):
-    # one expression with a signed sin(eps) stands for both of the paper's forms
-    for L in (1e-6, 1e-2, 1.0, 1e2):
+    # one expression with a signed sin(eps) stands for both of the paper's
+    # forms; K and K - E come from the AGM loop, the reference's from
+    # mpmath's Carlson kernels
+    for L in (1e-6, 1e-4, 1e-2, 1.0, 1e2, 1e3):
         got = omega_circ(CanonicalConfig(L, 1.0, d)).value
         assert abs(got - _paper_circ(L, d)) <= 1e-15, (L, d, got)
+
+
+@pytest.mark.parametrize("L, d", [(1e-5, 1.002), (2e-5, 0.99995), (1e-4, 1.0005), (1e-5, 0.998)])
+def test_circ_near_the_rim_at_small_L_matches_the_paper_form(L, d):
+    # 1 - m is at most about 1e-6 here and K - E scales with m: m taken as the
+    # quotient 4d/(L^2+(d+1)^2) instead of 1 - m' missed these by up to 1.4e-15
+    got = omega_circ(CanonicalConfig(L, 1.0, d)).value
+    assert abs(got - _paper_circ(L, d)) <= 1e-15
 
 
 @pytest.mark.parametrize("h", [1e151, 1e152, 1e153, 1.3e154])
@@ -494,8 +511,9 @@ def _carlson_calls(monkeypatch, fn, cfg):
     [
         (omega_cyl0, 1.0, 2.0, {"carlson_rf": 1, "carlson_rj": 1}),
         (omega_cyl0, 1e-3, 1.0 + 1e-9, {"carlson_rf": 1, "carlson_rj": 1}),
-        (omega_circ, 1.0, 2.0, {"carlson_rf": 2, "carlson_rd": 2}),
-        (omega_circ, 1.0, 0.5, {"carlson_rf": 2, "carlson_rd": 2}),
+        # K and K - E come from the AGM loop, not from the kernels
+        (omega_circ, 1.0, 2.0, {"carlson_rf": 1, "carlson_rd": 1}),
+        (omega_circ, 1.0, 0.5, {"carlson_rf": 1, "carlson_rd": 1}),
         (omega_circ_third_kind, 1.0, 2.0, {"carlson_rf": 1, "carlson_rj": 1}),
         (omega_circ_third_kind, 1.0, 0.5, {"carlson_rf": 1, "carlson_rj": 1}),
         (omega_circ_macklin, 1.0, 2.0, {"carlson_rf": 3, "carlson_rd": 3}),
