@@ -29,6 +29,13 @@ Philox blocks are independent: each is tested in cache-sized slices, the
 blocks run on one thread per usable CPU, and their integer hit counts are
 summed, so the estimate is bit-identical for any worker count.
 
+Before that exact test, each slice is culled to the cylinder's bounding band
+in polar angle and azimuth (_band), widened past the exact test's own
+rounding. A ray outside the band is a miss of the exact test too, and a ray
+inside it gets the same arithmetic as without the cull, so the hit count is
+the one the exact test gives on every ray. A source whose band is the whole
+sphere (inside the cylinder or on its wall) skips the cull.
+
 SciPy is imported only inside the quadrature oracles, so importing this
 module (and the CLI) loads NumPy alone.
 """
@@ -39,6 +46,7 @@ import math
 import operator
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -61,6 +69,9 @@ _TWO_PI = 2.0 * math.pi
 _SUBDIV = 10_000  # adaptive subdivision budget before declaring failure
 _BLOCK = 1_000_000  # Monte Carlo rays per independent Philox stream
 _SLICE = 1 << 15  # rays per intersection-test slice, a multiple of 16
+_EPS = sys.float_info.epsilon
+_SLACK = 1e-9  # absolute widening of the cull band in cos(theta) and azimuth
+_FAR = 1e153  # d/r beyond which no drawn azimuth can hit (see mc_total)
 
 
 def _rho_minus(phi: float, r: float, d: float) -> float:
@@ -175,10 +186,42 @@ class McEstimate:
             raise DomainError("std_error must be >= 0 and samples >= 1")
 
 
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _worker_count(blocks: int) -> int:
     """Threads for a run of `blocks` Philox blocks: one per usable CPU, at most one per block."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(cpus, blocks)
+    return min(_usable_cpus(), blocks)
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _block_pool() -> ThreadPoolExecutor:
+    """The process's block workers, one thread per usable CPU, started on first use.
+
+    The threads outlive a call: threads started per call can begin before
+    the last call's threads have handed back their malloc arenas, get fresh
+    arenas, and leave another block's ~16 MB resident (peak RSS 73 -> 91 MB
+    in some 45-s mc_oracle benchmark runs on 2 vCPUs).
+    """
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max_workers=_usable_cpus())
+        return _pool
+
+
+def _forget_pool() -> None:
+    # a forked child has none of its parent's threads
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _slice_hits(cos_t: np.ndarray, az: np.ndarray, L: float, px: float, pz: float, c: float) -> int:
@@ -214,14 +257,53 @@ def _slice_hits(cos_t: np.ndarray, az: np.ndarray, L: float, px: float, pz: floa
     return int(np.count_nonzero((lo <= hi) & (hi > 0.0)))
 
 
-def _block_hits(base: np.random.Philox, block: int, n: int, L: float, px: float, pz: float, c: float) -> int:
-    """Hits among the n rays of Philox block `block`; depends on nothing else."""
+def _band(L: float, d: float, z: float, c: float) -> tuple[float, float, float, float] | None:
+    """(cos lo, cos hi, az lo, az hi) outside which _slice_hits finds no hit, or None for all rays.
+
+    Units of r, c = d^2 - 1 as _slice_hits gets it. A hit point lies at a
+    horizontal distance u in [max(0, d - 1), d + 1] from the source and at a
+    height z + u cot(theta) in [0, L], which bounds cos(theta); for d > 1 its
+    azimuth also lies within atan(1/sqrt(c)) = asin(1/d) of pi. The band is
+    widened past the rounding of _slice_hits, so that a ray outside it is a
+    miss there as well:
+
+    - u by 16 eps (1 + d)^2. The wall roots (-b -+ sq)/a place a hit to
+      within about 4 eps d^2 in u head on, and to eps d near the wall, where
+      -b - sq cancels. Near the tangent sq is only good to sqrt(eps) d, but
+      that error reaches outside [d - 1, d + 1] only once sqrt(eps) d > 1,
+      where eps d^2 exceeds it.
+    - cos(theta) by 1e-9. The slab roots are good to a few eps relative, and
+      sqrt(1 - cos^2) moves the ray's cos(theta) by at most eps.
+    - the azimuth by max(1e-9, 16 eps d). There, disc >= 0 reads
+      tan^2(az - pi) <= (1 + 8 eps d^2)/c, which is at most 4 eps d in angle.
+    """
+    du = 16.0 * _EPS * (1.0 + d) ** 2
+    u_min, u_max = max(0.0, d - 1.0 - du), d + 1.0 + du
+    # cos(theta) of the steepest ray down to the base and up to the top
+    cos_lo = math.cos(math.atan2(u_min if z > 0.0 else u_max, -z)) - _SLACK
+    cos_hi = math.cos(math.atan2(u_min if z < L else u_max, L - z)) + _SLACK
+    half = math.atan2(1.0, math.sqrt(c)) + max(_SLACK, 16.0 * _EPS * d) if c > 0.0 else math.pi
+    if cos_lo <= -1.0 and cos_hi >= 1.0 and half >= math.pi:
+        return None
+    return cos_lo, cos_hi, math.pi - half, math.pi + half
+
+
+def _block_hits(
+    base: np.random.Philox, block: int, n: int, L: float, px: float, pz: float, c: float,
+    band: tuple[float, float, float, float] | None,
+) -> int:
+    """Hits among the n rays of Philox block `block`, culled to `band`; depends on nothing else."""
     g = np.random.Generator(base.jumped(block))
     cos_t = g.uniform(-1.0, 1.0, n)
     az = g.uniform(0.0, _TWO_PI, n)
-    return sum(
-        _slice_hits(cos_t[i : i + _SLICE], az[i : i + _SLICE], L, px, pz, c) for i in range(0, n, _SLICE)
-    )
+    hits = 0
+    for i in range(0, n, _SLICE):
+        ct, a = cos_t[i : i + _SLICE], az[i : i + _SLICE]
+        if band is not None:
+            keep = (ct >= band[0]) & (ct <= band[1]) & (a >= band[2]) & (a <= band[3])
+            ct, a = ct[keep], a[keep]
+        hits += _slice_hits(ct, a, L, px, pz, c)
+    return hits
 
 
 def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -> McEstimate:
@@ -233,15 +315,29 @@ def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -
     at some positive ray parameter. Streams are Philox blocks of 10^6 rays,
     block i drawn from the seed generator jumped i times, so a fixed seed
     gives a bit-identical estimate regardless of how blocks are scheduled.
+    Lengths are taken in units of r, so a uniform scale by a power of two
+    leaves the estimate bit-identical.
 
     Each block draws its cos(theta) and azimuth arrays (8 MB each) and then
     tests them in slices of 2^15 rays, so the intersection temporaries stay
-    in cache. Blocks run on a thread pool of min(usable CPUs, blocks)
-    workers, since NumPy releases the GIL in its draws and ufuncs. The
-    integer hit counts are summed, so the result does not depend on the
-    worker count. Each worker holds one block at a time, about 20 MB (the two
-    draw arrays plus slice temporaries), so peak memory grows as workers x
-    ~20 MB on top of the interpreter and NumPy.
+    in cache. Each slice is first culled to the rays inside the cylinder's
+    polar-and-azimuth bounding band, widened past the exact test's rounding
+    (_band), and only those get the exact test. Culled rays are misses of the
+    exact test as well, so the count is the one the exact test gives on the
+    whole block; a source whose band is the whole sphere skips the cull.
+
+    Blocks run on min(usable CPUs, blocks) threads of one process-wide pool
+    (_block_pool), since NumPy releases the GIL in its draws and ufuncs; a
+    single block, or a single CPU, runs in the calling thread. The integer
+    hit counts are summed, so the result does not depend on the worker
+    count. Each worker holds one block at a time, about 20 MB (the two draw
+    arrays plus one slice's mask and intersection temporaries, which shrink
+    with the share of rays the cull keeps), so peak memory grows as workers
+    x ~20 MB on top of the interpreter and NumPy.
+
+    A source beyond d = 1e153 r gets 0 without drawing: asin(r/d) is far
+    below the 1.2e-16 gap between pi and the nearest double, so no drawn
+    azimuth can hit, and from d = 1.3e154 r on the exact test would overflow.
     """
     try:
         samples, seed = operator.index(samples), operator.index(seed)
@@ -249,15 +345,20 @@ def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -
         raise DomainError(f"samples and seed must be integers; got {samples!r}, {seed!r}") from None
     if samples < 1:
         raise DomainError(f"samples must be >= 1; got {samples!r}")
-    L, r = cyl.L, cyl.r
-    px, pz = src.d, src.z
-    c = px * px - r * r  # radial quadratic constant term (py = 0 by symmetry)
+    L, d, z = cyl.L / cyl.r, src.d / cyl.r, src.z / cyl.r
+    if math.isinf(max(L, d, abs(z))):
+        raise DomainError(f"lengths overflow in units of r: L/r = {L!r}, d/r = {d!r}, z/r = {z!r}")
 
-    base = np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF)
-    run = partial(_block_hits, base, L=L, px=px, pz=pz, c=c)
-    sizes = [min(_BLOCK, samples - start) for start in range(0, samples, _BLOCK)]
-    with ThreadPoolExecutor(max_workers=_worker_count(len(sizes))) as pool:
-        hits = sum(pool.map(run, range(len(sizes)), sizes))
+    hits = 0
+    if d <= _FAR:
+        c = d * d - 1.0  # radial quadratic constant term (py = 0 by symmetry)
+        base = np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF)
+        run = partial(_block_hits, base, L=L, px=d, pz=z, c=c, band=_band(L, d, z, c))
+        sizes = [min(_BLOCK, samples - start) for start in range(0, samples, _BLOCK)]
+        if _worker_count(len(sizes)) == 1:
+            hits = sum(map(run, range(len(sizes)), sizes))
+        else:
+            hits = sum(_block_pool().map(run, range(len(sizes)), sizes))
 
     p = hits / samples
     return McEstimate(

@@ -6,9 +6,11 @@ no elliptic machinery, and against frozen values from earlier runs.
 """
 
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +227,236 @@ def test_mc_runs_where_sched_getaffinity_is_missing(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert 1 <= oracle._worker_count(3) <= 3
     assert oracle.mc_total(cyl, src, 2_000_001, seed=4) == default
+
+
+def _block_draws(samples, seed):
+    # the one Philox block mc_total draws for samples <= 10^6
+    g = np.random.Generator(np.random.Philox(key=seed).jumped(0))
+    return g.uniform(-1.0, 1.0, samples), g.uniform(0.0, TWO_PI, samples)
+
+
+_EDGE = 2.0**-52
+_CULL_CASES = [
+    # (L, d, z) in units of r: far and near sources, both sides of the wall,
+    # on the wall, rim, faces and axis, and one ulp either side of d = r
+    (1.0, 1e-3, -0.5),
+    (1e-6, 1e-3, 2.0),
+    (1e3, 0.0, -1.0),
+    (1.0, 0.0, 1.0),
+    (1.0, 0.0, 0.0),
+    (1e-6, 0.5, 1e-6),
+    (1.0, 0.5, -1e-12),
+    (1.0, 1.0 - _EDGE, 1.5),
+    (1.0, 1.0, 0.5),
+    (1.0, 1.0, 0.0),
+    (1.0, 1.0, 1.0),
+    (1e-6, 1.0, -1e-6),
+    (1.0, 1.0 + _EDGE, 0.5),
+    (1.0, 1.0 + _EDGE, 1.0),
+    (1e3, 1.0 + _EDGE, -1.0),
+    (1.0, 1.0 + 1e-12, 1.0 - 1e-12),
+    (0.0, 1.0 + _EDGE, -1e-12),
+    (1.0, 1.0 + _EDGE, 1e-12),
+    (1.0, 1.0 + 4 * _EDGE, 1.0 - _EDGE),
+    (1e3, 1.0 + 1e-14, 1e3 - 1e-12),
+    (1.0, 1.0 + 1e-8, 0.0),
+    (3.0, 2.0, -1.0),
+    (3.0, 2.0, 3.0),
+    (1e-6, 2.0, 0.0),
+    (1e3, 10.0, 500.0),
+    (0.05, 40.0, 0.01),
+    (1.0, 1e3, -1e3),
+    (1e-6, 1e3, 0.0),
+    (1e3, 1e6, 0.0),
+    (1.0, 1e6, 1.0),
+    (1.0, 1e8, 0.5),
+    (1.0, 1e10, 0.5),
+    (1e3, 1e12, 0.0),
+]
+
+
+@pytest.mark.parametrize("L, d, z", _CULL_CASES)
+def test_mc_cull_keeps_the_exact_test_count(L, d, z):
+    # the band cull must not change a single ray's verdict: mc_total's count
+    # equals the exact test run on the whole unculled block
+    samples, seed = 200_003, 17
+    cos_t, az = _block_draws(samples, seed)
+    want = oracle._slice_hits(cos_t, az, L, d, z, d * d - 1.0)
+    est = oracle.mc_total(CylinderSpec(L, 1.0), SourcePoint(d, z), samples, seed=seed)
+    assert est.hit_fraction == want / samples
+
+
+@pytest.mark.parametrize("L, d, z", [c for c in _CULL_CASES if oracle._band(c[0], c[1], c[2], c[1] ** 2 - 1.0)])
+def test_mc_rays_just_outside_the_band_miss(L, d, z):
+    # rays up to `width` outside an edge of the widened band: the exact test
+    # must call every one of them a miss, or the cull would drop a hit
+    c = d * d - 1.0
+    c_lo, c_hi, a_lo, a_hi = oracle._band(L, d, z, c)
+    rng = np.random.default_rng(3)
+    n = 4000
+    cos_in = rng.uniform(max(c_lo, -1.0), min(c_hi, 1.0), n)
+    az_in = rng.uniform(max(a_lo, 0.0), min(a_hi, TWO_PI), n)
+    for width in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3):
+        step = rng.uniform(0.0, width, n)
+        rays = [
+            (np.minimum(c_hi + step, 1.0), az_in),
+            (np.maximum(c_lo - step, -1.0), az_in),
+            (cos_in, np.minimum(a_hi + step, TWO_PI)),
+            (cos_in, np.maximum(a_lo - step, 0.0)),
+        ]
+        for cos_t, az in rays:
+            out = (cos_t < c_lo) | (cos_t > c_hi) | (az < a_lo) | (az > a_hi)
+            assert oracle._slice_hits(cos_t[out], az[out], L, d, z, c) == 0, width
+
+
+@pytest.mark.parametrize("L, d, z", [(3.0, 0.5, 1.5), (1.0, 0.0, 0.5), (1.0, 1.0, 0.5), (1.0, 1.0 - _EDGE, 0.5), (1e-6, 0.99, 5e-7)])
+def test_mc_band_of_an_enclosed_or_wall_source_is_the_whole_sphere(L, d, z):
+    # the cull is skipped, so these sources cost what they did without it
+    assert oracle._band(L, d, z, d * d - 1.0) is None
+
+
+def test_mc_band_of_a_face_source_is_the_half_sphere_below():
+    c_lo, c_hi, a_lo, a_hi = oracle._band(1.0, 0.3, 1.0, 0.3**2 - 1.0)
+    assert c_lo < -1.0 and 0.0 < c_hi <= 2e-9 and a_lo <= 0.0 and a_hi >= TWO_PI
+
+
+def test_mc_far_band_keeps_few_rays():
+    # the mc_oracle-like far source: about 0.5 % of directions reach the cylinder
+    cos_t, az = _block_draws(100_000, 5)
+    c_lo, c_hi, a_lo, a_hi = oracle._band(0.05, 40.0, 0.01, 40.0**2 - 1.0)
+    kept = np.count_nonzero((cos_t >= c_lo) & (cos_t <= c_hi) & (az >= a_lo) & (az <= a_hi))
+    assert kept < 100
+
+
+@pytest.mark.parametrize("scale", [2.0**600, 2.0**-600])
+def test_mc_count_is_bit_identical_at_power_of_two_scales(scale):
+    unit = oracle.mc_total(CylinderSpec(3.0, 1.0), SourcePoint(2.0, -1.0), 300_000, seed=21)
+    scaled = oracle.mc_total(CylinderSpec(3.0 * scale, scale), SourcePoint(2.0 * scale, -scale), 300_000, seed=21)
+    assert scaled == unit
+
+
+def test_mc_enclosed_source_at_tiny_scale_hits_everything():
+    # raw lengths squared underflow here; in units of r the source is inside
+    est = oracle.mc_total(CylinderSpec(1e-200, 1e-200), SourcePoint(5e-201, 2e-201), 100_000, seed=2)
+    assert est.hit_fraction == 1.0
+
+
+def test_mc_outside_source_at_tiny_scale_matches_closed_form():
+    cyl, src = CylinderSpec(1e-200, 1e-200), SourcePoint(2e-200, 1e-201)
+    est = oracle.mc_total(cyl, src, 400_000, seed=6)
+    ref = omega_total(cyl, src).value
+    assert ref == pytest.approx(0.0595, abs=5e-4)
+    assert abs(est.hit_fraction - ref) <= 3.0 * est.std_error
+
+
+def test_mc_very_far_source_is_zero_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = oracle.mc_total(CylinderSpec(1.0, 1.0), SourcePoint(1e200, 0.5), 2_000_000, seed=1)
+    assert est.hit_fraction == 0.0 and est.std_error == 0.0 and est.samples == 2_000_000
+
+
+@pytest.mark.parametrize(
+    "L, r, d, z", [(1e308, 0.5, 1.0, 0.0), (1.0, 1e-10, 1e300, 0.0), (1.0, 0.5, 0.0, -1e308)]
+)
+def test_mc_rejects_ratios_that_overflow(L, r, d, z):
+    with pytest.raises(DomainError, match="overflow in units of r"):
+        oracle.mc_total(CylinderSpec(L, r), SourcePoint(d, z), 1000)
+
+
+# (L, d, z, cos(theta), azimuth, hit) at r = 1. Surfaces are closed and a hit
+# needs t > 0: a ray that runs along a face or the wall hits, a ray that only
+# touches the surface at its own source point does not.
+_DEGENERATE_RAYS = [
+    # on the axis below the base
+    (1.0, 0.0, -1.0, 1.0, 0.0, True),
+    (1.0, 0.0, -1.0, -1.0, 0.0, False),
+    (1.0, 0.0, -1.0, 0.0, 1.0, False),
+    (1.0, 0.0, -1.0, 0.7072, 2.0, True),  # reaches the base inside the rim
+    (1.0, 0.0, -1.0, 0.7070, 2.0, False),  # passes the base outside the rim
+    # on the axis inside, and on the base plane inside the rim
+    (1.0, 0.0, 0.5, 0.0, 0.0, True),
+    (1.0, 0.0, 0.5, -1.0, 0.0, True),
+    (1.0, 0.5, 0.0, 0.0, 0.0, True),  # along the base
+    (1.0, 0.5, 0.0, 1.0, 0.0, True),
+    (1.0, 0.5, 0.0, -1.0, 0.0, False),
+    (1.0, 0.5, 0.0, -1e-3, 1.0, False),
+    # on the rim corner
+    (1.0, 1.0, 0.0, 1.0, 0.0, True),  # up along the wall
+    (1.0, 1.0, 0.0, -1.0, 0.0, False),
+    (1.0, 1.0, 0.0, 0.0, math.pi, True),  # across the base
+    (1.0, 1.0, 0.0, 0.0, 0.0, False),
+    (1.0, 1.0, 0.0, 0.5, math.pi, True),
+    (1.0, 1.0, 0.0, -0.5, math.pi, False),
+    (1.0, 1.0, 0.0, 0.5, 0.0, False),
+    # on the wall
+    (1.0, 1.0, 0.5, 1.0, 0.0, True),
+    (1.0, 1.0, 0.5, -1.0, 0.0, True),
+    (1.0, 1.0, 0.5, 0.0, math.pi, True),
+    (1.0, 1.0, 0.5, 0.0, 0.0, False),
+    # on the top plane outside the rim
+    (1.0, 2.0, 1.0, 0.0, math.pi, True),  # along the top face
+    (1.0, 2.0, 1.0, 0.0, 0.0, False),
+    (1.0, 2.0, 1.0, 1e-3, math.pi, False),
+    (1.0, 2.0, 1.0, -1e-3, math.pi, True),
+    (1.0, 2.0, 1.0, 1.0, 0.0, False),
+    (1.0, 2.0, 1.0, -1.0, 0.0, False),
+    # straight above the rim: down the wall line
+    (1.0, 1.0, 2.0, -1.0, 0.0, True),
+    (1.0, 1.0, 2.0, 1.0, 0.0, False),
+    # outside the wall: horizontal rays just inside and outside the tangent
+    (1.0, 2.0, 0.5, 0.0, math.pi - math.pi / 6 + 1e-9, True),
+    (1.0, 2.0, 0.5, 0.0, math.pi - math.pi / 6 - 1e-9, False),
+    (1.0, 2.0, 0.5, 0.0, math.pi + math.pi / 6 - 1e-9, True),
+    (1.0, 2.0, 0.5, 0.0, math.pi + math.pi / 6 + 1e-9, False),
+    (1.0, 2.0, 0.5, 1.0, 0.0, False),
+    (1.0, 2.0, 0.5, -1.0, 0.0, False),
+    # the same tangent rays, tilted down onto the base
+    (1.0, 2.0, 1.5, -0.5, math.pi - math.pi / 6 + 1e-9, True),
+    (1.0, 2.0, 1.5, -0.5, math.pi - math.pi / 6 - 1e-9, False),
+    # a flat disc (L = 0) seen edge on from its own plane
+    (0.0, 2.0, 0.0, 0.0, math.pi, True),
+    (0.0, 2.0, 0.0, 1e-3, math.pi, False),
+]
+
+
+@pytest.mark.parametrize("L, d, z, cos_t, az, hit", _DEGENERATE_RAYS)
+def test_slice_hits_degenerate_rays(L, d, z, cos_t, az, hit):
+    got = oracle._slice_hits(np.array([cos_t]), np.array([az]), L, d, z, d * d - 1.0)
+    assert got == int(hit)
+
+
+def test_slice_hits_counts_each_ray_once():
+    cos_t = np.array([r[3] for r in _DEGENERATE_RAYS[:5]])
+    az = np.array([r[4] for r in _DEGENERATE_RAYS[:5]])
+    assert oracle._slice_hits(cos_t, az, 1.0, 0.0, -1.0, -1.0) == 2
+
+
+def test_mc_reuses_one_block_pool():
+    cyl, src = CylinderSpec(3.0, 1.0), SourcePoint(2.0, -1.0)
+    oracle.mc_total(cyl, src, 2_000_001, seed=4)
+    pool = oracle._block_pool()
+    oracle.mc_total(cyl, src, 2_000_001, seed=5)
+    assert oracle._block_pool() is pool
+
+
+def _mc_in_child(expected):
+    got = oracle.mc_total(CylinderSpec(3.0, 1.0), SourcePoint(2.0, -1.0), 2_000_001, seed=4)
+    if got != expected:
+        raise SystemExit(1)
+
+
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork on this platform")
+def test_mc_runs_in_a_forked_child_after_the_parent_used_the_pool():
+    # the child inherits no pool threads; it must start its own, not wait on the parent's
+    expected = oracle.mc_total(CylinderSpec(3.0, 1.0), SourcePoint(2.0, -1.0), 2_000_001, seed=4)
+    child = multiprocessing.get_context("fork").Process(target=_mc_in_child, args=(expected,))
+    child.start()
+    child.join(60)
+    alive = child.is_alive()
+    if alive:
+        child.kill()
+    assert not alive and child.exitcode == 0
 
 
 def test_cli_and_mc_do_not_import_scipy():
