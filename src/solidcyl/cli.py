@@ -200,10 +200,15 @@ def _parse_tolerance(text: str) -> tuple[str, float]:
     name, sep, raw = text.partition("=")
     if not sep:
         raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}")
+    if name not in verify_mod.SUITES:
+        raise argparse.ArgumentTypeError(f"unknown suite {name!r}; known: {', '.join(verify_mod.SUITES)}")
     try:
-        return name, float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad tolerance value in {text!r}") from exc
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError(f"tolerance must be a number >= 0; got {text!r}")
+    return name, value
 
 
 def _cmd_verify(args) -> int:

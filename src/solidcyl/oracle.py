@@ -24,10 +24,13 @@ The disc oracle integrates the projected-area element L dA / rho^3 over polar
 disc coordinates directly. The Monte Carlo oracle casts isotropic rays
 (uniform cos(theta), uniform azimuth) and intersects each against the finite
 cylinder: quadratic interval on the infinite shell intersected with the axial
-slab, hit iff the interval reaches positive ray parameter. Its 10^6-ray
-Philox blocks are independent: each is tested in cache-sized slices, the
-blocks run on one thread per usable CPU, and their integer hit counts are
-summed, so the estimate is bit-identical for any worker count.
+slab, hit iff the interval reaches positive ray parameter. The radial
+discriminant is taken as vx^2 - c vy^2, which equals b^2 - a c but has no
+d^2-sized terms to cancel, so the tangent test is good to a few eps at any
+source distance. Its 10^6-ray Philox blocks are independent: each is tested
+in cache-sized slices, the blocks run on a pool of one thread per usable
+CPU, and their integer hit counts are summed, so the estimate is
+bit-identical for any worker count.
 
 Before that exact test, each slice is culled to the cylinder's bounding band
 in polar angle and azimuth (_band), widened past the exact test's own
@@ -71,7 +74,6 @@ _BLOCK = 1_000_000  # Monte Carlo rays per independent Philox stream
 _SLICE = 1 << 15  # rays per intersection-test slice, a multiple of 16
 _EPS = sys.float_info.epsilon
 _SLACK = 1e-9  # absolute widening of the cull band in cos(theta) and azimuth
-_FAR = 1e153  # d/r beyond which no drawn azimuth can hit (see mc_total)
 
 
 def _rho_minus(phi: float, r: float, d: float) -> float:
@@ -190,11 +192,6 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _worker_count(blocks: int) -> int:
-    """Threads for a run of `blocks` Philox blocks: one per usable CPU, at most one per block."""
-    return min(_usable_cpus(), blocks)
-
-
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 
@@ -232,8 +229,8 @@ def _slice_hits(cos_t: np.ndarray, az: np.ndarray, L: float, px: float, pz: floa
 
     a = vx * vx + vy * vy
     b = px * vx
-    disc = b * b - a * c
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        disc = vx * vx - c * (vy * vy)  # b^2 - a c, with no d^2-sized terms to cancel
         sq = np.sqrt(np.maximum(0.0, disc))
         rad_lo = (-b - sq) / a
         rad_hi = (-b + sq) / a
@@ -267,22 +264,23 @@ def _band(L: float, d: float, z: float, c: float) -> tuple[float, float, float, 
     widened past the rounding of _slice_hits, so that a ray outside it is a
     miss there as well:
 
-    - u by 16 eps (1 + d)^2. The wall roots (-b -+ sq)/a place a hit to
-      within about 4 eps d^2 in u head on, and to eps d near the wall, where
-      -b - sq cancels. Near the tangent sq is only good to sqrt(eps) d, but
-      that error reaches outside [d - 1, d + 1] only once sqrt(eps) d > 1,
-      where eps d^2 exceeds it.
+    - u by 16 eps (1 + d). The wall roots (-b -+ sq)/a place a hit to within
+      a few eps (1 + d) in u: head on, b and sq are each good to a few eps
+      relative, and near the wall -b - sq cancels to within eps d. Near the
+      tangent sq is only good to sqrt(eps) relative, but there u is
+      sqrt(c), which lies inside [d - 1, d + 1] by far more than that.
     - cos(theta) by 1e-9. The slab roots are good to a few eps relative, and
       sqrt(1 - cos^2) moves the ray's cos(theta) by at most eps.
-    - the azimuth by max(1e-9, 16 eps d). There, disc >= 0 reads
-      tan^2(az - pi) <= (1 + 8 eps d^2)/c, which is at most 4 eps d in angle.
+    - the azimuth by 1e-9. There, disc >= 0 reads tan^2(az - pi) <= 1/c
+      with both sides good to a few eps relative, which is a few eps of
+      asin(1/d) in angle, and math.pi is within 1.3e-16 of pi.
     """
-    du = 16.0 * _EPS * (1.0 + d) ** 2
+    du = 16.0 * _EPS * (1.0 + d)
     u_min, u_max = max(0.0, d - 1.0 - du), d + 1.0 + du
     # cos(theta) of the steepest ray down to the base and up to the top
     cos_lo = math.cos(math.atan2(u_min if z > 0.0 else u_max, -z)) - _SLACK
     cos_hi = math.cos(math.atan2(u_min if z < L else u_max, L - z)) + _SLACK
-    half = math.atan2(1.0, math.sqrt(c)) + max(_SLACK, 16.0 * _EPS * d) if c > 0.0 else math.pi
+    half = math.atan2(1.0, math.sqrt(c)) + _SLACK if c > 0.0 else math.pi
     if cos_lo <= -1.0 and cos_hi >= 1.0 and half >= math.pi:
         return None
     return cos_lo, cos_hi, math.pi - half, math.pi + half
@@ -326,18 +324,18 @@ def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -
     exact test as well, so the count is the one the exact test gives on the
     whole block; a source whose band is the whole sphere skips the cull.
 
-    Blocks run on min(usable CPUs, blocks) threads of one process-wide pool
-    (_block_pool), since NumPy releases the GIL in its draws and ufuncs; a
-    single block, or a single CPU, runs in the calling thread. The integer
-    hit counts are summed, so the result does not depend on the worker
-    count. Each worker holds one block at a time, about 20 MB (the two draw
-    arrays plus one slice's mask and intersection temporaries, which shrink
-    with the share of rays the cull keeps), so peak memory grows as workers
-    x ~20 MB on top of the interpreter and NumPy.
+    Blocks run on one process-wide pool of one thread per usable CPU
+    (_block_pool), so k blocks occupy min(k, CPUs) threads; NumPy releases
+    the GIL in its draws and ufuncs. The integer hit counts are summed, so
+    the result does not depend on the worker count. Each worker holds one
+    block at a time, about 20 MB (the two draw arrays plus one slice's mask
+    and intersection temporaries, which shrink with the share of rays the
+    cull keeps), so peak memory grows as workers x ~20 MB on top of the
+    interpreter and NumPy.
 
-    A source beyond d = 1e153 r gets 0 without drawing: asin(r/d) is far
-    below the 1.2e-16 gap between pi and the nearest double, so no drawn
-    azimuth can hit, and from d = 1.3e154 r on the exact test would overflow.
+    Any finite source distance is drawn and tested like any other: from
+    d = 1.3e154 r on c = d^2 - 1 is inf, so the exact test's discriminant is
+    -inf, or NaN at vy = 0, and every ray misses without a warning.
     """
     try:
         samples, seed = operator.index(samples), operator.index(seed)
@@ -349,16 +347,11 @@ def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -
     if math.isinf(max(L, d, abs(z))):
         raise DomainError(f"lengths overflow in units of r: L/r = {L!r}, d/r = {d!r}, z/r = {z!r}")
 
-    hits = 0
-    if d <= _FAR:
-        c = d * d - 1.0  # radial quadratic constant term (py = 0 by symmetry)
-        base = np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF)
-        run = partial(_block_hits, base, L=L, px=d, pz=z, c=c, band=_band(L, d, z, c))
-        sizes = [min(_BLOCK, samples - start) for start in range(0, samples, _BLOCK)]
-        if _worker_count(len(sizes)) == 1:
-            hits = sum(map(run, range(len(sizes)), sizes))
-        else:
-            hits = sum(_block_pool().map(run, range(len(sizes)), sizes))
+    c = d * d - 1.0  # radial quadratic constant term (py = 0 by symmetry)
+    base = np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF)
+    run = partial(_block_hits, base, L=L, px=d, pz=z, c=c, band=_band(L, d, z, c))
+    sizes = [min(_BLOCK, samples - start) for start in range(0, samples, _BLOCK)]
+    hits = sum(_block_pool().map(run, range(len(sizes)), sizes))
 
     p = hits / samples
     return McEstimate(

@@ -337,6 +337,22 @@ def test_verify_bad_tolerance_spec_exits_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("no_such_suite=1e-9", "unknown suite 'no_such_suite'"),
+        ("disc_cross=nan", "must be a number >= 0"),
+        ("disc_cross=-1e-9", "must be a number >= 0"),
+        ("disc_cross=tight", "bad tolerance value"),
+    ],
+)
+def test_verify_bad_tolerance_value_is_a_usage_error(capsys, spec, message):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--points", "5", "--tolerance", spec])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ subprocess
 
 

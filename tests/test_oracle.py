@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -217,16 +218,22 @@ def test_mc_frozen_hit_counts(L, r, d, z, samples, seed, hits):
 def test_mc_estimate_independent_of_worker_count(monkeypatch):
     cyl, src = CylinderSpec(3.0, 1.0), SourcePoint(2.0, -1.0)
     default = oracle.mc_total(cyl, src, 3_000_001, seed=13)
-    monkeypatch.setattr(oracle, "_worker_count", lambda blocks: 1)
-    assert oracle.mc_total(cyl, src, 3_000_001, seed=13) == default
+    with ThreadPoolExecutor(max_workers=1) as one:
+        monkeypatch.setattr(oracle, "_pool", one)
+        assert oracle.mc_total(cyl, src, 3_000_001, seed=13) == default
 
 
 def test_mc_runs_where_sched_getaffinity_is_missing(monkeypatch):
     cyl, src = CylinderSpec(3.0, 1.0), SourcePoint(2.0, -1.0)
     default = oracle.mc_total(cyl, src, 2_000_001, seed=4)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    assert 1 <= oracle._worker_count(3) <= 3
-    assert oracle.mc_total(cyl, src, 2_000_001, seed=4) == default
+    # _block_pool() starts a fresh pool sized from the os.cpu_count() fallback
+    monkeypatch.setattr(oracle, "_pool", None)
+    assert oracle._usable_cpus() >= 1
+    try:
+        assert oracle.mc_total(cyl, src, 2_000_001, seed=4) == default
+    finally:
+        oracle._block_pool().shutdown()
 
 
 def _block_draws(samples, seed):
@@ -354,6 +361,32 @@ def test_mc_very_far_source_is_zero_without_warnings():
         warnings.simplefilter("error")
         est = oracle.mc_total(CylinderSpec(1.0, 1.0), SourcePoint(1e200, 0.5), 2_000_000, seed=1)
     assert est.hit_fraction == 0.0 and est.std_error == 0.0 and est.samples == 2_000_000
+
+
+@pytest.mark.parametrize("d", [1e6, 1e7, 1e8, 1e10, 1e14])
+def test_slice_hits_keeps_the_tangent_of_a_far_source(d):
+    # nearly horizontal rays from z = r/2 at L = r reach the wall inside the
+    # slab, so the azimuth alone decides: a hit within asin(r/d) of pi
+    L, z, c = 1.0, 0.5, d * d - 1.0
+    tangent = math.asin(1.0 / d)
+    rng = np.random.default_rng(8)
+    n = 400_000
+    cos_t = rng.uniform(-0.4 / d, 0.4 / d, n)
+    az = math.pi + rng.choice((-1.0, 1.0), n) * rng.uniform(0.0, 3.0 * tangent, n)
+    # the drawn azimuth's offset from pi itself, not from the double math.pi
+    off = np.abs((az - math.pi) - 1.2246467991473532e-16) / tangent
+    outside, inside = (off >= 1.05) & (off <= 3.0), off <= 0.95
+    assert np.count_nonzero(outside) > n // 2 and np.count_nonzero(inside) > n // 5
+    assert oracle._slice_hits(cos_t[outside], az[outside], L, d, z, c) == 0
+    assert oracle._slice_hits(cos_t[inside], az[inside], L, d, z, c) == np.count_nonzero(inside)
+
+
+def test_mc_enclosed_source_in_a_huge_cylinder_hits_everything_without_warnings():
+    # (L - z)/vz overflows for nearly horizontal rays; that is a hit, not a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = oracle.mc_total(CylinderSpec(1.7e308, 1.0), SourcePoint(0.5, 0.5), 10**5)
+    assert est.hit_fraction == 1.0
 
 
 @pytest.mark.parametrize(
