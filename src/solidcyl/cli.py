@@ -20,7 +20,6 @@ produces byte-identical output.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import os
@@ -39,6 +38,8 @@ _QUAD_TOL_CYL0 = 1e-12
 _QUAD_TOL_DISC = 1e-10
 _AXIS_OPTIONS = frozenset(("--L", "--d", "--z"))
 _NEGATIVE_LEAD = re.compile(r"-[\d.]")
+# one name per table value, in row order: the CSV header and the JSON keys
+_TABLE_COLUMNS = ("L", "r", "d", "z", "omega", "method", "err_estimate")
 
 
 def _fmt(v: float) -> str:
@@ -91,12 +92,14 @@ def _resolve_seed(explicit: int | None) -> int:
 
 
 def _route_total(cyl: CylinderSpec, src: SourcePoint, method: str) -> SolidAngle:
-    """Sum the decomposition on a verification route, in units of r.
+    """Sum the decomposition on a verification route.
 
-    "quadrature" takes quad_cyl0_phi and quad_disc for every term; "series"
-    takes omega_cyl0_series for the shells and omega_circ for the discs.
-    Terms of zero height (a strip, or a disc seen edge-on from d > r) add
-    nothing and are skipped.
+    "quadrature" takes quad_cyl0_phi and quad_disc for every term, on
+    lengths divided by r, since the quadratures square r; "series" takes
+    omega_cyl0_series for the shells and omega_circ for the discs, on the
+    unscaled lengths, since those take d - r before dividing by r. Terms of
+    zero height (a strip, or a disc seen edge-on from d > r) add nothing
+    and are skipped.
     """
     total = 0.0
     err = 0.0
@@ -106,15 +109,13 @@ def _route_total(cyl: CylinderSpec, src: SourcePoint, method: str) -> SolidAngle
             continue
         if term.L_eff == 0.0:
             continue
-        sub = CanonicalConfig(term.L_eff / cyl.r, 1.0, src.d / cyl.r)
         shell = term.kind is TermKind.CYL0
         if method == "series":
-            part = omega_cyl0_series(sub) if shell else omega_circ(sub)
+            part = (omega_cyl0_series if shell else omega_circ)(CanonicalConfig(term.L_eff, cyl.r, src.d))
             value, term_err = part.value, part.err_estimate
-        elif shell:
-            value, term_err = quad_cyl0_phi(sub, tol=_QUAD_TOL_CYL0), _QUAD_TOL_CYL0
         else:
-            value, term_err = quad_disc(sub, tol=_QUAD_TOL_DISC), _QUAD_TOL_DISC
+            quad, term_err = (quad_cyl0_phi, _QUAD_TOL_CYL0) if shell else (quad_disc, _QUAD_TOL_DISC)
+            value = quad(CanonicalConfig(term.L_eff / cyl.r, 1.0, src.d / cyl.r), tol=term_err)
         total += term.coefficient * value
         err += term_err
     return SolidAngle(total, Method(method), err)
@@ -158,31 +159,20 @@ def _table_rows(args):
 
 def _cmd_table(args) -> int:
     scale = 4.0 * math.pi if args.steradians else 1.0
-    out = io.StringIO()
+    rows = [
+        (L, r, d, z, res.value * scale, res.method.value, res.err_estimate * scale)
+        for L, r, d, z, res in _table_rows(args)
+    ]
     if args.format == "csv":
-        out.write("L,r,d,z,omega,method,err_estimate\n")
-        for L, r, d, z, res in _table_rows(args):
-            row = (_fmt(L), _fmt(r), _fmt(d), _fmt(z), _fmt(res.value * scale), res.method.value, _fmt(res.err_estimate * scale))
-            out.write(",".join(row) + "\n")
+        lines = [_TABLE_COLUMNS] + [tuple(v if isinstance(v, str) else _fmt(v) for v in row) for row in rows]
+        text = "".join(",".join(line) + "\n" for line in lines)
     else:
-        records = [
-            {
-                "L": L,
-                "r": r,
-                "d": d,
-                "z": z,
-                "omega": res.value * scale,
-                "method": res.method.value,
-                "err_estimate": res.err_estimate * scale,
-            }
-            for L, r, d, z, res in _table_rows(args)
-        ]
-        out.write(json.dumps(records, indent=2) + "\n")
+        text = json.dumps([dict(zip(_TABLE_COLUMNS, row)) for row in rows], indent=2) + "\n"
     if args.out is None:
-        sys.stdout.write(out.getvalue())
+        sys.stdout.write(text)
     else:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(out.getvalue())
+            fh.write(text)
     return 0
 
 

@@ -35,9 +35,14 @@ below), so the step makes no function call and the bits match carlson_rc.
 Against 40-digit mpmath, R_F, R_D and R_J are each
 within 1e-15 relative (a few ulp) on x in {0} and 10^(-k/2), y in 10^(-k/2)
 (k = 0..16), z = 1 and p from 1 down to 1e-14, and so is R_C(1, y) for
-y = 1 +- 10^-k and y = 10^-k. R_J scaled by s^(3/2) stays within 1e-15 of
-its unit-scale value for argument scales s from 1e-200 to 1e200; the test
-suite checks both.
+y = 1 +- 10^-k and y = 10^-k; the test suite checks this. R_D and R_J
+return their value wherever it is a double: arguments whose mean lies
+outside 2^-600..2^600 are moved into that band by a power of 4 and the
+result back by the matching power of 8 (R_J is homogeneous of degree
+-3/2), so a result below the normal range rounds once, down to 0.0, and
+one beyond the double range raises DomainError. The move is made only
+where it is exact, with no nonzero argument pushed below the normal
+range; arguments spread wider than that run unmoved, as at unit scale.
 
 The closed form of the end disc needs the complete pair K(m) and K(m) - E(m)
 on its own. _complete_pair takes both from one arithmetic-geometric mean
@@ -85,24 +90,20 @@ _MAX_ITER = 200
 # 4^-n * max|A0 - arg| times the factor drops below |A|
 _RF_STOP = (3.0 * _EPS) ** (-0.125)
 _RJ_STOP = (0.2 * _EPS) ** (-0.125)
+# the R_J loop forms products up to 8 A0^(3/2), which overflow past
+# A0 = 2^680, and 1/A0^(3/2), which overflows below 2^-680: it runs on
+# arguments whose mean A0 lies in this band, and _rj_shift moves others
+_RJ_LOW, _RJ_HIGH = 2.0**-600, 2.0**600
 # complement m' = 1 - m at or below which E(m) rounds to 1
 _E_IS_ONE = 2.0**-57
 
 
-def _clamp_unit(value: float, name: str) -> float:
-    """Snap roundoff-level excursions outside [0, 1] back to the boundary."""
+def _clamp(value: float, name: str, top: float = 1.0) -> float:
+    """Snap roundoff-level excursions outside [0, top] back to the boundary."""
     v = float(value)
-    if math.isnan(v) or v < -_GUARD or v > 1.0 + _GUARD:
-        raise DomainError(f"{name} must lie in [0, 1] (guard band 4*eps); got {value!r}")
-    return min(1.0, max(0.0, v))
-
-
-def _amp(phi: float) -> float:
-    """Snap roundoff-level excursions outside [0, pi/2] back to the boundary."""
-    v = float(phi)
-    if math.isnan(v) or v < -_GUARD or v > _HALF_PI + _GUARD:
-        raise DomainError(f"amplitude phi must lie in [0, pi/2]; got {phi!r}")
-    return min(_HALF_PI, max(0.0, v))
+    if math.isnan(v) or v < -_GUARD or v > top + _GUARD:
+        raise DomainError(f"{name} must lie in [0, {top:g}] (guard band 4*eps); got {value!r}")
+    return min(top, max(0.0, v))
 
 
 def _check_rf_args(x: float, y: float, z: float) -> None:
@@ -206,6 +207,13 @@ def _rj(x: float, y: float, z: float, p: float) -> float:
     """R_J duplication and degree-5 tail on checked floats; R_D is _rj(x, y, z, z)."""
     sqrt = math.sqrt
     A0 = (x + y + z + 2.0 * p) / 5.0
+    if not _RJ_LOW < A0 < _RJ_HIGH and (k := _rj_shift(x, y, z, p)):
+        # R_J is homogeneous of degree -3/2: R_J(4^-k a) = 8^k R_J(a); only
+        # the last ldexp can overflow
+        try:
+            return math.ldexp(_rj(*(math.ldexp(v, -2 * k) for v in (x, y, z, p))), -3 * k)
+        except OverflowError:
+            raise DomainError(f"R_J({x!r}, {y!r}, {z!r}, {p!r}) overflows the double range") from None
     q = _RJ_STOP * max(abs(A0 - x), abs(A0 - y), abs(A0 - z), abs(A0 - p))
     # p equal to an argument keeps p_n equal to it, so every 1 + e_n is exactly 1
     need_rc = not (p == x or p == y or p == z)
@@ -268,13 +276,17 @@ def _rj(x: float, y: float, z: float, p: float) -> float:
     return pow4 * tail / (A * math.sqrt(A)) + 6.0 * acc
 
 
-def _sin_cos2(phi: float) -> tuple[float, float]:
-    # phi == pi/2 reduces exactly to the complete case; cos(float(pi/2)) is
-    # otherwise a 6e-17 residue that would blur the complete/incomplete split
-    if phi == _HALF_PI:
-        return 1.0, 0.0
-    c = math.cos(phi)
-    return math.sin(phi), c * c
+def _rj_shift(x: float, y: float, z: float, p: float) -> int:
+    """k that moves the largest argument of R_J to about 2^598, or 0.
+
+    4^-k scales every argument exactly unless one is infinite (it has no
+    scale to move; the loop rejects it) or a nonzero one would leave the
+    normal range; 0 leaves those arguments to the loop unmoved.
+    """
+    top = max(x, y, z, p)
+    k = (math.frexp(top)[1] - 598) // 2
+    low = min(v for v in (x, y, z, p) if v > 0.0)
+    return k if top < math.inf and math.ldexp(low, -2 * k) >= sys.float_info.min else 0
 
 
 # The *_from_parts evaluators take the Carlson arguments directly instead of
@@ -294,10 +306,14 @@ def _check_parts(s: float, c2: float, y: float) -> None:
         )
 
 
-def complete_K_from_complement(m_prime: float) -> float:
-    """K(m) evaluated from m' = 1 - m, exact when the caller knows m' directly."""
+def _check_complement(m_prime: float) -> None:
     if m_prime < 0.0 or m_prime > 1.0:
         raise DomainError(f"complement must lie in [0, 1]; got {m_prime!r}")
+
+
+def complete_K_from_complement(m_prime: float) -> float:
+    """K(m) evaluated from m' = 1 - m, exact when the caller knows m' directly."""
+    _check_complement(m_prime)
     if m_prime == 0.0:
         raise DivergentError("complete_K requires m < 1: K(m) diverges as m -> 1")
     return carlson_rf(0.0, m_prime, 1.0)
@@ -310,8 +326,7 @@ def complete_E_from_complement(m_prime: float) -> float:
     19.25.1) rather than K - (m/3) R_D(0, m', 1), whose two terms nearly
     cancel as m -> 1.
     """
-    if m_prime < 0.0 or m_prime > 1.0:
-        raise DomainError(f"complement must lie in [0, 1]; got {m_prime!r}")
+    _check_complement(m_prime)
     # E - 1 < 7.2e-17 here, so E rounds to 1; the sum would overflow for
     # subnormal m'
     if m_prime <= _E_IS_ONE:
@@ -392,28 +407,34 @@ def incomplete_Pi_from_parts(s: float, c2: float, y: float, p: float, n: float) 
 
 def complete_K(m: float) -> float:
     """Complete elliptic integral of the first kind, K(m) = F(pi/2 | m)."""
-    return complete_K_from_complement(1.0 - _clamp_unit(m, "parameter m"))
+    return complete_K_from_complement(1.0 - _clamp(m, "parameter m"))
 
 
 def complete_E(m: float) -> float:
     """Complete elliptic integral of the second kind, E(m) = E(pi/2 | m)."""
-    return complete_E_from_complement(1.0 - _clamp_unit(m, "parameter m"))
+    return complete_E_from_complement(1.0 - _clamp(m, "parameter m"))
+
+
+def _amplitude_parts(phi: float, m: float) -> tuple[float, float, float]:
+    """(sin(phi), cos^2(phi), y = 1 - m sin^2(phi)) for a clamped phi and m."""
+    phi = _clamp(phi, "amplitude phi", _HALF_PI)
+    m = _clamp(m, "parameter m")
+    # phi == pi/2 reduces exactly to the complete case; cos(float(pi/2)) is
+    # otherwise a 6e-17 residue that would blur the complete/incomplete split
+    s, c = (1.0, 0.0) if phi == _HALF_PI else (math.sin(phi), math.cos(phi))
+    c2 = c * c
+    return s, c2, (1.0 - m) + m * c2
 
 
 def incomplete_F(phi: float, m: float) -> float:
     """Incomplete first-kind integral F(phi | m); m = 1 allowed for phi < pi/2."""
-    phi = _amp(phi)
-    m = _clamp_unit(m, "parameter m")
-    s, c2 = _sin_cos2(phi)
-    return incomplete_F_from_parts(s, c2, (1.0 - m) + m * c2)
+    return incomplete_F_from_parts(*_amplitude_parts(phi, m))
 
 
 def incomplete_E(phi: float, m: float) -> float:
     """Incomplete second-kind integral E(phi | m)."""
-    phi = _amp(phi)
-    m = _clamp_unit(m, "parameter m")
-    s, c2 = _sin_cos2(phi)
-    return incomplete_E_from_parts(s, c2, (1.0 - m) + m * c2, m)
+    s, c2, y = _amplitude_parts(phi, m)
+    return incomplete_E_from_parts(s, c2, y, _clamp(m, "parameter m"))
 
 
 def incomplete_Pi(n: float, phi: float, m: float) -> float:
@@ -423,11 +444,8 @@ def incomplete_Pi(n: float, phi: float, m: float) -> float:
     Any ordering of n and m is accepted; 1 - n sin^2 > 0 keeps R_J in its
     circular case either way.
     """
-    n = _clamp_unit(n, "characteristic n")
-    phi = _amp(phi)
-    m = _clamp_unit(m, "parameter m")
-    s, c2 = _sin_cos2(phi)
-    y = (1.0 - m) + m * c2
+    n = _clamp(n, "characteristic n")
+    s, c2, y = _amplitude_parts(phi, m)
     p = (1.0 - n) + n * c2
     return incomplete_Pi_from_parts(s, c2, y, p, n)
 

@@ -60,6 +60,14 @@ def _require_finite(value: float, name: str) -> float:
     return v
 
 
+def _require_length(value: float, name: str, positive: bool = False) -> float:
+    """value as a finite float that is >= 0, or > 0 when positive."""
+    v = _require_finite(value, name)
+    if v < 0.0 or positive and v == 0.0:
+        raise DomainError(f"{name} must be {'>' if positive else '>='} 0; got {v!r}")
+    return v
+
+
 @dataclass(frozen=True)
 class CylinderSpec:
     """Finite right circular cylinder: height L >= 0, radius r > 0."""
@@ -68,12 +76,8 @@ class CylinderSpec:
     r: float
 
     def __post_init__(self):
-        object.__setattr__(self, "L", _require_finite(self.L, "height L"))
-        object.__setattr__(self, "r", _require_finite(self.r, "radius r"))
-        if self.L < 0.0:
-            raise DomainError(f"height L must be >= 0; got {self.L!r}")
-        if self.r <= 0.0:
-            raise DomainError(f"radius r must be > 0; got {self.r!r}")
+        object.__setattr__(self, "L", _require_length(self.L, "height L"))
+        object.__setattr__(self, "r", _require_length(self.r, "radius r", positive=True))
 
 
 @dataclass(frozen=True)
@@ -84,10 +88,8 @@ class SourcePoint:
     z: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "d", _require_finite(self.d, "radial distance d"))
+        object.__setattr__(self, "d", _require_length(self.d, "radial distance d"))
         object.__setattr__(self, "z", _require_finite(self.z, "axial coordinate z"))
-        if self.d < 0.0:
-            raise DomainError(f"radial distance d must be >= 0; got {self.d!r}")
 
 
 @dataclass(frozen=True)
@@ -104,15 +106,9 @@ class CanonicalConfig:
     d: float
 
     def __post_init__(self):
-        object.__setattr__(self, "L", _require_finite(self.L, "axial extent L"))
-        object.__setattr__(self, "r", _require_finite(self.r, "radius r"))
-        object.__setattr__(self, "d", _require_finite(self.d, "radial distance d"))
-        if self.L < 0.0:
-            raise DomainError(f"axial extent L must be >= 0; got {self.L!r}")
-        if self.r <= 0.0:
-            raise DomainError(f"radius r must be > 0; got {self.r!r}")
-        if self.d < 0.0:
-            raise DomainError(f"radial distance d must be >= 0; got {self.d!r}")
+        object.__setattr__(self, "L", _require_length(self.L, "axial extent L"))
+        object.__setattr__(self, "r", _require_length(self.r, "radius r", positive=True))
+        object.__setattr__(self, "d", _require_length(self.d, "radial distance d"))
 
 
 class TermKind(enum.Enum):
@@ -174,7 +170,7 @@ def _split(L: float, r: float, d: float, z: float) -> tuple[str, float, float]:
         "const"   CONSTANT a                   value   0
         "disc"    +CIRC(a)                     -z      0
         "shells"  +CYL0(a) +CYL0(b)            z       L - z
-        "below"   +CYL0(a) -CYL0(b) +CIRC(b)   L - z   -z
+        "below"   +CYL0(a) -CYL0(b) +CIRC(b)   L - z   0 - z
 
     decompose builds its Terms from this split and solid_angle.omega_total
     sums its floats directly, so both see the same regions and lengths.
@@ -194,7 +190,8 @@ def _split(L: float, r: float, d: float, z: float) -> tuple[str, float, float]:
         return "const", 0.25, 0.0
 
     if z <= 0.0:
-        return "below", L - z, -z
+        # 0.0 - z, not -z: a source on the base plane gets L_eff = +0.0
+        return "below", L - z, 0.0 - z
     return "shells", z, L - z
 
 
@@ -219,7 +216,5 @@ def decompose(cyl: CylinderSpec, src: SourcePoint) -> SignedTermList:
 
 def scale(cfg: CanonicalConfig, k: float) -> CanonicalConfig:
     """Uniformly rescale all lengths by k > 0; the solid angle is invariant."""
-    k = _require_finite(k, "scale factor k")
-    if k <= 0.0:
-        raise DomainError(f"scale factor k must be > 0; got {k!r}")
+    k = _require_length(k, "scale factor k", positive=True)
     return CanonicalConfig(cfg.L * k, cfg.r * k, cfg.d * k)

@@ -41,7 +41,12 @@ omega_circ
     for d < r. F(eps|m') and E(eps|m') are odd in eps, and the paper's
     radial factors n/(1+sqrt(1-n)) = 1 - sqrt(1-n) (d > r) and
     1 + sqrt(1-n) (d < r) both equal 2r/(d+r), so one expression covers
-    both sides of the rim, as in Macklin's form.
+    both sides of the rim, as in Macklin's form. E(eps|m') is DLMF
+    19.25.9's sum m F(eps|m') + (m m'/3) sin^3(eps) R_D(cos^2(eps), 1, n)
+    + m' sin(eps) L/sqrt(L^2 + (d-r)^2) (at r = 1), whose terms share the
+    sign of eps; F - (m'/3) sin^3(eps) R_D(cos^2(eps), n, 1) cancels two
+    terms of size log(r/d) near the axis. Below d = 2^-500 r the disc
+    takes its on-axis value, from which it differs by O(d^2).
 
     The third-kind form and the Macklin form are kept as cross-check paths;
     all three agree to roundoff away from d = r.
@@ -132,6 +137,10 @@ _TWO_PI = 2.0 * math.pi
 # not a rigorous bound
 _ERR_ELLIPTIC = 1e-11
 _ERR_SPECIAL = 1e-13
+# d/r below which the disc takes its on-axis value: off the axis by d it moves
+# by O(d^2), far below an ulp, and the elliptic form would round m and n on
+# the subnormal grid
+_NEAR_AXIS = 2.0**-500
 _VALUE_GUARD = 1e-12
 
 
@@ -435,7 +444,7 @@ def _disc(L: float, d: float, t: float) -> tuple[float, Method, float]:
     """(value, method, err) of the disc term at r = 1 for d >= 0, t = d - 1."""
     if L == 0.0:
         return (0.0 if t > 0.0 else (0.25 if t == 0.0 else 0.5)), Method.SPECIAL, 0.0
-    if d == 0.0:  # on the axis
+    if d < _NEAR_AXIS:  # on the axis to within roundoff
         hyp = math.hypot(L, 1.0)
         # 1 - L/hyp without the cancellation that ruins it for L >> r
         return 0.5 / (hyp * (hyp + L)), Method.SPECIAL, _ERR_SPECIAL
@@ -447,11 +456,16 @@ def _disc(L: float, d: float, t: float) -> tuple[float, Method, float]:
     # is up to a few ulp closer than the quotient 4d/(L^2+(d+1)^2). The
     # incomplete integrals carry parameter m', so their
     # y = 1 - m' sin^2(eps) collapses to n exactly
-    # (m' sin^2(eps) = (d-r)^2/(d+r)^2 algebraically) and F(eps|m'), E(eps|m')
-    # share R_F(cos^2(eps), n, 1)
-    K, K_minus_E = elliptic._complete_pair(1.0 - m_prime if m_prime < 0.5 else m, m_prime)
+    # (m' sin^2(eps) = (d-r)^2/(d+r)^2 algebraically)
+    if m_prime < 0.5:
+        m = 1.0 - m_prime
+    K, K_minus_E = elliptic._complete_pair(m, m_prime)
     F_eps = s_e * elliptic.carlson_rf(c2_e, n, 1.0)
-    E_eps = F_eps - (m_prime / 3.0) * s_e * s_e * s_e * elliptic.carlson_rd(c2_e, n, 1.0)
+    # DLMF 19.25.9 with k^2 = m', k'^2 = m and Delta^2 = n: every term has the
+    # sign of eps, where F - (m'/3) sin^3 R_D(cos^2, n, 1) cancels two terms
+    # that grow like log(1/d) near the axis; cos(eps)/sqrt(n) = L/hypot(L, t)
+    rd = elliptic.carlson_rd(c2_e, 1.0, n)
+    E_eps = m * F_eps + s_e * m_prime * ((m / 3.0) * s_e * s_e * rd + L / math.hypot(L, t))
     cross = K * E_eps - K_minus_E * F_eps
     # the paper's n/(1 + sqrt(1-n)) (d > r) and 1 + sqrt(1-n) (d < r) are
     # both 2/(d+1), and sin(eps) carries the sign of t: one form for both sides
@@ -497,14 +511,13 @@ def omega_circ_third_kind(cfg: CanonicalConfig) -> SolidAngle:
     """Cross-check path for omega_circ using complete third-kind integrals.
 
     Regular region only: L > 0, 0 < d != r (the limits are owned by
-    omega_circ). K(m) = R_F(0, m', 1) and
-    Pi(n; m) = K(m) + (n/3) R_J(0, m', 1, 1-n): one R_F and one R_J.
+    omega_circ; on the axis params_from_geometry raises OnAxisError).
+    K(m) = R_F(0, m', 1) and Pi(n; m) = K(m) + (n/3) R_J(0, m', 1, 1-n):
+    one R_F and one R_J.
     """
     L, r, d = cfg.L, cfg.r, cfg.d
     if L <= 0.0:
         raise DomainError(f"omega_circ_third_kind requires L > 0; got L={L!r}")
-    if d == 0.0:
-        raise OnAxisError("omega_circ_third_kind is undefined on the axis; use omega_circ")
     if d == r:
         raise DivergentError(
             "complete Pi(n; m) diverges at n = 1 (d = r); use omega_circ's equal-distance form"

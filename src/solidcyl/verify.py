@@ -145,33 +145,31 @@ def suite_trivial_identities(points: int, rng: random.Random) -> Iterator[tuple[
     yield abs(elliptic.complete_E(0.0) - math.pi / 2), "E(0)"
 
 
-def _random_source(rng: random.Random, L: float) -> SourcePoint:
-    return SourcePoint(_log_uniform(rng, 0.01, 100.0), rng.uniform(-2.0 * L, 3.0 * L))
+def _random_setup(rng: random.Random) -> tuple[CylinderSpec, SourcePoint]:
+    # draws L, then d, then z: the suites' checks depend on this order
+    L = _log_uniform(rng, 0.01, 100.0)
+    return CylinderSpec(L, 1.0), SourcePoint(_log_uniform(rng, 0.01, 100.0), rng.uniform(-2.0 * L, 3.0 * L))
 
 
 def suite_scale_invariance(points: int, rng: random.Random) -> Iterator[tuple[float, str]]:
     for _ in range(points):
-        L = _log_uniform(rng, 0.01, 100.0)
-        cyl = CylinderSpec(L, 1.0)
-        src = _random_source(rng, L)
+        cyl, src = _random_setup(rng)
         k = _log_uniform(rng, 1e-300, 1e300)
         a = solid_angle.omega_total(cyl, src).value
         b = solid_angle.omega_total(
             CylinderSpec(k * cyl.L, k * cyl.r), SourcePoint(k * src.d, k * src.z)
         ).value
         # absolute: omega is already a dimensionless fraction of 4 pi
-        yield abs(a - b), f"(L={L!r}, r=1.0, d={src.d!r}, z={src.z!r}, k={k!r})"
+        yield abs(a - b), f"(L={cyl.L!r}, r=1.0, d={src.d!r}, z={src.z!r}, k={k!r})"
 
 
 def suite_end_swap(points: int, rng: random.Random) -> Iterator[tuple[float, str]]:
     # reflecting the source through the cylinder midplane preserves omega
     for _ in range(points):
-        L = _log_uniform(rng, 0.01, 100.0)
-        cyl = CylinderSpec(L, 1.0)
-        src = _random_source(rng, L)
+        cyl, src = _random_setup(rng)
         a = solid_angle.omega_total(cyl, src).value
-        b = solid_angle.omega_total(cyl, SourcePoint(src.d, L - src.z)).value
-        yield abs(a - b), f"(L={L!r}, r=1.0, d={src.d!r}, z={src.z!r})"
+        b = solid_angle.omega_total(cyl, SourcePoint(src.d, cyl.L - src.z)).value
+        yield abs(a - b), f"(L={cyl.L!r}, r=1.0, d={src.d!r}, z={src.z!r})"
 
 
 def _escape(cyl: CylinderSpec, src: SourcePoint) -> tuple[float, str]:
@@ -181,8 +179,7 @@ def _escape(cyl: CylinderSpec, src: SourcePoint) -> tuple[float, str]:
 
 def suite_omega_range(points: int, rng: random.Random) -> Iterator[tuple[float, str]]:
     for _ in range(points):
-        L = _log_uniform(rng, 0.01, 100.0)
-        yield _escape(CylinderSpec(L, 1.0), _random_source(rng, L))
+        yield _escape(*_random_setup(rng))
     for src in (SourcePoint(0.5, 0.0), SourcePoint(1.0, 0.0), SourcePoint(1.0, 0.5)):
         yield _escape(CylinderSpec(1.0, 1.0), src)
 

@@ -15,7 +15,7 @@ from solidcyl import cli, elliptic, oracle
 from solidcyl import verify as verify_mod
 from solidcyl.errors import DomainError
 from solidcyl.geometry import CanonicalConfig, CylinderSpec, SourcePoint
-from solidcyl.solid_angle import omega_total
+from solidcyl.solid_angle import omega_circ, omega_cyl0_series, omega_total
 
 
 @pytest.fixture(autouse=True)
@@ -82,6 +82,35 @@ def test_compute_series_route_is_tagged_series(capsys):
     assert "omega = 0.088505521667603448" in out
     code, out, _ = _run(capsys, ["compute", "--L", "20", "--r", "1", "--d", "1.01", "--z", "10", "--method", "series"])
     assert code == 0 and "method = series" in out
+
+
+@pytest.mark.parametrize("r", [3.0, 0.37, 7.0])
+def test_compute_series_route_takes_d_minus_r_unscaled(capsys, r):
+    # d one ulp off the wall: a d/r rounded before the series sees it would
+    # lose that offset, so the route must pass the unscaled lengths
+    d = math.nextafter(r, math.inf)
+    argv = ["compute", "--L", repr(20 * r), "--r", repr(r), "--d", repr(d), "--z", repr(5 * r)]
+    code, out, _ = _run(capsys, argv + ["--method", "series"])
+    assert code == 0
+    shells = [omega_cyl0_series(CanonicalConfig(h, r, d)).value for h in (5 * r, 15 * r)]
+    assert _omega_line(out) == shells[0] + shells[1]
+
+
+def test_compute_quadrature_route_of_an_enclosed_source(capsys):
+    code, out, _ = _run(capsys, ["compute", "--L", "3", "--r", "2", "--d", "1", "--z", "1", "--method", "quadrature"])
+    assert code == 0
+    assert _omega_line(out) == 1.0
+    assert "method = quadrature" in out
+
+
+def test_compute_quadrature_route_skips_zero_length_terms(capsys):
+    # a base-plane source beside the shell: -cyl0(0) and +circ(0) add nothing
+    argv = ["compute", "--L", "3", "--r", "1", "--d", "2", "--z", "0"]
+    _, out_auto, _ = _run(capsys, argv)
+    code, out_quad, _ = _run(capsys, argv + ["--method", "quadrature"])
+    assert code == 0
+    assert "terms = +cyl0(L_eff=3) -cyl0(L_eff=0) +circ(L_eff=0)" in out_quad
+    assert _omega_line(out_quad) == pytest.approx(_omega_line(out_auto), abs=1e-9)
 
 
 def test_compute_elliptic_route_is_the_default(capsys):
@@ -243,6 +272,17 @@ def test_table_quantity_cyl0_inside_source_fails_cleanly(capsys):
     code, _, err = _run(capsys, ["table", "--L", "1", "--d", "0.5", "--quantity", "cyl0"])
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_table_quantity_circ_rows_are_omega_circ(capsys):
+    code, out, _ = _run(capsys, ["table", "--L", "0.5,2", "--d", "0,0.5,1,2", "--quantity", "circ"])
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 8
+    for row in rows:
+        L, r, d = map(float, row[:3])
+        res = omega_circ(CanonicalConfig(L, r, d))
+        assert float(row[4]) == res.value and row[5] == res.method.value
 
 
 def test_table_steradians_scales_rows(capsys):

@@ -425,3 +425,55 @@ def test_rj_homogeneous_at_extreme_scales(s, x, y, z, p):
     unit = carlson_rj(x, y, z, p)
     scaled = carlson_rj(s * x, s * y, s * z, s * p) * s**1.5
     assert scaled == pytest.approx(unit, rel=1e-15)
+
+
+_DOUBLE_MAX = 1.7976931348623157e308
+
+
+@pytest.mark.parametrize("s", [1e205, 1e-205, 1e250, 1e-250, 1e300, 1e-300])
+@pytest.mark.parametrize(
+    "kernel, reference, args",
+    [
+        (carlson_rd, mpmath.elliprd, (1.0, 2.0, 3.0)),
+        (carlson_rd, mpmath.elliprd, (0.0, 0.5, 1.0)),
+        (carlson_rj, mpmath.elliprj, (1.0, 2.0, 3.0, 4.0)),
+        (carlson_rj, mpmath.elliprj, (0.3, 2.0, 1.0, 1e-3)),
+    ],
+)
+def test_rd_rj_across_the_double_range(s, kernel, reference, args):
+    # the value wherever it is a double, subnormal or 0.0 included, and a
+    # DomainError naming the overflow where it is not; at these scales the
+    # loop's products of three square roots under- or overflow unscaled
+    scaled = tuple(s * a for a in args)
+    with mpmath.workdps(40):
+        exact = reference(*(mpmath.mpf(a) for a in scaled))
+    if exact > _DOUBLE_MAX:
+        with pytest.raises(DomainError, match="overflows the double range"):
+            kernel(*scaled)
+    else:
+        # a few ulp relative, or half a subnormal ulp where the value underflows
+        assert abs(kernel(*scaled) - exact) <= 1e-15 * exact + 2.5e-324
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(1e300, 1e-300, 1e-300, 1e-300), (1e300, 1e300, 1e-300, 1e-300), (1e300, 0.0, 1e-300, 1e-300)],
+)
+def test_rd_rj_with_arguments_spread_past_the_band(args):
+    # moving the largest argument into the loop's band would push the
+    # smallest below the normal range, so these run unmoved
+    with mpmath.workdps(40):
+        exact_rj = mpmath.elliprj(*(mpmath.mpf(a) for a in args))
+        exact_rd = mpmath.elliprd(*(mpmath.mpf(a) for a in args[:3]))
+    assert carlson_rj(*args) == pytest.approx(float(exact_rj), rel=1e-15)
+    assert carlson_rd(*args[:3]) == pytest.approx(float(exact_rd), rel=1e-15)
+
+
+def test_rc_at_zero_x_is_a_quarter_period():
+    for y in (1e-300, 0.25, 1.0, 3.0, 1e300):
+        assert carlson_rc(0.0, y) == pytest.approx(HALF_PI / math.sqrt(y), rel=1e-15)
+
+
+@given(phi=amplitude)
+def test_second_kind_at_zero_parameter_is_identity(phi):
+    assert incomplete_E(phi, 0.0) == pytest.approx(phi, rel=1e-15)

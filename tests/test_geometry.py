@@ -194,3 +194,31 @@ def test_scale_rejects_nonpositive():
         scale(CanonicalConfig(2.0, 1.0, 3.0), -2.0)
     with pytest.raises(DomainError):
         scale(CanonicalConfig(2.0, 1.0, 3.0), math.inf)
+
+
+@pytest.mark.parametrize("z", [0.0, -0.0, 3.0])
+def test_base_plane_terms_have_positive_zero_length(z):
+    # on either base plane beside the shell the near length is +0.0, so the
+    # term list prints no "-0"
+    dec = decompose(CylinderSpec(3.0, 1.0), SourcePoint(2.0, z))
+    assert dec.describe() == "+cyl0(L_eff=3) -cyl0(L_eff=0) +circ(L_eff=0)"
+    assert all(math.copysign(1.0, t.L_eff) == 1.0 for t in dec)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: CylinderSpec(-1.0, 1.0), "height L must be >= 0"),
+        (lambda: CylinderSpec(1.0, 0.0), "radius r must be > 0"),
+        (lambda: CylinderSpec(1.0, -0.0), "radius r must be > 0"),
+        (lambda: SourcePoint(-1.0, 0.0), "radial distance d must be >= 0"),
+        (lambda: SourcePoint(1.0, math.inf), "axial coordinate z must be finite"),
+        (lambda: CanonicalConfig(-1.0, 1.0, 1.0), "axial extent L must be >= 0"),
+        (lambda: CanonicalConfig(1.0, math.nan, 1.0), "radius r must be finite"),
+        (lambda: CanonicalConfig(1.0, 1.0, -1.0), "radial distance d must be >= 0"),
+        (lambda: scale(CanonicalConfig(1.0, 1.0, 1.0), 0.0), "scale factor k must be > 0"),
+    ],
+)
+def test_length_checks_name_the_length(build, message):
+    with pytest.raises(DomainError, match=message):
+        build()

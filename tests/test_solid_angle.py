@@ -319,6 +319,19 @@ def test_circ_on_axis_far_field_is_relative_exact(z):
     assert got == pytest.approx(float(exact), rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("d", [5e-324, 1e-320, 1e-310, 1e-300, 1e-150, 1e-100, 1e-12])
+@pytest.mark.parametrize("L", [1e-8, 1e-4, 0.7, 1.0, 1e3])
+def test_circ_near_the_axis_is_the_on_axis_value(L, d):
+    # off the axis by d the disc moves by O(d^2), so a miss here is the
+    # form's: E(eps|m') = F - (m'/3) sin^3 R_D would cancel two terms of size
+    # log(1/d), and a subnormal d would round m and n to a few units
+    with mpmath.workdps(40):
+        hyp = mpmath.sqrt(mpmath.mpf(L) ** 2 + 1)
+        exact = float(1 / (2 * hyp * (hyp + L)))
+    assert abs(omega_circ(CanonicalConfig(L, 1.0, d)).value - exact) <= 1e-15
+    assert abs(omega_total(CylinderSpec(1.0, 1.0), SourcePoint(d, -L)).value - exact) <= 1e-15
+
+
 def test_circ_flat_limit_table():
     assert omega_circ(CanonicalConfig(0.0, 1.0, 2.0)).value == 0.0
     assert omega_circ(CanonicalConfig(0.0, 1.0, 1.0)).value == 0.25
