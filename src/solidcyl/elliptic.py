@@ -221,36 +221,46 @@ def _rj(x: float, y: float, z: float, p: float) -> float:
     pow4 = 1.0
     acc = 0.0
     # A > 0 throughout: the callers check x, y, z >= 0 (one zero at most), p > 0
-    for _ in range(_MAX_ITER):
-        if pow4 * q < A:
-            break
-        sx, sy, sz, sp = sqrt(xn), sqrt(yn), sqrt(zn), sqrt(pn)
-        lam = sx * (sy + sz) + sy * sz
-        dn = (sp + sx) * (sp + sy) * (sp + sz)
-        term = pow4 / dn
-        if need_rc:
-            # R_C(1, e) with carlson_rc's own expressions at x = 1, so the
-            # bits match; R_C(1, 1) = 1, and any other e goes to carlson_rc
-            e = 2.0 * sp * (pn + lam) / dn
-            if e > 1.0:
-                g = e - 1.0
-                w = sqrt(g)
-                term *= math.atan(w) / w
-            elif 0.0 < e < 1.0:
-                g = 1.0 - e
-                w = sqrt(g)
-                term *= (math.log1p(w) + 0.5 * math.log1p(g / e)) / w
-            elif e != 1.0:
-                term *= carlson_rc(1.0, e)
-        acc += term
-        A = (A + lam) * 0.25
-        xn = (xn + lam) * 0.25
-        yn = (yn + lam) * 0.25
-        zn = (zn + lam) * 0.25
-        pn = (pn + lam) * 0.25
-        pow4 *= 0.25
-    else:  # pragma: no cover
-        raise DomainError("carlson_rj duplication failed to converge")
+    try:
+        for _ in range(_MAX_ITER):
+            if pow4 * q < A:
+                break
+            sx, sy, sz, sp = sqrt(xn), sqrt(yn), sqrt(zn), sqrt(pn)
+            lam = sx * (sy + sz) + sy * sz
+            dn = (sp + sx) * (sp + sy) * (sp + sz)
+            term = pow4 / dn
+            if need_rc:
+                # R_C(1, e) with carlson_rc's own expressions at x = 1, so the
+                # bits match; R_C(1, 1) = 1
+                e = 2.0 * sp * (pn + lam) / dn
+                if e > 1.0:
+                    g = e - 1.0
+                    w = sqrt(g)
+                    term *= math.atan(w) / w
+                elif 0.0 < e < 1.0:
+                    g = 1.0 - e
+                    w = sqrt(g)
+                    term *= (math.log1p(w) + 0.5 * math.log1p(g / e)) / w
+                elif e != 1.0:
+                    # e is 0 or NaN: d_n overflowed, or the product above
+                    # underflowed, which takes arguments spread across most
+                    # of the double range
+                    raise DomainError(
+                        f"R_J({x!r}, {y!r}, {z!r}, {p!r}): argument spread too wide for the duplication loop"
+                    )
+            acc += term
+            A = (A + lam) * 0.25
+            xn = (xn + lam) * 0.25
+            yn = (yn + lam) * 0.25
+            zn = (zn + lam) * 0.25
+            pn = (pn + lam) * 0.25
+            pow4 *= 0.25
+        else:  # pragma: no cover
+            raise DomainError("carlson_rj duplication failed to converge")
+    except ZeroDivisionError:
+        # d_n underflowed to 0: in the loop's band that takes a first term
+        # pow4 / d_n, and so R_J, past the double range
+        raise DomainError(f"R_J({x!r}, {y!r}, {z!r}, {p!r}) overflows the double range") from None
     X = (A0 - x) * pow4 / A
     Y = (A0 - y) * pow4 / A
     Z = (A0 - z) * pow4 / A

@@ -27,17 +27,21 @@ cylinder: quadratic interval on the infinite shell intersected with the axial
 slab, hit iff the interval reaches positive ray parameter. The radial
 discriminant is taken as vx^2 - c vy^2, which equals b^2 - a c but has no
 d^2-sized terms to cancel, so the tangent test is good to a few eps at any
-source distance. Its 10^6-ray Philox blocks are independent: each is tested
-in cache-sized slices, the blocks run on a pool of one thread per usable
-CPU, and their integer hit counts are summed, so the estimate is
-bit-identical for any worker count.
+source distance. Its 10^6-ray Philox blocks are independent: the blocks run
+on a pool of one thread per usable CPU, and their integer hit counts are
+summed, so the estimate is bit-identical for any worker count.
 
-Before that exact test, each slice is culled to the cylinder's bounding band
-in polar angle and azimuth (_band), widened past the exact test's own
-rounding. A ray outside the band is a miss of the exact test too, and a ray
-inside it gets the same arithmetic as without the cull, so the hit count is
-the one the exact test gives on every ray. A source whose band is the whole
-sphere (inside the cylinder or on its wall) skips the cull.
+A block draws only the rays inside the cylinder's bounding band in polar
+angle and azimuth (_band), widened past the exact test's own rounding and
+clipped to [-1, 1] x [0, 2 pi] (_draw_box). Isotropic rays are uniform on
+that (cos theta, azimuth) rectangle, so the number of a block's n rays that
+land in the band is Binomial(n, w), w being the band's share of its area,
+and those rays are uniform on the band. A block draws k ~ Binomial(n, w),
+then k rays on the band, and tests them in cache-sized slices. A ray
+outside the band is a miss of the exact test too, so the hit count has the
+distribution it has when all n rays are drawn and tested. A source whose
+band is the whole sphere (inside the cylinder or on its wall) has w = 1 and
+draws all n rays.
 
 SciPy is imported only inside the quadrature oracles, so importing this
 module (and the CLI) loads NumPy alone.
@@ -73,7 +77,7 @@ _SUBDIV = 10_000  # adaptive subdivision budget before declaring failure
 _BLOCK = 1_000_000  # Monte Carlo rays per independent Philox stream
 _SLICE = 1 << 15  # rays per intersection-test slice, a multiple of 16
 _EPS = sys.float_info.epsilon
-_SLACK = 1e-9  # absolute widening of the cull band in cos(theta) and azimuth
+_SLACK = 1e-9  # absolute widening of the band in cos(theta) and azimuth
 
 
 def _rho_minus(phi: float, r: float, d: float) -> float:
@@ -201,8 +205,9 @@ def _block_pool() -> ThreadPoolExecutor:
 
     The threads outlive a call: threads started per call can begin before
     the last call's threads have handed back their malloc arenas, get fresh
-    arenas, and leave another block's ~16 MB resident (peak RSS 73 -> 91 MB
-    in some 45-s mc_oracle benchmark runs on 2 vCPUs).
+    arenas, and leave another worker's draws resident (peak RSS 73 -> 91 MB
+    in some 45-s mc_oracle benchmark runs on 2 vCPUs, when a worker held a
+    whole block's draws).
     """
     global _pool
     with _pool_lock:
@@ -286,21 +291,36 @@ def _band(L: float, d: float, z: float, c: float) -> tuple[float, float, float, 
     return cos_lo, cos_hi, math.pi - half, math.pi + half
 
 
+def _draw_box(band: tuple[float, float, float, float] | None) -> tuple[float, float, float, float, float]:
+    """`band` clipped to [-1, 1] x [0, 2 pi] in (cos theta, azimuth), and w, its share of that area.
+
+    None is the whole rectangle, with w = 1 exactly.
+    """
+    c_lo, c_hi, a_lo, a_hi = band or (-1.0, 1.0, 0.0, _TWO_PI)
+    c_lo, c_hi = max(c_lo, -1.0), min(c_hi, 1.0)
+    a_lo, a_hi = max(a_lo, 0.0), min(a_hi, _TWO_PI)
+    return c_lo, c_hi, a_lo, a_hi, (c_hi - c_lo) / 2.0 * ((a_hi - a_lo) / _TWO_PI)
+
+
 def _block_hits(
     base: np.random.Philox, block: int, n: int, L: float, px: float, pz: float, c: float,
-    band: tuple[float, float, float, float] | None,
+    box: tuple[float, float, float, float, float],
 ) -> int:
-    """Hits among the n rays of Philox block `block`, culled to `band`; depends on nothing else."""
+    """Hits among the n isotropic rays of Philox block `block`; depends on nothing else.
+
+    Draws k ~ Binomial(n, w) for the rays that land in `box` (_draw_box),
+    then those k rays uniformly on it, one slice at a time: cos(theta),
+    then azimuth.
+    """
+    c_lo, c_hi, a_lo, a_hi, w = box
     g = np.random.Generator(base.jumped(block))
-    cos_t = g.uniform(-1.0, 1.0, n)
-    az = g.uniform(0.0, _TWO_PI, n)
+    k = int(g.binomial(n, w))
     hits = 0
-    for i in range(0, n, _SLICE):
-        ct, a = cos_t[i : i + _SLICE], az[i : i + _SLICE]
-        if band is not None:
-            keep = (ct >= band[0]) & (ct <= band[1]) & (a >= band[2]) & (a <= band[3])
-            ct, a = ct[keep], a[keep]
-        hits += _slice_hits(ct, a, L, px, pz, c)
+    for i in range(0, k, _SLICE):
+        m = min(_SLICE, k - i)
+        cos_t = g.uniform(c_lo, c_hi, m)
+        az = g.uniform(a_lo, a_hi, m)
+        hits += _slice_hits(cos_t, az, L, px, pz, c)
     return hits
 
 
@@ -316,22 +336,25 @@ def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -
     Lengths are taken in units of r, so a uniform scale by a power of two
     leaves the estimate bit-identical.
 
-    Each block draws its cos(theta) and azimuth arrays (8 MB each) and then
-    tests them in slices of 2^15 rays, so the intersection temporaries stay
-    in cache. Each slice is first culled to the rays inside the cylinder's
-    polar-and-azimuth bounding band, widened past the exact test's rounding
-    (_band), and only those get the exact test. Culled rays are misses of the
-    exact test as well, so the count is the one the exact test gives on the
-    whole block; a source whose band is the whole sphere skips the cull.
+    Only rays that can hit are drawn. _band bounds the hits to a rectangle
+    in (cos theta, azimuth), widened past the exact test's rounding, and
+    _draw_box clips it to [-1, 1] x [0, 2 pi] and gives its area share w.
+    Isotropic directions are uniform on [-1, 1] x [0, 2 pi], so of a block's
+    n rays a Binomial(n, w) number land in the rectangle, uniformly, and the
+    rest miss the exact test. Each block draws, from its own generator,
+    k ~ Binomial(n, w), then the k rays on the rectangle in slices of 2^15
+    (cos theta of a slice, then its azimuth), and gives each slice to the
+    exact test. So the hit count has the law it has when every ray is
+    drawn and tested; a source whose band is the whole sphere has w = 1 and
+    draws every ray.
 
     Blocks run on one process-wide pool of one thread per usable CPU
     (_block_pool), so k blocks occupy min(k, CPUs) threads; NumPy releases
     the GIL in its draws and ufuncs. The integer hit counts are summed, so
     the result does not depend on the worker count. Each worker holds one
-    block at a time, about 20 MB (the two draw arrays plus one slice's mask
-    and intersection temporaries, which shrink with the share of rays the
-    cull keeps), so peak memory grows as workers x ~20 MB on top of the
-    interpreter and NumPy.
+    slice at a time: its two draw arrays (256 kB each) and the exact test's
+    temporaries, about 4.5 MB at most, so peak memory grows as workers x
+    ~4.5 MB on top of the interpreter and NumPy.
 
     Any finite source distance is drawn and tested like any other: from
     d = 1.3e154 r on c = d^2 - 1 is inf, so the exact test's discriminant is
@@ -349,7 +372,7 @@ def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -
 
     c = d * d - 1.0  # radial quadratic constant term (py = 0 by symmetry)
     base = np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF)
-    run = partial(_block_hits, base, L=L, px=d, pz=z, c=c, band=_band(L, d, z, c))
+    run = partial(_block_hits, base, L=L, px=d, pz=z, c=c, box=_draw_box(_band(L, d, z, c)))
     sizes = [min(_BLOCK, samples - start) for start in range(0, samples, _BLOCK)]
     hits = sum(_block_pool().map(run, range(len(sizes)), sizes))
 

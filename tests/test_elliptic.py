@@ -469,6 +469,26 @@ def test_rd_rj_with_arguments_spread_past_the_band(args):
     assert carlson_rd(*args[:3]) == pytest.approx(float(exact_rd), rel=1e-15)
 
 
+@pytest.mark.parametrize(
+    "kernel, args",
+    [(carlson_rj, (2.0**-590, 5e-324, 5e-324, 5e-324)), (carlson_rd, (2.0**-590, 5e-324, 5e-324))],
+)
+def test_rd_rj_whose_first_term_overflows(kernel, args):
+    # the mean is inside the loop's band, but d_0 underflows to 0; the value,
+    # about 1.9e412, overflows the double range
+    with mpmath.workdps(40):
+        assert mpmath.elliprj(mpmath.mpf(2) ** -590, *[mpmath.mpf(5e-324)] * 3) > _DOUBLE_MAX
+    with pytest.raises(DomainError, match=r"R_J\(.*overflows the double range"):
+        kernel(*args)
+
+
+def test_rj_with_arguments_spread_too_wide_for_the_loop():
+    # 1e300 cannot move down without the 1e-300s leaving the normal range,
+    # and unmoved the loop's d_n overflows
+    with pytest.raises(DomainError, match=r"R_J\(.*argument spread"):
+        carlson_rj(1e-300, 1e-300, 1e-300, 1e300)
+
+
 def test_rc_at_zero_x_is_a_quarter_period():
     for y in (1e-300, 0.25, 1.0, 3.0, 1e300):
         assert carlson_rc(0.0, y) == pytest.approx(HALF_PI / math.sqrt(y), rel=1e-15)

@@ -195,24 +195,33 @@ def test_mc_accepts_numpy_integer_samples_and_seed():
     assert type(est.samples) is int and type(est.seed) is int
 
 
-# hits measured with the serial, unsliced caster; any change to the Philox
-# draws, to the slicing or to the scheduling of blocks shows up here
+# hits of the Binomial band draw (one Binomial count per block, then the
+# block's in-band rays); any change to the Philox draws, their order, the
+# band or the scheduling of blocks shows up here. Each count is also a
+# plausible draw: within 3 binomial sigma of the closed form, and every ray
+# for the enclosed source
 @pytest.mark.parametrize(
     "L, r, d, z, samples, seed, hits",
     [
-        (3.0, 1.0, 2.0, -1.0, 2_500_001, 42, 126694),
-        (3.0, 1.0, 2.0, 1.5, 1_000_000, 0, 132899),
-        (1.0, 1.0, 0.0, -10.0, 400_000, 3, 932),
-        (0.05, 1.0, 40.0, 0.01, 1_234_567, 5, 6),
-        (2.0, 1.0, 1.0, 0.0, 777_777, 8, 194469),
+        (3.0, 1.0, 2.0, -1.0, 2_500_001, 42, 126684),
+        (3.0, 1.0, 2.0, 1.5, 1_000_000, 0, 132841),
+        (1.0, 1.0, 0.0, -10.0, 400_000, 3, 1049),
+        (0.05, 1.0, 40.0, 0.01, 1_234_567, 5, 7),
+        (2.0, 1.0, 1.0, 0.0, 777_777, 8, 194140),
         (3.0, 2.0, 1.0, 1.5, 10_000, 7, 10000),
-        (1.0, 1.0, 0.5, -0.25, 65_537, 11, 23265),
+        (1.0, 1.0, 0.5, -0.25, 65_537, 11, 23052),
     ],
 )
 def test_mc_frozen_hit_counts(L, r, d, z, samples, seed, hits):
-    est = oracle.mc_total(CylinderSpec(L, r), SourcePoint(d, z), samples, seed=seed)
+    cyl, src = CylinderSpec(L, r), SourcePoint(d, z)
+    est = oracle.mc_total(cyl, src, samples, seed=seed)
     assert est.hit_fraction == hits / samples
     assert est.samples == samples and est.seed == seed
+    ref = omega_total(cyl, src).value
+    if ref == 1.0:
+        assert hits == samples
+    else:
+        assert abs(hits - samples * ref) <= 3.0 * math.sqrt(samples * ref * (1.0 - ref))
 
 
 def test_mc_estimate_independent_of_worker_count(monkeypatch):
@@ -237,9 +246,33 @@ def test_mc_runs_where_sched_getaffinity_is_missing(monkeypatch):
 
 
 def _block_draws(samples, seed):
-    # the one Philox block mc_total draws for samples <= 10^6
+    # isotropic rays from one Philox stream, drawn the way a block would
+    # without the band
     g = np.random.Generator(np.random.Philox(key=seed).jumped(0))
     return g.uniform(-1.0, 1.0, samples), g.uniform(0.0, TWO_PI, samples)
+
+
+def _clipped_band(L, d, z):
+    # _band clipped to [-1, 1] x [0, 2 pi], and its share of that area
+    band = oracle._band(L, d, z, d * d - 1.0) or (-1.0, 1.0, 0.0, TWO_PI)
+    c_lo, c_hi = max(band[0], -1.0), min(band[1], 1.0)
+    a_lo, a_hi = max(band[2], 0.0), min(band[3], TWO_PI)
+    return c_lo, c_hi, a_lo, a_hi, (c_hi - c_lo) / 2.0 * ((a_hi - a_lo) / TWO_PI)
+
+
+def _band_draw_hits(L, d, z, samples, seed):
+    # the one block mc_total draws for samples <= 10^6, in its documented
+    # order: k ~ Binomial(samples, w), then per slice cos(theta), then azimuth
+    c_lo, c_hi, a_lo, a_hi, w = _clipped_band(L, d, z)
+    g = np.random.Generator(np.random.Philox(key=seed).jumped(0))
+    k = g.binomial(samples, w)
+    hits = 0
+    for i in range(0, k, oracle._SLICE):
+        m = min(oracle._SLICE, k - i)
+        cos_t = g.uniform(c_lo, c_hi, m)
+        az = g.uniform(a_lo, a_hi, m)
+        hits += oracle._slice_hits(cos_t, az, L, d, z, d * d - 1.0)
+    return hits
 
 
 _EDGE = 2.0**-52
@@ -284,13 +317,12 @@ _CULL_CASES = [
 
 @pytest.mark.parametrize("L, d, z", _CULL_CASES)
 def test_mc_cull_keeps_the_exact_test_count(L, d, z):
-    # the band cull must not change a single ray's verdict: mc_total's count
-    # equals the exact test run on the whole unculled block
+    # the band draw culls every ray outside the band by never drawing it:
+    # mc_total's count equals the exact test run, outside mc_total, on the
+    # Binomial count of rays the block draws on the clipped band
     samples, seed = 200_003, 17
-    cos_t, az = _block_draws(samples, seed)
-    want = oracle._slice_hits(cos_t, az, L, d, z, d * d - 1.0)
     est = oracle.mc_total(CylinderSpec(L, 1.0), SourcePoint(d, z), samples, seed=seed)
-    assert est.hit_fraction == want / samples
+    assert est.hit_fraction == _band_draw_hits(L, d, z, samples, seed) / samples
 
 
 @pytest.mark.parametrize("L, d, z", [c for c in _CULL_CASES if oracle._band(c[0], c[1], c[2], c[1] ** 2 - 1.0)])
@@ -333,6 +365,62 @@ def test_mc_far_band_keeps_few_rays():
     c_lo, c_hi, a_lo, a_hi = oracle._band(0.05, 40.0, 0.01, 40.0**2 - 1.0)
     kept = np.count_nonzero((cos_t >= c_lo) & (cos_t <= c_hi) & (az >= a_lo) & (az <= a_hi))
     assert kept < 100
+
+
+@pytest.mark.parametrize("L, d, z", _CULL_CASES + [(1.0, 0.3, 1.0), (3.0, 0.5, 1.5), (1.0, 5.0, 0.5)])
+def test_mc_draw_box_is_the_clipped_band_and_its_area_share(L, d, z):
+    band = oracle._band(L, d, z, d * d - 1.0)
+    box = oracle._draw_box(band)
+    assert box == _clipped_band(L, d, z)
+    c_lo, c_hi, a_lo, a_hi, w = box
+    assert -1.0 <= c_lo < c_hi <= 1.0 and 0.0 <= a_lo < a_hi <= TWO_PI and 0.0 < w <= 1.0
+    assert w == pytest.approx((c_hi - c_lo) * (a_hi - a_lo) / (4.0 * math.pi), rel=1e-15)
+    if band is None:
+        assert box == (-1.0, 1.0, 0.0, TWO_PI, 1.0)
+
+
+@pytest.mark.parametrize("L, d, z, n", [(1.0, 5.0, 0.5, 100_000), (1.0, 0.3, 1.0, 10_000)])
+def test_mc_in_band_count_is_binomial(monkeypatch, L, d, z, n):
+    # over 1,000 seeds, the rays one block hands the exact test number
+    # k ~ Binomial(n, w): mean n w and variance n w (1 - w), each within 4
+    # standard errors (a narrow band, and a face source whose band is clipped)
+    drawn, exact = [], oracle._slice_hits
+
+    def counting(cos_t, az, *args):
+        drawn.append(len(cos_t))
+        return exact(cos_t, az, *args)
+
+    monkeypatch.setattr(oracle, "_slice_hits", counting)
+    w = _clipped_band(L, d, z)[4]
+    N = 1000
+    ks = []
+    for seed in range(N):
+        drawn.clear()
+        oracle.mc_total(CylinderSpec(L, 1.0), SourcePoint(d, z), n, seed=seed)
+        ks.append(sum(drawn))
+    ks = np.array(ks, dtype=float)
+    var = n * w * (1.0 - w)
+    kurt = (1.0 - 6.0 * w * (1.0 - w)) / var  # excess kurtosis of Binomial(n, w)
+    assert abs(ks.mean() - n * w) <= 4.0 * math.sqrt(var / N)
+    assert abs(ks.var(ddof=1) - var) <= 4.0 * var * math.sqrt(2.0 / (N - 1) + kurt / N)
+
+
+def test_mc_many_seeds_agree_with_the_closed_form():
+    # 200 seeds x 10^5 rays on four sources (below the base outside the
+    # wall, a narrow band beside the shell, a face source and one inside the
+    # rim below the base, both clipped): the z-scores against the closed form,
+    # in binomial sigma at the closed-form value, pool to mean 0 and variance 1
+    zs = []
+    n = 100_000
+    for L, d, z in [(3.0, 2.0, -1.0), (1.0, 5.0, 0.5), (1.0, 0.3, 1.0), (1.0, 0.5, -0.25)]:
+        cyl, src = CylinderSpec(L, 1.0), SourcePoint(d, z)
+        ref = omega_total(cyl, src).value
+        sigma = math.sqrt(ref * (1.0 - ref) / n)
+        zs += [(oracle.mc_total(cyl, src, n, seed=seed).hit_fraction - ref) / sigma for seed in range(200)]
+    zs = np.array(zs)
+    assert abs(zs.mean()) <= 0.15
+    assert 0.8 <= zs.var(ddof=1) <= 1.2
+    assert np.abs(zs).max() <= 5.0
 
 
 @pytest.mark.parametrize("scale", [2.0**600, 2.0**-600])
