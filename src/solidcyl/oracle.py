@@ -27,9 +27,13 @@ cylinder: quadratic interval on the infinite shell intersected with the axial
 slab, hit iff the interval reaches positive ray parameter. The radial
 discriminant is taken as vx^2 - c vy^2, which equals b^2 - a c but has no
 d^2-sized terms to cancel, so the tangent test is good to a few eps at any
-source distance. Its 10^6-ray Philox blocks are independent: the blocks run
-on a pool of one thread per usable CPU, and their integer hit counts are
-summed, so the estimate is bit-identical for any worker count.
+source distance. Its 10^6-ray Philox blocks are independent, each a stream
+of its own, and their integer hit counts are summed, so the estimate is
+bit-identical however the blocks are run: on a pool of one thread per
+usable CPU for a call with two or more slices of expected in-band rays
+(and two blocks and two CPUs to share them), in the caller's thread
+otherwise. The exact test works in per-thread scratch arrays, not fresh
+temporaries.
 
 A block draws only the rays inside the cylinder's bounding band in polar
 angle and azimuth (_band), widened past the exact test's own rounding and
@@ -75,7 +79,7 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 _SUBDIV = 10_000  # adaptive subdivision budget before declaring failure
 _BLOCK = 1_000_000  # Monte Carlo rays per independent Philox stream
-_SLICE = 1 << 15  # rays per intersection-test slice, a multiple of 16
+_SLICE = 1 << 15  # rays per intersection-test slice, a multiple of 16; expected rays per worker
 _EPS = sys.float_info.epsilon
 _SLACK = 1e-9  # absolute widening of the band in cos(theta) and azimuth
 
@@ -203,6 +207,9 @@ _pool_lock = threading.Lock()
 def _block_pool() -> ThreadPoolExecutor:
     """The process's block workers, one thread per usable CPU, started on first use.
 
+    mc_total uses it only for a call with two or more workers' worth of
+    expected in-band rays; a smaller call runs in the caller's thread. Each
+    pool thread keeps its exact-test scratch (about 1.6 MB) for its life.
     The threads outlive a call: threads started per call can begin before
     the last call's threads have handed back their malloc arenas, get fresh
     arenas, and leave another worker's draws resident (peak RSS 73 -> 91 MB
@@ -226,37 +233,66 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+_scratch = threading.local()
+
+
+def _scratch_arrays(n: int) -> tuple[np.ndarray, ...]:
+    """This thread's six float and two bool work arrays for _slice_hits, cut to length n.
+
+    Allocated _SLICE long on a thread's first slice and replaced only by a
+    longer input, then kept for the thread's life: about 1.6 MB per thread,
+    so that the exact test allocates no arrays per slice.
+    """
+    bufs = getattr(_scratch, "bufs", None)
+    if bufs is None or len(bufs[0]) < n:
+        size = max(n, _SLICE)
+        floats, bools = (np.empty(size) for _ in range(6)), (np.empty(size, bool) for _ in range(2))
+        bufs = _scratch.bufs = (*floats, *bools)
+    return tuple(buf[:n] for buf in bufs)
+
+
 def _slice_hits(cos_t: np.ndarray, az: np.ndarray, L: float, px: float, pz: float, c: float) -> int:
-    sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
-    vx = sin_t * np.cos(az)
-    vy = sin_t * np.sin(az)
-    vz = cos_t
+    # vz is cos_t; each array is named after what it holds at the time
+    f0, f1, f2, f3, f4, f5, m0, m1 = _scratch_arrays(len(cos_t))
+    cos2 = np.multiply(cos_t, cos_t, out=f0)
+    sin_t = np.sqrt(np.maximum(0.0, np.subtract(1.0, cos2, out=f0), out=f0), out=f0)
+    vx = np.multiply(sin_t, np.cos(az, out=f1), out=f1)
+    vy = np.multiply(sin_t, np.sin(az, out=f2), out=f2)
 
-    a = vx * vx + vy * vy
-    b = px * vx
+    vx2 = np.multiply(vx, vx, out=f0)
+    vy2 = np.multiply(vy, vy, out=f3)
+    a = np.add(vx2, vy2, out=f2)
+    b = np.multiply(px, vx, out=f1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        disc = vx * vx - c * (vy * vy)  # b^2 - a c, with no d^2-sized terms to cancel
-        sq = np.sqrt(np.maximum(0.0, disc))
-        rad_lo = (-b - sq) / a
-        rad_hi = (-b + sq) / a
-        ax_a = (0.0 - pz) / vz
-        ax_b = (L - pz) / vz
+        # b^2 - a c, with no d^2-sized terms to cancel
+        disc = np.subtract(vx2, np.multiply(c, vy2, out=f3), out=f3)
+        sq = np.sqrt(np.maximum(0.0, disc, out=f0), out=f0)
+        neg_b = np.negative(b, out=f4)
+        rad_lo = np.divide(np.subtract(neg_b, sq, out=f5), a, out=f5)
+        rad_hi = np.divide(np.add(neg_b, sq, out=f1), a, out=f1)
+        ax_a = np.divide(0.0 - pz, cos_t, out=f0)
+        ax_b = np.divide(L - pz, cos_t, out=f4)
 
-    vertical = a == 0.0
-    empty_rad = ~vertical & (disc < 0.0)
-    rad_lo = np.where(vertical, -np.inf if c <= 0.0 else np.inf, rad_lo)
-    rad_hi = np.where(vertical, np.inf if c <= 0.0 else -np.inf, rad_hi)
-    rad_lo = np.where(empty_rad, np.inf, rad_lo)
-    rad_hi = np.where(empty_rad, -np.inf, rad_hi)
+    # an empty radial interval, then a vertical ray over it: a vertical ray
+    # keeps its own interval whatever disc is
+    empty_rad = np.less(disc, 0.0, out=m1)
+    np.copyto(rad_lo, np.inf, where=empty_rad)
+    np.copyto(rad_hi, -np.inf, where=empty_rad)
+    vertical = np.equal(a, 0.0, out=m0)
+    np.copyto(rad_lo, -np.inf if c <= 0.0 else np.inf, where=vertical)
+    np.copyto(rad_hi, np.inf if c <= 0.0 else -np.inf, where=vertical)
 
-    horizontal = vz == 0.0
     in_slab = 0.0 <= pz <= L
-    ax_lo = np.where(horizontal, -np.inf if in_slab else np.inf, np.minimum(ax_a, ax_b))
-    ax_hi = np.where(horizontal, np.inf if in_slab else -np.inf, np.maximum(ax_a, ax_b))
+    ax_lo = np.minimum(ax_a, ax_b, out=f2)
+    ax_hi = np.maximum(ax_a, ax_b, out=f3)
+    horizontal = np.equal(cos_t, 0.0, out=m0)
+    np.copyto(ax_lo, -np.inf if in_slab else np.inf, where=horizontal)
+    np.copyto(ax_hi, np.inf if in_slab else -np.inf, where=horizontal)
 
-    lo = np.maximum(rad_lo, ax_lo)
-    hi = np.minimum(rad_hi, ax_hi)
-    return int(np.count_nonzero((lo <= hi) & (hi > 0.0)))
+    lo = np.maximum(rad_lo, ax_lo, out=f5)
+    hi = np.minimum(rad_hi, ax_hi, out=f1)
+    hit = np.logical_and(np.less_equal(lo, hi, out=m0), np.greater(hi, 0.0, out=m1), out=m0)
+    return int(np.count_nonzero(hit))
 
 
 def _band(L: float, d: float, z: float, c: float) -> tuple[float, float, float, float] | None:
@@ -303,17 +339,18 @@ def _draw_box(band: tuple[float, float, float, float] | None) -> tuple[float, fl
 
 
 def _block_hits(
-    base: np.random.Philox, block: int, n: int, L: float, px: float, pz: float, c: float,
+    key: int, block: int, n: int, L: float, px: float, pz: float, c: float,
     box: tuple[float, float, float, float, float],
 ) -> int:
     """Hits among the n isotropic rays of Philox block `block`; depends on nothing else.
 
-    Draws k ~ Binomial(n, w) for the rays that land in `box` (_draw_box),
-    then those k rays uniformly on it, one slice at a time: cos(theta),
-    then azimuth.
+    The block's stream is Philox(key) started at counter block * 2^128,
+    the stream Philox(key).jumped(block) gives. Draws k ~ Binomial(n, w)
+    for the rays that land in `box` (_draw_box), then those k rays
+    uniformly on it, one slice at a time: cos(theta), then azimuth.
     """
     c_lo, c_hi, a_lo, a_hi, w = box
-    g = np.random.Generator(base.jumped(block))
+    g = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, block, 0]))
     k = int(g.binomial(n, w))
     hits = 0
     for i in range(0, k, _SLICE):
@@ -330,9 +367,11 @@ def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -
     Directions are uniform on the sphere (uniform cos(theta), uniform
     azimuth). A ray hits iff the interval where it is radially inside the
     infinite shell intersects the interval where it is inside the axial slab,
-    at some positive ray parameter. Streams are Philox blocks of 10^6 rays,
-    block i drawn from the seed generator jumped i times, so a fixed seed
-    gives a bit-identical estimate regardless of how blocks are scheduled.
+    at some positive ray parameter. Streams are Philox blocks of 10^6 rays:
+    the seed is the Philox key, which takes any integer in [0, 2^128), and
+    block i starts at counter i * 2^128 (the key's stream jumped i times),
+    so a fixed seed gives a bit-identical estimate regardless of how blocks
+    are scheduled, and distinct seeds give distinct streams.
     Lengths are taken in units of r, so a uniform scale by a power of two
     leaves the estimate bit-identical.
 
@@ -348,13 +387,20 @@ def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -
     drawn and tested; a source whose band is the whole sphere has w = 1 and
     draws every ray.
 
-    Blocks run on one process-wide pool of one thread per usable CPU
-    (_block_pool), so k blocks occupy min(k, CPUs) threads; NumPy releases
-    the GIL in its draws and ufuncs. The integer hit counts are summed, so
-    the result does not depend on the worker count. Each worker holds one
-    slice at a time: its two draw arrays (256 kB each) and the exact test's
-    temporaries, about 4.5 MB at most, so peak memory grows as workers x
-    ~4.5 MB on top of the interpreter and NumPy.
+    The call counts its workers by its expected in-band rays, samples * w:
+    one per full slice, at most one per usable CPU and one per block. With
+    fewer than two, the blocks run through map in the caller's thread;
+    with two or more, on one process-wide pool of one thread per CPU
+    (_block_pool), whose threads take the blocks as they come and share
+    the CPUs while NumPy's draws and ufuncs release the GIL. A few
+    thousand rays per block do not pay for the pool: each block
+    makes about 30 small NumPy calls, and two workers pass the GIL back and
+    forth around them. The integer hit counts are summed, so the result
+    does not depend on the dispatch or the worker count. Each thread holds
+    one slice at a time, its two draw arrays (256 kB each), and keeps the
+    exact test's scratch (_scratch_arrays, about 1.6 MB) for its life: about
+    2 MB for each thread that has tested a slice, on top of the interpreter
+    and NumPy.
 
     Any finite source distance is drawn and tested like any other: from
     d = 1.3e154 r on c = d^2 - 1 is inf, so the exact test's discriminant is
@@ -366,15 +412,18 @@ def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -
         raise DomainError(f"samples and seed must be integers; got {samples!r}, {seed!r}") from None
     if samples < 1:
         raise DomainError(f"samples must be >= 1; got {samples!r}")
+    if not 0 <= seed < 1 << 128:
+        raise DomainError(f"seed must lie in [0, 2^128), the Philox key range; got {seed!r}")
     L, d, z = cyl.L / cyl.r, src.d / cyl.r, src.z / cyl.r
     if math.isinf(max(L, d, abs(z))):
         raise DomainError(f"lengths overflow in units of r: L/r = {L!r}, d/r = {d!r}, z/r = {z!r}")
 
     c = d * d - 1.0  # radial quadratic constant term (py = 0 by symmetry)
-    base = np.random.Philox(key=seed & 0xFFFFFFFFFFFFFFFF)
-    run = partial(_block_hits, base, L=L, px=d, pz=z, c=c, box=_draw_box(_band(L, d, z, c)))
+    box = _draw_box(_band(L, d, z, c))
+    run = partial(_block_hits, seed, L=L, px=d, pz=z, c=c, box=box)
     sizes = [min(_BLOCK, samples - start) for start in range(0, samples, _BLOCK)]
-    hits = sum(_block_pool().map(run, range(len(sizes)), sizes))
+    workers = min(int(samples * box[4]) // _SLICE, _usable_cpus(), len(sizes))
+    hits = sum((_block_pool().map if workers > 1 else map)(run, range(len(sizes)), sizes))
 
     p = hits / samples
     return McEstimate(

@@ -176,6 +176,16 @@ def test_bad_env_seed_is_an_error(capsys, monkeypatch):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**128)])
+def test_montecarlo_seed_outside_the_philox_key_range_is_an_error(capsys, seed):
+    code, out, err = _run(
+        capsys,
+        ["compute", "--L", "1", "--r", "1", "--d", "2", "--method", "montecarlo", "--samples", "10", "--seed", seed],
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "2^128" in err
+
+
 def test_domain_error_exits_one(capsys):
     code, _, err = _run(capsys, ["compute", "--L", "3", "--r", "1", "--d", "-2"])
     assert code == 1

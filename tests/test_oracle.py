@@ -10,8 +10,10 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
@@ -578,6 +580,130 @@ def test_mc_runs_in_a_forked_child_after_the_parent_used_the_pool():
     if alive:
         child.kill()
     assert not alive and child.exitcode == 0
+
+
+@pytest.mark.parametrize("key", [0, 5, 2**64 - 1, 2**64 + 5, 2**127 + 3])
+def test_mc_block_stream_starts_at_its_counter(key):
+    # Philox(key) started at counter block * 2^128 is the jumped stream
+    for block in range(64):
+        jumped = np.random.Generator(np.random.Philox(key=key).jumped(block))
+        started = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, block, 0]))
+        assert np.array_equal(jumped.random(4), started.random(4)), block
+
+
+def test_mc_seeds_past_64_bits_are_distinct_keys():
+    cyl, src = CylinderSpec(3.0, 1.0), SourcePoint(2.0, -1.0)
+    low = oracle.mc_total(cyl, src, 100_000, seed=5)
+    high = oracle.mc_total(cyl, src, 100_000, seed=5 + 2**64)
+    assert high.seed == 5 + 2**64 and high.hit_fraction != low.hit_fraction
+    top = oracle.mc_total(cyl, src, 100_000, seed=2**128 - 1)
+    assert top.hit_fraction != low.hit_fraction
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**64), 2**128, 2**200])
+def test_mc_rejects_seeds_outside_the_philox_key_range(seed):
+    with pytest.raises(DomainError, match="seed"):
+        oracle.mc_total(CylinderSpec(1.0, 1.0), SourcePoint(2.0, 0.5), 1000, seed=seed)
+
+
+# a narrow band (about 5e-6 of the sphere) and a wide one (about 5 %)
+_DISPATCH_CASES = [(0.05, 40.0, 0.01), (3.0, 2.0, -1.0)]
+
+
+def _blockwise_hits(L, d, z, samples, seed, mapper):
+    c = d * d - 1.0
+    run = partial(oracle._block_hits, seed, L=L, px=d, pz=z, c=c, box=oracle._draw_box(oracle._band(L, d, z, c)))
+    sizes = [min(oracle._BLOCK, samples - start) for start in range(0, samples, oracle._BLOCK)]
+    return sum(mapper(run, range(len(sizes)), sizes))
+
+
+@pytest.mark.parametrize("L, d, z", _DISPATCH_CASES)
+def test_mc_count_is_the_sum_of_its_blocks_on_either_dispatch(L, d, z):
+    samples, seed = 2_500_001, 31
+    est = oracle.mc_total(CylinderSpec(L, 1.0), SourcePoint(d, z), samples, seed=seed)
+    assert est.hit_fraction == _blockwise_hits(L, d, z, samples, seed, map) / samples
+    with ThreadPoolExecutor(max_workers=2) as two:
+        assert est.hit_fraction == _blockwise_hits(L, d, z, samples, seed, two.map) / samples
+
+
+def test_mc_small_call_does_not_use_the_pool(monkeypatch):
+    # about 51 expected in-band rays out of 10^7: far less than one slice
+    L, d, z = _DISPATCH_CASES[0]
+    w = oracle._draw_box(oracle._band(L, d, z, d * d - 1.0))[4]
+    assert 10**7 * w < oracle._SLICE
+
+    def no_pool():
+        raise AssertionError("a call with less than a slice of expected rays used the pool")
+
+    expected = oracle.mc_total(CylinderSpec(L, 1.0), SourcePoint(d, z), 10**7, seed=3)
+    monkeypatch.setattr(oracle, "_block_pool", no_pool)
+    assert oracle.mc_total(CylinderSpec(L, 1.0), SourcePoint(d, z), 10**7, seed=3) == expected
+
+
+def test_mc_large_call_uses_the_pool_when_it_has_two_workers(monkeypatch):
+    # about 136k expected rays in three blocks: four slices
+    L, d, z = _DISPATCH_CASES[1]
+    calls, pool = [], oracle._block_pool
+
+    def counted_pool():
+        calls.append(1)
+        return pool()
+
+    monkeypatch.setattr(oracle, "_block_pool", counted_pool)
+    oracle.mc_total(CylinderSpec(L, 1.0), SourcePoint(d, z), 2_500_001, seed=3)
+    assert len(calls) == (oracle._usable_cpus() > 1)
+
+
+def test_mc_concurrent_callers_get_their_sequential_results():
+    cases = [(*_DISPATCH_CASES[0], 7), (*_DISPATCH_CASES[1], 8), (*_DISPATCH_CASES[0], 9), (*_DISPATCH_CASES[1], 10)]
+
+    def one(case):
+        L, d, z, seed = case
+        return oracle.mc_total(CylinderSpec(L, 1.0), SourcePoint(d, z), 2_000_001, seed=seed)
+
+    sequential = [one(case) for case in cases]
+    start = threading.Barrier(len(cases))
+
+    def together(case):
+        start.wait(timeout=60)
+        return one(case)
+
+    # short GIL slices, so that callers and pool threads interleave within each slice
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(cases)) as callers:
+            assert list(callers.map(together, cases, timeout=300)) == sequential
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_slice_hits_scratch_carries_nothing_between_slices():
+    # the wide case's box, filled: slices of a full slice, one ray and a
+    # longer-than-slice input, each tested in a fresh thread and then in
+    # one thread in both orders
+    L, d, z = _DISPATCH_CASES[1]
+    c = d * d - 1.0
+    c_lo, c_hi, a_lo, a_hi, _ = oracle._draw_box(oracle._band(L, d, z, c))
+    rng = np.random.default_rng(12)
+    slices = []
+    for n in (oracle._SLICE, 1, oracle._SLICE + 5, 1, oracle._SLICE):
+        slices.append((rng.uniform(c_lo, c_hi, n), rng.uniform(a_lo, a_hi, n)))
+    # a one-ray slice that hits, after full slices whose last rays miss and the other way round
+    slices[1] = (np.array([0.5]), np.array([math.pi]))
+    slices[3] = (np.array([0.9]), np.array([0.0]))
+
+    def counts(order):
+        return [oracle._slice_hits(*slices[i], L, d, z, c) for i in order]
+
+    def fresh(i):
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            return worker.submit(counts, [i]).result()[0]
+
+    alone = [fresh(i) for i in range(len(slices))]
+    assert alone[1] == 1 and alone[3] == 0 and min(alone[0], alone[2], alone[4]) > 0
+    assert counts(range(len(slices))) == alone
+    assert counts(reversed(range(len(slices)))) == alone[::-1]
 
 
 def test_cli_and_mc_do_not_import_scipy():
