@@ -25,6 +25,7 @@ import math
 import os
 import re
 import sys
+from functools import partial
 
 from . import verify as verify_mod
 from .errors import SolidCylError
@@ -176,14 +177,14 @@ def _cmd_table(args) -> int:
     return 0
 
 
-def _parse_points(text: str) -> int:
+def _parse_count(name: str, text: str) -> int:
     try:
-        points = int(text)
+        count = int(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad point count {text!r}") from exc
-    if points < 1:
-        raise argparse.ArgumentTypeError(f"points must be at least 1; got {points}")
-    return points
+        raise argparse.ArgumentTypeError(f"bad {name} count {text!r}") from exc
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"{name} must be at least 1; got {count}")
+    return count
 
 
 def _parse_tolerance(text: str) -> tuple[str, float]:
@@ -233,7 +234,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="evaluation route (default auto)",
     )
     comp.add_argument("--steradians", action="store_true", help="print 4*pi times the normalized value")
-    comp.add_argument("--samples", type=int, default=1_000_000, help="Monte Carlo rays (default 1e6)")
+    comp.add_argument(
+        "--samples", type=partial(_parse_count, "samples"), default=1_000_000, help="Monte Carlo rays (default 1000000)"
+    )
     comp.add_argument("--seed", type=int, default=None, help="RNG seed (beats SOLIDCYL_SEED; default 0)")
     comp.set_defaults(func=_cmd_compute)
 
@@ -248,7 +251,9 @@ def _build_parser() -> argparse.ArgumentParser:
     tab.set_defaults(func=_cmd_table)
 
     ver = sub.add_parser("verify", help="run the randomized verification suites")
-    ver.add_argument("--points", type=_parse_points, default=200, help="configurations per suite (default 200)")
+    ver.add_argument(
+        "--points", type=partial(_parse_count, "points"), default=200, help="configurations per suite (default 200)"
+    )
     ver.add_argument("--seed", type=int, default=None, help="RNG seed (beats SOLIDCYL_SEED; default 0)")
     ver.add_argument(
         "--tolerance",

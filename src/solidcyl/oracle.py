@@ -22,18 +22,22 @@ cancellation near gamma = pi/2.
 
 The disc oracle integrates the projected-area element L dA / rho^3 over polar
 disc coordinates directly. The Monte Carlo oracle casts isotropic rays
-(uniform cos(theta), uniform azimuth) and intersects each against the finite
-cylinder: quadratic interval on the infinite shell intersected with the axial
-slab, hit iff the interval reaches positive ray parameter. The radial
-discriminant is taken as vx^2 - c vy^2, which equals b^2 - a c but has no
-d^2-sized terms to cancel, so the tangent test is good to a few eps at any
-source distance. Its 10^6-ray Philox blocks are independent, each a stream
-of its own, and their integer hit counts are summed, so the estimate is
-bit-identical however the blocks are run: on a pool of one thread per
-usable CPU for a call with two or more slices of expected in-band rays
-(and two blocks and two CPUs to share them), in the caller's thread
-otherwise. The exact test works in per-thread scratch arrays, not fresh
-temporaries.
+(uniform cos(theta), uniform azimuth) and tests each against the finite
+cylinder from its azimuth alone: with phi = az - pi, the ray runs inside
+the infinite shell over the horizontal distances [V1, V2] = [max(0, d cos
+phi - s), d cos phi + s], s = sqrt(cos^2 phi - c sin^2 phi), c = d^2 - 1,
+and it hits iff V2 > 0 and the ray is above the base and below the top at
+the ends of [V1, V2] that the source's height picks. The discriminant has
+no d^2-sized terms to cancel, so the tangent test is good to a few eps at
+any source distance, and the test has no division. Its 10^6-ray Philox
+blocks are independent, each a stream of its own, and their integer hit
+counts are summed, so the estimate is bit-identical however the blocks are
+run: in one contiguous run per worker, on a pool of one thread per usable
+CPU for a call with two or more slices of expected in-band rays (and two
+blocks and two CPUs to share them), in the caller's thread otherwise. A
+run draws its blocks' rays into per-thread buffers and tests them a full
+slice at a time, so the blocks of a run share slices; the exact test works
+in per-thread scratch arrays, not fresh temporaries.
 
 A block draws only the rays inside the cylinder's bounding band in polar
 angle and azimuth (_band), widened past the exact test's own rounding and
@@ -82,6 +86,7 @@ _BLOCK = 1_000_000  # Monte Carlo rays per independent Philox stream
 _SLICE = 1 << 15  # rays per intersection-test slice, a multiple of 16; expected rays per worker
 _EPS = sys.float_info.epsilon
 _SLACK = 1e-9  # absolute widening of the band in cos(theta) and azimuth
+_PI_LO = 1.2246467991473532e-16  # pi - math.pi, rounded
 
 
 def _rho_minus(phi: float, r: float, d: float) -> float:
@@ -192,8 +197,12 @@ class McEstimate:
     def __post_init__(self):
         if not 0.0 <= self.hit_fraction <= 1.0:
             raise DomainError(f"hit_fraction must lie in [0, 1]; got {self.hit_fraction!r}")
-        if self.std_error < 0.0 or self.samples < 1:
-            raise DomainError("std_error must be >= 0 and samples >= 1")
+        if not 0.0 <= self.std_error < math.inf or self.samples < 1:
+            raise DomainError(
+                f"std_error must be finite and >= 0 and samples >= 1; got {self.std_error!r}, {self.samples!r}"
+            )
+        if not 0 <= self.seed < 1 << 128:
+            raise DomainError(f"seed must lie in [0, 2^128), the Philox key range; got {self.seed!r}")
 
 
 def _usable_cpus() -> int:
@@ -237,62 +246,93 @@ _scratch = threading.local()
 
 
 def _scratch_arrays(n: int) -> tuple[np.ndarray, ...]:
-    """This thread's six float and two bool work arrays for _slice_hits, cut to length n.
+    """This thread's four float and two bool work arrays for _hit_mask, cut to length n.
 
     Allocated _SLICE long on a thread's first slice and replaced only by a
-    longer input, then kept for the thread's life: about 1.6 MB per thread,
+    longer input, then kept for the thread's life: about 1.1 MB per thread,
     so that the exact test allocates no arrays per slice.
     """
     bufs = getattr(_scratch, "bufs", None)
     if bufs is None or len(bufs[0]) < n:
         size = max(n, _SLICE)
-        floats, bools = (np.empty(size) for _ in range(6)), (np.empty(size, bool) for _ in range(2))
+        floats, bools = (np.empty(size) for _ in range(4)), (np.empty(size, bool) for _ in range(2))
         bufs = _scratch.bufs = (*floats, *bools)
     return tuple(buf[:n] for buf in bufs)
 
 
+def _draw_arrays() -> tuple[np.ndarray, np.ndarray]:
+    """This thread's cos(theta) and azimuth draw buffers, each 2 * _SLICE long (512 kB).
+
+    _run_hits fills them with a run's uniform draws, block after block, and
+    tests them a full slice at a time; a chunk that crosses the end of a
+    slice spills into the second half, which moves to the front once the
+    slice is tested. Allocated on a thread's first run and kept for its
+    life, like _scratch_arrays.
+    """
+    draws = getattr(_scratch, "draws", None)
+    if draws is None:
+        draws = _scratch.draws = (np.empty(2 * _SLICE), np.empty(2 * _SLICE))
+    return draws
+
+
+def _hit_mask(cos_t: np.ndarray, az: np.ndarray, L: float, px: float, pz: float, c: float) -> np.ndarray:
+    """Which rays hit: a bool view of this thread's scratch, valid until its next call.
+
+    Units of r, c = px^2 - 1. With phi = az - pi, a ray runs inside the
+    infinite shell over the horizontal distances [V1, V2] = [max(0, px cos
+    phi - s), px cos phi + s], s = sqrt(cos^2 phi - c sin^2 phi), which is
+    NaN where the azimuth misses the shell. It hits iff V2 > 0, it is at or
+    above the base at the far end of [V1, V2] for pz < 0 and the near end
+    for pz > 0 (pz sin + V cos >= 0), and at or below the top at the near
+    end for pz < L and the far end for pz > L ((L - pz) sin - V cos >= 0).
+    In the base plane the first test reads cos(theta) >= 0, in the top
+    plane the second cos(theta) <= 0: a hit needs a point past the source.
+    A vertical ray on the wall line (c = 0) runs along the wall, so its V2
+    is infinite whatever its azimuth.
+    """
+    f0, f1, f2, f3, hit, ok = _scratch_arrays(len(cos_t))
+    with np.errstate(invalid="ignore"):
+        # phi = az - pi = head - _PI_LO, head = az - math.pi exact for az >= 1.15;
+        # then cos and sin of phi to first order in _PI_LO, which keeps both
+        # to an ulp next to their zeros as well
+        head = np.subtract(az, math.pi, out=f0)
+        cos_phi, sin_phi = np.cos(head, out=f1), np.sin(head, out=f0)
+        np.multiply(_PI_LO, cos_phi, out=f2)
+        np.add(cos_phi, np.multiply(_PI_LO, sin_phi, out=f3), out=cos_phi)
+        sin2 = np.square(np.subtract(sin_phi, f2, out=f0), out=f0)
+        s = np.sqrt(np.subtract(np.square(cos_phi, out=f2), np.multiply(c, sin2, out=f0), out=f0), out=f0)
+        near = np.multiply(px, cos_phi, out=f1)
+        v2 = np.add(near, s, out=f2)
+        v1 = np.maximum(np.subtract(near, s, out=f1), 0.0, out=f1)
+        sin_t = np.sqrt(np.subtract(1.0, np.square(cos_t, out=f0), out=f0), out=f0)
+    if c == 0.0:
+        np.copyto(v2, np.inf, where=np.equal(sin_t, 0.0, out=ok))
+    np.greater(v2, 0.0, out=hit)
+
+    # V cos(theta), in place, for the V each height test takes: the far end
+    # below the base and the near end above it; the near end below the top
+    # and the far end above it
+    low = v2 if pz < 0.0 else v1
+    high = v1 if pz < L else v2
+    np.multiply(low, cos_t, out=low)
+    if high is not low:
+        np.multiply(high, cos_t, out=high)
+    # pz sin + V cos >= 0 exactly when V cos >= -pz sin, both sides rounded alike
+    if pz == 0.0:
+        np.greater_equal(cos_t, 0.0, out=ok)
+    else:
+        np.greater_equal(low, np.multiply(-pz, sin_t, out=f3), out=ok)
+    np.logical_and(hit, ok, out=hit)
+    if pz == L:
+        np.less_equal(cos_t, 0.0, out=ok)
+    else:
+        # L - pz overflows only for pz < 0 < L, where the largest double decides alike
+        np.greater_equal(np.multiply(min(L - pz, sys.float_info.max), sin_t, out=f3), high, out=ok)
+    return np.logical_and(hit, ok, out=hit)
+
+
 def _slice_hits(cos_t: np.ndarray, az: np.ndarray, L: float, px: float, pz: float, c: float) -> int:
-    # vz is cos_t; each array is named after what it holds at the time
-    f0, f1, f2, f3, f4, f5, m0, m1 = _scratch_arrays(len(cos_t))
-    cos2 = np.multiply(cos_t, cos_t, out=f0)
-    sin_t = np.sqrt(np.maximum(0.0, np.subtract(1.0, cos2, out=f0), out=f0), out=f0)
-    vx = np.multiply(sin_t, np.cos(az, out=f1), out=f1)
-    vy = np.multiply(sin_t, np.sin(az, out=f2), out=f2)
-
-    vx2 = np.multiply(vx, vx, out=f0)
-    vy2 = np.multiply(vy, vy, out=f3)
-    a = np.add(vx2, vy2, out=f2)
-    b = np.multiply(px, vx, out=f1)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # b^2 - a c, with no d^2-sized terms to cancel
-        disc = np.subtract(vx2, np.multiply(c, vy2, out=f3), out=f3)
-        sq = np.sqrt(np.maximum(0.0, disc, out=f0), out=f0)
-        neg_b = np.negative(b, out=f4)
-        rad_lo = np.divide(np.subtract(neg_b, sq, out=f5), a, out=f5)
-        rad_hi = np.divide(np.add(neg_b, sq, out=f1), a, out=f1)
-        ax_a = np.divide(0.0 - pz, cos_t, out=f0)
-        ax_b = np.divide(L - pz, cos_t, out=f4)
-
-    # an empty radial interval, then a vertical ray over it: a vertical ray
-    # keeps its own interval whatever disc is
-    empty_rad = np.less(disc, 0.0, out=m1)
-    np.copyto(rad_lo, np.inf, where=empty_rad)
-    np.copyto(rad_hi, -np.inf, where=empty_rad)
-    vertical = np.equal(a, 0.0, out=m0)
-    np.copyto(rad_lo, -np.inf if c <= 0.0 else np.inf, where=vertical)
-    np.copyto(rad_hi, np.inf if c <= 0.0 else -np.inf, where=vertical)
-
-    in_slab = 0.0 <= pz <= L
-    ax_lo = np.minimum(ax_a, ax_b, out=f2)
-    ax_hi = np.maximum(ax_a, ax_b, out=f3)
-    horizontal = np.equal(cos_t, 0.0, out=m0)
-    np.copyto(ax_lo, -np.inf if in_slab else np.inf, where=horizontal)
-    np.copyto(ax_hi, np.inf if in_slab else -np.inf, where=horizontal)
-
-    lo = np.maximum(rad_lo, ax_lo, out=f5)
-    hi = np.minimum(rad_hi, ax_hi, out=f1)
-    hit = np.logical_and(np.less_equal(lo, hi, out=m0), np.greater(hi, 0.0, out=m1), out=m0)
-    return int(np.count_nonzero(hit))
+    return int(np.count_nonzero(_hit_mask(cos_t, az, L, px, pz, c)))
 
 
 def _band(L: float, d: float, z: float, c: float) -> tuple[float, float, float, float] | None:
@@ -305,16 +345,18 @@ def _band(L: float, d: float, z: float, c: float) -> tuple[float, float, float, 
     widened past the rounding of _slice_hits, so that a ray outside it is a
     miss there as well:
 
-    - u by 16 eps (1 + d). The wall roots (-b -+ sq)/a place a hit to within
-      a few eps (1 + d) in u: head on, b and sq are each good to a few eps
-      relative, and near the wall -b - sq cancels to within eps d. Near the
-      tangent sq is only good to sqrt(eps) relative, but there u is
-      sqrt(c), which lies inside [d - 1, d + 1] by far more than that.
-    - cos(theta) by 1e-9. The slab roots are good to a few eps relative, and
-      sqrt(1 - cos^2) moves the ray's cos(theta) by at most eps.
-    - the azimuth by 1e-9. There, disc >= 0 reads tan^2(az - pi) <= 1/c
-      with both sides good to a few eps relative, which is a few eps of
-      asin(1/d) in angle, and math.pi is within 1.3e-16 of pi.
+    - u by 16 eps (1 + d). The wall distances V1, V2 = d cos phi -+ s place
+      a hit to within a few eps (1 + d) in u: cos phi and sin phi are each
+      good to about an ulp, so d cos phi is good to a few eps d, and head
+      on s (at most sqrt(2)) is good to a few eps. Near the tangent s is
+      only good to sqrt(eps) relative, but there u is sqrt(c), which lies
+      inside [d - 1, d + 1] by far more than that.
+    - cos(theta) by 1e-9. The height tests compare two products each good
+      to an eps relative, and sqrt(1 - cos^2) moves the ray's cos(theta) by
+      at most eps.
+    - the azimuth by 1e-9. There, s^2 >= 0 reads tan^2 phi <= 1/c with both
+      sides good to a few eps relative, which is a few eps of asin(1/d) in
+      angle.
     """
     du = 16.0 * _EPS * (1.0 + d)
     u_min, u_max = max(0.0, d - 1.0 - du), d + 1.0 + du
@@ -338,40 +380,65 @@ def _draw_box(band: tuple[float, float, float, float] | None) -> tuple[float, fl
     return c_lo, c_hi, a_lo, a_hi, (c_hi - c_lo) / 2.0 * ((a_hi - a_lo) / _TWO_PI)
 
 
-def _block_hits(
-    key: int, block: int, n: int, L: float, px: float, pz: float, c: float,
+def _run_hits(
+    key: int, first: int, sizes: list[int], L: float, px: float, pz: float, c: float,
     box: tuple[float, float, float, float, float],
 ) -> int:
-    """Hits among the n isotropic rays of Philox block `block`; depends on nothing else.
+    """Hits among the isotropic rays of Philox blocks first, first + 1, ..., of sizes[i] rays each.
 
-    The block's stream is Philox(key) started at counter block * 2^128,
-    the stream Philox(key).jumped(block) gives. Draws k ~ Binomial(n, w)
+    Block b's stream is Philox(key) started at counter b * 2^128, the
+    stream Philox(key).jumped(b) gives. Each block draws k ~ Binomial(n, w)
     for the rays that land in `box` (_draw_box), then those k rays
-    uniformly on it, one slice at a time: cos(theta), then azimuth.
+    uniformly on it in chunks of up to _SLICE: cos(theta) of a chunk, then
+    its azimuth. The draws go, as uniforms on [0, 1), into this thread's
+    draw buffers (_draw_arrays) one block after another; each full slice is
+    scaled to the box as lo + (hi - lo) u, which is what Generator.uniform
+    computes, and tested, and so is the part slice left at the end. A
+    ray's verdict depends only on its own draws, so the count is the sum
+    of the blocks' counts however they are grouped into runs.
     """
     c_lo, c_hi, a_lo, a_hi, w = box
-    g = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, block, 0]))
-    k = int(g.binomial(n, w))
-    hits = 0
-    for i in range(0, k, _SLICE):
-        m = min(_SLICE, k - i)
-        cos_t = g.uniform(c_lo, c_hi, m)
-        az = g.uniform(a_lo, a_hi, m)
-        hits += _slice_hits(cos_t, az, L, px, pz, c)
-    return hits
+    cos_u, az_u = _draw_arrays()
+
+    def test(m: int) -> int:
+        cos_t = np.add(c_lo, np.multiply(cos_u[:m], c_hi - c_lo, out=cos_u[:m]), out=cos_u[:m])
+        az = np.add(a_lo, np.multiply(az_u[:m], a_hi - a_lo, out=az_u[:m]), out=az_u[:m])
+        return _slice_hits(cos_t, az, L, px, pz, c)
+
+    # one generator for the run, reset to each block's stream: a new Philox
+    # costs four times as much, most of it seeding the key it is then given
+    bits = np.random.Philox(key=key)
+    g, fresh = np.random.Generator(bits), bits.state
+    hits = filled = 0
+    for block, n in enumerate(sizes, first):
+        fresh["state"]["counter"][2] = block
+        bits.state = fresh
+        k = int(g.binomial(n, w))
+        for i in range(0, k, _SLICE):
+            m = min(_SLICE, k - i)
+            g.random(out=cos_u[filled:filled + m])
+            g.random(out=az_u[filled:filled + m])
+            filled += m
+            if filled >= _SLICE:
+                hits += test(_SLICE)
+                filled -= _SLICE
+                cos_u[:filled] = cos_u[_SLICE:_SLICE + filled]
+                az_u[:filled] = az_u[_SLICE:_SLICE + filled]
+    return hits + (test(filled) if filled else 0)
 
 
 def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -> McEstimate:
     """Isotropic ray caster for the whole closed surface.
 
     Directions are uniform on the sphere (uniform cos(theta), uniform
-    azimuth). A ray hits iff the interval where it is radially inside the
-    infinite shell intersects the interval where it is inside the axial slab,
-    at some positive ray parameter. Streams are Philox blocks of 10^6 rays:
-    the seed is the Philox key, which takes any integer in [0, 2^128), and
-    block i starts at counter i * 2^128 (the key's stream jumped i times),
-    so a fixed seed gives a bit-identical estimate regardless of how blocks
-    are scheduled, and distinct seeds give distinct streams.
+    azimuth). A ray hits iff a point of it past the source lies on or inside
+    the closed cylinder, which _hit_mask decides from the ray's azimuth and
+    polar angle, with no ray parameter and no division. Streams are Philox
+    blocks of 10^6 rays: the seed is the Philox key, which takes any
+    integer in [0, 2^128), and block i starts at counter i * 2^128 (the
+    key's stream jumped i times), so a fixed seed gives a bit-identical
+    estimate regardless of how blocks are scheduled, and distinct seeds
+    give distinct streams.
     Lengths are taken in units of r, so a uniform scale by a power of two
     leaves the estimate bit-identical.
 
@@ -380,31 +447,34 @@ def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -
     _draw_box clips it to [-1, 1] x [0, 2 pi] and gives its area share w.
     Isotropic directions are uniform on [-1, 1] x [0, 2 pi], so of a block's
     n rays a Binomial(n, w) number land in the rectangle, uniformly, and the
-    rest miss the exact test. Each block draws, from its own generator,
-    k ~ Binomial(n, w), then the k rays on the rectangle in slices of 2^15
-    (cos theta of a slice, then its azimuth), and gives each slice to the
-    exact test. So the hit count has the law it has when every ray is
-    drawn and tested; a source whose band is the whole sphere has w = 1 and
-    draws every ray.
+    rest miss the exact test. Each block draws, from its own stream,
+    k ~ Binomial(n, w), then the k rays on the rectangle in chunks of 2^15
+    (cos theta of a chunk, then its azimuth). So the hit count has the law
+    it has when every ray is drawn and tested; a source whose band is the
+    whole sphere has w = 1 and draws every ray.
 
     The call counts its workers by its expected in-band rays, samples * w:
-    one per full slice, at most one per usable CPU and one per block. With
-    fewer than two, the blocks run through map in the caller's thread;
-    with two or more, on one process-wide pool of one thread per CPU
-    (_block_pool), whose threads take the blocks as they come and share
-    the CPUs while NumPy's draws and ufuncs release the GIL. A few
-    thousand rays per block do not pay for the pool: each block
-    makes about 30 small NumPy calls, and two workers pass the GIL back and
-    forth around them. The integer hit counts are summed, so the result
-    does not depend on the dispatch or the worker count. Each thread holds
-    one slice at a time, its two draw arrays (256 kB each), and keeps the
-    exact test's scratch (_scratch_arrays, about 1.6 MB) for its life: about
-    2 MB for each thread that has tested a slice, on top of the interpreter
-    and NumPy.
+    one per full slice, at most one per usable CPU and one per block, and
+    cuts its blocks into one contiguous run per worker (_run_hits). A run
+    draws its blocks' rays one block after another into its thread's
+    buffers and hands the exact test one full 2^15-ray slice at a time, so
+    the blocks of a run share slices: a median benchmark call, about 36k
+    in-band rays over ten blocks, makes two exact-test calls, not ten. With
+    fewer than two workers, the one run goes through map in the caller's
+    thread; with two or more, the runs go to one process-wide pool of one
+    thread per CPU (_block_pool), whose threads share the CPUs while
+    NumPy's draws and ufuncs release the GIL. A few thousand rays do not
+    pay for the pool: the exact test makes about 30 small NumPy calls, and
+    two workers pass the GIL back and forth around them. The integer hit
+    counts are summed, so the result depends on neither the dispatch nor
+    the worker count. Each thread keeps its draw buffers (_draw_arrays,
+    1 MB) and the exact test's scratch (_scratch_arrays, about 1.1 MB) for
+    its life: about 2 MB for each thread that has run blocks, on top of
+    the interpreter and NumPy.
 
     Any finite source distance is drawn and tested like any other: from
-    d = 1.3e154 r on c = d^2 - 1 is inf, so the exact test's discriminant is
-    -inf, or NaN at vy = 0, and every ray misses without a warning.
+    d = 1.3e154 r on c = d^2 - 1 is inf, so s^2 = cos^2 phi - c sin^2 phi
+    is -inf, or NaN at sin phi = 0, and every ray misses without a warning.
     """
     try:
         samples, seed = operator.index(samples), operator.index(seed)
@@ -420,10 +490,14 @@ def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -
 
     c = d * d - 1.0  # radial quadratic constant term (py = 0 by symmetry)
     box = _draw_box(_band(L, d, z, c))
-    run = partial(_block_hits, seed, L=L, px=d, pz=z, c=c, box=box)
+    run = partial(_run_hits, seed, L=L, px=d, pz=z, c=c, box=box)
     sizes = [min(_BLOCK, samples - start) for start in range(0, samples, _BLOCK)]
     workers = min(int(samples * box[4]) // _SLICE, _usable_cpus(), len(sizes))
-    hits = sum((_block_pool().map if workers > 1 else map)(run, range(len(sizes)), sizes))
+    # one contiguous run of blocks per worker
+    parts = max(workers, 1)
+    cuts = [len(sizes) * i // parts for i in range(parts + 1)]
+    runs = [sizes[a:b] for a, b in zip(cuts, cuts[1:])]
+    hits = sum((_block_pool().map if workers > 1 else map)(run, cuts[:-1], runs))
 
     p = hits / samples
     return McEstimate(

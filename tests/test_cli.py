@@ -373,6 +373,24 @@ def test_verify_rejects_fewer_than_one_point(capsys, points):
     assert "points must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "samples, message",
+    [("0", "samples must be at least 1"), ("-5", "samples must be at least 1"), ("1e6", "bad samples count '1e6'")],
+)
+def test_compute_rejects_fewer_than_one_sample_as_a_usage_error(capsys, samples, message):
+    argv = ["compute", "--L", "1", "--r", "1", "--d", "2", "--method", "montecarlo", "--samples", samples]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_compute_samples_help_names_the_default(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["compute", "--help"])
+    assert "(default 1000000)" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("points", [0, -1])
 def test_verify_runners_reject_fewer_than_one_point(points):
     with pytest.raises(DomainError):

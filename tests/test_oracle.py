@@ -15,6 +15,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -195,6 +196,23 @@ def test_mc_accepts_numpy_integer_samples_and_seed():
     est = oracle.mc_total(CylinderSpec(1.0, 1.0), SourcePoint(2.0, 0.5), np.int64(1000), seed=np.uint32(1))
     assert est == oracle.mc_total(CylinderSpec(1.0, 1.0), SourcePoint(2.0, 0.5), 1000, seed=1)
     assert type(est.samples) is int and type(est.seed) is int
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        (0.5, math.nan, 10, 0), (0.5, math.inf, 10, 0), (0.5, -0.1, 10, 0), (0.5, 0.1, 0, 0),
+        (math.nan, 0.1, 10, 0), (0.5, 0.1, 10, -3), (0.5, 0.1, 10, 2**128),
+    ],
+)
+def test_mc_estimate_rejects_fields_no_call_can_return(fields):
+    with pytest.raises(DomainError):
+        oracle.McEstimate(*fields)
+
+
+def test_mc_estimate_accepts_the_extreme_fields_a_call_can_return():
+    assert oracle.McEstimate(1.0, 0.0, 1, 2**128 - 1).seed == 2**128 - 1
+    assert oracle.McEstimate(0.0, 0.0, 1, 0).hit_fraction == 0.0
 
 
 # hits of the Binomial band draw (one Binomial count per block, then the
@@ -555,6 +573,118 @@ def test_slice_hits_counts_each_ray_once():
     assert oracle._slice_hits(cos_t, az, 1.0, 0.0, -1.0, -1.0) == 2
 
 
+def _t_interval_hits(cos_t, az, L, px, pz, c):
+    # reference model: the ray-parameter form of the exact test. The ray is
+    # inside the infinite shell for t between the roots of a t^2 + 2 b t + c,
+    # with b^2 - a c taken as vx^2 - c vy^2, and inside the slab between
+    # -pz / vz and (L - pz) / vz; it hits where the two intervals meet at t > 0
+    sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
+    vx, vy = sin_t * np.cos(az), sin_t * np.sin(az)
+    a, b = vx * vx + vy * vy, px * vx
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        disc = vx * vx - c * (vy * vy)
+        sq = np.sqrt(np.maximum(0.0, disc))
+        rad_lo, rad_hi = (-b - sq) / a, (-b + sq) / a
+        ax_a, ax_b = (0.0 - pz) / cos_t, (L - pz) / cos_t
+    rad_lo, rad_hi = np.where(disc < 0.0, np.inf, rad_lo), np.where(disc < 0.0, -np.inf, rad_hi)
+    # a vertical ray keeps its own interval whatever disc is
+    vertical = a == 0.0
+    rad_lo = np.where(vertical, -np.inf if c <= 0.0 else np.inf, rad_lo)
+    rad_hi = np.where(vertical, np.inf if c <= 0.0 else -np.inf, rad_hi)
+    in_slab, horizontal = 0.0 <= pz <= L, cos_t == 0.0
+    ax_lo = np.where(horizontal, -np.inf if in_slab else np.inf, np.minimum(ax_a, ax_b))
+    ax_hi = np.where(horizontal, np.inf if in_slab else -np.inf, np.maximum(ax_a, ax_b))
+    lo, hi = np.maximum(rad_lo, ax_lo), np.minimum(rad_hi, ax_hi)
+    return (lo <= hi) & (hi > 0.0)
+
+
+def _edge_margins(L, d, z, cos_t, az):
+    # the exact test's three conditions for one ray at 40 digits, each as its
+    # distance from the edge relative to the size of its terms: the shell
+    # (cos^2 phi - c sin^2 phi), the base and the top
+    with mpmath.workdps(40):
+        L, d, z, ct = (mpmath.mpf(float(v)) for v in (L, d, z, cos_t))
+        phi = mpmath.mpf(float(az)) - mpmath.pi
+        cp, sp, st = mpmath.cos(phi), mpmath.sin(phi), mpmath.sqrt(1 - ct * ct)
+        c = d * d - 1
+        s2 = cp * cp - c * sp * sp
+        shell = abs(s2) / max(cp * cp, abs(c) * sp * sp)
+        if s2 < 0:
+            return [shell]
+        v1, v2 = max(0, d * cp - mpmath.sqrt(s2)), d * cp + mpmath.sqrt(s2)
+        low, high = (v2 if z < 0 else v1), (v1 if z < L else v2)
+        base = abs(z * st + low * ct) / (abs(z) * st + low * abs(ct) + mpmath.mpf(2) ** -1074)
+        top = abs((L - z) * st - high * ct) / (abs(L - z) * st + high * abs(ct) + mpmath.mpf(2) ** -1074)
+        return [float(m) for m in (shell, base, top)]
+
+
+_TOUCH = 2.0**-53
+_MODEL_SOURCES = [
+    # (L, d, z) in units of r: the axis, both planes inside, on and outside
+    # the rim, the wall, one ulp either side of it, far sources and L = 0
+    (1.0, 0.0, -1.0), (1.0, 0.0, 0.5), (1.0, 0.0, 2.0), (1.0, 0.0, 0.0), (1.0, 0.0, 1.0),
+    (1.0, 0.5, 0.0), (1.0, 0.5, 1.0), (1.0, 1.0, 0.0), (1.0, 1.0, 1.0), (1.0, 2.0, 0.0), (1.0, 2.0, 1.0),
+    (1.0, 1.0, 0.5), (1.0, 1.0, -0.5), (1.0, 1.0, 2.0),
+    (1.0, 1.0 - _TOUCH, 0.5), (1.0, 1.0 + _EDGE, 0.5), (1.0, 1.0 + _EDGE, -1e-12), (1.0, 1.0 - _TOUCH, 1.5),
+    (1.0, 1.0 + _EDGE, 0.0), (1.0, 1.0 - _TOUCH, 0.0), (1.0, 1.0 + _EDGE, 1.0), (1.0, 1.0 - _TOUCH, -2.0),
+    (1.0, 1e3, 0.5), (1.0, 1e6, 0.5), (1.0, 1e8, -1.0), (1.0, 1e10, 0.5), (1e3, 1e12, 0.0), (1.0, 1e14, 0.5),
+    (0.0, 2.0, 0.0), (0.0, 0.5, 0.0), (0.0, 0.5, -1.0), (0.0, 2.0, 1.0), (0.0, 1.0, 0.0), (0.0, 1.0 + _EDGE, -1.0),
+    (3.0, 2.0, -1.0), (0.05, 40.0, 0.01), (1e-6, 0.5, 1e-6), (1e3, 0.0, -1.0), (1.0, 0.3, 1.0),
+]
+
+
+@pytest.mark.parametrize("L, d, z", _MODEL_SOURCES)
+def test_exact_test_matches_the_t_interval_model_ray_by_ray(L, d, z):
+    # seeded rays over the whole sphere, on the clipped band, and across the
+    # silhouette (1.5 times asin(r/d) either side of pi)
+    c, n = d * d - 1.0, 20_000
+    rng = np.random.default_rng(_MODEL_SOURCES.index((L, d, z)))
+    c_lo, c_hi, a_lo, a_hi, _ = oracle._draw_box(oracle._band(L, d, z, c))
+    half = math.asin(1.0 / d) if d > 1.0 else math.pi
+    for cos_t, az in [
+        (rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, TWO_PI, n)),
+        (rng.uniform(c_lo, c_hi, n), rng.uniform(a_lo, a_hi, n)),
+        (rng.uniform(c_lo, c_hi, n), math.pi + rng.uniform(-1.5, 1.5, n) * half),
+    ]:
+        got = oracle._hit_mask(cos_t, az, L, d, z, c).copy()
+        split = np.flatnonzero(got != _t_interval_hits(cos_t, az, L, d, z, c))
+        assert split.size == 0, [(cos_t[j], az[j], got[j], _edge_margins(L, d, z, cos_t[j], az[j])) for j in split[:5]]
+        assert oracle._slice_hits(cos_t, az, L, d, z, c) == np.count_nonzero(got)
+
+
+@pytest.mark.parametrize(
+    "L, d, z",
+    [(1.0, 1.0 + _EDGE, 0.5), (1.0, 1.0 - _TOUCH, 1.5), (0.0, 0.5, -1.0), (0.05, 40.0, 0.01), (3.0, 2.0, -1.0), (1.0, 1e8, -1.0)],
+)
+def test_exact_test_and_t_interval_model_split_only_within_an_ulp_of_an_edge(L, d, z):
+    # rays within 64 ulps of the silhouette (or of pi -+ pi/2) in azimuth and
+    # of a slab edge seen at the near, far and tangent distances in cos(theta):
+    # where the two tests disagree, the ray lies within 2 eps of an edge at 40
+    # digits, so either verdict is a rounding of it
+    c, n = d * d - 1.0, 20_000
+    rng = np.random.default_rng(5)
+    half = math.asin(1.0 / d) if d > 1.0 else math.pi / 2
+    edge = np.where(rng.random(n) < 0.5, math.pi - half, math.pi + half)
+    az = edge + rng.integers(-64, 65, n) * np.spacing(edge)
+    u = np.array([max(0.0, d - 1.0), d + 1.0, math.sqrt(abs(c)), d])[rng.integers(0, 4, n)]
+    steep = np.cos(np.arctan2(u, np.where(rng.random(n) < 0.5, -z, L - z)))
+    cos_t = np.clip(steep + rng.integers(-64, 65, n) * np.spacing(np.abs(steep)), -1.0, 1.0)
+    got = oracle._hit_mask(cos_t, az, L, d, z, c).copy()
+    split = np.flatnonzero(got != _t_interval_hits(cos_t, az, L, d, z, c))
+    assert split.size <= n // 100
+    for j in split:
+        assert min(_edge_margins(L, d, z, cos_t[j], az[j])) <= 2.0 * _EDGE, (cos_t[j], az[j])
+
+
+def test_exact_test_of_a_vertical_ray_when_l_minus_z_overflows():
+    # L - z is inf: the largest double in its place keeps the hit
+    L, d, z = 1e308, 0.5, -1e308
+    cos_t, az = np.array([1.0, 1.0, -1.0, 0.5]), np.array([0.0, math.pi, 0.0, 1.0])
+    want = _t_interval_hits(cos_t, az, L, d, z, d * d - 1.0)
+    assert want.tolist() == [True, True, False, False]
+    assert oracle._hit_mask(cos_t, az, L, d, z, d * d - 1.0).tolist() == want.tolist()
+
+
 def test_mc_reuses_one_block_pool():
     cyl, src = CylinderSpec(3.0, 1.0), SourcePoint(2.0, -1.0)
     oracle.mc_total(cyl, src, 2_000_001, seed=4)
@@ -611,10 +741,11 @@ _DISPATCH_CASES = [(0.05, 40.0, 0.01), (3.0, 2.0, -1.0)]
 
 
 def _blockwise_hits(L, d, z, samples, seed, mapper):
+    # each block run on its own, as a run of one block
     c = d * d - 1.0
-    run = partial(oracle._block_hits, seed, L=L, px=d, pz=z, c=c, box=oracle._draw_box(oracle._band(L, d, z, c)))
+    run = partial(oracle._run_hits, seed, L=L, px=d, pz=z, c=c, box=oracle._draw_box(oracle._band(L, d, z, c)))
     sizes = [min(oracle._BLOCK, samples - start) for start in range(0, samples, oracle._BLOCK)]
-    return sum(mapper(run, range(len(sizes)), sizes))
+    return sum(mapper(run, range(len(sizes)), [[n] for n in sizes]))
 
 
 @pytest.mark.parametrize("L, d, z", _DISPATCH_CASES)
@@ -624,6 +755,50 @@ def test_mc_count_is_the_sum_of_its_blocks_on_either_dispatch(L, d, z):
     assert est.hit_fraction == _blockwise_hits(L, d, z, samples, seed, map) / samples
     with ThreadPoolExecutor(max_workers=2) as two:
         assert est.hit_fraction == _blockwise_hits(L, d, z, samples, seed, two.map) / samples
+
+
+# in-band rays per 10^6-ray block: about 13.2k, so a slice fills inside a
+# block, and about 54k, more than a slice per block
+_SHARED_SLICE_CASES = [(1.0, 4.0, 0.5, 4_000_003), (3.0, 2.0, -1.0, 3_000_001)]
+
+
+@pytest.mark.parametrize("L, d, z, samples", _SHARED_SLICE_CASES)
+def test_mc_shared_slices_count_is_the_sum_of_its_blocks(monkeypatch, L, d, z, samples):
+    seed, c = 41, d * d - 1.0
+    box = oracle._draw_box(oracle._band(L, d, z, c))
+    sizes = [min(oracle._BLOCK, samples - start) for start in range(0, samples, oracle._BLOCK)]
+    # each block's in-band count, its stream's first draw
+    ks = [
+        np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, b, 0])).binomial(n, box[4])
+        for b, n in enumerate(sizes)
+    ]
+    full = [k for k, n in zip(ks, sizes) if n == oracle._BLOCK]
+    if max(full) < oracle._SLICE:
+        # some slice takes rays of two blocks
+        ends = np.cumsum(ks)
+        assert any(a // oracle._SLICE < b // oracle._SLICE and b % oracle._SLICE for a, b in zip(ends, ends[1:]))
+    else:
+        assert min(full) > oracle._SLICE
+
+    lengths, exact = [], oracle._slice_hits
+
+    def recording(cos_t, az, *args):
+        lengths.append(len(cos_t))
+        return exact(cos_t, az, *args)
+
+    # one run of all the blocks, in the caller's thread: full slices, then the rest
+    monkeypatch.setattr(oracle, "_slice_hits", recording)
+    one_run = oracle._run_hits(seed, 0, sizes, L, d, z, c, box)
+    monkeypatch.setattr(oracle, "_slice_hits", exact)
+    q, rest = divmod(sum(ks), oracle._SLICE)
+    assert lengths == [oracle._SLICE] * q + [rest] * (rest > 0)
+
+    blockwise = _blockwise_hits(L, d, z, samples, seed, map)
+    assert one_run == blockwise
+    with ThreadPoolExecutor(max_workers=2) as two:
+        assert _blockwise_hits(L, d, z, samples, seed, two.map) == blockwise
+    est = oracle.mc_total(CylinderSpec(L, 1.0), SourcePoint(d, z), samples, seed=seed)
+    assert est.hit_fraction == blockwise / samples
 
 
 def test_mc_small_call_does_not_use_the_pool(monkeypatch):
