@@ -72,10 +72,7 @@ def _parse_axis(text: str) -> tuple[float, ...]:
                 la, lb = math.log(start), math.log(stop)
                 return tuple(math.exp(la + i * (lb - la) / (count - 1)) for i in range(count))
             raise ValueError(f"unknown range kind {kind!r}")
-        values = tuple(float(p) for p in text.split(","))
-        if not values:
-            raise ValueError("empty axis")
-        return values
+        return tuple(float(p) for p in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad axis spec {text!r}: {exc}") from exc
 
@@ -95,12 +92,10 @@ def _resolve_seed(explicit: int | None) -> int:
 def _route_total(cyl: CylinderSpec, src: SourcePoint, method: str) -> SolidAngle:
     """Sum the decomposition on a verification route.
 
-    "quadrature" takes quad_cyl0_phi and quad_disc for every term, on
-    lengths divided by r, since the quadratures square r; "series" takes
-    omega_cyl0_series for the shells and omega_circ for the discs, on the
-    unscaled lengths, since those take d - r before dividing by r. Terms of
-    zero height (a strip, or a disc seen edge-on from d > r) add nothing
-    and are skipped.
+    "quadrature" takes quad_cyl0_phi and quad_disc for every term; "series"
+    takes omega_cyl0_series for the shells and omega_circ for the discs.
+    Terms of zero height (a strip, or a disc seen edge-on from d > r) add
+    nothing and are skipped.
     """
     total = 0.0
     err = 0.0
@@ -110,13 +105,13 @@ def _route_total(cyl: CylinderSpec, src: SourcePoint, method: str) -> SolidAngle
             continue
         if term.L_eff == 0.0:
             continue
-        shell = term.kind is TermKind.CYL0
+        shell, cfg = term.kind is TermKind.CYL0, CanonicalConfig(term.L_eff, cyl.r, src.d)
         if method == "series":
-            part = (omega_cyl0_series if shell else omega_circ)(CanonicalConfig(term.L_eff, cyl.r, src.d))
+            part = (omega_cyl0_series if shell else omega_circ)(cfg)
             value, term_err = part.value, part.err_estimate
         else:
             quad, term_err = (quad_cyl0_phi, _QUAD_TOL_CYL0) if shell else (quad_disc, _QUAD_TOL_DISC)
-            value = quad(CanonicalConfig(term.L_eff / cyl.r, 1.0, src.d / cyl.r), tol=term_err)
+            value = quad(cfg, tol=term_err)
         total += term.coefficient * value
         err += term_err
     return SolidAngle(total, Method(method), err)

@@ -6,6 +6,12 @@ closed forms can be checked against implementations that cannot fail the same
 way. Production code must never call into here; consumers are the test suite
 and the CLI verify/compute --method={quadrature,montecarlo} paths.
 
+Every oracle works in units of r. One helper (_in_units_of_r) divides the
+lengths by r, taking d - r before it divides, and raises DomainError, naming
+the ratios, where one overflows; the quadratures then run at r = 1. So a
+uniform scale of the input leaves an oracle's work the same: bit for bit by
+a power of two, and to an ulp in each ratio otherwise.
+
 Quadrature forms for the lateral surface (source in the base plane, d >= r):
 
   phi form:    omega = L/(2 pi) integral_0^phi_o dphi / sqrt(L^2 + rho^2),
@@ -35,14 +41,14 @@ counts are summed, so the estimate is bit-identical however the blocks are
 run: in one contiguous run per worker, on a pool of one thread per usable
 CPU for a call with two or more slices of expected in-band rays (and two
 blocks and two CPUs to share them), in the caller's thread otherwise. A
-run draws its blocks' rays into per-thread buffers and tests them a full
+run draws its blocks' rays into its thread's buffers and tests them a full
 slice at a time, so the blocks of a run share slices; the exact test works
-in per-thread scratch arrays, not fresh temporaries.
+in that thread's scratch arrays, not fresh temporaries (_workspace).
 
 A block draws only the rays inside the cylinder's bounding band in polar
-angle and azimuth (_band), widened past the exact test's own rounding and
-clipped to [-1, 1] x [0, 2 pi] (_draw_box). Isotropic rays are uniform on
-that (cos theta, azimuth) rectangle, so the number of a block's n rays that
+angle and azimuth, widened past the exact test's own rounding and clipped
+to [-1, 1] x [0, 2 pi] (_band). Isotropic rays are uniform on that
+(cos theta, azimuth) rectangle, so the number of a block's n rays that
 land in the band is Binomial(n, w), w being the band's share of its area,
 and those rays are uniform on the band. A block draws k ~ Binomial(n, w),
 then k rays on the band, and tests them in cache-sized slices. A ray
@@ -89,15 +95,23 @@ _SLACK = 1e-9  # absolute widening of the band in cos(theta) and azimuth
 _PI_LO = 1.2246467991473532e-16  # pi - math.pi, rounded
 
 
-def _rho_minus(phi: float, r: float, d: float) -> float:
-    return d * math.cos(phi) - math.sqrt(max(0.0, r * r - (d * math.sin(phi)) ** 2))
+def _in_units_of_r(
+    L: float, r: float, d: float, z: float = 0.0, tol: float | None = None
+) -> tuple[float, float, float, float]:
+    """(L, d, z, d - r) divided by r, with d - r taken before dividing.
 
-
-def _check_quad_pre(cfg: CanonicalConfig, tol: float) -> None:
-    if cfg.L <= 0.0:
-        raise DomainError(f"quadrature oracle requires L > 0; got L={cfg.L!r}")
-    if not tol >= 1e-13:
-        raise DomainError(f"tol must be >= 1e-13; got {tol!r}")
+    Raises DomainError, naming the ratios, where one overflows. A quadrature
+    passes its tol, and then also needs tol >= 1e-13 and L > 0 in units of r.
+    """
+    ratios = L / r, d / r, z / r
+    if math.isinf(max(map(abs, ratios))):
+        raise DomainError("lengths overflow in units of r: L/r = {!r}, d/r = {!r}, z/r = {!r}".format(*ratios))
+    if tol is not None:
+        if not tol >= 1e-13:
+            raise DomainError(f"tol must be >= 1e-13; got {tol!r}")
+        if ratios[0] <= 0.0:
+            raise DomainError(f"quadrature oracle requires L > 0 in units of r; got L/r={ratios[0]!r}")
+    return (*ratios, (d - r) / r)
 
 
 def _run_quad(f, a: float, b: float, epsabs: float, epsrel: float, what: str) -> float:
@@ -120,16 +134,14 @@ def quad_cyl0_phi(cfg: CanonicalConfig, tol: float = 1e-12) -> float:
     Requires d >= r and L > 0. The substitution phi = phi_o - u^2 grades the
     mesh toward phi_o, where rho has square-root endpoint behavior.
     """
-    L, r, d = cfg.L, cfg.r, cfg.d
-    if d < r:
-        raise DomainError(f"phi-form oracle requires d >= r; got d={d!r} < r={r!r}")
-    _check_quad_pre(cfg, tol)
-    phi_o = math.asin(min(1.0, r / d))
-    if phi_o == 0.0:
-        return 0.0
+    if cfg.d < cfg.r:
+        raise DomainError(f"phi-form oracle requires d >= r; got d={cfg.d!r} < r={cfg.r!r}")
+    L, d, _, _ = _in_units_of_r(cfg.L, cfg.r, cfg.d, tol=tol)
+    phi_o = math.asin(min(1.0, 1.0 / d))
 
     def f(u: float) -> float:
-        rho = _rho_minus(phi_o - u * u, r, d)
+        phi = phi_o - u * u
+        rho = d * math.cos(phi) - math.sqrt(max(0.0, 1.0 - (d * math.sin(phi)) ** 2))
         return 2.0 * u / math.hypot(L, rho)
 
     # the integral is omega * 2 pi / L: scale the absolute tolerance to it,
@@ -144,17 +156,15 @@ def quad_cyl0_gamma(cfg: CanonicalConfig, tol: float = 1e-12) -> float:
     d = r is excluded: gamma_o collapses onto pi/2 there and the bracket
     loses its meaning (the closed form owns that limit).
     """
-    L, r, d = cfg.L, cfg.r, cfg.d
-    if d <= r:
-        raise DomainError(f"gamma-form oracle requires d > r; got d={d!r}, r={r!r}")
-    _check_quad_pre(cfg, tol)
-    gamma_o = (math.pi / 2 + math.asin(min(1.0, r / d))) / 2.0
-    t = d - r
+    if cfg.d <= cfg.r:
+        raise DomainError(f"gamma-form oracle requires d > r; got d={cfg.d!r}, r={cfg.r!r}")
+    L, d, _, t = _in_units_of_r(cfg.L, cfg.r, cfg.d, tol=tol)
+    gamma_o = (math.pi / 2 + math.asin(min(1.0, 1.0 / d))) / 2.0
 
     def f(v: float) -> float:
         cos_g = math.sin(v * v)  # cos(pi/2 - v^2)
-        rho_sq = t * t + 4.0 * d * r * cos_g * cos_g
-        bracket = 2.0 * r * (t - 2.0 * d * cos_g * cos_g) / rho_sq
+        rho_sq = t * t + 4.0 * d * cos_g * cos_g
+        bracket = 2.0 * (t - 2.0 * d * cos_g * cos_g) / rho_sq
         return 2.0 * v * bracket / math.sqrt(L * L + rho_sq)
 
     val = _run_quad(f, 0.0, math.sqrt(math.pi / 2 - gamma_o), tol * _TWO_PI / L, tol, "gamma-form quadrature")
@@ -164,21 +174,21 @@ def quad_cyl0_gamma(cfg: CanonicalConfig, tol: float = 1e-12) -> float:
 def quad_disc(cfg: CanonicalConfig, tol: float = 1e-10) -> float:
     """End disc by brute-force double quadrature over polar disc coordinates.
 
-    omega = (4 pi)^-1 * 2 * int_0^pi dphi int_0^r ds  L s / R^3
-    with R^2 = L^2 + d^2 + s^2 - 2 d s cos(phi). Requires L > 0 (the L = 0
-    disc is a discontinuous limit that quadrature cannot see).
+    omega = (4 pi)^-1 * 2 * int_0^pi dphi int_0^1 ds  L s / R^3
+    in units of r, with R^2 = L^2 + d^2 + s^2 - 2 d s cos(phi). Requires
+    L > 0 (the L = 0 disc is a discontinuous limit that quadrature cannot
+    see).
     """
     from scipy import integrate
 
-    L, r, d = cfg.L, cfg.r, cfg.d
-    _check_quad_pre(cfg, tol)
+    L, d, _, _ = _in_units_of_r(cfg.L, cfg.r, cfg.d, tol=tol)
     base = L * L + d * d
 
     def f(s: float, phi: float) -> float:
         R_sq = base + s * (s - 2.0 * d * math.cos(phi))
         return L * s / (R_sq * math.sqrt(R_sq))
 
-    val, abserr = integrate.dblquad(f, 0.0, math.pi, 0.0, r, epsabs=tol * _TWO_PI, epsrel=tol)
+    val, abserr = integrate.dblquad(f, 0.0, math.pi, 0.0, 1.0, epsabs=tol * _TWO_PI, epsrel=tol)
     omega = val / _TWO_PI
     if abserr / _TWO_PI > 100.0 * max(tol, tol * abs(omega)):
         raise OracleFailure(f"disc quadrature error estimate {abserr / _TWO_PI!r} exceeds tol {tol!r}")
@@ -218,7 +228,7 @@ def _block_pool() -> ThreadPoolExecutor:
 
     mc_total uses it only for a call with two or more workers' worth of
     expected in-band rays; a smaller call runs in the caller's thread. Each
-    pool thread keeps its exact-test scratch (about 1.6 MB) for its life.
+    pool thread keeps its workspace (about 2 MB) for its life.
     The threads outlive a call: threads started per call can begin before
     the last call's threads have handed back their malloc arenas, get fresh
     arenas, and leave another worker's draws resident (peak RSS 73 -> 91 MB
@@ -242,55 +252,45 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-_scratch = threading.local()
+_local = threading.local()
 
 
-def _scratch_arrays(n: int) -> tuple[np.ndarray, ...]:
-    """This thread's four float and two bool work arrays for _hit_mask, cut to length n.
+def _workspace(n: int) -> tuple[np.ndarray, ...]:
+    """This thread's work arrays: two float draw buffers, then four float and two bool scratch arrays cut to length n.
 
-    Allocated _SLICE long on a thread's first slice and replaced only by a
-    longer input, then kept for the thread's life: about 1.1 MB per thread,
-    so that the exact test allocates no arrays per slice.
+    _run_hits draws a run's cos(theta) and azimuth uniforms into the draw
+    buffers, each 2 * _SLICE long (512 kB), and _hit_mask works in the
+    scratch arrays, _SLICE long (about 1.1 MB together). All are allocated
+    on a thread's first use, replaced only when a longer n needs longer
+    scratch, and kept for the thread's life, so that neither the draws nor
+    the exact test allocate arrays per slice.
     """
-    bufs = getattr(_scratch, "bufs", None)
-    if bufs is None or len(bufs[0]) < n:
+    arrays = getattr(_local, "arrays", None)
+    if arrays is None or len(arrays[2]) < n:
         size = max(n, _SLICE)
+        draws = (np.empty(2 * _SLICE) for _ in range(2))
         floats, bools = (np.empty(size) for _ in range(4)), (np.empty(size, bool) for _ in range(2))
-        bufs = _scratch.bufs = (*floats, *bools)
-    return tuple(buf[:n] for buf in bufs)
+        arrays = _local.arrays = (*draws, *floats, *bools)
+    return (*arrays[:2], *(buf[:n] for buf in arrays[2:]))
 
 
-def _draw_arrays() -> tuple[np.ndarray, np.ndarray]:
-    """This thread's cos(theta) and azimuth draw buffers, each 2 * _SLICE long (512 kB).
-
-    _run_hits fills them with a run's uniform draws, block after block, and
-    tests them a full slice at a time; a chunk that crosses the end of a
-    slice spills into the second half, which moves to the front once the
-    slice is tested. Allocated on a thread's first run and kept for its
-    life, like _scratch_arrays.
-    """
-    draws = getattr(_scratch, "draws", None)
-    if draws is None:
-        draws = _scratch.draws = (np.empty(2 * _SLICE), np.empty(2 * _SLICE))
-    return draws
-
-
-def _hit_mask(cos_t: np.ndarray, az: np.ndarray, L: float, px: float, pz: float, c: float) -> np.ndarray:
+def _hit_mask(cos_t: np.ndarray, az: np.ndarray, L: float, d: float, z: float) -> np.ndarray:
     """Which rays hit: a bool view of this thread's scratch, valid until its next call.
 
-    Units of r, c = px^2 - 1. With phi = az - pi, a ray runs inside the
-    infinite shell over the horizontal distances [V1, V2] = [max(0, px cos
-    phi - s), px cos phi + s], s = sqrt(cos^2 phi - c sin^2 phi), which is
+    Units of r, c = d^2 - 1. With phi = az - pi, a ray runs inside the
+    infinite shell over the horizontal distances [V1, V2] = [max(0, d cos
+    phi - s), d cos phi + s], s = sqrt(cos^2 phi - c sin^2 phi), which is
     NaN where the azimuth misses the shell. It hits iff V2 > 0, it is at or
-    above the base at the far end of [V1, V2] for pz < 0 and the near end
-    for pz > 0 (pz sin + V cos >= 0), and at or below the top at the near
-    end for pz < L and the far end for pz > L ((L - pz) sin - V cos >= 0).
+    above the base at the far end of [V1, V2] for z < 0 and the near end
+    for z > 0 (z sin + V cos >= 0), and at or below the top at the near
+    end for z < L and the far end for z > L ((L - z) sin - V cos >= 0).
     In the base plane the first test reads cos(theta) >= 0, in the top
     plane the second cos(theta) <= 0: a hit needs a point past the source.
     A vertical ray on the wall line (c = 0) runs along the wall, so its V2
     is infinite whatever its azimuth.
     """
-    f0, f1, f2, f3, hit, ok = _scratch_arrays(len(cos_t))
+    f0, f1, f2, f3, hit, ok = _workspace(len(cos_t))[2:]
+    c = d * d - 1.0  # radial quadratic constant term (py = 0 by symmetry)
     with np.errstate(invalid="ignore"):
         # phi = az - pi = head - _PI_LO, head = az - math.pi exact for az >= 1.15;
         # then cos and sin of phi to first order in _PI_LO, which keeps both
@@ -301,7 +301,7 @@ def _hit_mask(cos_t: np.ndarray, az: np.ndarray, L: float, px: float, pz: float,
         np.add(cos_phi, np.multiply(_PI_LO, sin_phi, out=f3), out=cos_phi)
         sin2 = np.square(np.subtract(sin_phi, f2, out=f0), out=f0)
         s = np.sqrt(np.subtract(np.square(cos_phi, out=f2), np.multiply(c, sin2, out=f0), out=f0), out=f0)
-        near = np.multiply(px, cos_phi, out=f1)
+        near = np.multiply(d, cos_phi, out=f1)
         v2 = np.add(near, s, out=f2)
         v1 = np.maximum(np.subtract(near, s, out=f1), 0.0, out=f1)
         sin_t = np.sqrt(np.subtract(1.0, np.square(cos_t, out=f0), out=f0), out=f0)
@@ -312,98 +312,92 @@ def _hit_mask(cos_t: np.ndarray, az: np.ndarray, L: float, px: float, pz: float,
     # V cos(theta), in place, for the V each height test takes: the far end
     # below the base and the near end above it; the near end below the top
     # and the far end above it
-    low = v2 if pz < 0.0 else v1
-    high = v1 if pz < L else v2
+    low = v2 if z < 0.0 else v1
+    high = v1 if z < L else v2
     np.multiply(low, cos_t, out=low)
     if high is not low:
         np.multiply(high, cos_t, out=high)
-    # pz sin + V cos >= 0 exactly when V cos >= -pz sin, both sides rounded alike
-    if pz == 0.0:
+    # z sin + V cos >= 0 exactly when V cos >= -z sin, both sides rounded alike
+    if z == 0.0:
         np.greater_equal(cos_t, 0.0, out=ok)
     else:
-        np.greater_equal(low, np.multiply(-pz, sin_t, out=f3), out=ok)
+        np.greater_equal(low, np.multiply(-z, sin_t, out=f3), out=ok)
     np.logical_and(hit, ok, out=hit)
-    if pz == L:
+    if z == L:
         np.less_equal(cos_t, 0.0, out=ok)
     else:
-        # L - pz overflows only for pz < 0 < L, where the largest double decides alike
-        np.greater_equal(np.multiply(min(L - pz, sys.float_info.max), sin_t, out=f3), high, out=ok)
+        # L - z overflows only for z < 0 < L, where the largest double decides alike
+        np.greater_equal(np.multiply(min(L - z, sys.float_info.max), sin_t, out=f3), high, out=ok)
     return np.logical_and(hit, ok, out=hit)
 
 
-def _slice_hits(cos_t: np.ndarray, az: np.ndarray, L: float, px: float, pz: float, c: float) -> int:
-    return int(np.count_nonzero(_hit_mask(cos_t, az, L, px, pz, c)))
+def _slice_hits(cos_t: np.ndarray, az: np.ndarray, L: float, d: float, z: float) -> int:
+    return int(np.count_nonzero(_hit_mask(cos_t, az, L, d, z)))
 
 
-def _band(L: float, d: float, z: float, c: float) -> tuple[float, float, float, float] | None:
-    """(cos lo, cos hi, az lo, az hi) outside which _slice_hits finds no hit, or None for all rays.
+def _band(L: float, d: float, z: float) -> tuple[float, float, float, float, float]:
+    """(cos lo, cos hi, az lo, az hi, w): the box outside which _slice_hits finds no hit, and w its area share.
 
-    Units of r, c = d^2 - 1 as _slice_hits gets it. A hit point lies at a
-    horizontal distance u in [max(0, d - 1), d + 1] from the source and at a
-    height z + u cot(theta) in [0, L], which bounds cos(theta); for d > 1 its
-    azimuth also lies within atan(1/sqrt(c)) = asin(1/d) of pi. The band is
-    widened past the rounding of _slice_hits, so that a ray outside it is a
-    miss there as well:
+    Units of r. A hit point lies at a horizontal distance u in
+    [max(0, d - 1), d + 1] from the source and at a height z + u cot(theta)
+    in [0, L], which bounds cos(theta); for d > 1 its azimuth also lies
+    within atan(1/sqrt(d^2 - 1)) = asin(1/d) of pi. The band is widened
+    past the rounding of _slice_hits, so that a ray outside it is a miss
+    there as well:
 
     - u by 16 eps (1 + d). The wall distances V1, V2 = d cos phi -+ s place
       a hit to within a few eps (1 + d) in u: cos phi and sin phi are each
       good to about an ulp, so d cos phi is good to a few eps d, and head
       on s (at most sqrt(2)) is good to a few eps. Near the tangent s is
-      only good to sqrt(eps) relative, but there u is sqrt(c), which lies
-      inside [d - 1, d + 1] by far more than that.
+      only good to sqrt(eps) relative, but there u is sqrt(d^2 - 1), which
+      lies inside [d - 1, d + 1] by far more than that.
     - cos(theta) by 1e-9. The height tests compare two products each good
       to an eps relative, and sqrt(1 - cos^2) moves the ray's cos(theta) by
       at most eps.
-    - the azimuth by 1e-9. There, s^2 >= 0 reads tan^2 phi <= 1/c with both
-      sides good to a few eps relative, which is a few eps of asin(1/d) in
-      angle.
+    - the azimuth by 1e-9. There, s^2 >= 0 reads tan^2 phi <= 1/(d^2 - 1)
+      with both sides good to a few eps relative, which is a few eps of
+      asin(1/d) in angle.
+
+    The band is then clipped to [-1, 1] x [0, 2 pi], and w is its share of
+    that rectangle's area. A source inside the cylinder or on its wall gets
+    the whole rectangle with w = 1 exactly: its half-width in azimuth is pi,
+    and pi -+ pi is exactly 0 and 2 pi.
     """
+    c = d * d - 1.0
     du = 16.0 * _EPS * (1.0 + d)
     u_min, u_max = max(0.0, d - 1.0 - du), d + 1.0 + du
     # cos(theta) of the steepest ray down to the base and up to the top
     cos_lo = math.cos(math.atan2(u_min if z > 0.0 else u_max, -z)) - _SLACK
     cos_hi = math.cos(math.atan2(u_min if z < L else u_max, L - z)) + _SLACK
     half = math.atan2(1.0, math.sqrt(c)) + _SLACK if c > 0.0 else math.pi
-    if cos_lo <= -1.0 and cos_hi >= 1.0 and half >= math.pi:
-        return None
-    return cos_lo, cos_hi, math.pi - half, math.pi + half
-
-
-def _draw_box(band: tuple[float, float, float, float] | None) -> tuple[float, float, float, float, float]:
-    """`band` clipped to [-1, 1] x [0, 2 pi] in (cos theta, azimuth), and w, its share of that area.
-
-    None is the whole rectangle, with w = 1 exactly.
-    """
-    c_lo, c_hi, a_lo, a_hi = band or (-1.0, 1.0, 0.0, _TWO_PI)
-    c_lo, c_hi = max(c_lo, -1.0), min(c_hi, 1.0)
-    a_lo, a_hi = max(a_lo, 0.0), min(a_hi, _TWO_PI)
+    c_lo, c_hi = max(cos_lo, -1.0), min(cos_hi, 1.0)
+    a_lo, a_hi = max(math.pi - half, 0.0), min(math.pi + half, _TWO_PI)
     return c_lo, c_hi, a_lo, a_hi, (c_hi - c_lo) / 2.0 * ((a_hi - a_lo) / _TWO_PI)
 
 
-def _run_hits(
-    key: int, first: int, sizes: list[int], L: float, px: float, pz: float, c: float,
-    box: tuple[float, float, float, float, float],
-) -> int:
+def _run_hits(key: int, first: int, sizes: list[int], L: float, d: float, z: float) -> int:
     """Hits among the isotropic rays of Philox blocks first, first + 1, ..., of sizes[i] rays each.
 
     Block b's stream is Philox(key) started at counter b * 2^128, the
     stream Philox(key).jumped(b) gives. Each block draws k ~ Binomial(n, w)
-    for the rays that land in `box` (_draw_box), then those k rays
-    uniformly on it in chunks of up to _SLICE: cos(theta) of a chunk, then
-    its azimuth. The draws go, as uniforms on [0, 1), into this thread's
-    draw buffers (_draw_arrays) one block after another; each full slice is
-    scaled to the box as lo + (hi - lo) u, which is what Generator.uniform
-    computes, and tested, and so is the part slice left at the end. A
-    ray's verdict depends only on its own draws, so the count is the sum
-    of the blocks' counts however they are grouped into runs.
+    for the rays that land in _band's box, then those k rays uniformly on
+    it in chunks of up to _SLICE: cos(theta) of a chunk, then its azimuth.
+    The draws go, as uniforms on [0, 1), into this thread's draw buffers
+    (_workspace) one block after another; each full slice is scaled to the
+    box as lo + (hi - lo) u, which is what Generator.uniform computes, and
+    tested, and so is the part slice left at the end. A chunk that crosses
+    the end of a slice spills into the buffers' second half, which moves
+    to the front once the slice is tested. A ray's verdict depends only on
+    its own draws, so the count is the sum of the blocks' counts however
+    they are grouped into runs.
     """
-    c_lo, c_hi, a_lo, a_hi, w = box
-    cos_u, az_u = _draw_arrays()
+    c_lo, c_hi, a_lo, a_hi, w = _band(L, d, z)
+    cos_u, az_u = _workspace(0)[:2]
 
     def test(m: int) -> int:
         cos_t = np.add(c_lo, np.multiply(cos_u[:m], c_hi - c_lo, out=cos_u[:m]), out=cos_u[:m])
         az = np.add(a_lo, np.multiply(az_u[:m], a_hi - a_lo, out=az_u[:m]), out=az_u[:m])
-        return _slice_hits(cos_t, az, L, px, pz, c)
+        return _slice_hits(cos_t, az, L, d, z)
 
     # one generator for the run, reset to each block's stream: a new Philox
     # costs four times as much, most of it seeding the key it is then given
@@ -439,12 +433,12 @@ def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -
     key's stream jumped i times), so a fixed seed gives a bit-identical
     estimate regardless of how blocks are scheduled, and distinct seeds
     give distinct streams.
-    Lengths are taken in units of r, so a uniform scale by a power of two
-    leaves the estimate bit-identical.
+    Like every oracle here it works in units of r (_in_units_of_r), so a
+    uniform scale by a power of two leaves the estimate bit-identical.
 
     Only rays that can hit are drawn. _band bounds the hits to a rectangle
-    in (cos theta, azimuth), widened past the exact test's rounding, and
-    _draw_box clips it to [-1, 1] x [0, 2 pi] and gives its area share w.
+    in (cos theta, azimuth), widened past the exact test's rounding and
+    clipped to [-1, 1] x [0, 2 pi], and gives its area share w.
     Isotropic directions are uniform on [-1, 1] x [0, 2 pi], so of a block's
     n rays a Binomial(n, w) number land in the rectangle, uniformly, and the
     rest miss the exact test. Each block draws, from its own stream,
@@ -467,10 +461,10 @@ def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -
     pay for the pool: the exact test makes about 30 small NumPy calls, and
     two workers pass the GIL back and forth around them. The integer hit
     counts are summed, so the result depends on neither the dispatch nor
-    the worker count. Each thread keeps its draw buffers (_draw_arrays,
-    1 MB) and the exact test's scratch (_scratch_arrays, about 1.1 MB) for
-    its life: about 2 MB for each thread that has run blocks, on top of
-    the interpreter and NumPy.
+    the worker count. Each thread keeps its workspace (_workspace: the
+    draw buffers, 1 MB, and the exact test's scratch, about 1.1 MB) for its
+    life: about 2 MB for each thread that has run blocks, on top of the
+    interpreter and NumPy.
 
     Any finite source distance is drawn and tested like any other: from
     d = 1.3e154 r on c = d^2 - 1 is inf, so s^2 = cos^2 phi - c sin^2 phi
@@ -484,15 +478,11 @@ def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -
         raise DomainError(f"samples must be >= 1; got {samples!r}")
     if not 0 <= seed < 1 << 128:
         raise DomainError(f"seed must lie in [0, 2^128), the Philox key range; got {seed!r}")
-    L, d, z = cyl.L / cyl.r, src.d / cyl.r, src.z / cyl.r
-    if math.isinf(max(L, d, abs(z))):
-        raise DomainError(f"lengths overflow in units of r: L/r = {L!r}, d/r = {d!r}, z/r = {z!r}")
+    L, d, z, _ = _in_units_of_r(cyl.L, cyl.r, src.d, src.z)
 
-    c = d * d - 1.0  # radial quadratic constant term (py = 0 by symmetry)
-    box = _draw_box(_band(L, d, z, c))
-    run = partial(_run_hits, seed, L=L, px=d, pz=z, c=c, box=box)
+    run = partial(_run_hits, seed, L=L, d=d, z=z)
     sizes = [min(_BLOCK, samples - start) for start in range(0, samples, _BLOCK)]
-    workers = min(int(samples * box[4]) // _SLICE, _usable_cpus(), len(sizes))
+    workers = min(int(samples * _band(L, d, z)[4]) // _SLICE, _usable_cpus(), len(sizes))
     # one contiguous run of blocks per worker
     parts = max(workers, 1)
     cuts = [len(sizes) * i // parts for i in range(parts + 1)]

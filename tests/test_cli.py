@@ -166,6 +166,14 @@ def test_flag_beats_env_seed(capsys, monkeypatch):
     assert with_env == with_flag
 
 
+def test_seed_defaults_to_zero_without_flag_or_env(capsys):
+    assert cli._resolve_seed(None) == 0
+    argv = ["compute", "--L", "3", "--r", "1", "--d", "2", "--z", "1.5", "--method", "montecarlo", "--samples", "20000"]
+    _, default, _ = _run(capsys, argv)
+    _, zero, _ = _run(capsys, argv + ["--seed", "0"])
+    assert default == zero
+
+
 def test_bad_env_seed_is_an_error(capsys, monkeypatch):
     monkeypatch.setenv("SOLIDCYL_SEED", "not-a-number")
     code, _, err = _run(
@@ -254,10 +262,18 @@ def test_table_log_grid_monotone(capsys):
 
 
 def test_table_bad_axis_spec_exits_two(capsys):
-    for bad in ("1:2:5", "1:2:5:cubic", "0:2:5:log", "", "1,,2"):
+    for bad in ("1:2:5", "1:2:5:cubic", "0:2:5:log", "", ",", "1,,2", "1:2:0:linear", "1:2:-1:log"):
         with pytest.raises(SystemExit) as exc:
             cli.main(["table", "--L", bad, "--d", "2"])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("axis", ["0.5:7:1:linear", "0.5:7:1:log"])
+def test_table_one_point_range_is_its_start(capsys, axis):
+    code, out, _ = _run(capsys, ["table", "--L", axis, "--d", "2"])
+    assert code == 0
+    _, single, _ = _run(capsys, ["table", "--L", "0.5", "--d", "2"])
+    assert out == single and len(out.splitlines()) == 2
 
 
 def test_table_axis_takes_leading_minus_as_separate_token(capsys):
@@ -267,6 +283,12 @@ def test_table_axis_takes_leading_minus_as_separate_token(capsys):
         code, split, _ = _run(capsys, ["table", "--L", "1", "--d", "2", "--z", axis])
         assert code == 0
         assert split == glued
+
+
+def test_table_out_to_a_missing_directory_is_an_io_error(tmp_path, capsys):
+    code, out, err = _run(capsys, ["table", "--L", "1", "--d", "2", "--out", str(tmp_path / "no" / "grid.csv")])
+    assert code == 1 and out == ""
+    assert err.startswith("i/o error:") and "Traceback" not in err
 
 
 def test_table_out_file(tmp_path, capsys):
@@ -397,6 +419,13 @@ def test_verify_runners_reject_fewer_than_one_point(points):
         verify_mod.run_suite("agm", points, 0)
     with pytest.raises(DomainError):
         verify_mod.run_all(points=points)
+
+
+def test_verify_runners_reject_unknown_suites():
+    with pytest.raises(DomainError, match="unknown verification suite 'nope'"):
+        verify_mod.run_suite("nope", 5, 0)
+    with pytest.raises(DomainError, match="unknown tolerance override 'nope'"):
+        verify_mod.run_all(points=5, overrides={"nope": 1.0})
 
 
 def test_verify_bad_tolerance_spec_exits_two(capsys):

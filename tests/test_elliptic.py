@@ -128,6 +128,8 @@ def test_carlson_domain_guards():
         carlson_rf(0.0, 0.0, 1.0)
     with pytest.raises(DomainError):
         carlson_rd(1.0, 1.0, 0.0)
+    with pytest.raises(DomainError, match="both x and y are zero"):
+        carlson_rd(0.0, 0.0, 1.0)
     with pytest.raises(DomainError):
         carlson_rj(1.0, 1.0, 1.0, 0.0)
     with pytest.raises(DomainError):
@@ -263,6 +265,8 @@ def test_complement_guards():
         incomplete_F_from_parts(1.2, 0.0, 0.5)
     with pytest.raises(DomainError):
         incomplete_Pi_from_parts(0.5, -0.1, 0.5, 0.5, 0.5)
+    with pytest.raises(DomainError, match="1 - n sin"):
+        incomplete_Pi_from_parts(0.5, 0.75, 0.875, -0.1, 0.5)  # valid parts, p < 0
     with pytest.raises(DomainError):
         incomplete_E_from_parts(0.9, 0.1, 0.0, 0.8)  # y = 0 off the corner
 
@@ -281,6 +285,8 @@ def test_divergent_corners_raise():
         complete_Pi(1.0, 0.5)
     with pytest.raises(DivergentError):
         incomplete_Pi_from_parts(1.0, 0.0, 0.5, 0.0, 1.0)
+    with pytest.raises(DivergentError, match="m = 1"):
+        incomplete_Pi_from_parts(1.0, 0.0, 0.0, 0.5, 0.5)  # y = 0 with p > 0
     with pytest.raises(DivergentError):
         incomplete_F_from_parts(1.0, 0.0, 0.0)
     # but the incomplete first kind is finite at m = 1 short of pi/2

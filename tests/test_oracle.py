@@ -126,6 +126,39 @@ def test_disc_requires_positive_L():
         oracle.quad_disc(CanonicalConfig(0.0, 1.0, 2.0))
 
 
+# ---------------------------------------------------------------- units of r
+
+_QUADRATURES = [oracle.quad_cyl0_phi, oracle.quad_cyl0_gamma, oracle.quad_disc]
+
+
+@pytest.mark.parametrize("quad", _QUADRATURES, ids=lambda q: q.__name__)
+@pytest.mark.parametrize("d", [3.0, 0.5])
+@pytest.mark.parametrize("k", [1e160, 1e-160, 1e200, 1e-200, 2.0**900, 2.0**-900])
+def test_quadratures_are_scale_invariant(quad, d, k):
+    # (L, r, d) = (2, 1, d) scaled by k gives the k = 1 outcome: the same
+    # bits by a power of two, within 1e-13 relative otherwise, and for a
+    # shell seen from inside the rim a DomainError at every scale. Raw
+    # lengths squared over- or underflow at these scales
+    unit, scaled = CanonicalConfig(2.0, 1.0, d), CanonicalConfig(2.0 * k, k, d * k)
+    if quad is not oracle.quad_disc and d < 1.0:
+        for cfg in (unit, scaled):
+            with pytest.raises(DomainError):
+                quad(cfg)
+        return
+    want, got = quad(unit), quad(scaled)
+    if math.frexp(k)[0] == 0.5:
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("quad", _QUADRATURES, ids=lambda q: q.__name__)
+@pytest.mark.parametrize("L, r, d", [(2.0, 1e-300, 3e10), (1e10, 1e-300, 3e-300)])
+def test_quadratures_reject_ratios_that_overflow(quad, L, r, d):
+    with pytest.raises(DomainError, match="overflow in units of r"):
+        quad(CanonicalConfig(L, r, d))
+
+
 # ----------------------------------------------------------------- Monte Carlo
 
 
@@ -272,18 +305,10 @@ def _block_draws(samples, seed):
     return g.uniform(-1.0, 1.0, samples), g.uniform(0.0, TWO_PI, samples)
 
 
-def _clipped_band(L, d, z):
-    # _band clipped to [-1, 1] x [0, 2 pi], and its share of that area
-    band = oracle._band(L, d, z, d * d - 1.0) or (-1.0, 1.0, 0.0, TWO_PI)
-    c_lo, c_hi = max(band[0], -1.0), min(band[1], 1.0)
-    a_lo, a_hi = max(band[2], 0.0), min(band[3], TWO_PI)
-    return c_lo, c_hi, a_lo, a_hi, (c_hi - c_lo) / 2.0 * ((a_hi - a_lo) / TWO_PI)
-
-
 def _band_draw_hits(L, d, z, samples, seed):
     # the one block mc_total draws for samples <= 10^6, in its documented
     # order: k ~ Binomial(samples, w), then per slice cos(theta), then azimuth
-    c_lo, c_hi, a_lo, a_hi, w = _clipped_band(L, d, z)
+    c_lo, c_hi, a_lo, a_hi, w = oracle._band(L, d, z)
     g = np.random.Generator(np.random.Philox(key=seed).jumped(0))
     k = g.binomial(samples, w)
     hits = 0
@@ -291,7 +316,7 @@ def _band_draw_hits(L, d, z, samples, seed):
         m = min(oracle._SLICE, k - i)
         cos_t = g.uniform(c_lo, c_hi, m)
         az = g.uniform(a_lo, a_hi, m)
-        hits += oracle._slice_hits(cos_t, az, L, d, z, d * d - 1.0)
+        hits += oracle._slice_hits(cos_t, az, L, d, z)
     return hits
 
 
@@ -339,22 +364,25 @@ _CULL_CASES = [
 def test_mc_cull_keeps_the_exact_test_count(L, d, z):
     # the band draw culls every ray outside the band by never drawing it:
     # mc_total's count equals the exact test run, outside mc_total, on the
-    # Binomial count of rays the block draws on the clipped band
+    # Binomial count of rays the block draws on _band's clipped box
     samples, seed = 200_003, 17
     est = oracle.mc_total(CylinderSpec(L, 1.0), SourcePoint(d, z), samples, seed=seed)
     assert est.hit_fraction == _band_draw_hits(L, d, z, samples, seed) / samples
 
 
-@pytest.mark.parametrize("L, d, z", [c for c in _CULL_CASES if oracle._band(c[0], c[1], c[2], c[1] ** 2 - 1.0)])
+_WHOLE_SPHERE = (-1.0, 1.0, 0.0, TWO_PI, 1.0)
+
+
+@pytest.mark.parametrize("L, d, z", [c for c in _CULL_CASES if oracle._band(*c) != _WHOLE_SPHERE])
 def test_mc_rays_just_outside_the_band_miss(L, d, z):
-    # rays up to `width` outside an edge of the widened band: the exact test
-    # must call every one of them a miss, or the cull would drop a hit
-    c = d * d - 1.0
-    c_lo, c_hi, a_lo, a_hi = oracle._band(L, d, z, c)
+    # rays up to `width` outside an edge of the widened, clipped band: the
+    # exact test must call every one of them a miss, or the cull would drop
+    # a hit (an edge clipped to the sphere has no rays outside it)
+    c_lo, c_hi, a_lo, a_hi, _ = oracle._band(L, d, z)
     rng = np.random.default_rng(3)
     n = 4000
-    cos_in = rng.uniform(max(c_lo, -1.0), min(c_hi, 1.0), n)
-    az_in = rng.uniform(max(a_lo, 0.0), min(a_hi, TWO_PI), n)
+    cos_in = rng.uniform(c_lo, c_hi, n)
+    az_in = rng.uniform(a_lo, a_hi, n)
     for width in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3):
         step = rng.uniform(0.0, width, n)
         rays = [
@@ -365,38 +393,37 @@ def test_mc_rays_just_outside_the_band_miss(L, d, z):
         ]
         for cos_t, az in rays:
             out = (cos_t < c_lo) | (cos_t > c_hi) | (az < a_lo) | (az > a_hi)
-            assert oracle._slice_hits(cos_t[out], az[out], L, d, z, c) == 0, width
+            assert oracle._slice_hits(cos_t[out], az[out], L, d, z) == 0, width
 
 
 @pytest.mark.parametrize("L, d, z", [(3.0, 0.5, 1.5), (1.0, 0.0, 0.5), (1.0, 1.0, 0.5), (1.0, 1.0 - _EDGE, 0.5), (1e-6, 0.99, 5e-7)])
 def test_mc_band_of_an_enclosed_or_wall_source_is_the_whole_sphere(L, d, z):
     # the cull is skipped, so these sources cost what they did without it
-    assert oracle._band(L, d, z, d * d - 1.0) is None
+    assert oracle._band(L, d, z) == _WHOLE_SPHERE
 
 
 def test_mc_band_of_a_face_source_is_the_half_sphere_below():
-    c_lo, c_hi, a_lo, a_hi = oracle._band(1.0, 0.3, 1.0, 0.3**2 - 1.0)
-    assert c_lo < -1.0 and 0.0 < c_hi <= 2e-9 and a_lo <= 0.0 and a_hi >= TWO_PI
+    c_lo, c_hi, a_lo, a_hi, w = oracle._band(1.0, 0.3, 1.0)
+    assert c_lo == -1.0 and 0.0 < c_hi <= 2e-9 and (a_lo, a_hi) == (0.0, TWO_PI)
+    assert w == (c_hi + 1.0) / 2.0
 
 
 def test_mc_far_band_keeps_few_rays():
     # the mc_oracle-like far source: about 0.5 % of directions reach the cylinder
     cos_t, az = _block_draws(100_000, 5)
-    c_lo, c_hi, a_lo, a_hi = oracle._band(0.05, 40.0, 0.01, 40.0**2 - 1.0)
+    c_lo, c_hi, a_lo, a_hi, _ = oracle._band(0.05, 40.0, 0.01)
     kept = np.count_nonzero((cos_t >= c_lo) & (cos_t <= c_hi) & (az >= a_lo) & (az <= a_hi))
     assert kept < 100
 
 
 @pytest.mark.parametrize("L, d, z", _CULL_CASES + [(1.0, 0.3, 1.0), (3.0, 0.5, 1.5), (1.0, 5.0, 0.5)])
 def test_mc_draw_box_is_the_clipped_band_and_its_area_share(L, d, z):
-    band = oracle._band(L, d, z, d * d - 1.0)
-    box = oracle._draw_box(band)
-    assert box == _clipped_band(L, d, z)
-    c_lo, c_hi, a_lo, a_hi, w = box
+    c_lo, c_hi, a_lo, a_hi, w = oracle._band(L, d, z)
     assert -1.0 <= c_lo < c_hi <= 1.0 and 0.0 <= a_lo < a_hi <= TWO_PI and 0.0 < w <= 1.0
     assert w == pytest.approx((c_hi - c_lo) * (a_hi - a_lo) / (4.0 * math.pi), rel=1e-15)
-    if band is None:
-        assert box == (-1.0, 1.0, 0.0, TWO_PI, 1.0)
+    # the whole rectangle, with w = 1 exactly, for a source inside or on the wall only
+    enclosed = d <= 1.0 and 0.0 < z < L
+    assert ((c_lo, c_hi, a_lo, a_hi, w) == _WHOLE_SPHERE) == enclosed
 
 
 @pytest.mark.parametrize("L, d, z, n", [(1.0, 5.0, 0.5, 100_000), (1.0, 0.3, 1.0, 10_000)])
@@ -411,7 +438,7 @@ def test_mc_in_band_count_is_binomial(monkeypatch, L, d, z, n):
         return exact(cos_t, az, *args)
 
     monkeypatch.setattr(oracle, "_slice_hits", counting)
-    w = _clipped_band(L, d, z)[4]
+    w = oracle._band(L, d, z)[4]
     N = 1000
     ks = []
     for seed in range(N):
@@ -475,7 +502,7 @@ def test_mc_very_far_source_is_zero_without_warnings():
 def test_slice_hits_keeps_the_tangent_of_a_far_source(d):
     # nearly horizontal rays from z = r/2 at L = r reach the wall inside the
     # slab, so the azimuth alone decides: a hit within asin(r/d) of pi
-    L, z, c = 1.0, 0.5, d * d - 1.0
+    L, z = 1.0, 0.5
     tangent = math.asin(1.0 / d)
     rng = np.random.default_rng(8)
     n = 400_000
@@ -485,8 +512,8 @@ def test_slice_hits_keeps_the_tangent_of_a_far_source(d):
     off = np.abs((az - math.pi) - 1.2246467991473532e-16) / tangent
     outside, inside = (off >= 1.05) & (off <= 3.0), off <= 0.95
     assert np.count_nonzero(outside) > n // 2 and np.count_nonzero(inside) > n // 5
-    assert oracle._slice_hits(cos_t[outside], az[outside], L, d, z, c) == 0
-    assert oracle._slice_hits(cos_t[inside], az[inside], L, d, z, c) == np.count_nonzero(inside)
+    assert oracle._slice_hits(cos_t[outside], az[outside], L, d, z) == 0
+    assert oracle._slice_hits(cos_t[inside], az[inside], L, d, z) == np.count_nonzero(inside)
 
 
 def test_mc_enclosed_source_in_a_huge_cylinder_hits_everything_without_warnings():
@@ -563,21 +590,23 @@ _DEGENERATE_RAYS = [
 
 @pytest.mark.parametrize("L, d, z, cos_t, az, hit", _DEGENERATE_RAYS)
 def test_slice_hits_degenerate_rays(L, d, z, cos_t, az, hit):
-    got = oracle._slice_hits(np.array([cos_t]), np.array([az]), L, d, z, d * d - 1.0)
+    got = oracle._slice_hits(np.array([cos_t]), np.array([az]), L, d, z)
     assert got == int(hit)
 
 
 def test_slice_hits_counts_each_ray_once():
     cos_t = np.array([r[3] for r in _DEGENERATE_RAYS[:5]])
     az = np.array([r[4] for r in _DEGENERATE_RAYS[:5]])
-    assert oracle._slice_hits(cos_t, az, 1.0, 0.0, -1.0, -1.0) == 2
+    assert oracle._slice_hits(cos_t, az, 1.0, 0.0, -1.0) == 2
 
 
-def _t_interval_hits(cos_t, az, L, px, pz, c):
+def _t_interval_hits(cos_t, az, L, px, pz):
     # reference model: the ray-parameter form of the exact test. The ray is
     # inside the infinite shell for t between the roots of a t^2 + 2 b t + c,
-    # with b^2 - a c taken as vx^2 - c vy^2, and inside the slab between
-    # -pz / vz and (L - pz) / vz; it hits where the two intervals meet at t > 0
+    # c = px^2 - 1, with b^2 - a c taken as vx^2 - c vy^2, and inside the slab
+    # between -pz / vz and (L - pz) / vz; it hits where the two intervals meet
+    # at t > 0
+    c = px * px - 1.0
     sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
     vx, vy = sin_t * np.cos(az), sin_t * np.sin(az)
     a, b = vx * vx + vy * vy, px * vx
@@ -637,19 +666,19 @@ _MODEL_SOURCES = [
 def test_exact_test_matches_the_t_interval_model_ray_by_ray(L, d, z):
     # seeded rays over the whole sphere, on the clipped band, and across the
     # silhouette (1.5 times asin(r/d) either side of pi)
-    c, n = d * d - 1.0, 20_000
+    n = 20_000
     rng = np.random.default_rng(_MODEL_SOURCES.index((L, d, z)))
-    c_lo, c_hi, a_lo, a_hi, _ = oracle._draw_box(oracle._band(L, d, z, c))
+    c_lo, c_hi, a_lo, a_hi, _ = oracle._band(L, d, z)
     half = math.asin(1.0 / d) if d > 1.0 else math.pi
     for cos_t, az in [
         (rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, TWO_PI, n)),
         (rng.uniform(c_lo, c_hi, n), rng.uniform(a_lo, a_hi, n)),
         (rng.uniform(c_lo, c_hi, n), math.pi + rng.uniform(-1.5, 1.5, n) * half),
     ]:
-        got = oracle._hit_mask(cos_t, az, L, d, z, c).copy()
-        split = np.flatnonzero(got != _t_interval_hits(cos_t, az, L, d, z, c))
+        got = oracle._hit_mask(cos_t, az, L, d, z).copy()
+        split = np.flatnonzero(got != _t_interval_hits(cos_t, az, L, d, z))
         assert split.size == 0, [(cos_t[j], az[j], got[j], _edge_margins(L, d, z, cos_t[j], az[j])) for j in split[:5]]
-        assert oracle._slice_hits(cos_t, az, L, d, z, c) == np.count_nonzero(got)
+        assert oracle._slice_hits(cos_t, az, L, d, z) == np.count_nonzero(got)
 
 
 @pytest.mark.parametrize(
@@ -669,8 +698,8 @@ def test_exact_test_and_t_interval_model_split_only_within_an_ulp_of_an_edge(L, 
     u = np.array([max(0.0, d - 1.0), d + 1.0, math.sqrt(abs(c)), d])[rng.integers(0, 4, n)]
     steep = np.cos(np.arctan2(u, np.where(rng.random(n) < 0.5, -z, L - z)))
     cos_t = np.clip(steep + rng.integers(-64, 65, n) * np.spacing(np.abs(steep)), -1.0, 1.0)
-    got = oracle._hit_mask(cos_t, az, L, d, z, c).copy()
-    split = np.flatnonzero(got != _t_interval_hits(cos_t, az, L, d, z, c))
+    got = oracle._hit_mask(cos_t, az, L, d, z).copy()
+    split = np.flatnonzero(got != _t_interval_hits(cos_t, az, L, d, z))
     assert split.size <= n // 100
     for j in split:
         assert min(_edge_margins(L, d, z, cos_t[j], az[j])) <= 2.0 * _EDGE, (cos_t[j], az[j])
@@ -680,9 +709,9 @@ def test_exact_test_of_a_vertical_ray_when_l_minus_z_overflows():
     # L - z is inf: the largest double in its place keeps the hit
     L, d, z = 1e308, 0.5, -1e308
     cos_t, az = np.array([1.0, 1.0, -1.0, 0.5]), np.array([0.0, math.pi, 0.0, 1.0])
-    want = _t_interval_hits(cos_t, az, L, d, z, d * d - 1.0)
+    want = _t_interval_hits(cos_t, az, L, d, z)
     assert want.tolist() == [True, True, False, False]
-    assert oracle._hit_mask(cos_t, az, L, d, z, d * d - 1.0).tolist() == want.tolist()
+    assert oracle._hit_mask(cos_t, az, L, d, z).tolist() == want.tolist()
 
 
 def test_mc_reuses_one_block_pool():
@@ -742,8 +771,7 @@ _DISPATCH_CASES = [(0.05, 40.0, 0.01), (3.0, 2.0, -1.0)]
 
 def _blockwise_hits(L, d, z, samples, seed, mapper):
     # each block run on its own, as a run of one block
-    c = d * d - 1.0
-    run = partial(oracle._run_hits, seed, L=L, px=d, pz=z, c=c, box=oracle._draw_box(oracle._band(L, d, z, c)))
+    run = partial(oracle._run_hits, seed, L=L, d=d, z=z)
     sizes = [min(oracle._BLOCK, samples - start) for start in range(0, samples, oracle._BLOCK)]
     return sum(mapper(run, range(len(sizes)), [[n] for n in sizes]))
 
@@ -764,12 +792,11 @@ _SHARED_SLICE_CASES = [(1.0, 4.0, 0.5, 4_000_003), (3.0, 2.0, -1.0, 3_000_001)]
 
 @pytest.mark.parametrize("L, d, z, samples", _SHARED_SLICE_CASES)
 def test_mc_shared_slices_count_is_the_sum_of_its_blocks(monkeypatch, L, d, z, samples):
-    seed, c = 41, d * d - 1.0
-    box = oracle._draw_box(oracle._band(L, d, z, c))
+    seed, w = 41, oracle._band(L, d, z)[4]
     sizes = [min(oracle._BLOCK, samples - start) for start in range(0, samples, oracle._BLOCK)]
     # each block's in-band count, its stream's first draw
     ks = [
-        np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, b, 0])).binomial(n, box[4])
+        np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, b, 0])).binomial(n, w)
         for b, n in enumerate(sizes)
     ]
     full = [k for k, n in zip(ks, sizes) if n == oracle._BLOCK]
@@ -788,7 +815,7 @@ def test_mc_shared_slices_count_is_the_sum_of_its_blocks(monkeypatch, L, d, z, s
 
     # one run of all the blocks, in the caller's thread: full slices, then the rest
     monkeypatch.setattr(oracle, "_slice_hits", recording)
-    one_run = oracle._run_hits(seed, 0, sizes, L, d, z, c, box)
+    one_run = oracle._run_hits(seed, 0, sizes, L, d, z)
     monkeypatch.setattr(oracle, "_slice_hits", exact)
     q, rest = divmod(sum(ks), oracle._SLICE)
     assert lengths == [oracle._SLICE] * q + [rest] * (rest > 0)
@@ -804,7 +831,7 @@ def test_mc_shared_slices_count_is_the_sum_of_its_blocks(monkeypatch, L, d, z, s
 def test_mc_small_call_does_not_use_the_pool(monkeypatch):
     # about 51 expected in-band rays out of 10^7: far less than one slice
     L, d, z = _DISPATCH_CASES[0]
-    w = oracle._draw_box(oracle._band(L, d, z, d * d - 1.0))[4]
+    w = oracle._band(L, d, z)[4]
     assert 10**7 * w < oracle._SLICE
 
     def no_pool():
@@ -858,8 +885,7 @@ def test_slice_hits_scratch_carries_nothing_between_slices():
     # longer-than-slice input, each tested in a fresh thread and then in
     # one thread in both orders
     L, d, z = _DISPATCH_CASES[1]
-    c = d * d - 1.0
-    c_lo, c_hi, a_lo, a_hi, _ = oracle._draw_box(oracle._band(L, d, z, c))
+    c_lo, c_hi, a_lo, a_hi, _ = oracle._band(L, d, z)
     rng = np.random.default_rng(12)
     slices = []
     for n in (oracle._SLICE, 1, oracle._SLICE + 5, 1, oracle._SLICE):
@@ -869,7 +895,7 @@ def test_slice_hits_scratch_carries_nothing_between_slices():
     slices[3] = (np.array([0.9]), np.array([0.0]))
 
     def counts(order):
-        return [oracle._slice_hits(*slices[i], L, d, z, c) for i in order]
+        return [oracle._slice_hits(*slices[i], L, d, z) for i in order]
 
     def fresh(i):
         with ThreadPoolExecutor(max_workers=1) as worker:
