@@ -29,7 +29,7 @@ from functools import partial
 
 from . import verify as verify_mod
 from .errors import SolidCylError
-from .geometry import CanonicalConfig, CylinderSpec, SourcePoint, TermKind, decompose
+from .geometry import CanonicalConfig, CylinderSpec, SourcePoint, TermKind, _split, decompose
 from .oracle import mc_total, quad_cyl0_phi, quad_disc
 from .solid_angle import Method, SolidAngle, omega_circ, omega_cyl0, omega_cyl0_series, omega_total
 
@@ -117,16 +117,30 @@ def _route_total(cyl: CylinderSpec, src: SourcePoint, method: str) -> SolidAngle
     return SolidAngle(total, Method(method), err)
 
 
+def _evaluated_terms(cyl: CylinderSpec, src: SourcePoint) -> str:
+    """The terms omega_total evaluates, from the same case split.
+
+    Below the base outside the shell, -cyl0(h) +circ(h) is the one fused
+    near-face term, printed as face(h).
+    """
+    region, a, b = _split(cyl.L, cyl.r, src.d, src.z)
+    if region == "const":
+        return f"+constant({a:g})"
+    if region == "disc":
+        return f"+circ(L_eff={a:g})"
+    return f"+cyl0(L_eff={a:g}) +{'cyl0' if region == 'shells' else 'face'}(L_eff={b:g})"
+
+
 def _evaluate(args) -> tuple[SolidAngle, str]:
     cyl = CylinderSpec(args.L, args.r)
     src = SourcePoint(args.d, args.z)
+    if args.method in ("auto", "elliptic"):
+        return omega_total(cyl, src), _evaluated_terms(cyl, src)
     terms = decompose(cyl, src).describe()
-    if args.method in ("quadrature", "series"):
-        return _route_total(cyl, src, args.method), terms
     if args.method == "montecarlo":
         est = mc_total(cyl, src, args.samples, _resolve_seed(args.seed))
         return SolidAngle(est.hit_fraction, Method.MONTECARLO, est.std_error), terms
-    return omega_total(cyl, src), terms
+    return _route_total(cyl, src, args.method), terms
 
 
 def _cmd_compute(args) -> int:

@@ -124,10 +124,17 @@ def carlson_rf(x: float, y: float, z: float) -> float:
     Nonnegative arguments, at most one zero.
     """
     x, y, z = float(x), float(y), float(z)
-    _check_rf_args(x, y, z)
+    if not (x > 0.0 and y > 0.0 and z > 0.0):
+        _check_rf_args(x, y, z)
     sqrt = math.sqrt
     A0 = (x + y + z) / 3.0
-    q = _RF_STOP * max(abs(A0 - x), abs(A0 - y), abs(A0 - z))
+    # max() of the three gaps, NaN kept where max() keeps it
+    q = abs(A0 - x)
+    if (u := abs(A0 - y)) > q:
+        q = u
+    if (u := abs(A0 - z)) > q:
+        q = u
+    q = _RF_STOP * q
     A, xn, yn, zn = A0, x, y, z
     pow4 = 1.0
     # A > 0 throughout: the arguments are nonnegative with at most one zero
@@ -197,7 +204,8 @@ def carlson_rj(x: float, y: float, z: float, p: float) -> float:
     both factors are positive, so nothing cancels however small p is.
     """
     x, y, z, p = float(x), float(y), float(z), float(p)
-    _check_rf_args(x, y, z)
+    if not (x > 0.0 and y > 0.0 and z > 0.0):
+        _check_rf_args(x, y, z)
     if not p > 0.0:
         raise DomainError(f"carlson_rj requires p > 0 (circular case); got p={p!r}")
     return _rj(x, y, z, p)
@@ -214,7 +222,15 @@ def _rj(x: float, y: float, z: float, p: float) -> float:
             return math.ldexp(_rj(*(math.ldexp(v, -2 * k) for v in (x, y, z, p))), -3 * k)
         except OverflowError:
             raise DomainError(f"R_J({x!r}, {y!r}, {z!r}, {p!r}) overflows the double range") from None
-    q = _RJ_STOP * max(abs(A0 - x), abs(A0 - y), abs(A0 - z), abs(A0 - p))
+    # max() of the four gaps, NaN kept where max() keeps it
+    q = abs(A0 - x)
+    if (u := abs(A0 - y)) > q:
+        q = u
+    if (u := abs(A0 - z)) > q:
+        q = u
+    if (u := abs(A0 - p)) > q:
+        q = u
+    q = _RJ_STOP * q
     # p equal to an argument keeps p_n equal to it, so every 1 + e_n is exactly 1
     need_rc = not (p == x or p == y or p == z)
     A, xn, yn, zn, pn = A0, x, y, z, p

@@ -86,6 +86,20 @@ the same functions, and params_from_geometry and omega_cyl0_series work in
 the same units. So the answer is the same at any uniform scale, whether
 omega_total forms the canonical terms or a caller passes one directly.
 
+Hot-path rules: omega_total's path pays for no interpreter work that
+leaves the bits alone. The two tags are the module names _ELLIPTIC and
+_SPECIAL, not Method attribute reads. Every clamp or maximum is a
+comparison with the built-in's exact result, NaN included: min(1.0, x) is
+`x if x < 1.0 else 1.0` and max is `if u > q: q = u`. The
+L^2 + (d+1)^2 overflow test is inline, and _den_m_overflow only raises.
+omega_total adds its one or two terms to 0.0 in term order, with no loop.
+SolidAngle stores a value in (0, 1) at once; 0, 1, -0.0, NaN and values
+outside [0, 1] take the band check and clamp. The kernels are still called
+as elliptic.carlson_* with their public checks, and R_F and R_J run
+_check_rf_args only when some argument is not positive.
+tests/test_frozen_bits.py holds float.hex() of values, tags, error
+estimates and hot-path kernel tuples, and fails on any changed bit.
+
 Near-boundary arithmetic: lengths become ratios in one place,
 _units(L, r, d) = (L/r, d/r, (d-r)/r), which every evaluator and
 omega_total call. d - r is formed before the division, so a source a few
@@ -142,6 +156,7 @@ _ERR_SPECIAL = 1e-13
 # the subnormal grid
 _NEAR_AXIS = 2.0**-500
 _VALUE_GUARD = 1e-12
+_INF = math.inf
 
 
 class Method(enum.Enum):
@@ -150,6 +165,12 @@ class Method(enum.Enum):
     SPECIAL = "special"
     QUADRATURE = "quadrature"
     MONTECARLO = "montecarlo"
+
+
+# the two tags of the closed-form terms, read as module names: a Method.X
+# read costs about ten times a global's on the scalar path
+_ELLIPTIC = Method.ELLIPTIC
+_SPECIAL = Method.SPECIAL
 
 
 @dataclass(frozen=True)
@@ -161,6 +182,10 @@ class SolidAngle:
     err_estimate: float
 
     def __post_init__(self):
+        if 0.0 < self.value < 1.0:
+            # in range, nothing to check or clamp; 1.0 goes on, so that an
+            # int or NumPy 1 is stored as the float 1.0
+            return
         band = max(_VALUE_GUARD, 4.0 * self.err_estimate)
         if not -band <= self.value <= 1.0 + band:
             raise DomainError(
@@ -213,35 +238,35 @@ class EllipticParams:
     cos2_epsilon: float | None
 
 
-def _den_m(L: float, LL: float, d: float, s: float) -> float:
-    """L^2 + (d+1)^2 at r = 1, with s = d + 1; raises DomainError when it overflows."""
-    den_m = LL + s * s
-    if math.isinf(den_m):
-        ratio, value = ("L/r", L) if math.isinf(LL) else ("d/r", d)
-        raise DomainError(f"L^2 + (d+r)^2 overflows in units of r: {ratio} = {value!r} is too large")
-    return den_m
+def _den_m_overflow(L: float, LL: float, d: float) -> None:
+    """Raise the DomainError for L^2 + (d+1)^2 = inf at r = 1, naming the ratio."""
+    ratio, value = ("L/r", L) if LL == _INF else ("d/r", d)
+    raise DomainError(f"L^2 + (d+r)^2 overflows in units of r: {ratio} = {value!r} is too large")
 
 
 def _gamma_params(L: float, d: float, t: float) -> tuple:
     """The shell side of EllipticParams at r = 1, for t = d - 1 >= 0.
 
     Returns (n, m', sqrt(1-n), sqrt(1-m/n), sin, cos^2, y of gamma_o), the
-    fields _face reads (_shell reads all but sin); 1 - n is
-    sqrt(1-n)^2 bit for bit. t
-    comes in separately so a caller can take d - r from unscaled lengths.
-    n = 4d/(d+1)^2 exceeds 1 by a few ulp at most, so min() is the whole
-    clamp.
+    fields _face reads (_shell reads all but sin); 1 - n is sqrt(1-n)^2 bit
+    for bit. t comes in separately so a caller can take d - r from unscaled
+    lengths. n = 4d/(d+1)^2 exceeds 1 by a few ulp at most, so capping it at
+    1 is the whole clamp.
     """
     s = d + 1.0
     LL = L * L
-    den_m = _den_m(L, LL, d, s)
+    den_m = LL + s * s
+    if den_m == _INF:
+        _den_m_overflow(L, LL, d)
+    n = 4.0 * d / (s * s)
+    # half-angle of pi/2 + phi_o, so sin^2/cos^2 close over (d +- r)/2d
+    sin_g = math.sqrt(s / (2.0 * d))
     return (
-        min(1.0, 4.0 * d / (s * s)),
+        n if n < 1.0 else 1.0,
         (LL + t * t) / den_m,
         abs(t) / s,
         L / math.hypot(L, s),
-        # half-angle of pi/2 + phi_o, so sin^2/cos^2 close over (d +- r)/2d
-        min(1.0, math.sqrt(s / (2.0 * d))),
+        sin_g if sin_g < 1.0 else 1.0,
         t / (2.0 * d),
         (LL + t * s) / den_m,
     )
@@ -252,22 +277,27 @@ def _eps_params(L: float, d: float, t: float) -> tuple:
 
     Returns (m, n, m', sqrt(1-n), sqrt(1-m/n), sin, cos^2 of epsilon), the
     fields _disc reads; the epsilon parts are None when m' = 0. m <= n, so
-    min() clamps both.
+    capping m at n clamps both.
     """
     s = d + 1.0
     LL = L * L
-    den_m = _den_m(L, LL, d, s)
+    den_m = LL + s * s
+    if den_m == _INF:
+        _den_m_overflow(L, LL, d)
     den_t = LL + t * t
-    n = min(1.0, 4.0 * d / (s * s))
+    n = 4.0 * d / (s * s)
+    n = n if n < 1.0 else 1.0
     m_prime = den_t / den_m
     sin_epsilon = cos2_epsilon = None
     if m_prime > 0.0:
         # products of ratios at most 1, so nothing overflows before den_m does
         u = t / s
-        sin_epsilon = math.copysign(math.sqrt(min(1.0, u * u * (den_m / den_t))), t)
+        sin2 = u * u * (den_m / den_t)
+        sin_epsilon = math.copysign(math.sqrt(sin2 if sin2 < 1.0 else 1.0), t)
         cos2_epsilon = n * (LL / den_t)
+    m = 4.0 * d / den_m
     return (
-        min(4.0 * d / den_m, n),
+        n if n < m else m,
         n,
         m_prime,
         abs(t) / s,
@@ -310,10 +340,10 @@ def params_from_geometry(cfg: CanonicalConfig) -> EllipticParams:
 def _shell(L: float, d: float, t: float) -> tuple[float, Method, float]:
     """(value, method, err) of the shell term at r = 1 for d >= 1, t = d - 1."""
     if L == 0.0:
-        return 0.0, Method.SPECIAL, 0.0
+        return 0.0, _SPECIAL, 0.0
     if t == 0.0:
         # rho vanishes identically: a quarter sphere for any L > 0
-        return 0.25, Method.SPECIAL, _ERR_SPECIAL
+        return 0.25, _SPECIAL, _ERR_SPECIAL
     n, m_prime, s_n, s_mn, _, c2_g, y_g = _gamma_params(L, d, t)
     s = d + 1.0
     ts = t * s
@@ -325,7 +355,7 @@ def _shell(L: float, d: float, t: float) -> tuple[float, Method, float]:
     # the addition theorem's R_C term in closed form; two roots so that
     # t s (L^2 + t s) cannot overflow before L^2 + s^2 does
     arc = math.atan(2.0 * L / (math.sqrt(ts) * math.sqrt(L * L + ts)))
-    return (arc - s_mn * math.sqrt(c2_g) * bracket) / _TWO_PI, Method.ELLIPTIC, _ERR_ELLIPTIC
+    return (arc - s_mn * math.sqrt(c2_g) * bracket) / _TWO_PI, _ELLIPTIC, _ERR_ELLIPTIC
 
 
 def omega_cyl0(cfg: CanonicalConfig) -> SolidAngle:
@@ -443,13 +473,13 @@ def _equal_distance_gap(L: float) -> float:
 def _disc(L: float, d: float, t: float) -> tuple[float, Method, float]:
     """(value, method, err) of the disc term at r = 1 for d >= 0, t = d - 1."""
     if L == 0.0:
-        return (0.0 if t > 0.0 else (0.25 if t == 0.0 else 0.5)), Method.SPECIAL, 0.0
+        return (0.0 if t > 0.0 else (0.25 if t == 0.0 else 0.5)), _SPECIAL, 0.0
     if d < _NEAR_AXIS:  # on the axis to within roundoff
         hyp = math.hypot(L, 1.0)
         # 1 - L/hyp without the cancellation that ruins it for L >> r
-        return 0.5 / (hyp * (hyp + L)), Method.SPECIAL, _ERR_SPECIAL
+        return 0.5 / (hyp * (hyp + L)), _SPECIAL, _ERR_SPECIAL
     if t == 0.0:
-        return 0.25 - _equal_distance_gap(L), Method.SPECIAL, _ERR_SPECIAL
+        return 0.25 - _equal_distance_gap(L), _SPECIAL, _ERR_SPECIAL
     m, n, m_prime, _, s_mn, s_e, c2_e = _eps_params(L, d, t)
     # K and K - E come from one AGM loop. K - E scales with m, so m is taken
     # as 1 - m' where that subtraction rounds once (m' < 1/2): near m = 1 it
@@ -469,7 +499,7 @@ def _disc(L: float, d: float, t: float) -> tuple[float, Method, float]:
     cross = K * E_eps - K_minus_E * F_eps
     # the paper's n/(1 + sqrt(1-n)) (d > r) and 1 + sqrt(1-n) (d < r) are
     # both 2/(d+1), and sin(eps) carries the sign of t: one form for both sides
-    return 0.25 - ((2.0 / (d + 1.0)) * s_mn * K + cross) / _TWO_PI, Method.ELLIPTIC, _ERR_ELLIPTIC
+    return 0.25 - ((2.0 / (d + 1.0)) * s_mn * K + cross) / _TWO_PI, _ELLIPTIC, _ERR_ELLIPTIC
 
 
 def omega_circ(cfg: CanonicalConfig) -> SolidAngle:
@@ -499,12 +529,12 @@ def _face(h: float, d: float, t: float) -> tuple[float, Method, float]:
     if t == 0.0:
         # both shells are exactly 1/4 at d = r, so CYL0(L+h) plus this rounds
         # to omega_circ's equal-distance value bit for bit
-        return -_equal_distance_gap(h), Method.SPECIAL, _ERR_SPECIAL
+        return -_equal_distance_gap(h), _SPECIAL, _ERR_SPECIAL
     n, _, s_n, s_mn, s_g, c2_g, y_g = _gamma_params(h, d, t)
     third = s_g * s_g * s_g * elliptic.carlson_rj(c2_g, y_g, 1.0, s_n)
     first = s_g * elliptic.carlson_rf(c2_g, y_g, 1.0)
     face = s_mn * (s_n * (n / 3.0) * third - (2.0 / (d + 1.0)) * first) / _TWO_PI
-    return face, Method.ELLIPTIC, _ERR_ELLIPTIC
+    return face, _ELLIPTIC, _ERR_ELLIPTIC
 
 
 def omega_circ_third_kind(cfg: CanonicalConfig) -> SolidAngle:
@@ -606,20 +636,13 @@ def omega_total(cyl: CylinderSpec, src: SourcePoint) -> SolidAngle:
     """
     region, a, b = _split(cyl.L, cyl.r, src.d, src.z)
     if region == "const":
-        return SolidAngle(a, Method.SPECIAL, 0.0)
+        return SolidAngle(a, _SPECIAL, 0.0)
     a, d, t = _units(a, cyl.r, src.d)
-    b /= cyl.r
     if region == "disc":
-        parts = (_disc(a, d, t),)
-    elif region == "shells":
-        parts = (_shell(a, d, t), _shell(b, d, t))
-    else:
-        parts = (_shell(a, d, t), _face(b, d, t))
-    total = err = 0.0
-    tag = Method.SPECIAL
-    for value, method, term_err in parts:
-        total += value
-        err += term_err
-        if method is Method.ELLIPTIC:
-            tag = Method.ELLIPTIC
-    return SolidAngle(total, tag, err)
+        value, tag, err = _disc(a, d, t)
+        return SolidAngle(0.0 + value, tag, 0.0 + err)
+    b /= cyl.r
+    v1, m1, e1 = _shell(a, d, t)
+    v2, m2, e2 = _shell(b, d, t) if region == "shells" else _face(b, d, t)
+    # summed from 0.0 in term order, as a loop over the terms would
+    return SolidAngle(0.0 + v1 + v2, m2 if m1 is _SPECIAL else m1, 0.0 + e1 + e2)

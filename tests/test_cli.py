@@ -113,6 +113,25 @@ def test_compute_quadrature_route_skips_zero_length_terms(capsys):
     assert _omega_line(out_quad) == pytest.approx(_omega_line(out_auto), abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "L, r, d, z, terms",
+    [
+        # below the base beside the shell: the near disc minus the near shell is one term
+        ("1", "1", "2", "-0.5", "+cyl0(L_eff=1.5) +face(L_eff=0.5)"),
+        ("3", "1", "2", "1", "+cyl0(L_eff=1) +cyl0(L_eff=2)"),
+        ("1", "1", "0.5", "-2", "+circ(L_eff=2)"),
+        ("3", "2", "1", "1", "+constant(1)"),
+    ],
+    ids=["below", "shells", "disc", "const"],
+)
+def test_compute_prints_the_terms_it_evaluates(capsys, L, r, d, z, terms):
+    argv = ["compute", "--L", L, "--r", r, "--d", d, f"--z={z}"]
+    for method in ("auto", "elliptic"):
+        code, out, _ = _run(capsys, argv + ["--method", method])
+        assert code == 0
+        assert f"\nterms = {terms}\n" in out
+
+
 def test_compute_elliptic_route_is_the_default(capsys):
     argv = ["compute", "--L", "20", "--r", "1", "--d", "1.01", "--z", "-1"]
     _, out_auto, _ = _run(capsys, argv)

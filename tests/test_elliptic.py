@@ -152,6 +152,72 @@ def test_carlson_kernels_reject_nan(kernel, arity, slot):
         kernel(*args)
 
 
+def _guard_cases():
+    """(kernel, args, message) for every argument slot of R_F, R_D and R_J.
+
+    NaN and -1 fail the sign checks. -0.0 and 0.0 are zeros: R_F and R_J
+    take one zero among x, y, z and R_D one of x, y, so each case puts a
+    0.0 in another slot first; R_D's z and R_J's p must be positive alone.
+    """
+    for bad in (math.nan, -1.0, -0.0, 0.0):
+        sign_fails = math.isnan(bad) or bad < 0.0
+        for kernel, base in ((carlson_rf, [0.5, 1.0, 2.0]), (carlson_rj, [0.5, 1.0, 2.0, 0.25])):
+            for slot in range(3):
+                args = list(base)
+                args[(slot + 1) % 3] = 0.0
+                args[slot] = bad
+                if sign_fails:
+                    msg = f"carlson arguments must be nonnegative; got ({args[0]!r}, {args[1]!r}, {args[2]!r})"
+                else:
+                    msg = "at most one of x, y, z may be zero (integral diverges)"
+                yield kernel, args, msg
+        yield carlson_rj, [0.5, 1.0, 2.0, bad], f"carlson_rj requires p > 0 (circular case); got p={bad!r}"
+        for slot in range(2):
+            args = [0.5, 1.0, 2.0]
+            args[1 - slot] = 0.0
+            args[slot] = bad
+            if sign_fails:
+                msg = f"carlson_rd requires x, y >= 0 and z > 0; got ({args[0]!r}, {args[1]!r}, {args[2]!r})"
+            else:
+                msg = "carlson_rd diverges when both x and y are zero"
+            yield carlson_rd, args, msg
+        yield carlson_rd, [0.5, 1.0, bad], f"carlson_rd requires x, y >= 0 and z > 0; got (0.5, 1.0, {bad!r})"
+
+
+@pytest.mark.parametrize(
+    "kernel, args, message",
+    [pytest.param(*case, id=f"{case[0].__name__}{tuple(case[1])}") for case in _guard_cases()],
+)
+def test_carlson_guards_keep_their_messages(kernel, args, message):
+    # the kernels skip the argument check when every argument is positive;
+    # anything else must still reach it and raise the same error
+    with pytest.raises(DomainError) as err:
+        kernel(*args)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "kernel, args, message",
+    [
+        (carlson_rf, (math.inf, 1.0, 2.0), "carlson_rf duplication failed to converge"),
+        (carlson_rf, (0.0, 1.0, math.inf), "carlson_rf duplication failed to converge"),
+        (carlson_rd, (math.inf, 1.0, 2.0), "carlson_rj duplication failed to converge"),
+        (carlson_rd, (1.0, 2.0, math.inf), "carlson_rj duplication failed to converge"),
+        (carlson_rd, (0.0, math.inf, 1.0), "carlson_rj duplication failed to converge"),
+        (carlson_rj, (math.inf, 1.0, 2.0, 3.0), "R_J(inf, 1.0, 2.0, 3.0): argument spread too wide for the duplication loop"),
+        (carlson_rj, (1.0, 2.0, 3.0, math.inf), "R_J(1.0, 2.0, 3.0, inf): argument spread too wide for the duplication loop"),
+        (carlson_rj, (0.0, 1.0, math.inf, 2.0), "R_J(0.0, 1.0, inf, 2.0): argument spread too wide for the duplication loop"),
+        (carlson_rj, (math.inf,) * 4, "carlson_rj duplication failed to converge"),
+    ],
+)
+def test_carlson_infinite_arguments_raise(kernel, args, message):
+    # an infinite argument passes the sign checks; its NaN stop bound never
+    # ends the loop, or its first R_C step is undefined
+    with pytest.raises(DomainError) as err:
+        kernel(*args)
+    assert str(err.value) == message
+
+
 def test_carlson_rc_rejects_infinite_x():
     with pytest.raises(DomainError, match="finite x"):
         carlson_rc(math.inf, 1.0)

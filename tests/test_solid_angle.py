@@ -886,5 +886,32 @@ def test_solid_angle_rejects_out_of_band():
         SolidAngle(1.5, Method.SPECIAL, 0.0)
 
 
+def test_solid_angle_out_of_range_values_take_the_band_check():
+    # a value in (0, 1) is stored as given; every other one is checked
+    # against the band and clamped, so -0.0 becomes +0.0 and int 1 a float
+    for value in (-0.0, 0.0, 1.0, 1):
+        got = SolidAngle(value, Method.SPECIAL, 0.0).value
+        assert got == value and type(got) is float and math.copysign(1.0, got) == 1.0
+    assert SolidAngle(math.nextafter(1.0, 2.0), Method.ELLIPTIC, 0.0).value == 1.0
+    with pytest.raises(DomainError, match=r"^solid angle nan outside \[0, 1\] past the error band 1e-12$"):
+        SolidAngle(math.nan, Method.ELLIPTIC, 1e-14)
+
+
+def test_solid_angle_non_finite_error_estimates():
+    # an infinite estimate widens the band to everything but NaN; a NaN or
+    # negative one leaves the 1e-12 floor
+    assert SolidAngle(2.0, Method.ELLIPTIC, math.inf).value == 1.0
+    assert SolidAngle(-3.0, Method.ELLIPTIC, math.inf).value == 0.0
+    with pytest.raises(DomainError, match=r"past the error band inf$"):
+        SolidAngle(math.nan, Method.ELLIPTIC, math.inf)
+    assert SolidAngle(1.0 + 1e-13, Method.ELLIPTIC, math.nan).value == 1.0
+    with pytest.raises(DomainError, match=r"past the error band 1e-12$"):
+        SolidAngle(1.5, Method.ELLIPTIC, math.nan)
+    with pytest.raises(DomainError, match=r"past the error band 1e-12$"):
+        SolidAngle(1.5, Method.ELLIPTIC, -math.inf)
+    kept = SolidAngle(0.5, Method.ELLIPTIC, math.nan)
+    assert kept.value == 0.5 and math.isnan(kept.err_estimate)
+
+
 def test_steradians_property():
     assert SolidAngle(0.25, Method.SPECIAL, 0.0).steradians == pytest.approx(math.pi, rel=1e-15)
