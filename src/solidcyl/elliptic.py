@@ -29,7 +29,7 @@ with 1 - m sin^2 phi evaluated as (1 - m) + m cos^2 phi so the dangerous
 corner m -> 1, phi -> pi/2 keeps full precision.
 
 R_D is evaluated as R_J(x, y, z, z), so the two share one duplication loop
-and one degree-5 tail. Each R_J duplication step absorbs R_C(1, 1 + e_n),
+and one degree-7 tail. Each R_J duplication step absorbs R_C(1, 1 + e_n),
 evaluated inline with carlson_rc's own expressions (atan above 1, log1p
 below), so the step makes no function call and the bits match carlson_rc.
 Against 40-digit mpmath, R_F, R_D and R_J are each
@@ -212,7 +212,7 @@ def carlson_rj(x: float, y: float, z: float, p: float) -> float:
 
 
 def _rj(x: float, y: float, z: float, p: float) -> float:
-    """R_J duplication and degree-5 tail on checked floats; R_D is _rj(x, y, z, z)."""
+    """R_J duplication and degree-7 tail on checked floats; R_D is _rj(x, y, z, z)."""
     sqrt = math.sqrt
     A0 = (x + y + z + 2.0 * p) / 5.0
     if not _RJ_LOW < A0 < _RJ_HIGH and (k := _rj_shift(x, y, z, p)):

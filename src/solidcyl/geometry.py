@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 
 from .errors import DomainError
 
@@ -68,7 +68,30 @@ def _require_length(value: float, name: str, positive: bool = False) -> float:
     return v
 
 
-@dataclass(frozen=True)
+def _frozen_for_every_name(cls):
+    """Make every assignment or deletion on cls's instances raise FrozenInstanceError.
+
+    dataclass(slots=True) returns a new class, but the __setattr__ and
+    __delattr__ that frozen=True generated still test against the class it
+    replaced, so a name that is not a field raised TypeError (Python 3.10 to
+    3.13) where the unslotted class raised FrozenInstanceError. These two
+    raise it for any name; __post_init__ and unpickling still set fields
+    through object.__setattr__.
+    """
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    cls.__setattr__ = __setattr__
+    cls.__delattr__ = __delattr__
+    return cls
+
+
+@_frozen_for_every_name
+@dataclass(frozen=True, slots=True)
 class CylinderSpec:
     """Finite right circular cylinder: height L >= 0, radius r > 0."""
 
@@ -80,7 +103,8 @@ class CylinderSpec:
         object.__setattr__(self, "r", _require_length(self.r, "radius r", positive=True))
 
 
-@dataclass(frozen=True)
+@_frozen_for_every_name
+@dataclass(frozen=True, slots=True)
 class SourcePoint:
     """Point source at radial distance d >= 0 from the axis, axial coordinate z."""
 
@@ -92,7 +116,8 @@ class SourcePoint:
         object.__setattr__(self, "z", _require_finite(self.z, "axial coordinate z"))
 
 
-@dataclass(frozen=True)
+@_frozen_for_every_name
+@dataclass(frozen=True, slots=True)
 class CanonicalConfig:
     """Source-in-end-plane configuration (L, r, d).
 
@@ -117,7 +142,8 @@ class TermKind(enum.Enum):
     CONSTANT = "constant"
 
 
-@dataclass(frozen=True)
+@_frozen_for_every_name
+@dataclass(frozen=True, slots=True)
 class Term:
     """One signed canonical contribution: coefficient * kind(L_eff)."""
 
@@ -141,7 +167,8 @@ class Term:
         return f"{sign}{self.kind.value}(L_eff={self.L_eff:g})"
 
 
-@dataclass(frozen=True)
+@_frozen_for_every_name
+@dataclass(frozen=True, slots=True)
 class SignedTermList:
     """Decomposition result: at most three signed canonical terms."""
 

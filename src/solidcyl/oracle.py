@@ -75,7 +75,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError, OracleFailure
-from .geometry import CanonicalConfig, CylinderSpec, SourcePoint
+from .geometry import CanonicalConfig, CylinderSpec, SourcePoint, _frozen_for_every_name
 
 __all__ = [
     "McEstimate",
@@ -195,7 +195,8 @@ def quad_disc(cfg: CanonicalConfig, tol: float = 1e-10) -> float:
     return omega
 
 
-@dataclass(frozen=True)
+@_frozen_for_every_name
+@dataclass(frozen=True, slots=True)
 class McEstimate:
     """Ray-casting estimate of the whole-surface solid angle."""
 

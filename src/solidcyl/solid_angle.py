@@ -130,7 +130,7 @@ from dataclasses import dataclass
 
 from . import elliptic
 from .errors import DivergentError, DomainError, OnAxisError
-from .geometry import CanonicalConfig, CylinderSpec, SourcePoint, _split
+from .geometry import CanonicalConfig, CylinderSpec, SourcePoint, _frozen_for_every_name, _split
 from .geometry import decompose  # noqa: F401 - perfbench's tracer wraps solid_angle.decompose
 
 __all__ = [
@@ -173,7 +173,8 @@ _ELLIPTIC = Method.ELLIPTIC
 _SPECIAL = Method.SPECIAL
 
 
-@dataclass(frozen=True)
+@_frozen_for_every_name
+@dataclass(frozen=True, slots=True)
 class SolidAngle:
     """Normalized solid angle (fraction of 4*pi) with method tag and error estimate."""
 
@@ -198,7 +199,8 @@ class SolidAngle:
         return 4.0 * math.pi * self.value
 
 
-@dataclass(frozen=True)
+@_frozen_for_every_name
+@dataclass(frozen=True, slots=True)
 class EllipticParams:
     """Stable parameter bundle shared by the closed forms, in units of r.
 

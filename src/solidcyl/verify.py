@@ -22,25 +22,33 @@ from dataclasses import dataclass
 
 from . import elliptic, oracle, solid_angle
 from .errors import DomainError
-from .geometry import CanonicalConfig, CylinderSpec, SourcePoint
+from .geometry import CanonicalConfig, CylinderSpec, SourcePoint, _frozen_for_every_name
 
 __all__ = ["SuiteResult", "DEFAULT_TOLERANCES", "run_suite", "run_all", "SUITES"]
 
+# Each default is about 100 times the worst deviation the suite showed over
+# 302 seeds (0-299, 701562, 12345) at 200 and 2000 points, rounded up to 1, 2
+# or 5 times a power of ten, and never above the value it had before that
+# measurement: tolerances only tighten. The worst deviation follows each
+# entry. cyl0_quad's and cyl0_pair's are the phi-form quadrature's own miss
+# near the wall at small L.
 DEFAULT_TOLERANCES = {
-    "disc_cross": 1e-10,  # pairwise relative (abs floor 1e-14), three disc paths
-    "cyl0_quad": 1e-9,  # absolute, elliptic vs phi-form quadrature
-    "cyl0_pair": 1e-10,  # absolute, phi-form vs gamma-form quadrature
-    "legendre": 1e-12,  # relative residual of the Legendre relation
-    "agm": 1e-13,  # relative, complete_K vs AGM iteration
-    "trivial_identities": 1e-14,
-    "scale_invariance": 1e-12,  # absolute, omega is dimensionless
-    "end_swap": 1e-12,  # absolute
+    "disc_cross": 1e-10,  # pairwise relative (abs floor 1e-14), three disc paths; 1.1e-11
+    "cyl0_quad": 1e-9,  # absolute, elliptic vs phi-form quadrature; 1.1e-11
+    "cyl0_pair": 1e-10,  # absolute, phi-form vs gamma-form quadrature; 1.0e-11
+    "paper_form": 2e-11,  # relative, omega_cyl0 vs the paper's two-pair form; 1.7e-13
+    "legendre": 5e-13,  # relative residual of the Legendre relation; 4.5e-15
+    "agm": 1e-13,  # relative, complete_K vs AGM iteration; 1.0e-15
+    "trivial_identities": 1e-14,  # 8.9e-16
+    "scale_invariance": 5e-13,  # absolute, omega is dimensionless; 4.4e-15
+    "end_swap": 1e-13,  # absolute; 7.8e-16
     "omega_range": 0.0,  # any escape from [0, 1] is a failure
-    "discontinuity": 1e-3,  # omega_cyl0(L -> 0, d > r) must collapse
+    "discontinuity": 2e-4,  # omega_cyl0(L -> 0, d > r) must collapse; 1.6e-6
 }
 
 
-@dataclass(frozen=True)
+@_frozen_for_every_name
+@dataclass(frozen=True, slots=True)
 class SuiteResult:
     name: str
     checks: int
@@ -111,6 +119,27 @@ def suite_cyl0_pair(points: int, rng: random.Random) -> Iterator[tuple[float, st
         p = oracle.quad_cyl0_phi(cfg, tol=1e-12)
         g = oracle.quad_cyl0_gamma(cfg, tol=1e-12)
         yield abs(p - g), f"(L={cfg.L!r}, r=1.0, d={cfg.d!r})"
+
+
+def suite_paper_form(points: int, rng: random.Random) -> Iterator[tuple[float, str]]:
+    # omega_cyl0 (addition-theorem form) against the paper's two-pair form on
+    # the Legendre wrappers, at r = 1:
+    #   2 pi omega = sqrt(1-m/n) {sqrt(1-n) [Pi(n; m) - Pi(n; gamma_o|m)]
+    #                             - [K(m) - F(gamma_o|m)]}
+    # n and gamma_o reach the wrappers as rounded floats, so each pair
+    # cancels as d -> r; d - r stays above r/10, where the form holds to
+    # about 1e-13 relative
+    for _ in range(points):
+        L, d = _log_uniform(rng, 1e-3, 100.0), 1.0 + _log_uniform(rng, 0.1, 99.0)
+        s = d + 1.0
+        den = L * L + s * s
+        m, n = 4.0 * d / den, 4.0 * d / (s * s)
+        gamma_o = (math.pi / 2.0 + math.asin(1.0 / d)) / 2.0
+        pi_pair = elliptic.complete_Pi(n, m) - elliptic.incomplete_Pi(n, gamma_o, m)
+        k_pair = elliptic.complete_K(m) - elliptic.incomplete_F(gamma_o, m)
+        paper = L / math.sqrt(den) * ((d - 1.0) / s * pi_pair - k_pair) / (2.0 * math.pi)
+        a = solid_angle.omega_cyl0(CanonicalConfig(L, 1.0, d)).value
+        yield _rel(a, paper), f"(L={L!r}, r=1.0, d={d!r})"
 
 
 def suite_legendre(points: int, rng: random.Random) -> Iterator[tuple[float, str]]:
@@ -199,6 +228,7 @@ SUITES = {
     "disc_cross": suite_disc_cross,
     "cyl0_quad": suite_cyl0_quad,
     "cyl0_pair": suite_cyl0_pair,
+    "paper_form": suite_paper_form,
     "legendre": suite_legendre,
     "agm": suite_agm,
     "trivial_identities": suite_trivial_identities,

@@ -398,6 +398,78 @@ def test_verify_nan_deviation_fails_the_suite(monkeypatch, suite, module, name, 
     assert res.line().startswith(f"FAIL {suite}")
 
 
+def _faulty(fn, change, when=lambda *args: True):
+    # fn with change applied to its SolidAngle's value wherever when(*args) holds
+    def fake(*args):
+        res = fn(*args)
+        value = change(res.value) if when(*args) else res.value
+        return type(res)(value, res.method, res.err_estimate)
+
+    return fake
+
+
+def _fault_cases():
+    # each fault is ten times its suite's default tolerance
+    tol = verify_mod.DEFAULT_TOLERANCES
+    sa = verify_mod.solid_angle
+    E, K, F = elliptic.complete_E, elliptic.complete_K, elliptic.incomplete_F
+    gamma_form, pair_shift = oracle.quad_cyl0_gamma, 10 * tol["cyl0_pair"]
+    cases = {
+        "disc_cross": (
+            sa,
+            "omega_circ_third_kind",
+            _faulty(sa.omega_circ_third_kind, lambda v: v * (1.0 + 10 * tol["disc_cross"])),
+        ),
+        "cyl0_quad": (sa, "omega_cyl0", _faulty(sa.omega_cyl0, lambda v: v + 10 * tol["cyl0_quad"])),
+        "cyl0_pair": (oracle, "quad_cyl0_gamma", lambda cfg, tol: gamma_form(cfg, tol=tol) + pair_shift),
+        "paper_form": (sa, "omega_cyl0", _faulty(sa.omega_cyl0, lambda v: v * (1.0 + 10 * tol["paper_form"]))),
+        "legendre": (elliptic, "complete_E", lambda m: E(m) * (1.0 + 10 * tol["legendre"])),
+        "agm": (elliptic, "complete_K", lambda m: K(m) * (1.0 + 10 * tol["agm"])),
+        "trivial_identities": (elliptic, "incomplete_F", lambda phi, m: F(phi, m) + 10 * tol["trivial_identities"]),
+        # a rescaled configuration (r != 1) comes out a little low
+        "scale_invariance": (
+            sa,
+            "omega_total",
+            _faulty(sa.omega_total, lambda v: v * (1.0 - 10 * tol["scale_invariance"]), lambda cyl, src: cyl.r != 1.0),
+        ),
+        # a source in the far half, which the split reflects, comes out a little low
+        "end_swap": (
+            sa,
+            "omega_total",
+            _faulty(sa.omega_total, lambda v: v * (1.0 - 10 * tol["end_swap"]), lambda cyl, src: src.z > cyl.L / 2.0),
+        ),
+        "discontinuity": (sa, "omega_cyl0", _faulty(sa.omega_cyl0, lambda v: v + 10 * tol["discontinuity"])),
+    }
+    return [pytest.param(suite, *case, id=suite) for suite, case in cases.items()]
+
+
+@pytest.mark.parametrize("suite, module, name, fake", _fault_cases())
+def test_verify_fails_a_fault_ten_times_its_tolerance(monkeypatch, suite, module, name, fake):
+    assert verify_mod.run_suite(suite, 200, 0).passed
+    monkeypatch.setattr(module, name, fake)
+    res = verify_mod.run_suite(suite, 200, 0)
+    assert not res.passed, res.line()
+
+
+def test_paper_form_fails_a_shell_with_its_rj_term_off_by_1e9(monkeypatch):
+    # only _shell's R_J: solid_angle reads the kernels as elliptic.carlson_*,
+    # while the Legendre wrappers that evaluate the paper's form keep theirs
+    sa = verify_mod.solid_angle
+
+    class ScaledRJ:
+        def __getattr__(self, name):
+            return getattr(elliptic, name)
+
+        @staticmethod
+        def carlson_rj(*args):
+            return elliptic.carlson_rj(*args) * (1.0 + 1e-9)
+
+    assert verify_mod.run_suite("paper_form", 200, 0).passed
+    monkeypatch.setattr(sa, "elliptic", ScaledRJ())
+    res = verify_mod.run_suite("paper_form", 200, 0)
+    assert not res.passed, res.line()
+
+
 def test_verify_tolerance_override_can_fail_a_suite(capsys):
     code, out, _ = _run(
         capsys, ["verify", "--points", "5", "--seed", "1", "--tolerance", "disc_cross=1e-20"]
