@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 
 from .errors import DomainError
 
@@ -68,16 +68,18 @@ def _require_length(value: float, name: str, positive: bool = False) -> float:
     return v
 
 
-def _frozen_for_every_name(cls):
-    """Make every assignment or deletion on cls's instances raise FrozenInstanceError.
+def _value_type(cls):
+    """Declare cls a frozen, slotted dataclass: the one decorator of every value type.
 
-    dataclass(slots=True) returns a new class, but the __setattr__ and
-    __delattr__ that frozen=True generated still test against the class it
-    replaced, so a name that is not a field raised TypeError (Python 3.10 to
-    3.13) where the unslotted class raised FrozenInstanceError. These two
-    raise it for any name; __post_init__ and unpickling still set fields
-    through object.__setattr__.
+    Instances have no __dict__, and any assignment or deletion raises
+    FrozenInstanceError. dataclass(slots=True) returns a new class, but the
+    __setattr__ and __delattr__ that frozen=True generated still test against
+    the class it replaced, so a name that is not a field raised TypeError
+    (Python 3.10 to 3.13) where the unslotted class raised
+    FrozenInstanceError. The two set here raise it for any name;
+    __post_init__ and unpickling still set fields through object.__setattr__.
     """
+    cls = dataclass(frozen=True, slots=True)(cls)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -90,8 +92,7 @@ def _frozen_for_every_name(cls):
     return cls
 
 
-@_frozen_for_every_name
-@dataclass(frozen=True, slots=True)
+@_value_type
 class CylinderSpec:
     """Finite right circular cylinder: height L >= 0, radius r > 0."""
 
@@ -103,8 +104,7 @@ class CylinderSpec:
         object.__setattr__(self, "r", _require_length(self.r, "radius r", positive=True))
 
 
-@_frozen_for_every_name
-@dataclass(frozen=True, slots=True)
+@_value_type
 class SourcePoint:
     """Point source at radial distance d >= 0 from the axis, axial coordinate z."""
 
@@ -116,8 +116,7 @@ class SourcePoint:
         object.__setattr__(self, "z", _require_finite(self.z, "axial coordinate z"))
 
 
-@_frozen_for_every_name
-@dataclass(frozen=True, slots=True)
+@_value_type
 class CanonicalConfig:
     """Source-in-end-plane configuration (L, r, d).
 
@@ -142,8 +141,7 @@ class TermKind(enum.Enum):
     CONSTANT = "constant"
 
 
-@_frozen_for_every_name
-@dataclass(frozen=True, slots=True)
+@_value_type
 class Term:
     """One signed canonical contribution: coefficient * kind(L_eff)."""
 
@@ -167,14 +165,13 @@ class Term:
         return f"{sign}{self.kind.value}(L_eff={self.L_eff:g})"
 
 
-@_frozen_for_every_name
-@dataclass(frozen=True, slots=True)
+@_value_type
 class SignedTermList:
     """Decomposition result: at most three signed canonical terms."""
 
     cylinder: CylinderSpec
     source: SourcePoint
-    terms: tuple[Term, ...] = field(default=())
+    terms: tuple[Term, ...]
 
     def __post_init__(self):
         if not 1 <= len(self.terms) <= 3:

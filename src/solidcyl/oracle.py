@@ -69,13 +69,12 @@ import os
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .errors import DomainError, OracleFailure
-from .geometry import CanonicalConfig, CylinderSpec, SourcePoint, _frozen_for_every_name
+from .geometry import CanonicalConfig, CylinderSpec, SourcePoint, _value_type
 
 __all__ = [
     "McEstimate",
@@ -195,8 +194,7 @@ def quad_disc(cfg: CanonicalConfig, tol: float = 1e-10) -> float:
     return omega
 
 
-@_frozen_for_every_name
-@dataclass(frozen=True, slots=True)
+@_value_type
 class McEstimate:
     """Ray-casting estimate of the whole-surface solid angle."""
 

@@ -126,11 +126,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from . import elliptic
 from .errors import DivergentError, DomainError, OnAxisError
-from .geometry import CanonicalConfig, CylinderSpec, SourcePoint, _frozen_for_every_name, _split
+from .geometry import CanonicalConfig, CylinderSpec, SourcePoint, _split, _value_type
 from .geometry import decompose  # noqa: F401 - perfbench's tracer wraps solid_angle.decompose
 
 __all__ = [
@@ -173,8 +172,7 @@ _ELLIPTIC = Method.ELLIPTIC
 _SPECIAL = Method.SPECIAL
 
 
-@_frozen_for_every_name
-@dataclass(frozen=True, slots=True)
+@_value_type
 class SolidAngle:
     """Normalized solid angle (fraction of 4*pi) with method tag and error estimate."""
 
@@ -199,8 +197,7 @@ class SolidAngle:
         return 4.0 * math.pi * self.value
 
 
-@_frozen_for_every_name
-@dataclass(frozen=True, slots=True)
+@_value_type
 class EllipticParams:
     """Stable parameter bundle shared by the closed forms, in units of r.
 

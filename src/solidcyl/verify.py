@@ -8,6 +8,15 @@ that produced it. The CLI's verify command runs all suites and fails on any
 violation; the test suite reuses them with fault injection to prove they
 can actually catch a broken build.
 
+Each suite is declared in one place: the @_suite(tolerance, share)
+decorator on its generator registers the check in SUITES, its default bound
+in DEFAULT_TOLERANCES and its share of the point budget, and the order of
+definition below is the order run_all reports in. cyl0_quad checks
+omega_cyl0 against the gamma-form quadrature, whose misses stay below
+1e-14, so its default is 1e-12; cyl0_pair compares the phi form with the
+gamma form and keeps 1e-10, the phi form's own miss near the wall at small
+L.
+
 Suites deliberately call through the module objects (solid_angle.omega_circ
 and friends) instead of binding the functions at import time, so a
 monkeypatched implementation is what gets verified.
@@ -18,37 +27,39 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from . import elliptic, oracle, solid_angle
 from .errors import DomainError
-from .geometry import CanonicalConfig, CylinderSpec, SourcePoint, _frozen_for_every_name
+from .geometry import CanonicalConfig, CylinderSpec, SourcePoint, _value_type
 
 __all__ = ["SuiteResult", "DEFAULT_TOLERANCES", "run_suite", "run_all", "SUITES"]
 
-# Each default is about 100 times the worst deviation the suite showed over
-# 302 seeds (0-299, 701562, 12345) at 200 and 2000 points, rounded up to 1, 2
-# or 5 times a power of ten, and never above the value it had before that
-# measurement: tolerances only tighten. The worst deviation follows each
-# entry. cyl0_quad's and cyl0_pair's are the phi-form quadrature's own miss
-# near the wall at small L.
-DEFAULT_TOLERANCES = {
-    "disc_cross": 1e-10,  # pairwise relative (abs floor 1e-14), three disc paths; 1.1e-11
-    "cyl0_quad": 1e-9,  # absolute, elliptic vs phi-form quadrature; 1.1e-11
-    "cyl0_pair": 1e-10,  # absolute, phi-form vs gamma-form quadrature; 1.0e-11
-    "paper_form": 2e-11,  # relative, omega_cyl0 vs the paper's two-pair form; 1.7e-13
-    "legendre": 5e-13,  # relative residual of the Legendre relation; 4.5e-15
-    "agm": 1e-13,  # relative, complete_K vs AGM iteration; 1.0e-15
-    "trivial_identities": 1e-14,  # 8.9e-16
-    "scale_invariance": 5e-13,  # absolute, omega is dimensionless; 4.4e-15
-    "end_swap": 1e-13,  # absolute; 7.8e-16
-    "omega_range": 0.0,  # any escape from [0, 1] is a failure
-    "discontinuity": 2e-4,  # omega_cyl0(L -> 0, d > r) must collapse; 1.6e-6
-}
+# filled by _suite in definition order, the report order
+SUITES = {}
+DEFAULT_TOLERANCES = {}
+_POINT_SCALE = {}
 
 
-@_frozen_for_every_name
-@dataclass(frozen=True, slots=True)
+def _suite(tolerance: float, share: float = 1.0):
+    """Register suite_<name> under <name> with its default tolerance and point share.
+
+    Each default is about 100 times the worst deviation the suite showed over
+    302 seeds (0-299, 701562, 12345) at 200 and 2000 points, rounded up to 1,
+    2 or 5 times a power of ten, and never above the value it had before that
+    measurement: tolerances only tighten. The worst deviation follows each
+    registration. share < 1 gives a quadrature-heavy suite a reduced share of
+    the point budget.
+    """
+
+    def register(fn):
+        name = fn.__name__.removeprefix("suite_")
+        SUITES[name], DEFAULT_TOLERANCES[name], _POINT_SCALE[name] = fn, tolerance, share
+        return fn
+
+    return register
+
+
+@_value_type
 class SuiteResult:
     name: str
     checks: int
@@ -91,6 +102,7 @@ def _rel_floored(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-4)
 
 
+@_suite(1e-10)  # pairwise relative (abs floor 1e-14), three disc paths; 1.1e-11
 def suite_disc_cross(points: int, rng: random.Random) -> Iterator[tuple[float, str]]:
     for _ in range(points):
         cfg = CanonicalConfig(_log_uniform(rng, 0.01, 100.0), 1.0, _disc_ratio(rng))
@@ -105,14 +117,17 @@ def _shell_config(rng: random.Random) -> CanonicalConfig:
     return CanonicalConfig(_log_uniform(rng, 1e-3, 100.0), 1.0, 1.0 + _log_uniform(rng, 1e-6, 99.0))
 
 
+@_suite(1e-12, share=0.5)  # absolute, elliptic vs gamma-form quadrature; 7.4e-15
 def suite_cyl0_quad(points: int, rng: random.Random) -> Iterator[tuple[float, str]]:
     for _ in range(points):
         cfg = _shell_config(rng)
         a = solid_angle.omega_cyl0(cfg).value
-        q = oracle.quad_cyl0_phi(cfg, tol=1e-12)
+        q = oracle.quad_cyl0_gamma(cfg, tol=1e-12)
         yield abs(a - q), f"(L={cfg.L!r}, r=1.0, d={cfg.d!r})"
 
 
+# the phi form's own miss near the wall at small L sets this default
+@_suite(1e-10, share=0.2)  # absolute, phi-form vs gamma-form quadrature; 1.0e-11
 def suite_cyl0_pair(points: int, rng: random.Random) -> Iterator[tuple[float, str]]:
     for _ in range(points):
         cfg = _shell_config(rng)
@@ -121,6 +136,7 @@ def suite_cyl0_pair(points: int, rng: random.Random) -> Iterator[tuple[float, st
         yield abs(p - g), f"(L={cfg.L!r}, r=1.0, d={cfg.d!r})"
 
 
+@_suite(2e-11)  # relative, omega_cyl0 vs the paper's two-pair form; 1.7e-13
 def suite_paper_form(points: int, rng: random.Random) -> Iterator[tuple[float, str]]:
     # omega_cyl0 (addition-theorem form) against the paper's two-pair form on
     # the Legendre wrappers, at r = 1:
@@ -142,6 +158,7 @@ def suite_paper_form(points: int, rng: random.Random) -> Iterator[tuple[float, s
         yield _rel(a, paper), f"(L={L!r}, r=1.0, d={d!r})"
 
 
+@_suite(5e-13)  # relative residual of the Legendre relation; 4.5e-15
 def suite_legendre(points: int, rng: random.Random) -> Iterator[tuple[float, str]]:
     # E(m) K(1-m) + E(1-m) K(m) - K(m) K(1-m) = pi/2
     for _ in range(points):
@@ -154,12 +171,14 @@ def suite_legendre(points: int, rng: random.Random) -> Iterator[tuple[float, str
         yield abs(lhs - math.pi / 2) / (math.pi / 2), f"m={m!r}"
 
 
+@_suite(1e-13)  # relative, complete_K vs AGM iteration; 1.0e-15
 def suite_agm(points: int, rng: random.Random) -> Iterator[tuple[float, str]]:
     for _ in range(points):
         m = 1.0 - _log_uniform(rng, 1e-10, 1.0)
         yield _rel(elliptic.complete_K(m), oracle.agm_complete_first_kind(m)), f"m={m!r}"
 
 
+@_suite(1e-14)  # 8.9e-16
 def suite_trivial_identities(points: int, rng: random.Random) -> Iterator[tuple[float, str]]:
     for _ in range(max(points, 8)):
         phi = rng.uniform(0.0, math.pi / 2)
@@ -180,6 +199,7 @@ def _random_setup(rng: random.Random) -> tuple[CylinderSpec, SourcePoint]:
     return CylinderSpec(L, 1.0), SourcePoint(_log_uniform(rng, 0.01, 100.0), rng.uniform(-2.0 * L, 3.0 * L))
 
 
+@_suite(5e-13, share=0.5)  # absolute, omega is dimensionless; 4.4e-15
 def suite_scale_invariance(points: int, rng: random.Random) -> Iterator[tuple[float, str]]:
     for _ in range(points):
         cyl, src = _random_setup(rng)
@@ -192,6 +212,7 @@ def suite_scale_invariance(points: int, rng: random.Random) -> Iterator[tuple[fl
         yield abs(a - b), f"(L={cyl.L!r}, r=1.0, d={src.d!r}, z={src.z!r}, k={k!r})"
 
 
+@_suite(1e-13, share=0.5)  # absolute; 7.8e-16
 def suite_end_swap(points: int, rng: random.Random) -> Iterator[tuple[float, str]]:
     # reflecting the source through the cylinder midplane preserves omega
     for _ in range(points):
@@ -206,6 +227,7 @@ def _escape(cyl: CylinderSpec, src: SourcePoint) -> tuple[float, str]:
     return max(0.0 - v, v - 1.0, 0.0), f"(L={cyl.L!r}, r=1.0, d={src.d!r}, z={src.z!r})"
 
 
+@_suite(0.0)  # any escape from [0, 1] is a failure
 def suite_omega_range(points: int, rng: random.Random) -> Iterator[tuple[float, str]]:
     for _ in range(points):
         yield _escape(*_random_setup(rng))
@@ -213,6 +235,7 @@ def suite_omega_range(points: int, rng: random.Random) -> Iterator[tuple[float, 
         yield _escape(CylinderSpec(1.0, 1.0), src)
 
 
+@_suite(2e-4)  # omega_cyl0(L -> 0, d > r) must collapse; 1.6e-6
 def suite_discontinuity(points: int, rng: random.Random) -> Iterator[tuple[float, str]]:
     # the two iterated limits at the (d=r, L=0) corner disagree: L -> 0 first
     # collapses the lateral view to 0, d -> r first pins it at 1/4
@@ -224,31 +247,13 @@ def suite_discontinuity(points: int, rng: random.Random) -> Iterator[tuple[float
     yield off_edge, where
 
 
-SUITES = {
-    "disc_cross": suite_disc_cross,
-    "cyl0_quad": suite_cyl0_quad,
-    "cyl0_pair": suite_cyl0_pair,
-    "paper_form": suite_paper_form,
-    "legendre": suite_legendre,
-    "agm": suite_agm,
-    "trivial_identities": suite_trivial_identities,
-    "scale_invariance": suite_scale_invariance,
-    "end_swap": suite_end_swap,
-    "omega_range": suite_omega_range,
-    "discontinuity": suite_discontinuity,
-}
-
-# quadrature-heavy suites get a reduced share of the point budget
-_POINT_SCALE = {"cyl0_quad": 0.5, "cyl0_pair": 0.2, "scale_invariance": 0.5, "end_swap": 0.5}
-
-
 def run_suite(name: str, points: int, seed: int, tolerance: float | None = None) -> SuiteResult:
     if name not in SUITES:
         raise DomainError(f"unknown verification suite {name!r}; known: {sorted(SUITES)}")
     if not points >= 1:
         raise DomainError(f"points must be at least 1; got {points!r}")
     tol = DEFAULT_TOLERANCES[name] if tolerance is None else tolerance
-    n = max(1, int(points * _POINT_SCALE.get(name, 1.0)))
+    n = max(1, int(points * _POINT_SCALE[name]))
     # string seeds hash through sha512, so child streams are stable across runs
     rng = random.Random(f"{seed}:{name}")
     max_dev, worst, checks = 0.0, "n/a", 0

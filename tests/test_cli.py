@@ -355,6 +355,16 @@ def test_verify_small_run_passes(capsys):
     assert lines[-1] == f"all {len(verify_mod.SUITES)} suites passed"
 
 
+def test_verify_suites_and_defaults_keep_the_report_order():
+    # every suite registers its check and its bound together, in this order
+    names = [
+        "disc_cross", "cyl0_quad", "cyl0_pair", "paper_form", "legendre", "agm",
+        "trivial_identities", "scale_invariance", "end_swap", "omega_range", "discontinuity",
+    ]
+    assert list(verify_mod.SUITES) == names
+    assert list(verify_mod.DEFAULT_TOLERANCES) == names
+
+
 def test_verify_is_deterministic(capsys):
     argv = ["verify", "--points", "3", "--seed", "7"]
     _, first, _ = _run(capsys, argv)
@@ -381,7 +391,7 @@ def test_verify_detects_injected_fault(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "suite, module, name, fake",
     [
-        ("cyl0_quad", oracle, "quad_cyl0_phi", lambda cfg, tol: math.nan),
+        ("cyl0_quad", oracle, "quad_cyl0_gamma", lambda cfg, tol: math.nan),
         ("cyl0_pair", oracle, "quad_cyl0_gamma", lambda cfg, tol: math.nan),
         ("agm", elliptic, "complete_K", lambda m: math.nan),
         ("legendre", elliptic, "complete_K", lambda m: math.nan),
@@ -448,6 +458,15 @@ def test_verify_fails_a_fault_ten_times_its_tolerance(monkeypatch, suite, module
     assert verify_mod.run_suite(suite, 200, 0).passed
     monkeypatch.setattr(module, name, fake)
     res = verify_mod.run_suite(suite, 200, 0)
+    assert not res.passed, res.line()
+
+
+def test_cyl0_quad_fails_a_shell_off_by_1e10(monkeypatch):
+    # the phi-form quadrature misses by 1e-11 near the wall at small L, so
+    # only the gamma form lets the suite resolve a shift this small
+    sa = verify_mod.solid_angle
+    monkeypatch.setattr(sa, "omega_cyl0", _faulty(sa.omega_cyl0, lambda v: v + 1e-10))
+    res = verify_mod.run_suite("cyl0_quad", 200, 0)
     assert not res.passed, res.line()
 
 
