@@ -57,12 +57,15 @@ distribution it has when all n rays are drawn and tested. A source whose
 band is the whole sphere (inside the cylinder or on its wall) has w = 1 and
 draws all n rays.
 
-SciPy is imported only inside the quadrature oracles, so importing this
-module (and the CLI) loads NumPy alone.
+The three quadratures share one integrator, _run_quad: adaptive
+Gauss-Kronrod 7/15 after QUADPACK's QAG, with the qk15 nodes and weights
+written out here, so this module (and the CLI) needs NumPy alone, and only
+for the ray caster.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 import os
@@ -87,6 +90,18 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 _SUBDIV = 10_000  # adaptive subdivision budget before declaring failure
+# QUADPACK's qk15, (node x > 0, Kronrod weight, Gauss weight), the 7-point
+# Gauss rule using every other node; then the two weights of the centre x = 0
+_GK15 = (
+    (0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
+    (0.949107912342758524526189684047851, 0.063092092629978553290700663189204, 0.129484966168869693270611432679082),
+    (0.864864423359769072789712788640926, 0.104790010322250183839876322541518, 0.0),
+    (0.741531185599394439863864773280788, 0.140653259715525918745189590510238, 0.279705391489276667901467771423780),
+    (0.586087235467691130294144845693013, 0.169004726639267902826583426598550, 0.0),
+    (0.405845151377397166906606412076961, 0.190350578064785409913256402421014, 0.381830050505118944950369775488975),
+    (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
+)
+_GK15_CENTRE = (0.209482141084727828012999174891714, 0.417959183673469387755102040816327)
 _BLOCK = 1_000_000  # Monte Carlo rays per independent Philox stream
 _SLICE = 1 << 15  # rays per intersection-test slice, a multiple of 16; expected rays per worker
 _EPS = sys.float_info.epsilon
@@ -113,17 +128,39 @@ def _in_units_of_r(
     return (*ratios, (d - r) / r)
 
 
-def _run_quad(f, a: float, b: float, epsabs: float, epsrel: float, what: str) -> float:
-    from scipy import integrate
+def _gk15(f, a: float, b: float) -> tuple[float, float]:
+    """(15-point Kronrod value, |Kronrod - 7-point Gauss value|) of f on [a, b]."""
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    fc = f(c)
+    k, g = _GK15_CENTRE[0] * fc, _GK15_CENTRE[1] * fc
+    for x, wk, wg in _GK15:
+        pair = f(c - h * x) + f(c + h * x)
+        k, g = k + wk * pair, g + wg * pair
+    return k * h, abs((k - g) * h)
 
-    out = integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=_SUBDIV, full_output=1)
-    val, abserr = out[0], out[1]
-    if len(out) > 3:
-        raise OracleFailure(f"{what} did not converge within {_SUBDIV} subdivisions: {out[3]}")
-    if abserr > 100.0 * max(epsabs, epsrel * abs(val)):
-        raise OracleFailure(
-            f"{what} error estimate {abserr!r} exceeds requested epsabs {epsabs!r} / epsrel {epsrel!r}"
-        )
+
+def _run_quad(f, a: float, b: float, epsabs: float, epsrel: float, what: str) -> float:
+    """Integral of f over [a, b] by adaptive Gauss-Kronrod 7/15 quadrature.
+
+    QUADPACK's QAG policy (Piessens et al., QUADPACK, 1983): a heap holds
+    the panels, and the one with the largest error estimate, |Kronrod -
+    Gauss| on it, is bisected, until the summed estimate is at most
+    max(epsabs, epsrel * |value|). After _SUBDIV bisections without that, it
+    raises OracleFailure naming what. Every oracle here decides convergence
+    through this one test.
+    """
+    val, err = _gk15(f, a, b)
+    heap = [(-err, a, b, val)]
+    while err > max(epsabs, epsrel * abs(val)):
+        if len(heap) > _SUBDIV:
+            raise OracleFailure(f"{what} did not converge within {_SUBDIV} subdivisions: error estimate {err!r}")
+        neg_err, lo, hi, v = heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        (v1, e1), (v2, e2) = _gk15(f, lo, mid), _gk15(f, mid, hi)
+        heapq.heappush(heap, (-e1, lo, mid, v1))
+        heapq.heappush(heap, (-e2, mid, hi, v2))
+        val += v1 + v2 - v
+        err += e1 + e2 + neg_err
     return val
 
 
@@ -176,22 +213,23 @@ def quad_disc(cfg: CanonicalConfig, tol: float = 1e-10) -> float:
     omega = (4 pi)^-1 * 2 * int_0^pi dphi int_0^1 ds  L s / R^3
     in units of r, with R^2 = L^2 + d^2 + s^2 - 2 d s cos(phi). Requires
     L > 0 (the L = 0 disc is a discontinuous limit that quadrature cannot
-    see).
+    see). _run_quad integrates over s at 0.1 tol inside its own integral
+    over phi, and either level raises OracleFailure if it does not meet its
+    tolerance.
     """
-    from scipy import integrate
-
     L, d, _, _ = _in_units_of_r(cfg.L, cfg.r, cfg.d, tol=tol)
     base = L * L + d * d
 
-    def f(s: float, phi: float) -> float:
-        R_sq = base + s * (s - 2.0 * d * math.cos(phi))
-        return L * s / (R_sq * math.sqrt(R_sq))
+    def over_s(phi: float) -> float:
+        c = 2.0 * d * math.cos(phi)
 
-    val, abserr = integrate.dblquad(f, 0.0, math.pi, 0.0, 1.0, epsabs=tol * _TWO_PI, epsrel=tol)
-    omega = val / _TWO_PI
-    if abserr / _TWO_PI > 100.0 * max(tol, tol * abs(omega)):
-        raise OracleFailure(f"disc quadrature error estimate {abserr / _TWO_PI!r} exceeds tol {tol!r}")
-    return omega
+        def f(s: float) -> float:
+            R_sq = base + s * (s - c)
+            return L * s / (R_sq * math.sqrt(R_sq))
+
+        return _run_quad(f, 0.0, 1.0, 0.1 * tol * _TWO_PI, 0.1 * tol, "disc quadrature")
+
+    return _run_quad(over_s, 0.0, math.pi, tol * _TWO_PI, tol, "disc quadrature") / _TWO_PI
 
 
 @_value_type

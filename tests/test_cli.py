@@ -462,8 +462,8 @@ def test_verify_fails_a_fault_ten_times_its_tolerance(monkeypatch, suite, module
 
 
 def test_cyl0_quad_fails_a_shell_off_by_1e10(monkeypatch):
-    # the phi-form quadrature misses by 1e-11 near the wall at small L, so
-    # only the gamma form lets the suite resolve a shift this small
+    # the gamma-form quadrature misses by under 1e-15, so the suite
+    # resolves a shift this small
     sa = verify_mod.solid_angle
     monkeypatch.setattr(sa, "omega_cyl0", _faulty(sa.omega_cyl0, lambda v: v + 1e-10))
     res = verify_mod.run_suite("cyl0_quad", 200, 0)

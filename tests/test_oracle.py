@@ -65,6 +65,21 @@ def test_phi_and_gamma_forms_agree(cfg):
     assert abs(a - b) <= 2.0 * tol
 
 
+@pytest.mark.parametrize(
+    "L, d, expected",
+    [
+        (0.0035399406953653253, 1.0000015139923253, 0.2497122725660776215828915912889562231961),
+        (0.02024307615135095, 1.0000317334498712, 0.2487000835824408619838485876299021836757),
+    ],
+)
+def test_phi_form_near_the_wall_at_small_L(L, d, expected):
+    # References: mpmath.quad at 50 digits of the phi form (r = 1) rewritten
+    # with sin(phi) = sin(phi_o) sin(u), so that sqrt(1 - d^2 sin^2 phi) =
+    # cos(u) and rho = (d^2 - 1)/(d cos(phi) + cos(u)): no cancellation and
+    # no square-root endpoint. 60 digits agree to 1e-49
+    assert abs(oracle.quad_cyl0_phi(CanonicalConfig(L, 1.0, d)) - expected) <= 1e-14
+
+
 def test_phi_form_tangent_limit():
     # at d barely above r the quarter-sphere limit still holds to 1e-6
     got = oracle.quad_cyl0_phi(CanonicalConfig(5.0, 1.0, 1.0 + 1e-14))
@@ -116,9 +131,25 @@ def test_disc_near_flat_inside():
 
 
 def test_disc_reports_failure_not_garbage():
-    # integrand too singular for the requested accuracy: refuse, don't lie
-    with pytest.raises(OracleFailure):
-        oracle.quad_disc(CanonicalConfig(1e-3, 1.0, 0.5), tol=1e-10)
+    # a sharp integrand at L << r: the rule meets tol here, and what it returns is right
+    cfg = CanonicalConfig(1e-3, 1.0, 0.5)
+    assert abs(oracle.quad_disc(cfg, tol=1e-10) - omega_circ(cfg).value) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "quad, what, cfg",
+    [
+        (oracle.quad_cyl0_phi, "phi-form quadrature", CanonicalConfig(0.01, 1.0, 1.001)),
+        (oracle.quad_cyl0_gamma, "gamma-form quadrature", CanonicalConfig(0.01, 1.0, 1.001)),
+        (oracle.quad_disc, "disc quadrature", CanonicalConfig(0.05, 1.0, 0.5)),
+    ],
+    ids=["quad_cyl0_phi", "quad_cyl0_gamma", "quad_disc"],
+)
+def test_quadratures_refuse_past_the_subdivision_budget(monkeypatch, quad, what, cfg):
+    # refuse, don't lie: cases that need more than two bisections
+    monkeypatch.setattr(oracle, "_SUBDIV", 2)
+    with pytest.raises(OracleFailure, match=f"^{what} did not converge within 2 subdivisions"):
+        quad(cfg)
 
 
 def test_disc_requires_positive_L():
@@ -908,17 +939,24 @@ def test_slice_hits_scratch_carries_nothing_between_slices():
 
 
 def test_cli_and_mc_do_not_import_scipy():
+    # a None entry makes every import of scipy raise ImportError
     code = (
-        "import sys, solidcyl.cli\n"
-        "from solidcyl.geometry import CylinderSpec, SourcePoint\n"
-        "from solidcyl.oracle import mc_total\n"
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from solidcyl import cli, verify\n"
+        "from solidcyl.geometry import CanonicalConfig, CylinderSpec, SourcePoint\n"
+        "from solidcyl.oracle import mc_total, quad_disc\n"
         "mc_total(CylinderSpec(1.0, 1.0), SourcePoint(2.0, 0.5), 10_000)\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "assert all(result.passed for result in verify.run_all(20, 0))\n"
+        "quad_disc(CanonicalConfig(2.0, 1.0, 1.0))\n"
+        "argv = ['compute', '--L', '3', '--r', '1', '--d', '2', '--z', '-1', '--method', 'quadrature']\n"
+        "assert cli.main(argv) == 0\n"
+        "print(sorted(m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy' and mod is not None))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(solidcyl.__file__)))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 # ------------------------------------------------------------------------- AGM
