@@ -39,23 +39,31 @@ any source distance, and the test has no division. Its 10^6-ray Philox
 blocks are independent, each a stream of its own, and their integer hit
 counts are summed, so the estimate is bit-identical however the blocks are
 run: in one contiguous run per worker, on a pool of one thread per usable
-CPU for a call with two or more slices of expected in-band rays (and two
+CPU for a call with two or more slices of expected tested rays (and two
 blocks and two CPUs to share them), in the caller's thread otherwise. A
-run draws its blocks' rays into its thread's buffers and tests them a full
-slice at a time, so the blocks of a run share slices; the exact test works
-in that thread's scratch arrays, not fresh temporaries (_workspace).
+run draws its blocks' tested rays into its thread's buffers and tests
+them a full slice at a time, so the blocks of a run share slices; the
+exact test works in that thread's scratch arrays, not fresh temporaries
+(_workspace).
 
-A block draws only the rays inside the cylinder's bounding band in polar
-angle and azimuth, widened past the exact test's own rounding and clipped
-to [-1, 1] x [0, 2 pi] (_band). Isotropic rays are uniform on that
-(cos theta, azimuth) rectangle, so the number of a block's n rays that
-land in the band is Binomial(n, w), w being the band's share of its area,
-and those rays are uniform on the band. A block draws k ~ Binomial(n, w),
-then k rays on the band, and tests them in cache-sized slices. A ray
-outside the band is a miss of the exact test too, so the hit count has the
-distribution it has when all n rays are drawn and tested. A source whose
-band is the whole sphere (inside the cylinder or on its wall) has w = 1 and
-draws all n rays.
+The exact test runs only on the rays whose verdict is in doubt: a squeeze
+(Marsaglia, Comput. Math. Appl. 3 (1977) 321) between two boxes in
+(cos theta, azimuth). Outside the cylinder's bounding band in polar angle
+and azimuth, widened past the exact test's own rounding and clipped to
+[-1, 1] x [0, 2 pi] (_band), every ray misses; inside the core, a box
+centred on az = pi and narrowed past that rounding (_core), every ray hits.
+Only the frame between them, cut into four rectangles, is tested.
+Isotropic rays are uniform on the (cos theta, azimuth) rectangle, so a
+block's n rays fall into the cells by a multinomial law over their areas,
+uniformly within each. A block draws its counts as chained binomials, k ~
+Binomial(n, w) in the band, w being the band's share of the area, and then
+the core's and each rectangle's share of those k; it adds the core's count
+to the hits, draws each rectangle's rays on it and tests them in
+cache-sized slices. So the hit count has the distribution it has when all
+n rays are drawn and tested. A source inside the cylinder or on its wall
+has w = 1. Away from the wall its core is all but about 1e-9 of the
+sphere; on the wall, where V2 = 2 cos phi vanishes at |phi| = pi/2, a
+quarter of it.
 
 The three quadratures share one integrator, _run_quad: adaptive
 Gauss-Kronrod 7/15 after QUADPACK's QAG, with the qk15 nodes and weights
@@ -73,6 +81,7 @@ import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
+from itertools import accumulate
 
 import numpy as np
 
@@ -105,8 +114,10 @@ _GK15_CENTRE = (0.209482141084727828012999174891714, 0.4179591836734693877551020
 _BLOCK = 1_000_000  # Monte Carlo rays per independent Philox stream
 _SLICE = 1 << 15  # rays per intersection-test slice, a multiple of 16; expected rays per worker
 _EPS = sys.float_info.epsilon
-_SLACK = 1e-9  # absolute widening of the band in cos(theta) and azimuth
+_SLACK = 1e-9  # absolute widening of the band, and narrowing of the core, in cos(theta) and azimuth
 _PI_LO = 1.2246467991473532e-16  # pi - math.pi, rounded
+# the core's half-width in azimuth as shares of the band's; the whole of it only for d < r
+_CORE_FRACTIONS = (0.25, 0.5, 0.7, 0.85, 0.95, 1.0)
 
 
 def _in_units_of_r(
@@ -211,20 +222,21 @@ def quad_disc(cfg: CanonicalConfig, tol: float = 1e-10) -> float:
     """End disc by brute-force double quadrature over polar disc coordinates.
 
     omega = (4 pi)^-1 * 2 * int_0^pi dphi int_0^1 ds  L s / R^3
-    in units of r, with R^2 = L^2 + d^2 + s^2 - 2 d s cos(phi). Requires
-    L > 0 (the L = 0 disc is a discontinuous limit that quadrature cannot
-    see). _run_quad integrates over s at 0.1 tol inside its own integral
-    over phi, and either level raises OracleFailure if it does not meet its
-    tolerance.
+    in units of r, with R^2 = L^2 + (s - d cos phi)^2 + (d sin phi)^2, a
+    sum of squares: near s = d cos phi, where R^2 may be as small as L^2,
+    the form L^2 + d^2 + s (s - 2 d cos phi) would lose it to terms of
+    size d^2. Requires L > 0 (the L = 0 disc is a discontinuous limit that
+    quadrature cannot see). _run_quad integrates over s at 0.1 tol inside
+    its own integral over phi, and either level raises OracleFailure if it
+    does not meet its tolerance.
     """
     L, d, _, _ = _in_units_of_r(cfg.L, cfg.r, cfg.d, tol=tol)
-    base = L * L + d * d
 
     def over_s(phi: float) -> float:
-        c = 2.0 * d * math.cos(phi)
+        near, side_sq = d * math.cos(phi), L * L + (d * math.sin(phi)) ** 2
 
         def f(s: float) -> float:
-            R_sq = base + s * (s - c)
+            R_sq = side_sq + (s - near) ** 2
             return L * s / (R_sq * math.sqrt(R_sq))
 
         return _run_quad(f, 0.0, 1.0, 0.1 * tol * _TWO_PI, 0.1 * tol, "disc quadrature")
@@ -264,7 +276,7 @@ def _block_pool() -> ThreadPoolExecutor:
     """The process's block workers, one thread per usable CPU, started on first use.
 
     mc_total uses it only for a call with two or more workers' worth of
-    expected in-band rays; a smaller call runs in the caller's thread. Each
+    expected tested rays; a smaller call runs in the caller's thread. Each
     pool thread keeps its workspace (about 2 MB) for its life.
     The threads outlive a call: threads started per call can begin before
     the last call's threads have handed back their malloc arenas, get fresh
@@ -295,8 +307,8 @@ _local = threading.local()
 def _workspace(n: int) -> tuple[np.ndarray, ...]:
     """This thread's work arrays: two float draw buffers, then four float and two bool scratch arrays cut to length n.
 
-    _run_hits draws a run's cos(theta) and azimuth uniforms into the draw
-    buffers, each 2 * _SLICE long (512 kB), and _hit_mask works in the
+    _run_hits draws a run's tested rays, cos(theta) and azimuth, into the
+    draw buffers, each 2 * _SLICE long (512 kB), and _hit_mask works in the
     scratch arrays, _SLICE long (about 1.1 MB together). All are allocated
     on a thread's first use, replaced only when a longer n needs longer
     scratch, and kept for the thread's life, so that neither the draws nor
@@ -412,29 +424,111 @@ def _band(L: float, d: float, z: float) -> tuple[float, float, float, float, flo
     return c_lo, c_hi, a_lo, a_hi, (c_hi - c_lo) / 2.0 * ((a_hi - a_lo) / _TWO_PI)
 
 
+def _core(L: float, d: float, z: float) -> tuple[float, float, float, float, float] | None:
+    """(cos lo, cos hi, az lo, az hi, w): a box inside _band's where _slice_hits finds only hits, w its area share; or None.
+
+    Units of r, phi = az - pi, s^2 = 1 - d^2 sin^2 phi. For d > 1, inside
+    the tangent, V1 = d cos phi - s rises and V2 = d cos phi + s falls as
+    |phi| grows: their slopes are d sin|phi| (d cos phi / s -+ 1), and
+    d cos phi >= s there, since (d cos phi)^2 - s^2 = d^2 - 1. For d <= 1,
+    s >= |d cos phi|, so V1 = 0 and V2 falls on [0, pi], with slope
+    -d sin|phi| (1 + d cos phi / s). So on |phi| <= phi_in every ray's
+    [V1, V2] contains [a, b] = [V1(phi_in), V2(phi_in)]. Then b > 0 makes
+    V2 > 0, and each height test of _hit_mask holds at its V if it holds
+    at a or b: the base test z sin + V cos >= 0 takes V2 >= b for z < 0,
+    where it needs cos(theta) > 0 and grows with V, and V1 <= a for z > 0,
+    where it holds for cos(theta) >= 0 and otherwise falls with V; the top
+    test likewise takes V1 <= a below the top and V2 >= b from the top
+    plane up. So every ray with |phi| <= phi_in hits that has
+    cos(theta) >= cos atan2(a if z > 0 else b, -z) and cos(theta) <= cos
+    atan2(a if z < L else b, L - z): _band's bounds with [a, b] in place
+    of [u_min, u_max]. In the base plane the first reads cos(theta) >=
+    cos(pi/2) > 0, and in the top plane the second cos(theta) <= cos(pi/2),
+    which the margin below takes under 0. The box is narrowed inside the
+    rounding of _slice_hits by _band's margins, turned inward:
+
+    - a up and b down by 16 eps (1 + d). The V1, V2 that _slice_hits
+      computes for a ray of the box, and the a, b computed here, are each
+      within a few eps (1 + d) of their exact values, as _band argues, and
+      here also next to the tangent: phi_in is at most 0.95 asin(1/d), so
+      c tan^2 phi <= 0.95^2 (tan is convex) and s^2 >= (1 - 0.95^2) cos^2
+      phi, which keeps s good to a few eps.
+    - cos(theta) by 1e-9, as in _band.
+    - the azimuth by 1e-9, which covers the rounding of pi -+ phi_in and
+      of a ray's az - pi.
+
+    phi_in is each of _CORE_FRACTIONS times the band's half-width, asin(1/d)
+    for d > 1 and pi otherwise, and the box of largest area is kept. The
+    last fraction, the whole half-width, is tried only for d < 1, where
+    c < 0 and s^2 = cos^2 phi - c sin^2 phi is a sum, good to a few eps
+    everywhere. A fraction gives no box where s^2 or b is not positive
+    (for d from 1.3e154 on, c = d^2 - 1 is inf and s^2 is -inf), or where
+    the box is empty or not strictly inside _band's: from d of about 1e9
+    on, phi_in is below 1e-9 and every fraction's box is empty.
+    """
+    c_lo, c_hi, a_lo, a_hi, _ = _band(L, d, z)
+    c = d * d - 1.0
+    du = 16.0 * _EPS * (1.0 + d)
+    half = math.atan2(1.0, math.sqrt(c)) if c > 0.0 else math.pi
+    best, area = None, 0.0
+    for f in _CORE_FRACTIONS if c < 0.0 else _CORE_FRACTIONS[:-1]:
+        phi = f * half
+        cos_phi, sin_phi = math.cos(phi), math.sin(phi)
+        s2 = cos_phi * cos_phi - c * (sin_phi * sin_phi)
+        if not s2 > 0.0:
+            continue
+        s = math.sqrt(s2)
+        a, b = max(0.0, d * cos_phi - s) + du, d * cos_phi + s - du
+        # cos(theta) of the rays through the base and the top at a or b
+        k_lo = math.cos(math.atan2(a if z > 0.0 else b, -z)) + _SLACK
+        k_hi = math.cos(math.atan2(a if z < L else b, L - z)) - _SLACK
+        b_lo, b_hi = math.pi - phi + _SLACK, math.pi + phi - _SLACK
+        box = (k_hi - k_lo) * (b_hi - b_lo)
+        if b > 0.0 and c_lo < k_lo < k_hi < c_hi and a_lo < b_lo < b_hi < a_hi and box > area:
+            best, area = (k_lo, k_hi, b_lo, b_hi), box
+    if best is None:
+        return None
+    k_lo, k_hi, b_lo, b_hi = best
+    return k_lo, k_hi, b_lo, b_hi, (k_hi - k_lo) / 2.0 * ((b_hi - b_lo) / _TWO_PI)
+
+
 def _run_hits(key: int, first: int, sizes: list[int], L: float, d: float, z: float) -> int:
     """Hits among the isotropic rays of Philox blocks first, first + 1, ..., of sizes[i] rays each.
 
     Block b's stream is Philox(key) started at counter b * 2^128, the
-    stream Philox(key).jumped(b) gives. Each block draws k ~ Binomial(n, w)
-    for the rays that land in _band's box, then those k rays uniformly on
-    it in chunks of up to _SLICE: cos(theta) of a chunk, then its azimuth.
-    The draws go, as uniforms on [0, 1), into this thread's draw buffers
-    (_workspace) one block after another; each full slice is scaled to the
-    box as lo + (hi - lo) u, which is what Generator.uniform computes, and
-    tested, and so is the part slice left at the end. A chunk that crosses
-    the end of a slice spills into the buffers' second half, which moves
-    to the front once the slice is tested. A ray's verdict depends only on
-    its own draws, so the count is the sum of the blocks' counts however
-    they are grouped into runs.
+    stream Philox(key).jumped(b) gives. The cells are _core's box, then
+    the frame between it and _band's box as four rectangles: the strips
+    below and above the core across the band's width, then the strips
+    left and right of it; without a core, the band's box alone. Each
+    block first counts its rays per cell: k ~ Binomial(n, w) in the band,
+    then of the k rays each cell in turn takes a Binomial count, its area
+    over the area of itself and the cells after it, of the rays the cells
+    before it left, and the last cell takes the rest. The core's count
+    joins the hits untested. Then each rectangle's rays are drawn
+    uniformly on it in chunks of up to _SLICE: cos(theta) of a chunk,
+    then its azimuth, each as lo + (hi - lo) u from uniforms u on [0, 1),
+    which is what Generator.uniform computes. The rays go into this
+    thread's draw buffers (_workspace) one block after another; each full
+    slice is tested, and so is the part slice left at the end. A chunk
+    that crosses the end of a slice spills into the buffers' second half,
+    which moves to the front once the slice is tested. A ray's verdict
+    depends only on its own draws, so the count is the sum of the blocks'
+    counts however they are grouped into runs.
     """
     c_lo, c_hi, a_lo, a_hi, w = _band(L, d, z)
-    cos_u, az_u = _workspace(0)[:2]
-
-    def test(m: int) -> int:
-        cos_t = np.add(c_lo, np.multiply(cos_u[:m], c_hi - c_lo, out=cos_u[:m]), out=cos_u[:m])
-        az = np.add(a_lo, np.multiply(az_u[:m], a_hi - a_lo, out=az_u[:m]), out=az_u[:m])
-        return _slice_hits(cos_t, az, L, d, z)
+    core = _core(L, d, z)
+    untested = core is not None  # 1 if the first cell is the core, whose rays are hits untested
+    if untested:
+        k_lo, k_hi, b_lo, b_hi, _ = core
+        cells = [(k_lo, k_hi, b_lo, b_hi), (c_lo, k_lo, a_lo, a_hi), (k_hi, c_hi, a_lo, a_hi),
+                 (k_lo, k_hi, a_lo, b_lo), (k_lo, k_hi, b_hi, a_hi)]
+    else:
+        cells = [(c_lo, c_hi, a_lo, a_hi)]
+    areas = [(hi - lo) * (az_hi - az_lo) for lo, hi, az_lo, az_hi in cells]
+    # each cell's area over its own and the later cells': x / fl(x + y), y >= 0, is at most 1
+    tails = list(accumulate(areas[::-1]))[::-1]
+    shares = [x / t for x, t in zip(areas[:-1], tails)]
+    cos_b, az_b = _workspace(0)[:2]
 
     # one generator for the run, reset to each block's stream: a new Philox
     # costs four times as much, most of it seeding the key it is then given
@@ -444,18 +538,26 @@ def _run_hits(key: int, first: int, sizes: list[int], L: float, d: float, z: flo
     for block, n in enumerate(sizes, first):
         fresh["state"]["counter"][2] = block
         bits.state = fresh
-        k = int(g.binomial(n, w))
-        for i in range(0, k, _SLICE):
-            m = min(_SLICE, k - i)
-            g.random(out=cos_u[filled:filled + m])
-            g.random(out=az_u[filled:filled + m])
-            filled += m
-            if filled >= _SLICE:
-                hits += test(_SLICE)
-                filled -= _SLICE
-                cos_u[:filled] = cos_u[_SLICE:_SLICE + filled]
-                az_u[:filled] = az_u[_SLICE:_SLICE + filled]
-    return hits + (test(filled) if filled else 0)
+        left, counts = int(g.binomial(n, w)), []
+        for share in shares:
+            counts.append(int(g.binomial(left, share)))
+            left -= counts[-1]
+        counts.append(left)
+        hits += sum(counts[:untested])
+        for (lo, hi, az_lo, az_hi), k in zip(cells[untested:], counts[untested:]):
+            for i in range(0, k, _SLICE):
+                m = min(_SLICE, k - i)
+                for buf, x0, x1 in ((cos_b, lo, hi), (az_b, az_lo, az_hi)):
+                    chunk = buf[filled:filled + m]
+                    g.random(out=chunk)
+                    np.add(x0, np.multiply(chunk, x1 - x0, out=chunk), out=chunk)
+                filled += m
+                if filled >= _SLICE:
+                    hits += _slice_hits(cos_b[:_SLICE], az_b[:_SLICE], L, d, z)
+                    filled -= _SLICE
+                    cos_b[:filled] = cos_b[_SLICE:_SLICE + filled]
+                    az_b[:filled] = az_b[_SLICE:_SLICE + filled]
+    return hits + (_slice_hits(cos_b[:filled], az_b[:filled], L, d, z) if filled else 0)
 
 
 def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -> McEstimate:
@@ -473,24 +575,30 @@ def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -
     Like every oracle here it works in units of r (_in_units_of_r), so a
     uniform scale by a power of two leaves the estimate bit-identical.
 
-    Only rays that can hit are drawn. _band bounds the hits to a rectangle
-    in (cos theta, azimuth), widened past the exact test's rounding and
-    clipped to [-1, 1] x [0, 2 pi], and gives its area share w.
-    Isotropic directions are uniform on [-1, 1] x [0, 2 pi], so of a block's
-    n rays a Binomial(n, w) number land in the rectangle, uniformly, and the
-    rest miss the exact test. Each block draws, from its own stream,
-    k ~ Binomial(n, w), then the k rays on the rectangle in chunks of 2^15
-    (cos theta of a chunk, then its azimuth). So the hit count has the law
-    it has when every ray is drawn and tested; a source whose band is the
-    whole sphere has w = 1 and draws every ray.
+    Only the rays whose verdict is in doubt are drawn and tested. _band
+    bounds the hits to a rectangle in (cos theta, azimuth), widened past
+    the exact test's rounding and clipped to [-1, 1] x [0, 2 pi], with area
+    share w; _core gives a box inside it, narrowed past that rounding, on
+    which every ray hits, with share w_core; the frame between the two is
+    cut into four rectangles. Isotropic directions are uniform on
+    [-1, 1] x [0, 2 pi], so a block's n rays fall into the band, the core
+    and the rectangles by a multinomial law over their areas, uniformly in
+    each, and the rays outside the band miss the exact test. Each block
+    draws from its own stream the counts, as chained binomials (k ~
+    Binomial(n, w) in the band, then the core's and each rectangle's share
+    of those), counts the core's rays as hits, and draws each rectangle's
+    rays on it in chunks of 2^15 (cos theta of a chunk, then its azimuth).
+    So the hit count has the law it has when every ray is drawn and tested.
 
-    The call counts its workers by its expected in-band rays, samples * w:
-    one per full slice, at most one per usable CPU and one per block, and
-    cuts its blocks into one contiguous run per worker (_run_hits). A run
-    draws its blocks' rays one block after another into its thread's
-    buffers and hands the exact test one full 2^15-ray slice at a time, so
-    the blocks of a run share slices: a median benchmark call, about 36k
-    in-band rays over ten blocks, makes two exact-test calls, not ten. With
+    The call counts its workers by its expected tested rays, samples *
+    (w - w_core): one per full slice, at most one per usable CPU and one
+    per block, and cuts its blocks into one contiguous run per worker
+    (_run_hits). A run draws its blocks' tested rays one block after
+    another into its thread's buffers and hands the exact test one full
+    2^15-ray slice at a time, so the blocks of a run share slices. Over the
+    benchmark's configurations, the core holds a median 80-88 % of the
+    band, and a median call at 10^7 rays tests 4k-9k rays of 28k-45k in
+    the band, in one exact-test call, not ten. With
     fewer than two workers, the one run goes through map in the caller's
     thread; with two or more, the runs go to one process-wide pool of one
     thread per CPU (_block_pool), whose threads share the CPUs while
@@ -519,7 +627,9 @@ def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -
 
     run = partial(_run_hits, seed, L=L, d=d, z=z)
     sizes = [min(_BLOCK, samples - start) for start in range(0, samples, _BLOCK)]
-    workers = min(int(samples * _band(L, d, z)[4]) // _SLICE, _usable_cpus(), len(sizes))
+    core = _core(L, d, z)
+    tested = _band(L, d, z)[4] - (0.0 if core is None else core[4])
+    workers = min(int(samples * tested) // _SLICE, _usable_cpus(), len(sizes))
     # one contiguous run of blocks per worker
     parts = max(workers, 1)
     cuts = [len(sizes) * i // parts for i in range(parts + 1)]

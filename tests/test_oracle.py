@@ -8,6 +8,7 @@ no elliptic machinery, and against frozen values from earlier runs.
 import math
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -136,6 +137,14 @@ def test_disc_reports_failure_not_garbage():
     assert abs(oracle.quad_disc(cfg, tol=1e-10) - omega_circ(cfg).value) <= 1e-10
 
 
+def test_disc_at_a_tenth_of_that_height_meets_tol():
+    # R^2 is about L^2 = 1e-8 next to s = d cos(phi), where its summands in
+    # L^2 + d^2 + s (s - 2 d cos(phi)) are about d^2: in that form the
+    # rounding stalled the inner rule past its 10,000 bisections
+    cfg = CanonicalConfig(1e-4, 1.0, 0.5)
+    assert abs(oracle.quad_disc(cfg, tol=1e-10) - omega_circ(cfg).value) <= 1e-10
+
+
 @pytest.mark.parametrize(
     "quad, what, cfg",
     [
@@ -191,6 +200,12 @@ def test_quadratures_reject_ratios_that_overflow(quad, L, r, d):
 
 
 # ----------------------------------------------------------------- Monte Carlo
+
+
+# rays from (L, d, z) = (3, 2, -1) at r = 1 that make two slices of
+# expected tested rays (about 74k), so that mc_total runs its blocks on the
+# pool where there are two CPUs
+_POOL_RAYS = 5_000_001
 
 
 def test_mc_enclosed_hits_everything():
@@ -279,21 +294,21 @@ def test_mc_estimate_accepts_the_extreme_fields_a_call_can_return():
     assert oracle.McEstimate(0.0, 0.0, 1, 0).hit_fraction == 0.0
 
 
-# hits of the Binomial band draw (one Binomial count per block, then the
-# block's in-band rays); any change to the Philox draws, their order, the
-# band or the scheduling of blocks shows up here. Each count is also a
-# plausible draw: within 3 binomial sigma of the closed form, and every ray
-# for the enclosed source
+# hits of the cell draw (Binomial counts per block for the band, the core
+# and the frame's rectangles, then the block's frame rays); any change to
+# the Philox draws, their order, the band, the core or the scheduling of
+# blocks shows up here. Each count is also a plausible draw: within 3
+# binomial sigma of the closed form, and every ray for the enclosed source
 @pytest.mark.parametrize(
     "L, r, d, z, samples, seed, hits",
     [
-        (3.0, 1.0, 2.0, -1.0, 2_500_001, 42, 126684),
-        (3.0, 1.0, 2.0, 1.5, 1_000_000, 0, 132841),
+        (3.0, 1.0, 2.0, -1.0, 2_500_001, 42, 126672),
+        (3.0, 1.0, 2.0, 1.5, 1_000_000, 0, 132985),
         (1.0, 1.0, 0.0, -10.0, 400_000, 3, 1049),
         (0.05, 1.0, 40.0, 0.01, 1_234_567, 5, 7),
-        (2.0, 1.0, 1.0, 0.0, 777_777, 8, 194140),
+        (2.0, 1.0, 1.0, 0.0, 777_777, 8, 194040),
         (3.0, 2.0, 1.0, 1.5, 10_000, 7, 10000),
-        (1.0, 1.0, 0.5, -0.25, 65_537, 11, 23052),
+        (1.0, 1.0, 0.5, -0.25, 65_537, 11, 23075),
     ],
 )
 def test_mc_frozen_hit_counts(L, r, d, z, samples, seed, hits):
@@ -310,21 +325,21 @@ def test_mc_frozen_hit_counts(L, r, d, z, samples, seed, hits):
 
 def test_mc_estimate_independent_of_worker_count(monkeypatch):
     cyl, src = CylinderSpec(3.0, 1.0), SourcePoint(2.0, -1.0)
-    default = oracle.mc_total(cyl, src, 3_000_001, seed=13)
+    default = oracle.mc_total(cyl, src, _POOL_RAYS, seed=13)
     with ThreadPoolExecutor(max_workers=1) as one:
         monkeypatch.setattr(oracle, "_pool", one)
-        assert oracle.mc_total(cyl, src, 3_000_001, seed=13) == default
+        assert oracle.mc_total(cyl, src, _POOL_RAYS, seed=13) == default
 
 
 def test_mc_runs_where_sched_getaffinity_is_missing(monkeypatch):
     cyl, src = CylinderSpec(3.0, 1.0), SourcePoint(2.0, -1.0)
-    default = oracle.mc_total(cyl, src, 2_000_001, seed=4)
+    default = oracle.mc_total(cyl, src, _POOL_RAYS, seed=4)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     # _block_pool() starts a fresh pool sized from the os.cpu_count() fallback
     monkeypatch.setattr(oracle, "_pool", None)
     assert oracle._usable_cpus() >= 1
     try:
-        assert oracle.mc_total(cyl, src, 2_000_001, seed=4) == default
+        assert oracle.mc_total(cyl, src, _POOL_RAYS, seed=4) == default
     finally:
         oracle._block_pool().shutdown()
 
@@ -336,18 +351,48 @@ def _block_draws(samples, seed):
     return g.uniform(-1.0, 1.0, samples), g.uniform(0.0, TWO_PI, samples)
 
 
+def _cells(L, d, z):
+    # the core (if any) and then the frame's four rectangles, or the band
+    # alone, as (cos lo, cos hi, az lo, az hi) boxes
+    c_lo, c_hi, a_lo, a_hi, _ = oracle._band(L, d, z)
+    core = oracle._core(L, d, z)
+    if core is None:
+        return [(c_lo, c_hi, a_lo, a_hi)]
+    k_lo, k_hi, b_lo, b_hi, _ = core
+    return [
+        (k_lo, k_hi, b_lo, b_hi),
+        (c_lo, k_lo, a_lo, a_hi), (k_hi, c_hi, a_lo, a_hi), (k_lo, k_hi, a_lo, b_lo), (k_lo, k_hi, b_hi, a_hi),
+    ]
+
+
+def _cell_counts(g, n, L, d, z):
+    # a block's first draws: k ~ Binomial(n, w) in the band, then each cell
+    # but the last a Binomial count of the band rays left, its share being
+    # its area over the areas of itself and the later cells, summed from the
+    # last; the last cell takes the rest
+    cells = _cells(L, d, z)
+    areas = [(hi - lo) * (ah - al) for lo, hi, al, ah in cells]
+    left, counts = int(g.binomial(n, oracle._band(L, d, z)[4])), []
+    for i in range(len(cells) - 1):
+        counts.append(int(g.binomial(left, areas[i] / sum(reversed(areas[i:])))))
+        left -= counts[-1]
+    return cells, counts + [left]
+
+
 def _band_draw_hits(L, d, z, samples, seed):
     # the one block mc_total draws for samples <= 10^6, in its documented
-    # order: k ~ Binomial(samples, w), then per slice cos(theta), then azimuth
-    c_lo, c_hi, a_lo, a_hi, w = oracle._band(L, d, z)
+    # order: the cell counts, then per frame rectangle, per chunk of up to a
+    # slice, cos(theta), then azimuth; the core's rays are hits untested
     g = np.random.Generator(np.random.Philox(key=seed).jumped(0))
-    k = g.binomial(samples, w)
-    hits = 0
-    for i in range(0, k, oracle._SLICE):
-        m = min(oracle._SLICE, k - i)
-        cos_t = g.uniform(c_lo, c_hi, m)
-        az = g.uniform(a_lo, a_hi, m)
-        hits += oracle._slice_hits(cos_t, az, L, d, z)
+    cells, counts = _cell_counts(g, samples, L, d, z)
+    untested = len(cells) > 1
+    hits = sum(counts[:untested])
+    for (c_lo, c_hi, a_lo, a_hi), k in zip(cells[untested:], counts[untested:]):
+        for i in range(0, k, oracle._SLICE):
+            m = min(oracle._SLICE, k - i)
+            cos_t = g.uniform(c_lo, c_hi, m)
+            az = g.uniform(a_lo, a_hi, m)
+            hits += oracle._slice_hits(cos_t, az, L, d, z)
     return hits
 
 
@@ -427,9 +472,54 @@ def test_mc_rays_just_outside_the_band_miss(L, d, z):
             assert oracle._slice_hits(cos_t[out], az[out], L, d, z) == 0, width
 
 
+def _benchmark_like_sources(seed, n):
+    # (L, d, z) at r = 1 drawn as the mc_oracle benchmark draws them: L and d
+    # log-uniform on [0.01, 100], z uniform on [-2 L, 3 L], enclosed sources
+    # redrawn
+    rng, out = random.Random(seed), []
+    while len(out) < n:
+        L, d = (math.exp(rng.uniform(math.log(0.01), math.log(100.0))) for _ in range(2))
+        z = rng.uniform(-2.0 * L, 3.0 * L)
+        if not (d < 1.0 and 0.0 <= z <= L):
+            out.append((L, d, z))
+    return out
+
+
+_CORE_CASES = (
+    _CULL_CASES
+    + [(1.0, 1.0 - _EDGE / 2, 0.5), (1.0, 1.0 - _EDGE / 2, -0.5), (1.0, 1.0 + _EDGE, -0.5), (1.0, 1.0 - _EDGE / 2, 2.0)]
+    + [(1.0, 1e150, 0.5)]
+    + _benchmark_like_sources(27, 64)
+)
+
+
+@pytest.mark.parametrize("L, d, z", _CORE_CASES)
+def test_mc_rays_inside_the_core_hit(L, d, z):
+    # the mirror of the test above: the exact test must call every ray in the
+    # core a hit, its edges and corners included, or counting the core's rays
+    # untested would add a miss as a hit
+    c_lo, c_hi, a_lo, a_hi, w = oracle._band(L, d, z)
+    core = oracle._core(L, d, z)
+    if core is None:
+        # only where the band is narrower than its and the core's margins
+        assert min(c_hi - c_lo, a_hi - a_lo) < 4.0 * oracle._SLACK
+        return
+    k_lo, k_hi, b_lo, b_hi, w_core = core
+    assert c_lo < k_lo < k_hi < c_hi and a_lo < b_lo < b_hi < a_hi and 0.0 < w_core < w
+    assert w_core == pytest.approx((k_hi - k_lo) * (b_hi - b_lo) / (4.0 * math.pi), rel=1e-15)
+    rng = np.random.default_rng(_CORE_CASES.index((L, d, z)))
+    n = 4000
+    cos_in, az_in = rng.uniform(k_lo, k_hi, n), rng.uniform(b_lo, b_hi, n)
+    cos_edge = np.where(rng.random(n) < 0.5, k_lo, k_hi)
+    az_edge = np.where(rng.random(n) < 0.5, b_lo, b_hi)
+    corners = np.array([k_lo, k_lo, k_hi, k_hi]), np.array([b_lo, b_hi, b_lo, b_hi])
+    for cos_t, az in [(cos_in, az_in), (cos_edge, az_in), (cos_in, az_edge), corners]:
+        assert oracle._slice_hits(cos_t, az, L, d, z) == len(cos_t)
+
+
 @pytest.mark.parametrize("L, d, z", [(3.0, 0.5, 1.5), (1.0, 0.0, 0.5), (1.0, 1.0, 0.5), (1.0, 1.0 - _EDGE, 0.5), (1e-6, 0.99, 5e-7)])
 def test_mc_band_of_an_enclosed_or_wall_source_is_the_whole_sphere(L, d, z):
-    # the cull is skipped, so these sources cost what they did without it
+    # the band culls nothing here; only the core spares these sources exact tests
     assert oracle._band(L, d, z) == _WHOLE_SPHERE
 
 
@@ -459,9 +549,10 @@ def test_mc_draw_box_is_the_clipped_band_and_its_area_share(L, d, z):
 
 @pytest.mark.parametrize("L, d, z, n", [(1.0, 5.0, 0.5, 100_000), (1.0, 0.3, 1.0, 10_000)])
 def test_mc_in_band_count_is_binomial(monkeypatch, L, d, z, n):
-    # over 1,000 seeds, the rays one block hands the exact test number
-    # k ~ Binomial(n, w): mean n w and variance n w (1 - w), each within 4
-    # standard errors (a narrow band, and a face source whose band is clipped)
+    # over 1,000 seeds, the rays one block hands the exact test, those in the
+    # band but not in the core, number k ~ Binomial(n, w), w = w_band -
+    # w_core: mean n w and variance n w (1 - w), each within 4 standard
+    # errors (a narrow band, and a face source whose band is clipped)
     drawn, exact = [], oracle._slice_hits
 
     def counting(cos_t, az, *args):
@@ -469,7 +560,7 @@ def test_mc_in_band_count_is_binomial(monkeypatch, L, d, z, n):
         return exact(cos_t, az, *args)
 
     monkeypatch.setattr(oracle, "_slice_hits", counting)
-    w = oracle._band(L, d, z)[4]
+    w = oracle._band(L, d, z)[4] - oracle._core(L, d, z)[4]
     N = 1000
     ks = []
     for seed in range(N):
@@ -484,13 +575,14 @@ def test_mc_in_band_count_is_binomial(monkeypatch, L, d, z, n):
 
 
 def test_mc_many_seeds_agree_with_the_closed_form():
-    # 200 seeds x 10^5 rays on four sources (below the base outside the
+    # 200 seeds x 10^5 rays on five sources (below the base outside the
     # wall, a narrow band beside the shell, a face source and one inside the
-    # rim below the base, both clipped): the z-scores against the closed form,
-    # in binomial sigma at the closed-form value, pool to mean 0 and variance 1
+    # rim below the base, both clipped, and one above the top outside the
+    # wall): the z-scores against the closed form, in binomial sigma at the
+    # closed-form value, pool to mean 0 and variance 1
     zs = []
     n = 100_000
-    for L, d, z in [(3.0, 2.0, -1.0), (1.0, 5.0, 0.5), (1.0, 0.3, 1.0), (1.0, 0.5, -0.25)]:
+    for L, d, z in [(3.0, 2.0, -1.0), (1.0, 5.0, 0.5), (1.0, 0.3, 1.0), (1.0, 0.5, -0.25), (1.0, 2.0, 2.5)]:
         cyl, src = CylinderSpec(L, 1.0), SourcePoint(d, z)
         ref = omega_total(cyl, src).value
         sigma = math.sqrt(ref * (1.0 - ref) / n)
@@ -747,14 +839,14 @@ def test_exact_test_of_a_vertical_ray_when_l_minus_z_overflows():
 
 def test_mc_reuses_one_block_pool():
     cyl, src = CylinderSpec(3.0, 1.0), SourcePoint(2.0, -1.0)
-    oracle.mc_total(cyl, src, 2_000_001, seed=4)
+    oracle.mc_total(cyl, src, _POOL_RAYS, seed=4)
     pool = oracle._block_pool()
-    oracle.mc_total(cyl, src, 2_000_001, seed=5)
+    oracle.mc_total(cyl, src, _POOL_RAYS, seed=5)
     assert oracle._block_pool() is pool
 
 
 def _mc_in_child(expected):
-    got = oracle.mc_total(CylinderSpec(3.0, 1.0), SourcePoint(2.0, -1.0), 2_000_001, seed=4)
+    got = oracle.mc_total(CylinderSpec(3.0, 1.0), SourcePoint(2.0, -1.0), _POOL_RAYS, seed=4)
     if got != expected:
         raise SystemExit(1)
 
@@ -762,7 +854,7 @@ def _mc_in_child(expected):
 @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork on this platform")
 def test_mc_runs_in_a_forked_child_after_the_parent_used_the_pool():
     # the child inherits no pool threads; it must start its own, not wait on the parent's
-    expected = oracle.mc_total(CylinderSpec(3.0, 1.0), SourcePoint(2.0, -1.0), 2_000_001, seed=4)
+    expected = oracle.mc_total(CylinderSpec(3.0, 1.0), SourcePoint(2.0, -1.0), _POOL_RAYS, seed=4)
     child = multiprocessing.get_context("fork").Process(target=_mc_in_child, args=(expected,))
     child.start()
     child.join(60)
@@ -816,27 +908,27 @@ def test_mc_count_is_the_sum_of_its_blocks_on_either_dispatch(L, d, z):
         assert est.hit_fraction == _blockwise_hits(L, d, z, samples, seed, two.map) / samples
 
 
-# in-band rays per 10^6-ray block: about 13.2k, so a slice fills inside a
-# block, and about 54k, more than a slice per block
-_SHARED_SLICE_CASES = [(1.0, 4.0, 0.5, 4_000_003), (3.0, 2.0, -1.0, 3_000_001)]
+# tested rays, in the band but not in the core, per 10^6-ray block: about
+# 2.6k, so that the four blocks share one part slice; about 14.7k, so that
+# a slice fills across blocks; and about 70k, more than two slices per block
+_SHARED_SLICE_CASES = [(1.0, 4.0, 0.5, 4_000_003), (3.0, 2.0, -1.0, 3_000_001), (1.0, 1.2, 0.5, 3_000_001)]
 
 
 @pytest.mark.parametrize("L, d, z, samples", _SHARED_SLICE_CASES)
 def test_mc_shared_slices_count_is_the_sum_of_its_blocks(monkeypatch, L, d, z, samples):
-    seed, w = 41, oracle._band(L, d, z)[4]
+    seed = 41
     sizes = [min(oracle._BLOCK, samples - start) for start in range(0, samples, oracle._BLOCK)]
-    # each block's in-band count, its stream's first draw
-    ks = [
-        np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, b, 0])).binomial(n, w)
-        for b, n in enumerate(sizes)
-    ]
+    # each block's tested count, from its stream's first draws
+    ks = []
+    for b, n in enumerate(sizes):
+        cells, counts = _cell_counts(np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, b, 0])), n, L, d, z)
+        ks.append(sum(counts[len(cells) > 1:]))
     full = [k for k, n in zip(ks, sizes) if n == oracle._BLOCK]
     if max(full) < oracle._SLICE:
-        # some slice takes rays of two blocks
-        ends = np.cumsum(ks)
-        assert any(a // oracle._SLICE < b // oracle._SLICE and b % oracle._SLICE for a, b in zip(ends, ends[1:]))
+        # some slice takes rays of two blocks: a block's rays end inside it
+        assert any(end % oracle._SLICE for end in np.cumsum(ks)[:-1])
     else:
-        assert min(full) > oracle._SLICE
+        assert min(full) > 2 * oracle._SLICE
 
     lengths, exact = [], oracle._slice_hits
 
@@ -874,7 +966,7 @@ def test_mc_small_call_does_not_use_the_pool(monkeypatch):
 
 
 def test_mc_large_call_uses_the_pool_when_it_has_two_workers(monkeypatch):
-    # about 136k expected rays in three blocks: four slices
+    # about 74k expected tested rays in six blocks: two slices
     L, d, z = _DISPATCH_CASES[1]
     calls, pool = [], oracle._block_pool
 
@@ -883,7 +975,7 @@ def test_mc_large_call_uses_the_pool_when_it_has_two_workers(monkeypatch):
         return pool()
 
     monkeypatch.setattr(oracle, "_block_pool", counted_pool)
-    oracle.mc_total(CylinderSpec(L, 1.0), SourcePoint(d, z), 2_500_001, seed=3)
+    oracle.mc_total(CylinderSpec(L, 1.0), SourcePoint(d, z), _POOL_RAYS, seed=3)
     assert len(calls) == (oracle._usable_cpus() > 1)
 
 
@@ -892,7 +984,7 @@ def test_mc_concurrent_callers_get_their_sequential_results():
 
     def one(case):
         L, d, z, seed = case
-        return oracle.mc_total(CylinderSpec(L, 1.0), SourcePoint(d, z), 2_000_001, seed=seed)
+        return oracle.mc_total(CylinderSpec(L, 1.0), SourcePoint(d, z), _POOL_RAYS, seed=seed)
 
     sequential = [one(case) for case in cases]
     start = threading.Barrier(len(cases))
