@@ -35,16 +35,7 @@ phi - s), d cos phi + s], s = sqrt(cos^2 phi - c sin^2 phi), c = d^2 - 1,
 and it hits iff V2 > 0 and the ray is above the base and below the top at
 the ends of [V1, V2] that the source's height picks. The discriminant has
 no d^2-sized terms to cancel, so the tangent test is good to a few eps at
-any source distance, and the test has no division. Its 10^6-ray Philox
-blocks are independent, each a stream of its own, and their integer hit
-counts are summed, so the estimate is bit-identical however the blocks are
-run: in one contiguous run per worker, on a pool of one thread per usable
-CPU for a call with two or more slices of expected tested rays (and two
-blocks and two CPUs to share them), in the caller's thread otherwise. A
-run draws its blocks' tested rays into its thread's buffers and tests
-them a full slice at a time, so the blocks of a run share slices; the
-exact test works in that thread's scratch arrays, not fresh temporaries
-(_workspace).
+any source distance, and the test has no division.
 
 The exact test runs only on the rays whose verdict is in doubt: a squeeze
 (Marsaglia, Comput. Math. Appl. 3 (1977) 321) between two boxes in
@@ -54,16 +45,22 @@ and azimuth, widened past the exact test's own rounding and clipped to
 centred on az = pi and narrowed past that rounding (_core), every ray hits.
 Only the frame between them, cut into four rectangles, is tested.
 Isotropic rays are uniform on the (cos theta, azimuth) rectangle, so a
-block's n rays fall into the cells by a multinomial law over their areas,
-uniformly within each. A block draws its counts as chained binomials, k ~
-Binomial(n, w) in the band, w being the band's share of the area, and then
-the core's and each rectangle's share of those k; it adds the core's count
-to the hits, draws each rectangle's rays on it and tests them in
-cache-sized slices. So the hit count has the distribution it has when all
-n rays are drawn and tested. A source inside the cylinder or on its wall
-has w = 1. Away from the wall its core is all but about 1e-9 of the
-sphere; on the wall, where V2 = 2 cos phi vanishes at |phi| = pi/2, a
-quarter of it.
+call's n rays fall into the cells by a multinomial law over their areas,
+uniformly within each. A call draws every cell's count at once, one
+multinomial draw from the stream of its key at counter 0, and adds the
+core's count to the hits. It numbers the tested rays in cell order and
+cuts them into 2^15-ray slices; each slice is a Philox stream of its own,
+draws its rays uniformly on their cells and is tested once. So the hit
+count has the distribution it has when all n rays are drawn and tested,
+and the call's cost follows its tested rays, not n. A source inside the
+cylinder or on its wall has a band of the whole sphere. Away from the
+wall its core is all but about 1e-9 of the sphere; on the wall, where
+V2 = 2 cos phi vanishes at |phi| = pi/2, a quarter of it. The integer hit
+counts of the slices are summed, so the estimate is bit-identical however
+the slices are run: in one contiguous run per worker, on a pool of one
+thread per usable CPU for a call with two or more full slices (and two
+CPUs to share them), in the caller's thread otherwise. The exact test
+works in its thread's scratch arrays, not fresh temporaries (_workspace).
 
 The three quadratures share one integrator, _run_quad: adaptive
 Gauss-Kronrod 7/15 after QUADPACK's QAG, with the qk15 nodes and weights
@@ -111,8 +108,7 @@ _GK15 = (
     (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
 )
 _GK15_CENTRE = (0.209482141084727828012999174891714, 0.417959183673469387755102040816327)
-_BLOCK = 1_000_000  # Monte Carlo rays per independent Philox stream
-_SLICE = 1 << 15  # rays per intersection-test slice, a multiple of 16; expected rays per worker
+_SLICE = 1 << 15  # tested rays per Philox stream and exact-test call, a multiple of 16
 _EPS = sys.float_info.epsilon
 _SLACK = 1e-9  # absolute widening of the band, and narrowing of the core, in cos(theta) and azimuth
 _PI_LO = 1.2246467991473532e-16  # pi - math.pi, rounded
@@ -273,16 +269,17 @@ _pool_lock = threading.Lock()
 
 
 def _block_pool() -> ThreadPoolExecutor:
-    """The process's block workers, one thread per usable CPU, started on first use.
+    """The process's ray-casting workers, one thread per usable CPU, started on first use.
 
-    mc_total uses it only for a call with two or more workers' worth of
-    expected tested rays; a smaller call runs in the caller's thread. Each
-    pool thread keeps its workspace (about 2 MB) for its life.
+    mc_total uses it only for a call with two or more full slices of tested
+    rays, giving each worker one contiguous run of slices; a smaller call
+    runs in the caller's thread. Each pool thread keeps its workspace
+    (about 1.6 MB) for its life.
     The threads outlive a call: threads started per call can begin before
     the last call's threads have handed back their malloc arenas, get fresh
     arenas, and leave another worker's draws resident (peak RSS 73 -> 91 MB
-    in some 45-s mc_oracle benchmark runs on 2 vCPUs, when a worker held a
-    whole block's draws).
+    in some 45-s mc_oracle benchmark runs on 2 vCPUs, when a worker held
+    10^6 rays' draws).
     """
     global _pool
     with _pool_lock:
@@ -305,22 +302,37 @@ _local = threading.local()
 
 
 def _workspace(n: int) -> tuple[np.ndarray, ...]:
-    """This thread's work arrays: two float draw buffers, then four float and two bool scratch arrays cut to length n.
+    """This thread's work arrays: a float draw buffer, then four float and two bool scratch arrays cut to length n.
 
-    _run_hits draws a run's tested rays, cos(theta) and azimuth, into the
-    draw buffers, each 2 * _SLICE long (512 kB), and _hit_mask works in the
+    _run_hits draws a slice's rays, cos(theta) and then azimuth, into the
+    draw buffer, 2 * _SLICE long (512 kB), and _hit_mask works in the
     scratch arrays, _SLICE long (about 1.1 MB together). All are allocated
     on a thread's first use, replaced only when a longer n needs longer
     scratch, and kept for the thread's life, so that neither the draws nor
     the exact test allocate arrays per slice.
     """
     arrays = getattr(_local, "arrays", None)
-    if arrays is None or len(arrays[2]) < n:
+    if arrays is None or len(arrays[1]) < n:
         size = max(n, _SLICE)
-        draws = (np.empty(2 * _SLICE) for _ in range(2))
         floats, bools = (np.empty(size) for _ in range(4)), (np.empty(size, bool) for _ in range(2))
-        arrays = _local.arrays = (*draws, *floats, *bools)
-    return (*arrays[:2], *(buf[:n] for buf in arrays[2:]))
+        arrays = _local.arrays = (np.empty(2 * _SLICE), *floats, *bools)
+    return (arrays[0], *(buf[:n] for buf in arrays[1:]))
+
+
+def _stream(key: int, counter: int) -> np.random.Generator:
+    """This thread's generator, set to the stream of Philox(key) started at counter * 2^128.
+
+    That is the stream Philox(key).jumped(counter) gives. Each thread keeps
+    one Philox and sets its key and counter: a new Philox costs several
+    times as much, most of it seeding the key it is then given.
+    """
+    if not hasattr(_local, "bits"):
+        _local.bits = np.random.Philox(key=0)
+        _local.gen, _local.state = np.random.Generator(_local.bits), _local.bits.state
+    _local.state["state"]["key"][:] = key & 0xFFFF_FFFF_FFFF_FFFF, key >> 64
+    _local.state["state"]["counter"][:] = 0, 0, counter, 0
+    _local.bits.state = _local.state
+    return _local.gen
 
 
 def _hit_mask(cos_t: np.ndarray, az: np.ndarray, L: float, d: float, z: float) -> np.ndarray:
@@ -338,7 +350,7 @@ def _hit_mask(cos_t: np.ndarray, az: np.ndarray, L: float, d: float, z: float) -
     A vertical ray on the wall line (c = 0) runs along the wall, so its V2
     is infinite whatever its azimuth.
     """
-    f0, f1, f2, f3, hit, ok = _workspace(len(cos_t))[2:]
+    f0, f1, f2, f3, hit, ok = _workspace(len(cos_t))[1:]
     c = d * d - 1.0  # radial quadratic constant term (py = 0 by symmetry)
     with np.errstate(invalid="ignore"):
         # phi = az - pi = head - _PI_LO, head = az - math.pi exact for az >= 1.15;
@@ -384,6 +396,11 @@ def _slice_hits(cos_t: np.ndarray, az: np.ndarray, L: float, d: float, z: float)
     return int(np.count_nonzero(_hit_mask(cos_t, az, L, d, z)))
 
 
+def _share(lo: float, hi: float, az_lo: float, az_hi: float) -> float:
+    # a (cos theta, azimuth) box's share of the area of [-1, 1] x [0, 2 pi]
+    return (hi - lo) / 2.0 * ((az_hi - az_lo) / _TWO_PI)
+
+
 def _band(L: float, d: float, z: float) -> tuple[float, float, float, float, float]:
     """(cos lo, cos hi, az lo, az hi, w): the box outside which _slice_hits finds no hit, and w its area share.
 
@@ -421,14 +438,15 @@ def _band(L: float, d: float, z: float) -> tuple[float, float, float, float, flo
     half = math.atan2(1.0, math.sqrt(c)) + _SLACK if c > 0.0 else math.pi
     c_lo, c_hi = max(cos_lo, -1.0), min(cos_hi, 1.0)
     a_lo, a_hi = max(math.pi - half, 0.0), min(math.pi + half, _TWO_PI)
-    return c_lo, c_hi, a_lo, a_hi, (c_hi - c_lo) / 2.0 * ((a_hi - a_lo) / _TWO_PI)
+    return c_lo, c_hi, a_lo, a_hi, _share(c_lo, c_hi, a_lo, a_hi)
 
 
-def _core(L: float, d: float, z: float) -> tuple[float, float, float, float, float] | None:
+def _core(L: float, d: float, z: float, band: tuple[float, ...]) -> tuple[float, float, float, float, float] | None:
     """(cos lo, cos hi, az lo, az hi, w): a box inside _band's where _slice_hits finds only hits, w its area share; or None.
 
-    Units of r, phi = az - pi, s^2 = 1 - d^2 sin^2 phi. For d > 1, inside
-    the tangent, V1 = d cos phi - s rises and V2 = d cos phi + s falls as
+    band is _band(L, d, z), which the caller has at hand. Units of r,
+    phi = az - pi, s^2 = 1 - d^2 sin^2 phi. For d > 1, inside the tangent,
+    V1 = d cos phi - s rises and V2 = d cos phi + s falls as
     |phi| grows: their slopes are d sin|phi| (d cos phi / s -+ 1), and
     d cos phi >= s there, since (d cos phi)^2 - s^2 = d^2 - 1. For d <= 1,
     s >= |d cos phi|, so V1 = 0 and V2 falls on [0, pi], with slope
@@ -466,7 +484,7 @@ def _core(L: float, d: float, z: float) -> tuple[float, float, float, float, flo
     the box is empty or not strictly inside _band's: from d of about 1e9
     on, phi_in is below 1e-9 and every fraction's box is empty.
     """
-    c_lo, c_hi, a_lo, a_hi, _ = _band(L, d, z)
+    c_lo, c_hi, a_lo, a_hi, _ = band
     c = d * d - 1.0
     du = 16.0 * _EPS * (1.0 + d)
     half = math.atan2(1.0, math.sqrt(c)) if c > 0.0 else math.pi
@@ -488,76 +506,62 @@ def _core(L: float, d: float, z: float) -> tuple[float, float, float, float, flo
             best, area = (k_lo, k_hi, b_lo, b_hi), box
     if best is None:
         return None
-    k_lo, k_hi, b_lo, b_hi = best
-    return k_lo, k_hi, b_lo, b_hi, (k_hi - k_lo) / 2.0 * ((b_hi - b_lo) / _TWO_PI)
+    return (*best, _share(*best))
 
 
-def _run_hits(key: int, first: int, sizes: list[int], L: float, d: float, z: float) -> int:
-    """Hits among the isotropic rays of Philox blocks first, first + 1, ..., of sizes[i] rays each.
+def _cells(L: float, d: float, z: float) -> tuple[list[float], list[tuple[float, float, float, float]]]:
+    """(shares, boxes): the area shares of a call's count draw but the miss's, and the tested cells' boxes.
 
-    Block b's stream is Philox(key) started at counter b * 2^128, the
-    stream Philox(key).jumped(b) gives. The cells are _core's box, then
-    the frame between it and _band's box as four rectangles: the strips
-    below and above the core across the band's width, then the strips
-    left and right of it; without a core, the band's box alone. Each
-    block first counts its rays per cell: k ~ Binomial(n, w) in the band,
-    then of the k rays each cell in turn takes a Binomial count, its area
-    over the area of itself and the cells after it, of the rays the cells
-    before it left, and the last cell takes the rest. The core's count
-    joins the hits untested. Then each rectangle's rays are drawn
-    uniformly on it in chunks of up to _SLICE: cos(theta) of a chunk,
-    then its azimuth, each as lo + (hi - lo) u from uniforms u on [0, 1),
-    which is what Generator.uniform computes. The rays go into this
-    thread's draw buffers (_workspace) one block after another; each full
-    slice is tested, and so is the part slice left at the end. A chunk
-    that crosses the end of a slice spills into the buffers' second half,
-    which moves to the front once the slice is tested. A ray's verdict
-    depends only on its own draws, so the count is the sum of the blocks'
-    counts however they are grouped into runs.
+    shares starts with _core's, 0.0 where there is no core, and then gives
+    each tested cell's. The tested cells, as (cos lo, cos hi, az lo, az hi)
+    boxes, are the frame between _core's box and _band's as four
+    rectangles: the strips below and above the core across the band's
+    width, then the strips left and right of it; without a core, the
+    band's box alone.
     """
-    c_lo, c_hi, a_lo, a_hi, w = _band(L, d, z)
-    core = _core(L, d, z)
-    untested = core is not None  # 1 if the first cell is the core, whose rays are hits untested
-    if untested:
-        k_lo, k_hi, b_lo, b_hi, _ = core
-        cells = [(k_lo, k_hi, b_lo, b_hi), (c_lo, k_lo, a_lo, a_hi), (k_hi, c_hi, a_lo, a_hi),
-                 (k_lo, k_hi, a_lo, b_lo), (k_lo, k_hi, b_hi, a_hi)]
-    else:
-        cells = [(c_lo, c_hi, a_lo, a_hi)]
-    areas = [(hi - lo) * (az_hi - az_lo) for lo, hi, az_lo, az_hi in cells]
-    # each cell's area over its own and the later cells': x / fl(x + y), y >= 0, is at most 1
-    tails = list(accumulate(areas[::-1]))[::-1]
-    shares = [x / t for x, t in zip(areas[:-1], tails)]
-    cos_b, az_b = _workspace(0)[:2]
+    band = _band(L, d, z)
+    c_lo, c_hi, a_lo, a_hi, w = band
+    core = _core(L, d, z, band)
+    if core is None:
+        return [0.0, w], [band[:4]]
+    k_lo, k_hi, b_lo, b_hi, w_core = core
+    boxes = [(c_lo, k_lo, a_lo, a_hi), (k_hi, c_hi, a_lo, a_hi), (k_lo, k_hi, a_lo, b_lo), (k_lo, k_hi, b_hi, a_hi)]
+    return [w_core, *(_share(*box) for box in boxes)], boxes
 
-    # one generator for the run, reset to each block's stream: a new Philox
-    # costs four times as much, most of it seeding the key it is then given
-    bits = np.random.Philox(key=key)
-    g, fresh = np.random.Generator(bits), bits.state
-    hits = filled = 0
-    for block, n in enumerate(sizes, first):
-        fresh["state"]["counter"][2] = block
-        bits.state = fresh
-        left, counts = int(g.binomial(n, w)), []
-        for share in shares:
-            counts.append(int(g.binomial(left, share)))
-            left -= counts[-1]
-        counts.append(left)
-        hits += sum(counts[:untested])
-        for (lo, hi, az_lo, az_hi), k in zip(cells[untested:], counts[untested:]):
-            for i in range(0, k, _SLICE):
-                m = min(_SLICE, k - i)
-                for buf, x0, x1 in ((cos_b, lo, hi), (az_b, az_lo, az_hi)):
-                    chunk = buf[filled:filled + m]
-                    g.random(out=chunk)
-                    np.add(x0, np.multiply(chunk, x1 - x0, out=chunk), out=chunk)
-                filled += m
-                if filled >= _SLICE:
-                    hits += _slice_hits(cos_b[:_SLICE], az_b[:_SLICE], L, d, z)
-                    filled -= _SLICE
-                    cos_b[:filled] = cos_b[_SLICE:_SLICE + filled]
-                    az_b[:filled] = az_b[_SLICE:_SLICE + filled]
-    return hits + (_slice_hits(cos_b[:filled], az_b[:filled], L, d, z) if filled else 0)
+
+def _run_hits(
+    key: int, slices: range, boxes: list[tuple[float, float, float, float]], ends: list[int],
+    L: float, d: float, z: float,
+) -> int:
+    """Hits among the tested rays of the given slices of a call with Philox key `key`.
+
+    The tested rays are numbered in cell order: boxes[i] holds the rays
+    from ends[i - 1] (0 for i = 0) up to ends[i]. Slice j holds the rays
+    from j * _SLICE up to the smaller of (j + 1) * _SLICE and ends[-1]. Its
+    stream is Philox(key) started at counter (j + 1) * 2^128, the stream
+    Philox(key).jumped(j + 1) gives (_stream). It draws its m cos(theta)
+    uniforms, then its m azimuth uniforms, into this thread's draw buffer
+    (_workspace), maps each cell's part of them onto the cell's box in
+    place as lo + (hi - lo) u, which is what Generator.uniform computes, and
+    hands the slice to the exact test once. A ray's verdict depends only on
+    its slice's draws, so the count is the sum of the slices' counts
+    however they are grouped into runs.
+    """
+    draws = _workspace(0)[0]
+    starts = [0, *ends[:-1]]
+    hits = 0
+    for j in slices:
+        first = j * _SLICE
+        m = min(_SLICE, ends[-1] - first)
+        _stream(key, j + 1).random(out=draws[:2 * m])
+        cos_t, az = draws[:m], draws[m:2 * m]
+        for (lo, hi, az_lo, az_hi), a, b in zip(boxes, starts, ends):
+            a, b = max(a - first, 0), min(b - first, m)
+            if a < b:
+                for u, x0, x1 in ((cos_t[a:b], lo, hi), (az[a:b], az_lo, az_hi)):
+                    np.add(x0, np.multiply(u, x1 - x0, out=u), out=u)
+        hits += _slice_hits(cos_t, az, L, d, z)
+    return hits
 
 
 def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -> McEstimate:
@@ -566,12 +570,13 @@ def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -
     Directions are uniform on the sphere (uniform cos(theta), uniform
     azimuth). A ray hits iff a point of it past the source lies on or inside
     the closed cylinder, which _hit_mask decides from the ray's azimuth and
-    polar angle, with no ray parameter and no division. Streams are Philox
-    blocks of 10^6 rays: the seed is the Philox key, which takes any
-    integer in [0, 2^128), and block i starts at counter i * 2^128 (the
-    key's stream jumped i times), so a fixed seed gives a bit-identical
-    estimate regardless of how blocks are scheduled, and distinct seeds
-    give distinct streams.
+    polar angle, with no ray parameter and no division. The seed is the
+    Philox key, which takes any integer in [0, 2^128); the call's count
+    draw is the key's stream at counter 0 and its tested slice j the stream
+    at counter (j + 1) * 2^128 (the key's stream jumped j + 1 times), so a
+    fixed seed gives a bit-identical estimate regardless of how the slices
+    are scheduled, and distinct seeds give distinct streams. samples lies
+    in [1, 2^63), the range the multinomial count draw takes.
     Like every oracle here it works in units of r (_in_units_of_r), so a
     uniform scale by a power of two leaves the estimate bit-identical.
 
@@ -580,36 +585,31 @@ def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -
     the exact test's rounding and clipped to [-1, 1] x [0, 2 pi], with area
     share w; _core gives a box inside it, narrowed past that rounding, on
     which every ray hits, with share w_core; the frame between the two is
-    cut into four rectangles. Isotropic directions are uniform on
-    [-1, 1] x [0, 2 pi], so a block's n rays fall into the band, the core
-    and the rectangles by a multinomial law over their areas, uniformly in
-    each, and the rays outside the band miss the exact test. Each block
-    draws from its own stream the counts, as chained binomials (k ~
-    Binomial(n, w) in the band, then the core's and each rectangle's share
-    of those), counts the core's rays as hits, and draws each rectangle's
-    rays on it in chunks of 2^15 (cos theta of a chunk, then its azimuth).
-    So the hit count has the law it has when every ray is drawn and tested.
+    cut into four rectangles (_cells). Isotropic directions are uniform on
+    [-1, 1] x [0, 2 pi], so the call's rays fall into the core, the
+    rectangles and the rest of the sphere by a multinomial law over their
+    areas, uniformly in each, and the rays outside the band miss the exact
+    test. The call draws all these counts in one multinomial draw, the miss
+    share being max(0, 1 - the others' sum), counts the core's rays as hits
+    and draws and tests only the rectangles' rays, 2^15 to a slice
+    (_run_hits). So the hit count has the law it has when every ray is
+    drawn and tested, and a call's cost follows the rays it tests: over
+    the benchmark's configurations, the core holds a median 80-88 % of the
+    band, and a median call at 10^7 rays tests 4k-9k rays, one slice.
 
-    The call counts its workers by its expected tested rays, samples *
-    (w - w_core): one per full slice, at most one per usable CPU and one
-    per block, and cuts its blocks into one contiguous run per worker
-    (_run_hits). A run draws its blocks' tested rays one block after
-    another into its thread's buffers and hands the exact test one full
-    2^15-ray slice at a time, so the blocks of a run share slices. Over the
-    benchmark's configurations, the core holds a median 80-88 % of the
-    band, and a median call at 10^7 rays tests 4k-9k rays of 28k-45k in
-    the band, in one exact-test call, not ten. With
-    fewer than two workers, the one run goes through map in the caller's
-    thread; with two or more, the runs go to one process-wide pool of one
-    thread per CPU (_block_pool), whose threads share the CPUs while
-    NumPy's draws and ufuncs release the GIL. A few thousand rays do not
-    pay for the pool: the exact test makes about 30 small NumPy calls, and
-    two workers pass the GIL back and forth around them. The integer hit
-    counts are summed, so the result depends on neither the dispatch nor
-    the worker count. Each thread keeps its workspace (_workspace: the
-    draw buffers, 1 MB, and the exact test's scratch, about 1.1 MB) for its
-    life: about 2 MB for each thread that has run blocks, on top of the
-    interpreter and NumPy.
+    The call counts one worker per full slice of its tested rays, at most
+    one per usable CPU, and cuts its slices into one contiguous run per
+    worker. With fewer than two workers, the one run goes through map in
+    the caller's thread; with two or more, the runs go to one process-wide
+    pool of one thread per CPU (_block_pool), whose threads share the CPUs
+    while NumPy's draws and ufuncs release the GIL. A few thousand rays do
+    not pay for the pool: the exact test makes about 30 small NumPy calls,
+    and two workers pass the GIL back and forth around them. The integer
+    hit counts are summed, so the result depends on neither the dispatch
+    nor the worker count. Each thread keeps its workspace (_workspace: the
+    draw buffer, 512 kB, and the exact test's scratch, about 1.1 MB) for
+    its life: about 1.6 MB for each thread that has run slices, on top of
+    the interpreter and NumPy.
 
     Any finite source distance is drawn and tested like any other: from
     d = 1.3e154 r on c = d^2 - 1 is inf, so s^2 = cos^2 phi - c sin^2 phi
@@ -619,22 +619,21 @@ def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -
         samples, seed = operator.index(samples), operator.index(seed)
     except TypeError:
         raise DomainError(f"samples and seed must be integers; got {samples!r}, {seed!r}") from None
-    if samples < 1:
-        raise DomainError(f"samples must be >= 1; got {samples!r}")
+    if not 1 <= samples < 1 << 63:
+        raise DomainError(f"samples must lie in [1, 2^63), the multinomial count range; got {samples!r}")
     if not 0 <= seed < 1 << 128:
         raise DomainError(f"seed must lie in [0, 2^128), the Philox key range; got {seed!r}")
     L, d, z, _ = _in_units_of_r(cyl.L, cyl.r, src.d, src.z)
 
-    run = partial(_run_hits, seed, L=L, d=d, z=z)
-    sizes = [min(_BLOCK, samples - start) for start in range(0, samples, _BLOCK)]
-    core = _core(L, d, z)
-    tested = _band(L, d, z)[4] - (0.0 if core is None else core[4])
-    workers = min(int(samples * tested) // _SLICE, _usable_cpus(), len(sizes))
-    # one contiguous run of blocks per worker
+    shares, boxes = _cells(L, d, z)
+    counts = _stream(seed, 0).multinomial(samples, [*shares, max(0.0, 1.0 - sum(shares))]).tolist()
+    ends = list(accumulate(counts[1:-1]))
+    slices, workers = -(-ends[-1] // _SLICE), min(ends[-1] // _SLICE, _usable_cpus())
+    # one contiguous run of slices per worker
     parts = max(workers, 1)
-    cuts = [len(sizes) * i // parts for i in range(parts + 1)]
-    runs = [sizes[a:b] for a, b in zip(cuts, cuts[1:])]
-    hits = sum((_block_pool().map if workers > 1 else map)(run, cuts[:-1], runs))
+    cuts = [slices * i // parts for i in range(parts + 1)]
+    run = partial(_run_hits, seed, boxes=boxes, ends=ends, L=L, d=d, z=z)
+    hits = counts[0] + sum((_block_pool().map if workers > 1 else map)(run, map(range, cuts, cuts[1:])))
 
     p = hits / samples
     return McEstimate(

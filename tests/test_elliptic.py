@@ -9,7 +9,7 @@ divergence contracts.
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from solidcyl.elliptic import (
@@ -287,18 +287,22 @@ def test_third_kind_dominates_first(n, phi, m):
 
 
 @given(phi=amplitude, m=unit_open)
+@example(phi=0.8684021419404652, m=0.875)
 def test_parts_spelling_matches_wrapper_F_E(phi, m):
-    s = math.sin(phi)
-    c2 = math.cos(phi) ** 2
+    # c2 spelled as the wrapper spells it, c * c: cos(phi) ** 2 can be an
+    # ulp off it (at phi = 0.8684021419404652)
+    s, c = math.sin(phi), math.cos(phi)
+    c2 = c * c
     y = (1.0 - m) + m * c2
     assert incomplete_F_from_parts(s, c2, y) == incomplete_F(phi, m)
     assert incomplete_E_from_parts(s, c2, y, m) == incomplete_E(phi, m)
 
 
 @given(n=unit_open, phi=amplitude, m=unit_open)
+@example(n=0.859375, phi=0.8684021419404652, m=0.875)
 def test_parts_spelling_matches_wrapper_Pi(n, phi, m):
-    s = math.sin(phi)
-    c2 = math.cos(phi) ** 2
+    s, c = math.sin(phi), math.cos(phi)
+    c2 = c * c
     y = (1.0 - m) + m * c2
     p = (1.0 - n) + n * c2
     assert incomplete_Pi_from_parts(s, c2, y, p, n) == incomplete_Pi(n, phi, m)

@@ -15,6 +15,7 @@ import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from functools import partial
+from itertools import accumulate
 
 import mpmath
 import numpy as np
@@ -202,9 +203,9 @@ def test_quadratures_reject_ratios_that_overflow(quad, L, r, d):
 # ----------------------------------------------------------------- Monte Carlo
 
 
-# rays from (L, d, z) = (3, 2, -1) at r = 1 that make two slices of
-# expected tested rays (about 74k), so that mc_total runs its blocks on the
-# pool where there are two CPUs
+# rays from (L, d, z) = (3, 2, -1) at r = 1 that make two full slices of
+# tested rays (about 74k), so that mc_total runs its slices on the pool
+# where there are two CPUs
 _POOL_RAYS = 5_000_001
 
 
@@ -222,7 +223,7 @@ def test_mc_same_seed_is_bit_identical():
 
 
 def test_mc_multi_block_run():
-    # 1.5e6 samples spans two Philox blocks; must agree with the closed form
+    # 1.5e6 samples test about 38k rays in two slices; must agree with the closed form
     cyl, src = CylinderSpec(3.0, 1.0), SourcePoint(2.0, 1.5)
     est = oracle.mc_total(cyl, src, 1_500_000, seed=0)
     ref = omega_total(cyl, src).value
@@ -294,21 +295,24 @@ def test_mc_estimate_accepts_the_extreme_fields_a_call_can_return():
     assert oracle.McEstimate(0.0, 0.0, 1, 0).hit_fraction == 0.0
 
 
-# hits of the cell draw (Binomial counts per block for the band, the core
-# and the frame's rectangles, then the block's frame rays); any change to
-# the Philox draws, their order, the band, the core or the scheduling of
-# blocks shows up here. Each count is also a plausible draw: within 3
-# binomial sigma of the closed form, and every ray for the enclosed source
+# hits of the cell draw (one multinomial count draw for the core, the
+# frame's rectangles and the misses, then the frame rays slice by slice);
+# any change to the Philox draws, their order, the band, the core or the
+# scheduling of slices shows up here. Each count is also a plausible draw:
+# within 3 binomial sigma of the closed form, and every ray for the
+# enclosed source
 @pytest.mark.parametrize(
     "L, r, d, z, samples, seed, hits",
     [
-        (3.0, 1.0, 2.0, -1.0, 2_500_001, 42, 126672),
-        (3.0, 1.0, 2.0, 1.5, 1_000_000, 0, 132985),
+        (3.0, 1.0, 2.0, -1.0, 2_500_001, 42, 126738),
+        (3.0, 1.0, 2.0, 1.5, 1_000_000, 0, 132953),
         (1.0, 1.0, 0.0, -10.0, 400_000, 3, 1049),
         (0.05, 1.0, 40.0, 0.01, 1_234_567, 5, 7),
-        (2.0, 1.0, 1.0, 0.0, 777_777, 8, 194040),
+        (2.0, 1.0, 1.0, 0.0, 777_777, 8, 194374),
         (3.0, 2.0, 1.0, 1.5, 10_000, 7, 10000),
-        (1.0, 1.0, 0.5, -0.25, 65_537, 11, 23075),
+        (1.0, 1.0, 0.5, -0.25, 65_537, 11, 23193),
+        # about 212k tested rays in seven slices: the pool's path on two or more CPUs
+        (1.0, 1.0, 1.2, 0.5, 3_000_001, 41, 826351),
     ],
 )
 def test_mc_frozen_hit_counts(L, r, d, z, samples, seed, hits):
@@ -324,11 +328,16 @@ def test_mc_frozen_hit_counts(L, r, d, z, samples, seed, hits):
 
 
 def test_mc_estimate_independent_of_worker_count(monkeypatch):
-    cyl, src = CylinderSpec(3.0, 1.0), SourcePoint(2.0, -1.0)
-    default = oracle.mc_total(cyl, src, _POOL_RAYS, seed=13)
-    with ThreadPoolExecutor(max_workers=1) as one:
-        monkeypatch.setattr(oracle, "_pool", one)
-        assert oracle.mc_total(cyl, src, _POOL_RAYS, seed=13) == default
+    # about 212k tested rays, six full slices: at 1, 2 and 7 usable CPUs,
+    # one worker in the caller's thread, then two and six on a pool of as
+    # many threads as CPUs
+    cyl, src = CylinderSpec(1.0, 1.0), SourcePoint(1.2, 0.5)
+    default = oracle.mc_total(cyl, src, 3_000_001, seed=13)
+    for cpus in (1, 2, 7):
+        with ThreadPoolExecutor(max_workers=cpus) as pool:
+            monkeypatch.setattr(oracle, "_pool", pool)
+            monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
+            assert oracle.mc_total(cyl, src, 3_000_001, seed=13) == default
 
 
 def test_mc_runs_where_sched_getaffinity_is_missing(monkeypatch):
@@ -344,55 +353,36 @@ def test_mc_runs_where_sched_getaffinity_is_missing(monkeypatch):
         oracle._block_pool().shutdown()
 
 
-def _block_draws(samples, seed):
-    # isotropic rays from one Philox stream, drawn the way a block would
-    # without the band
-    g = np.random.Generator(np.random.Philox(key=seed).jumped(0))
+def _isotropic_draws(samples, seed):
+    # isotropic rays from one Philox stream, drawn without the band
+    g = np.random.Generator(np.random.Philox(key=seed))
     return g.uniform(-1.0, 1.0, samples), g.uniform(0.0, TWO_PI, samples)
 
 
-def _cells(L, d, z):
-    # the core (if any) and then the frame's four rectangles, or the band
-    # alone, as (cos lo, cos hi, az lo, az hi) boxes
-    c_lo, c_hi, a_lo, a_hi, _ = oracle._band(L, d, z)
-    core = oracle._core(L, d, z)
-    if core is None:
-        return [(c_lo, c_hi, a_lo, a_hi)]
-    k_lo, k_hi, b_lo, b_hi, _ = core
-    return [
-        (k_lo, k_hi, b_lo, b_hi),
-        (c_lo, k_lo, a_lo, a_hi), (k_hi, c_hi, a_lo, a_hi), (k_lo, k_hi, a_lo, b_lo), (k_lo, k_hi, b_hi, a_hi),
-    ]
-
-
-def _cell_counts(g, n, L, d, z):
-    # a block's first draws: k ~ Binomial(n, w) in the band, then each cell
-    # but the last a Binomial count of the band rays left, its share being
-    # its area over the areas of itself and the later cells, summed from the
-    # last; the last cell takes the rest
-    cells = _cells(L, d, z)
-    areas = [(hi - lo) * (ah - al) for lo, hi, al, ah in cells]
-    left, counts = int(g.binomial(n, oracle._band(L, d, z)[4])), []
-    for i in range(len(cells) - 1):
-        counts.append(int(g.binomial(left, areas[i] / sum(reversed(areas[i:])))))
-        left -= counts[-1]
-    return cells, counts + [left]
+def _count_draw(L, d, z, samples, seed):
+    # a call's cell counts (the core's, each tested cell's, the misses'),
+    # one multinomial draw from the key's stream at counter 0, and the
+    # tested cells' boxes
+    shares, boxes = oracle._cells(L, d, z)
+    g = np.random.Generator(np.random.Philox(key=seed))
+    return g.multinomial(samples, shares + [max(0.0, 1.0 - sum(shares))]).tolist(), boxes
 
 
 def _band_draw_hits(L, d, z, samples, seed):
-    # the one block mc_total draws for samples <= 10^6, in its documented
-    # order: the cell counts, then per frame rectangle, per chunk of up to a
-    # slice, cos(theta), then azimuth; the core's rays are hits untested
-    g = np.random.Generator(np.random.Philox(key=seed).jumped(0))
-    cells, counts = _cell_counts(g, samples, L, d, z)
-    untested = len(cells) > 1
-    hits = sum(counts[:untested])
-    for (c_lo, c_hi, a_lo, a_hi), k in zip(cells[untested:], counts[untested:]):
-        for i in range(0, k, oracle._SLICE):
-            m = min(oracle._SLICE, k - i)
-            cos_t = g.uniform(c_lo, c_hi, m)
-            az = g.uniform(a_lo, a_hi, m)
-            hits += oracle._slice_hits(cos_t, az, L, d, z)
+    # mc_total's count by its documented layout, written apart from it: the
+    # core's rays are hits untested; the tested rays, numbered in cell
+    # order, go 2^15 to a slice, and slice j draws from the key's stream
+    # jumped j + 1 times cos(theta) of its rays, then their azimuth, each
+    # ray's mapped onto its cell's box
+    counts, boxes = _count_draw(L, d, z, samples, seed)
+    cell = np.repeat(np.arange(len(boxes)), counts[1:-1])
+    lo, hi, az_lo, az_hi = np.array(boxes).T
+    hits = counts[0]
+    for j, first in enumerate(range(0, len(cell), oracle._SLICE)):
+        c = cell[first:first + oracle._SLICE]
+        g = np.random.Generator(np.random.Philox(key=seed).jumped(j + 1))
+        u, v = g.random(len(c)), g.random(len(c))
+        hits += oracle._slice_hits(lo[c] + u * (hi[c] - lo[c]), az_lo[c] + v * (az_hi[c] - az_lo[c]), L, d, z)
     return hits
 
 
@@ -438,9 +428,9 @@ _CULL_CASES = [
 
 @pytest.mark.parametrize("L, d, z", _CULL_CASES)
 def test_mc_cull_keeps_the_exact_test_count(L, d, z):
-    # the band draw culls every ray outside the band by never drawing it:
+    # the cell draw culls every ray outside the band by never drawing it:
     # mc_total's count equals the exact test run, outside mc_total, on the
-    # Binomial count of rays the block draws on _band's clipped box
+    # rays of the multinomial cell counts drawn on the frame's boxes
     samples, seed = 200_003, 17
     est = oracle.mc_total(CylinderSpec(L, 1.0), SourcePoint(d, z), samples, seed=seed)
     assert est.hit_fraction == _band_draw_hits(L, d, z, samples, seed) / samples
@@ -498,8 +488,9 @@ def test_mc_rays_inside_the_core_hit(L, d, z):
     # the mirror of the test above: the exact test must call every ray in the
     # core a hit, its edges and corners included, or counting the core's rays
     # untested would add a miss as a hit
-    c_lo, c_hi, a_lo, a_hi, w = oracle._band(L, d, z)
-    core = oracle._core(L, d, z)
+    band = oracle._band(L, d, z)
+    c_lo, c_hi, a_lo, a_hi, w = band
+    core = oracle._core(L, d, z, band)
     if core is None:
         # only where the band is narrower than its and the core's margins
         assert min(c_hi - c_lo, a_hi - a_lo) < 4.0 * oracle._SLACK
@@ -531,7 +522,7 @@ def test_mc_band_of_a_face_source_is_the_half_sphere_below():
 
 def test_mc_far_band_keeps_few_rays():
     # the mc_oracle-like far source: about 0.5 % of directions reach the cylinder
-    cos_t, az = _block_draws(100_000, 5)
+    cos_t, az = _isotropic_draws(100_000, 5)
     c_lo, c_hi, a_lo, a_hi, _ = oracle._band(0.05, 40.0, 0.01)
     kept = np.count_nonzero((cos_t >= c_lo) & (cos_t <= c_hi) & (az >= a_lo) & (az <= a_hi))
     assert kept < 100
@@ -549,29 +540,46 @@ def test_mc_draw_box_is_the_clipped_band_and_its_area_share(L, d, z):
 
 @pytest.mark.parametrize("L, d, z, n", [(1.0, 5.0, 0.5, 100_000), (1.0, 0.3, 1.0, 10_000)])
 def test_mc_in_band_count_is_binomial(monkeypatch, L, d, z, n):
-    # over 1,000 seeds, the rays one block hands the exact test, those in the
-    # band but not in the core, number k ~ Binomial(n, w), w = w_band -
-    # w_core: mean n w and variance n w (1 - w), each within 4 standard
-    # errors (a narrow band, and a face source whose band is clipped)
-    drawn, exact = [], oracle._slice_hits
+    # over 1,000 seeds, the counts one call draws for the core, each frame
+    # rectangle and the misses follow the multinomial law over their area
+    # shares: each count, and the tested rays' sum, k ~ Binomial(n, w) with
+    # w its share, has mean n w and variance n w (1 - w), each within 4
+    # standard errors (a narrow band, and a face source whose band is
+    # clipped); and the core's count has covariance -n w w' with each
+    # other cell's
+    calls = []
 
-    def counting(cos_t, az, *args):
-        drawn.append(len(cos_t))
-        return exact(cos_t, az, *args)
+    def recording(key, slices, boxes, ends, L, d, z):
+        calls.append(ends)
+        return 0
 
-    monkeypatch.setattr(oracle, "_slice_hits", counting)
-    w = oracle._band(L, d, z)[4] - oracle._core(L, d, z)[4]
+    # with the tested rays' hits at 0, a call's hits are the core's count
+    monkeypatch.setattr(oracle, "_run_hits", recording)
+    shares = oracle._cells(L, d, z)[0]
+    assert shares[0] == oracle._core(L, d, z, oracle._band(L, d, z))[4] > 0.0 and len(shares) == 5
+    shares.append(1.0 - sum(shares))
     N = 1000
-    ks = []
+    rows = []
     for seed in range(N):
-        drawn.clear()
-        oracle.mc_total(CylinderSpec(L, 1.0), SourcePoint(d, z), n, seed=seed)
-        ks.append(sum(drawn))
-    ks = np.array(ks, dtype=float)
-    var = n * w * (1.0 - w)
-    kurt = (1.0 - 6.0 * w * (1.0 - w)) / var  # excess kurtosis of Binomial(n, w)
-    assert abs(ks.mean() - n * w) <= 4.0 * math.sqrt(var / N)
-    assert abs(ks.var(ddof=1) - var) <= 4.0 * var * math.sqrt(2.0 / (N - 1) + kurt / N)
+        calls.clear()
+        est = oracle.mc_total(CylinderSpec(L, 1.0), SourcePoint(d, z), n, seed=seed)
+        ends = calls[0]
+        assert all(e == ends for e in calls)
+        tested = np.diff([0, *ends]).tolist()
+        rows.append([round(est.hit_fraction * n), *tested, n - round(est.hit_fraction * n) - ends[-1]])
+    counts = np.array(rows, dtype=float)
+    cells = [(counts[:, i], w) for i, w in enumerate(shares)] + [(counts[:, 1:-1].sum(axis=1), sum(shares[1:-1]))]
+    for ks, w in cells:
+        var = n * w * (1.0 - w)
+        kurt = (1.0 - 6.0 * w * (1.0 - w)) / var  # excess kurtosis of Binomial(n, w)
+        assert abs(ks.mean() - n * w) <= 4.0 * math.sqrt(var / N)
+        assert abs(ks.var(ddof=1) - var) <= 4.0 * var * math.sqrt(2.0 / (N - 1) + kurt / N)
+    # the core's count against each other cell's: the sample covariance of
+    # two counts has standard error about sqrt(var var' / N) and more
+    for i in range(1, len(shares)):
+        cov = np.cov(counts[:, 0], counts[:, i])[0, 1]
+        var0, var1 = (n * w * (1.0 - w) for w in (shares[0], shares[i]))
+        assert abs(cov + n * shares[0] * shares[i]) <= 4.0 * math.sqrt(2.0 * var0 * var1 / N)
 
 
 def test_mc_many_seeds_agree_with_the_closed_form():
@@ -866,11 +874,15 @@ def test_mc_runs_in_a_forked_child_after_the_parent_used_the_pool():
 
 @pytest.mark.parametrize("key", [0, 5, 2**64 - 1, 2**64 + 5, 2**127 + 3])
 def test_mc_block_stream_starts_at_its_counter(key):
-    # Philox(key) started at counter block * 2^128 is the jumped stream
-    for block in range(64):
-        jumped = np.random.Generator(np.random.Philox(key=key).jumped(block))
-        started = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, block, 0]))
-        assert np.array_equal(jumped.random(4), started.random(4)), block
+    # a call draws the key's Philox stream in blocks of 2^128 counter
+    # values: the count draw takes block 0 and slice j block j + 1. Block b,
+    # Philox(key) started at counter b * 2^128, is the key's stream jumped b
+    # times, and no slice's block starts as the count draw's
+    count_draw = np.random.Generator(np.random.Philox(key=key)).random(4)
+    for j in range(64):
+        jumped = np.random.Generator(np.random.Philox(key=key).jumped(j + 1)).random(4)
+        started = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, j + 1, 0])).random(4)
+        assert np.array_equal(jumped, started) and not np.array_equal(started, count_draw), j
 
 
 def test_mc_seeds_past_64_bits_are_distinct_keys():
@@ -893,10 +905,12 @@ _DISPATCH_CASES = [(0.05, 40.0, 0.01), (3.0, 2.0, -1.0)]
 
 
 def _blockwise_hits(L, d, z, samples, seed, mapper):
-    # each block run on its own, as a run of one block
-    run = partial(oracle._run_hits, seed, L=L, d=d, z=z)
-    sizes = [min(oracle._BLOCK, samples - start) for start in range(0, samples, oracle._BLOCK)]
-    return sum(mapper(run, range(len(sizes)), [[n] for n in sizes]))
+    # a call's count block by block: the core's count from the count draw's
+    # block 0, then each slice's block run on its own, as a run of one slice
+    counts, boxes = _count_draw(L, d, z, samples, seed)
+    ends = list(accumulate(counts[1:-1]))
+    run = partial(oracle._run_hits, seed, boxes=boxes, ends=ends, L=L, d=d, z=z)
+    return counts[0] + sum(mapper(run, [range(j, j + 1) for j in range(-(-ends[-1] // oracle._SLICE))]))
 
 
 @pytest.mark.parametrize("L, d, z", _DISPATCH_CASES)
@@ -908,47 +922,82 @@ def test_mc_count_is_the_sum_of_its_blocks_on_either_dispatch(L, d, z):
         assert est.hit_fraction == _blockwise_hits(L, d, z, samples, seed, two.map) / samples
 
 
-# tested rays, in the band but not in the core, per 10^6-ray block: about
-# 2.6k, so that the four blocks share one part slice; about 14.7k, so that
-# a slice fills across blocks; and about 70k, more than two slices per block
+# tested rays, in the band but not in the core: about 10.6k, so that all
+# four frame rectangles share one part slice; about 44k, so that a slice
+# end cuts a rectangle; and about 212k, seven slices, so that a rectangle
+# spans more than two slices. The slices that rectangles share must still
+# count as the sum of their blocks run one by one
 _SHARED_SLICE_CASES = [(1.0, 4.0, 0.5, 4_000_003), (3.0, 2.0, -1.0, 3_000_001), (1.0, 1.2, 0.5, 3_000_001)]
 
 
 @pytest.mark.parametrize("L, d, z, samples", _SHARED_SLICE_CASES)
 def test_mc_shared_slices_count_is_the_sum_of_its_blocks(monkeypatch, L, d, z, samples):
     seed = 41
-    sizes = [min(oracle._BLOCK, samples - start) for start in range(0, samples, oracle._BLOCK)]
-    # each block's tested count, from its stream's first draws
-    ks = []
-    for b, n in enumerate(sizes):
-        cells, counts = _cell_counts(np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, b, 0])), n, L, d, z)
-        ks.append(sum(counts[len(cells) > 1:]))
-    full = [k for k, n in zip(ks, sizes) if n == oracle._BLOCK]
-    if max(full) < oracle._SLICE:
-        # some slice takes rays of two blocks: a block's rays end inside it
-        assert any(end % oracle._SLICE for end in np.cumsum(ks)[:-1])
-    else:
-        assert min(full) > 2 * oracle._SLICE
-
+    counts, boxes = _count_draw(L, d, z, samples, seed)
+    ends = list(accumulate(counts[1:-1]))
+    slices = -(-ends[-1] // oracle._SLICE)
+    # the (slice, rectangle) pairs that share rays
+    pieces = {
+        (j, i)
+        for i, (a, b) in enumerate(zip([0, *ends[:-1]], ends))
+        for j in range(a // oracle._SLICE, -(-b // oracle._SLICE))
+    }
+    assert len(pieces) > slices and (slices == 1 or len(pieces) > len(boxes))
     lengths, exact = [], oracle._slice_hits
 
     def recording(cos_t, az, *args):
         lengths.append(len(cos_t))
         return exact(cos_t, az, *args)
 
-    # one run of all the blocks, in the caller's thread: full slices, then the rest
+    # one run of all the slices, in the caller's thread: full slices, then the rest
     monkeypatch.setattr(oracle, "_slice_hits", recording)
-    one_run = oracle._run_hits(seed, 0, sizes, L, d, z)
+    one_run = counts[0] + oracle._run_hits(seed, range(slices), boxes, ends, L, d, z)
     monkeypatch.setattr(oracle, "_slice_hits", exact)
-    q, rest = divmod(sum(ks), oracle._SLICE)
+    q, rest = divmod(ends[-1], oracle._SLICE)
     assert lengths == [oracle._SLICE] * q + [rest] * (rest > 0)
 
     blockwise = _blockwise_hits(L, d, z, samples, seed, map)
-    assert one_run == blockwise
+    assert one_run == blockwise == _band_draw_hits(L, d, z, samples, seed)
     with ThreadPoolExecutor(max_workers=2) as two:
         assert _blockwise_hits(L, d, z, samples, seed, two.map) == blockwise
     est = oracle.mc_total(CylinderSpec(L, 1.0), SourcePoint(d, z), samples, seed=seed)
     assert est.hit_fraction == blockwise / samples
+
+
+def test_mc_cost_follows_the_tested_rays_not_the_samples(monkeypatch):
+    # 10^12 rays from a far source beside the shell: about 1.6e5 in the band
+    # and 8k tested, so two Philox streams (the count draw's and one
+    # slice's) and one exact-test call
+    L, d, z, samples = 1.0, 1000.0, 0.5, 10**12
+    calls, streams, exact, stream = [], [], oracle._slice_hits, oracle._stream
+
+    def counting(cos_t, az, *args):
+        calls.append(len(cos_t))
+        return exact(cos_t, az, *args)
+
+    def counted_stream(key, counter):
+        streams.append(counter)
+        return stream(key, counter)
+
+    monkeypatch.setattr(oracle, "_slice_hits", counting)
+    monkeypatch.setattr(oracle, "_stream", counted_stream)
+    cyl, src = CylinderSpec(L, 1.0), SourcePoint(d, z)
+    est = oracle.mc_total(cyl, src, samples, seed=2)
+    assert streams == [0, 1] and len(calls) == 1 and 0 < calls[0] < oracle._SLICE
+    assert abs(est.hit_fraction - omega_total(cyl, src).value) <= 6.0 * est.std_error
+
+
+@pytest.mark.parametrize("samples", [2**63, np.uint64(2**63), 2**64, 10**30])
+def test_mc_rejects_samples_past_the_multinomial_range(samples):
+    with pytest.raises(DomainError, match="samples"):
+        oracle.mc_total(CylinderSpec(1.0, 1.0), SourcePoint(1e200, 0.5), samples)
+
+
+@pytest.mark.parametrize("samples", [2**63 - 1, np.int64(2**63 - 1)])
+def test_mc_accepts_the_largest_multinomial_count(samples):
+    # a band of about 3e-19 of the sphere: a few tested rays, all misses
+    est = oracle.mc_total(CylinderSpec(1.0, 1.0), SourcePoint(1e200, 0.5), samples)
+    assert est.samples == 2**63 - 1 and est.hit_fraction == 0.0
 
 
 def test_mc_small_call_does_not_use_the_pool(monkeypatch):
@@ -966,7 +1015,7 @@ def test_mc_small_call_does_not_use_the_pool(monkeypatch):
 
 
 def test_mc_large_call_uses_the_pool_when_it_has_two_workers(monkeypatch):
-    # about 74k expected tested rays in six blocks: two slices
+    # about 74k tested rays: two full slices
     L, d, z = _DISPATCH_CASES[1]
     calls, pool = [], oracle._block_pool
 
