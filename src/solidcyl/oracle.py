@@ -26,25 +26,28 @@ the adaptive rule sees a smooth integrand at the delicate end. The gamma-form
 rho^2 is evaluated as (d-r)^2 + 4 d r cos^2(gamma), which is exact and free of
 cancellation near gamma = pi/2.
 
-The disc oracle integrates the projected-area element L dA / rho^3 over polar
-disc coordinates directly. The Monte Carlo oracle casts isotropic rays
-(uniform cos(theta), uniform azimuth) and tests each against the finite
-cylinder from its azimuth alone: with phi = az - pi, the ray runs inside
-the infinite shell over the horizontal distances [V1, V2] = [max(0, d cos
-phi - s), d cos phi + s], s = sqrt(cos^2 phi - c sin^2 phi), c = d^2 - 1,
-and it hits iff V2 > 0 and the ray is above the base and below the top at
-the ends of [V1, V2] that the source's height picks. The discriminant has
-no d^2-sized terms to cancel, so the tangent test is good to a few eps at
-any source distance, and the test has no division.
+The disc oracle integrates over the azimuth about the source's foot, the
+projected-area element's integral along each azimuth taken in closed form
+(quad_disc). The Monte Carlo oracle casts isotropic rays (uniform
+cos(theta), uniform azimuth phi in [-pi, pi], measured as the paper
+measures it, from the line that joins the source to the axis) and tests
+each against the finite cylinder from its azimuth alone: the ray runs
+inside the infinite shell over the horizontal distances [V1, V2] =
+[max(0, d cos phi - s), d cos phi + s], s = sqrt(cos^2 phi - c sin^2
+phi), c = d^2 - 1, and it hits iff V2 > 0 and the ray is above the base
+and below the top at the ends of [V1, V2] that the source's height picks.
+The discriminant has no d^2-sized terms to cancel, so the tangent test is
+good to a few eps at any source distance, and the test has no division.
 
 The exact test runs only on the rays whose verdict is in doubt: a squeeze
 (Marsaglia, Comput. Math. Appl. 3 (1977) 321) between two boxes in
-(cos theta, azimuth). Outside the cylinder's bounding band in polar angle
-and azimuth, widened past the exact test's own rounding and clipped to
-[-1, 1] x [0, 2 pi] (_band), every ray misses; inside the core, a box
-centred on az = pi and narrowed past that rounding (_core), every ray hits.
+(cos theta, phi), both symmetric about phi = 0 and both from one rule
+(_box). Outside the cylinder's bounding band in polar angle and azimuth,
+widened past the exact test's own rounding and clipped to [-1, 1] x
+[-pi, pi] (_band), every ray misses; inside the core, narrowed past that
+rounding (_core), every ray hits.
 Only the frame between them, cut into four rectangles, is tested.
-Isotropic rays are uniform on the (cos theta, azimuth) rectangle, so a
+Isotropic rays are uniform on the (cos theta, phi) rectangle, so a
 call's n rays fall into the cells by a multinomial law over their areas,
 uniformly within each. A call draws every cell's count at once, one
 multinomial draw from the stream of its key at counter 0, and adds the
@@ -110,8 +113,7 @@ _GK15 = (
 _GK15_CENTRE = (0.209482141084727828012999174891714, 0.417959183673469387755102040816327)
 _SLICE = 1 << 15  # tested rays per Philox stream and exact-test call, a multiple of 16
 _EPS = sys.float_info.epsilon
-_SLACK = 1e-9  # absolute widening of the band, and narrowing of the core, in cos(theta) and azimuth
-_PI_LO = 1.2246467991473532e-16  # pi - math.pi, rounded
+_SLACK = 1e-9  # absolute widening of the band, and narrowing of the core, in cos(theta) and phi
 # the core's half-width in azimuth as shares of the band's; the whole of it only for d < r
 _CORE_FRACTIONS = (0.25, 0.5, 0.7, 0.85, 0.95, 1.0)
 
@@ -215,29 +217,50 @@ def quad_cyl0_gamma(cfg: CanonicalConfig, tol: float = 1e-12) -> float:
 
 
 def quad_disc(cfg: CanonicalConfig, tol: float = 1e-10) -> float:
-    """End disc by brute-force double quadrature over polar disc coordinates.
+    """End disc by quadrature over the azimuth psi about the source's foot.
 
-    omega = (4 pi)^-1 * 2 * int_0^pi dphi int_0^1 ds  L s / R^3
-    in units of r, with R^2 = L^2 + (s - d cos phi)^2 + (d sin phi)^2, a
-    sum of squares: near s = d cos phi, where R^2 may be as small as L^2,
-    the form L^2 + d^2 + s (s - 2 d cos phi) would lose it to terms of
-    size d^2. Requires L > 0 (the L = 0 disc is a discontinuous limit that
-    quadrature cannot see). _run_quad integrates over s at 0.1 tol inside
-    its own integral over phi, and either level raises OracleFailure if it
-    does not meet its tolerance.
+    Units of r, c = d^2 - 1, psi measured from the line to the disc's
+    centre. Along psi the disc spans the distances [lo, hi] = [max(0,
+    d cos psi - q), d cos psi + q] from the foot, q = sqrt(cos^2 psi -
+    c sin^2 psi), and rho = L tan t turns the projected-area element
+    L rho drho dpsi / (L^2 + rho^2)^(3/2) into sin t dt dpsi, so
+
+      omega = (2 pi)^-1 int dpsi (cos t1 - cos t2),  t1, t2 = atan2(lo, L), atan2(hi, L),
+
+    over psi in [0, pi] inside the rim (d <= r) and [0, asin(1/d)] outside
+    it, the integrand taken as 2 sin((t1 + t2)/2) sin((t2 - t1)/2), which
+    does not cancel. Where d cos psi -+ q would cancel, lo outside the rim
+    and hi behind the foot inside it, each is formed as +-c over the other.
+
+    The integrand, at most 1, has its features next to an edge e: the
+    tangent e = asin(1/d) outside the rim, where q has a square-root end,
+    and e = pi/2 inside it, where they narrow to |d - r|/r, L/r and
+    |d - r|/L as d nears r. So psi = e -+ e exp(-v), which widens each to
+    a width of order 1 in v, and one quadrature over v in [0, 40] takes
+    both sides of pi/2 at once, dropping at most 2 e exp(-40) of the
+    integral: the far side alone can be too small a share for the error
+    estimate of a quadrature of its own to hold. Requires L > 0 (the L = 0
+    disc is a discontinuous limit that quadrature cannot see); raises
+    OracleFailure where _run_quad does not meet tol.
     """
-    L, d, _, _ = _in_units_of_r(cfg.L, cfg.r, cfg.d, tol=tol)
+    L, d, _, t = _in_units_of_r(cfg.L, cfg.r, cfg.d, tol=tol)
+    c = t * (d + 1.0)
 
-    def over_s(phi: float) -> float:
-        near, side_sq = d * math.cos(phi), L * L + (d * math.sin(phi)) ** 2
+    def over_psi(psi: float) -> float:
+        cos_p, sin_p = math.cos(psi), math.sin(psi)
+        near, q = d * cos_p, math.sqrt(max(0.0, cos_p * cos_p - c * (sin_p * sin_p)))
+        lo = c / (near + q) if c > 0.0 else 0.0
+        hi = near + q if near >= 0.0 else -c / (q - near)
+        t1, t2 = math.atan2(lo, L), math.atan2(hi, L)
+        return 2.0 * math.sin(0.5 * (t1 + t2)) * math.sin(0.5 * (t2 - t1))
 
-        def f(s: float) -> float:
-            R_sq = side_sq + (s - near) ** 2
-            return L * s / (R_sq * math.sqrt(R_sq))
+    edge, sides = (math.asin(min(1.0, 1.0 / d)), (-1.0,)) if c > 0.0 else (math.pi / 2, (-1.0, 1.0))
 
-        return _run_quad(f, 0.0, 1.0, 0.1 * tol * _TWO_PI, 0.1 * tol, "disc quadrature")
+    def f(v: float) -> float:
+        x = edge * math.exp(-v)
+        return x * sum(over_psi(edge + side * x) for side in sides)
 
-    return _run_quad(over_s, 0.0, math.pi, tol * _TWO_PI, tol, "disc quadrature") / _TWO_PI
+    return _run_quad(f, 0.0, 40.0, tol * _TWO_PI, tol, "disc quadrature") / _TWO_PI
 
 
 @_value_type
@@ -268,7 +291,7 @@ _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 
 
-def _block_pool() -> ThreadPoolExecutor:
+def _worker_pool() -> ThreadPoolExecutor:
     """The process's ray-casting workers, one thread per usable CPU, started on first use.
 
     mc_total uses it only for a call with two or more full slices of tested
@@ -277,9 +300,8 @@ def _block_pool() -> ThreadPoolExecutor:
     (about 1.6 MB) for its life.
     The threads outlive a call: threads started per call can begin before
     the last call's threads have handed back their malloc arenas, get fresh
-    arenas, and leave another worker's draws resident (peak RSS 73 -> 91 MB
-    in some 45-s mc_oracle benchmark runs on 2 vCPUs, when a worker held
-    10^6 rays' draws).
+    arenas, and leave another worker's draw buffer and scratch resident,
+    which raises the process's peak RSS.
     """
     global _pool
     with _pool_lock:
@@ -304,7 +326,7 @@ _local = threading.local()
 def _workspace(n: int) -> tuple[np.ndarray, ...]:
     """This thread's work arrays: a float draw buffer, then four float and two bool scratch arrays cut to length n.
 
-    _run_hits draws a slice's rays, cos(theta) and then azimuth, into the
+    _run_hits draws a slice's rays, cos(theta) and then phi, into the
     draw buffer, 2 * _SLICE long (512 kB), and _hit_mask works in the
     scratch arrays, _SLICE long (about 1.1 MB together). All are allocated
     on a thread's first use, replaced only when a longer n needs longer
@@ -335,10 +357,11 @@ def _stream(key: int, counter: int) -> np.random.Generator:
     return _local.gen
 
 
-def _hit_mask(cos_t: np.ndarray, az: np.ndarray, L: float, d: float, z: float) -> np.ndarray:
+def _hit_mask(cos_t: np.ndarray, phi: np.ndarray, L: float, d: float, z: float) -> np.ndarray:
     """Which rays hit: a bool view of this thread's scratch, valid until its next call.
 
-    Units of r, c = d^2 - 1. With phi = az - pi, a ray runs inside the
+    Units of r, c = d^2 - 1, phi the ray's azimuth from the line that joins
+    the source to the axis, as the paper measures it. A ray runs inside the
     infinite shell over the horizontal distances [V1, V2] = [max(0, d cos
     phi - s), d cos phi + s], s = sqrt(cos^2 phi - c sin^2 phi), which is
     NaN where the azimuth misses the shell. It hits iff V2 > 0, it is at or
@@ -353,14 +376,8 @@ def _hit_mask(cos_t: np.ndarray, az: np.ndarray, L: float, d: float, z: float) -
     f0, f1, f2, f3, hit, ok = _workspace(len(cos_t))[1:]
     c = d * d - 1.0  # radial quadratic constant term (py = 0 by symmetry)
     with np.errstate(invalid="ignore"):
-        # phi = az - pi = head - _PI_LO, head = az - math.pi exact for az >= 1.15;
-        # then cos and sin of phi to first order in _PI_LO, which keeps both
-        # to an ulp next to their zeros as well
-        head = np.subtract(az, math.pi, out=f0)
-        cos_phi, sin_phi = np.cos(head, out=f1), np.sin(head, out=f0)
-        np.multiply(_PI_LO, cos_phi, out=f2)
-        np.add(cos_phi, np.multiply(_PI_LO, sin_phi, out=f3), out=cos_phi)
-        sin2 = np.square(np.subtract(sin_phi, f2, out=f0), out=f0)
+        cos_phi = np.cos(phi, out=f1)
+        sin2 = np.square(np.sin(phi, out=f0), out=f0)
         s = np.sqrt(np.subtract(np.square(cos_phi, out=f2), np.multiply(c, sin2, out=f0), out=f0), out=f0)
         near = np.multiply(d, cos_phi, out=f1)
         v2 = np.add(near, s, out=f2)
@@ -392,24 +409,44 @@ def _hit_mask(cos_t: np.ndarray, az: np.ndarray, L: float, d: float, z: float) -
     return np.logical_and(hit, ok, out=hit)
 
 
-def _slice_hits(cos_t: np.ndarray, az: np.ndarray, L: float, d: float, z: float) -> int:
-    return int(np.count_nonzero(_hit_mask(cos_t, az, L, d, z)))
+def _slice_hits(cos_t: np.ndarray, phi: np.ndarray, L: float, d: float, z: float) -> int:
+    return int(np.count_nonzero(_hit_mask(cos_t, phi, L, d, z)))
 
 
-def _share(lo: float, hi: float, az_lo: float, az_hi: float) -> float:
-    # a (cos theta, azimuth) box's share of the area of [-1, 1] x [0, 2 pi]
-    return (hi - lo) / 2.0 * ((az_hi - az_lo) / _TWO_PI)
+def _share(lo: float, hi: float, phi_lo: float, phi_hi: float) -> float:
+    # a (cos theta, phi) box's share of the area of [-1, 1] x [-pi, pi]
+    return (hi - lo) / 2.0 * ((phi_hi - phi_lo) / _TWO_PI)
 
 
-def _band(L: float, d: float, z: float) -> tuple[float, float, float, float, float]:
-    """(cos lo, cos hi, az lo, az hi, w): the box outside which _slice_hits finds no hit, and w its area share.
+def _box(L: float, z: float, a: float, b: float, half: float, slack: float) -> tuple[float, float, float, float]:
+    """(cos lo, cos hi, phi lo, phi hi): the rays with |phi| <= half whose height tests hold at a or b, moved out by slack.
+
+    Units of r, a <= b horizontal distances from the source. A ray is at
+    the height z + u cot(theta) at the horizontal distance u, so it is at
+    or above the base there iff cos(theta) >= cos atan2(u, -z), and at or
+    below the top iff cos(theta) <= cos atan2(u, L - z). The box holds the
+    rays above the base at a for z > 0 and at b otherwise, and below the
+    top at a for z < L and at b otherwise: the ends of [a, b] at which each
+    set of cos(theta) is widest. Each of the four bounds is then moved out
+    by slack, or in by -slack for slack < 0; the box is symmetric about
+    phi = 0 bit for bit.
+    """
+    lo = math.cos(math.atan2(a if z > 0.0 else b, -z)) - slack
+    hi = math.cos(math.atan2(a if z < L else b, L - z)) + slack
+    return lo, hi, -(half + slack), half + slack
+
+
+def _band(L: float, d: float, z: float) -> tuple[float, float, float, float]:
+    """(cos lo, cos hi, phi lo, phi hi): the box outside which _slice_hits finds no hit.
 
     Units of r. A hit point lies at a horizontal distance u in
     [max(0, d - 1), d + 1] from the source and at a height z + u cot(theta)
-    in [0, L], which bounds cos(theta); for d > 1 its azimuth also lies
-    within atan(1/sqrt(d^2 - 1)) = asin(1/d) of pi. The band is widened
-    past the rounding of _slice_hits, so that a ray outside it is a miss
-    there as well:
+    in [0, L]; for d > 1 its azimuth also lies within atan(1/sqrt(d^2 - 1))
+    = asin(1/d) of phi = 0. Above the base at some such u means above it at
+    the range's near end for z > 0 and its far end otherwise, and likewise
+    below the top, so _box with that range and half-width bounds every hit.
+    The band is widened past the rounding of _slice_hits, so that a ray
+    outside it is a miss there as well:
 
     - u by 16 eps (1 + d). The wall distances V1, V2 = d cos phi -+ s place
       a hit to within a few eps (1 + d) in u: cos phi and sin phi are each
@@ -420,50 +457,42 @@ def _band(L: float, d: float, z: float) -> tuple[float, float, float, float, flo
     - cos(theta) by 1e-9. The height tests compare two products each good
       to an eps relative, and sqrt(1 - cos^2) moves the ray's cos(theta) by
       at most eps.
-    - the azimuth by 1e-9. There, s^2 >= 0 reads tan^2 phi <= 1/(d^2 - 1)
-      with both sides good to a few eps relative, which is a few eps of
-      asin(1/d) in angle.
+    - phi by 1e-9. There, s^2 >= 0 reads tan^2 phi <= 1/(d^2 - 1) with
+      both sides good to a few eps relative, which is a few eps of asin(1/d)
+      in angle.
 
-    The band is then clipped to [-1, 1] x [0, 2 pi], and w is its share of
-    that rectangle's area. A source inside the cylinder or on its wall gets
-    the whole rectangle with w = 1 exactly: its half-width in azimuth is pi,
-    and pi -+ pi is exactly 0 and 2 pi.
+    The band is then clipped to [-1, 1] x [-pi, pi]. A source inside the
+    cylinder or on its wall has the half-width pi, so it gets that whole
+    rectangle, whose _share is 1 exactly.
     """
     c = d * d - 1.0
     du = 16.0 * _EPS * (1.0 + d)
-    u_min, u_max = max(0.0, d - 1.0 - du), d + 1.0 + du
-    # cos(theta) of the steepest ray down to the base and up to the top
-    cos_lo = math.cos(math.atan2(u_min if z > 0.0 else u_max, -z)) - _SLACK
-    cos_hi = math.cos(math.atan2(u_min if z < L else u_max, L - z)) + _SLACK
-    half = math.atan2(1.0, math.sqrt(c)) + _SLACK if c > 0.0 else math.pi
-    c_lo, c_hi = max(cos_lo, -1.0), min(cos_hi, 1.0)
-    a_lo, a_hi = max(math.pi - half, 0.0), min(math.pi + half, _TWO_PI)
-    return c_lo, c_hi, a_lo, a_hi, _share(c_lo, c_hi, a_lo, a_hi)
+    half = math.atan2(1.0, math.sqrt(c)) if c > 0.0 else math.pi
+    lo, hi, phi_lo, phi_hi = _box(L, z, max(0.0, d - 1.0 - du), d + 1.0 + du, half, _SLACK)
+    return max(lo, -1.0), min(hi, 1.0), max(phi_lo, -math.pi), min(phi_hi, math.pi)
 
 
-def _core(L: float, d: float, z: float, band: tuple[float, ...]) -> tuple[float, float, float, float, float] | None:
-    """(cos lo, cos hi, az lo, az hi, w): a box inside _band's where _slice_hits finds only hits, w its area share; or None.
+def _core(L: float, d: float, z: float, band: tuple[float, ...]) -> tuple[float, float, float, float] | None:
+    """(cos lo, cos hi, phi lo, phi hi): a box inside _band's where _slice_hits finds only hits; or None.
 
     band is _band(L, d, z), which the caller has at hand. Units of r,
-    phi = az - pi, s^2 = 1 - d^2 sin^2 phi. For d > 1, inside the tangent,
-    V1 = d cos phi - s rises and V2 = d cos phi + s falls as
-    |phi| grows: their slopes are d sin|phi| (d cos phi / s -+ 1), and
-    d cos phi >= s there, since (d cos phi)^2 - s^2 = d^2 - 1. For d <= 1,
-    s >= |d cos phi|, so V1 = 0 and V2 falls on [0, pi], with slope
-    -d sin|phi| (1 + d cos phi / s). So on |phi| <= phi_in every ray's
-    [V1, V2] contains [a, b] = [V1(phi_in), V2(phi_in)]. Then b > 0 makes
-    V2 > 0, and each height test of _hit_mask holds at its V if it holds
-    at a or b: the base test z sin + V cos >= 0 takes V2 >= b for z < 0,
-    where it needs cos(theta) > 0 and grows with V, and V1 <= a for z > 0,
-    where it holds for cos(theta) >= 0 and otherwise falls with V; the top
-    test likewise takes V1 <= a below the top and V2 >= b from the top
-    plane up. So every ray with |phi| <= phi_in hits that has
-    cos(theta) >= cos atan2(a if z > 0 else b, -z) and cos(theta) <= cos
-    atan2(a if z < L else b, L - z): _band's bounds with [a, b] in place
-    of [u_min, u_max]. In the base plane the first reads cos(theta) >=
-    cos(pi/2) > 0, and in the top plane the second cos(theta) <= cos(pi/2),
-    which the margin below takes under 0. The box is narrowed inside the
-    rounding of _slice_hits by _band's margins, turned inward:
+    s^2 = 1 - d^2 sin^2 phi. For d > 1, inside the tangent, V1 = d cos phi
+    - s rises and V2 = d cos phi + s falls as |phi| grows: their slopes are
+    d sin|phi| (d cos phi / s -+ 1), and d cos phi >= s there, since
+    (d cos phi)^2 - s^2 = d^2 - 1. For d <= 1, s >= |d cos phi|, so V1 = 0
+    and V2 falls on [0, pi], with slope -d sin|phi| (1 + d cos phi / s). So
+    on |phi| <= phi_in every ray's [V1, V2] contains [a, b] = [V1(phi_in),
+    V2(phi_in)]. Then b > 0 makes V2 > 0, and each height test of _hit_mask
+    holds at its V if it holds at a or b: the base test z sin + V cos >= 0
+    takes V2 >= b for z < 0, where it needs cos(theta) > 0 and grows with
+    V, and V1 <= a for z > 0, where it holds for cos(theta) >= 0 and
+    otherwise falls with V; the top test likewise takes V1 <= a below the
+    top and V2 >= b from the top plane up. Those are the ends _box takes,
+    so every ray of _box(L, z, a, b, phi_in, 0) hits. In the base plane its
+    lower bound reads cos(theta) >= cos(pi/2) > 0, and in the top plane its
+    upper bound cos(theta) <= cos(pi/2), which the margin below takes under
+    0. The box is narrowed inside the rounding of _slice_hits by _band's
+    margins, turned inward:
 
     - a up and b down by 16 eps (1 + d). The V1, V2 that _slice_hits
       computes for a ray of the box, and the a, b computed here, are each
@@ -471,9 +500,7 @@ def _core(L: float, d: float, z: float, band: tuple[float, ...]) -> tuple[float,
       here also next to the tangent: phi_in is at most 0.95 asin(1/d), so
       c tan^2 phi <= 0.95^2 (tan is convex) and s^2 >= (1 - 0.95^2) cos^2
       phi, which keeps s good to a few eps.
-    - cos(theta) by 1e-9, as in _band.
-    - the azimuth by 1e-9, which covers the rounding of pi -+ phi_in and
-      of a ray's az - pi.
+    - cos(theta) and phi by 1e-9, as in _band.
 
     phi_in is each of _CORE_FRACTIONS times the band's half-width, asin(1/d)
     for d > 1 and pi otherwise, and the box of largest area is kept. The
@@ -484,7 +511,7 @@ def _core(L: float, d: float, z: float, band: tuple[float, ...]) -> tuple[float,
     the box is empty or not strictly inside _band's: from d of about 1e9
     on, phi_in is below 1e-9 and every fraction's box is empty.
     """
-    c_lo, c_hi, a_lo, a_hi, _ = band
+    c_lo, c_hi, phi_lo, phi_hi = band
     c = d * d - 1.0
     du = 16.0 * _EPS * (1.0 + d)
     half = math.atan2(1.0, math.sqrt(c)) if c > 0.0 else math.pi
@@ -497,36 +524,31 @@ def _core(L: float, d: float, z: float, band: tuple[float, ...]) -> tuple[float,
             continue
         s = math.sqrt(s2)
         a, b = max(0.0, d * cos_phi - s) + du, d * cos_phi + s - du
-        # cos(theta) of the rays through the base and the top at a or b
-        k_lo = math.cos(math.atan2(a if z > 0.0 else b, -z)) + _SLACK
-        k_hi = math.cos(math.atan2(a if z < L else b, L - z)) - _SLACK
-        b_lo, b_hi = math.pi - phi + _SLACK, math.pi + phi - _SLACK
-        box = (k_hi - k_lo) * (b_hi - b_lo)
-        if b > 0.0 and c_lo < k_lo < k_hi < c_hi and a_lo < b_lo < b_hi < a_hi and box > area:
-            best, area = (k_lo, k_hi, b_lo, b_hi), box
-    if best is None:
-        return None
-    return (*best, _share(*best))
+        box = k_lo, k_hi, q_lo, q_hi = _box(L, z, a, b, phi, -_SLACK)
+        w = _share(*box)
+        if b > 0.0 and c_lo < k_lo < k_hi < c_hi and phi_lo < q_lo < q_hi < phi_hi and w > area:
+            best, area = box, w
+    return best
 
 
 def _cells(L: float, d: float, z: float) -> tuple[list[float], list[tuple[float, float, float, float]]]:
     """(shares, boxes): the area shares of a call's count draw but the miss's, and the tested cells' boxes.
 
-    shares starts with _core's, 0.0 where there is no core, and then gives
-    each tested cell's. The tested cells, as (cos lo, cos hi, az lo, az hi)
-    boxes, are the frame between _core's box and _band's as four
-    rectangles: the strips below and above the core across the band's
-    width, then the strips left and right of it; without a core, the
-    band's box alone.
+    shares starts with _core's box's, 0.0 where there is no core, and then
+    gives each tested cell's, all from _share. The tested cells, as
+    (cos lo, cos hi, phi lo, phi hi) boxes, are the frame between _core's
+    box and _band's as four rectangles: the strips below and above the
+    core across the band's width, then the strips either side of it in
+    phi; without a core, the band's box alone.
     """
     band = _band(L, d, z)
-    c_lo, c_hi, a_lo, a_hi, w = band
     core = _core(L, d, z, band)
     if core is None:
-        return [0.0, w], [band[:4]]
-    k_lo, k_hi, b_lo, b_hi, w_core = core
-    boxes = [(c_lo, k_lo, a_lo, a_hi), (k_hi, c_hi, a_lo, a_hi), (k_lo, k_hi, a_lo, b_lo), (k_lo, k_hi, b_hi, a_hi)]
-    return [w_core, *(_share(*box) for box in boxes)], boxes
+        return [0.0, _share(*band)], [band]
+    c_lo, c_hi, phi_lo, phi_hi = band
+    k_lo, k_hi, q_lo, q_hi = core
+    boxes = [(c_lo, k_lo, phi_lo, phi_hi), (k_hi, c_hi, phi_lo, phi_hi), (k_lo, k_hi, phi_lo, q_lo), (k_lo, k_hi, q_hi, phi_hi)]
+    return [_share(*box) for box in (core, *boxes)], boxes
 
 
 def _run_hits(
@@ -540,7 +562,7 @@ def _run_hits(
     from j * _SLICE up to the smaller of (j + 1) * _SLICE and ends[-1]. Its
     stream is Philox(key) started at counter (j + 1) * 2^128, the stream
     Philox(key).jumped(j + 1) gives (_stream). It draws its m cos(theta)
-    uniforms, then its m azimuth uniforms, into this thread's draw buffer
+    uniforms, then its m phi uniforms, into this thread's draw buffer
     (_workspace), maps each cell's part of them onto the cell's box in
     place as lo + (hi - lo) u, which is what Generator.uniform computes, and
     hands the slice to the exact test once. A ray's verdict depends only on
@@ -554,13 +576,13 @@ def _run_hits(
         first = j * _SLICE
         m = min(_SLICE, ends[-1] - first)
         _stream(key, j + 1).random(out=draws[:2 * m])
-        cos_t, az = draws[:m], draws[m:2 * m]
-        for (lo, hi, az_lo, az_hi), a, b in zip(boxes, starts, ends):
+        cos_t, phi = draws[:m], draws[m:2 * m]
+        for (lo, hi, phi_lo, phi_hi), a, b in zip(boxes, starts, ends):
             a, b = max(a - first, 0), min(b - first, m)
             if a < b:
-                for u, x0, x1 in ((cos_t[a:b], lo, hi), (az[a:b], az_lo, az_hi)):
+                for u, x0, x1 in ((cos_t[a:b], lo, hi), (phi[a:b], phi_lo, phi_hi)):
                     np.add(x0, np.multiply(u, x1 - x0, out=u), out=u)
-        hits += _slice_hits(cos_t, az, L, d, z)
+        hits += _slice_hits(cos_t, phi, L, d, z)
     return hits
 
 
@@ -568,7 +590,7 @@ def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -
     """Isotropic ray caster for the whole closed surface.
 
     Directions are uniform on the sphere (uniform cos(theta), uniform
-    azimuth). A ray hits iff a point of it past the source lies on or inside
+    azimuth phi in [-pi, pi], 0 toward the axis). A ray hits iff a point of it past the source lies on or inside
     the closed cylinder, which _hit_mask decides from the ray's azimuth and
     polar angle, with no ray parameter and no division. The seed is the
     Philox key, which takes any integer in [0, 2^128); the call's count
@@ -581,12 +603,12 @@ def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -
     uniform scale by a power of two leaves the estimate bit-identical.
 
     Only the rays whose verdict is in doubt are drawn and tested. _band
-    bounds the hits to a rectangle in (cos theta, azimuth), widened past
-    the exact test's rounding and clipped to [-1, 1] x [0, 2 pi], with area
-    share w; _core gives a box inside it, narrowed past that rounding, on
-    which every ray hits, with share w_core; the frame between the two is
-    cut into four rectangles (_cells). Isotropic directions are uniform on
-    [-1, 1] x [0, 2 pi], so the call's rays fall into the core, the
+    bounds the hits to a rectangle in (cos theta, phi), widened past the
+    exact test's rounding and clipped to [-1, 1] x [-pi, pi]; _core gives
+    a box inside it, narrowed past that rounding, on which every ray hits;
+    the frame between the two is cut into four rectangles, and _cells
+    gives each box's area share (_share). Isotropic directions are uniform
+    on [-1, 1] x [-pi, pi], so the call's rays fall into the core, the
     rectangles and the rest of the sphere by a multinomial law over their
     areas, uniformly in each, and the rays outside the band miss the exact
     test. The call draws all these counts in one multinomial draw, the miss
@@ -601,9 +623,9 @@ def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -
     one per usable CPU, and cuts its slices into one contiguous run per
     worker. With fewer than two workers, the one run goes through map in
     the caller's thread; with two or more, the runs go to one process-wide
-    pool of one thread per CPU (_block_pool), whose threads share the CPUs
+    pool of one thread per CPU (_worker_pool), whose threads share the CPUs
     while NumPy's draws and ufuncs release the GIL. A few thousand rays do
-    not pay for the pool: the exact test makes about 30 small NumPy calls,
+    not pay for the pool: the exact test makes about 25 small NumPy calls,
     and two workers pass the GIL back and forth around them. The integer
     hit counts are summed, so the result depends on neither the dispatch
     nor the worker count. Each thread keeps its workspace (_workspace: the
@@ -633,7 +655,7 @@ def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -
     parts = max(workers, 1)
     cuts = [slices * i // parts for i in range(parts + 1)]
     run = partial(_run_hits, seed, boxes=boxes, ends=ends, L=L, d=d, z=z)
-    hits = counts[0] + sum((_block_pool().map if workers > 1 else map)(run, map(range, cuts, cuts[1:])))
+    hits = counts[0] + sum((_worker_pool().map if workers > 1 else map)(run, map(range, cuts, cuts[1:])))
 
     p = hits / samples
     return McEstimate(

@@ -96,6 +96,17 @@ def test_compute_series_route_takes_d_minus_r_unscaled(capsys, r):
     assert _omega_line(out) == shells[0] + shells[1]
 
 
+def test_compute_quadrature_route_of_a_thin_disc_inside_the_rim(capsys):
+    # the disc 1e-13 r above a source inside the rim covers about half the
+    # sphere; the quadrature route must find that within its err_estimate
+    argv = ["compute", "--L", "1", "--r", "1", "--d", "0.5", "--z", "-1e-13"]
+    _, out_auto, _ = _run(capsys, argv)
+    code, out_quad, _ = _run(capsys, argv + ["--method", "quadrature"])
+    assert code == 0 and "method = quadrature" in out_quad and "terms = +circ(L_eff=1e-13)" in out_quad
+    assert _omega_line(out_auto) == 0.49999999999993783
+    assert abs(_omega_line(out_quad) - _omega_line(out_auto)) <= 1e-10
+
+
 def test_compute_quadrature_route_of_an_enclosed_source(capsys):
     code, out, _ = _run(capsys, ["compute", "--L", "3", "--r", "2", "--d", "1", "--z", "1", "--method", "quadrature"])
     assert code == 0

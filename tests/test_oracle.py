@@ -139,11 +139,47 @@ def test_disc_reports_failure_not_garbage():
 
 
 def test_disc_at_a_tenth_of_that_height_meets_tol():
-    # R^2 is about L^2 = 1e-8 next to s = d cos(phi), where its summands in
-    # L^2 + d^2 + s (s - 2 d cos(phi)) are about d^2: in that form the
-    # rounding stalled the inner rule past its 10,000 bisections
+    # the projected-area element peaks at 1/L^2 = 1e8 next to the source's
+    # foot; a disc quadrature that forms its distance from the foot with
+    # terms of size d^2 loses that peak to rounding
     cfg = CanonicalConfig(1e-4, 1.0, 0.5)
     assert abs(oracle.quad_disc(cfg, tol=1e-10) - omega_circ(cfg).value) <= 1e-10
+
+
+@pytest.mark.parametrize("d", [0.0, 1e-9, 0.5, 0.99, 0.999999, 2.0])
+@pytest.mark.parametrize("L", [10.0**-k for k in range(2, 17)])
+def test_disc_meets_tol_on_thin_discs(L, d):
+    # a disc from 1e-2 r down to 1e-16 r above the source, seen from the
+    # axis, inside and just inside the rim and outside it: inside the rim
+    # the answer nears 1/2, and a rule that misses the thin disc returns 0
+    cfg = CanonicalConfig(L, 1.0, d)
+    assert abs(oracle.quad_disc(cfg, tol=1e-10) - omega_circ(cfg).value) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "L, d",
+    [
+        (1.0, 0.999999),
+        (1e-8, 1.0),
+        (1e-8, 1.0 - 2.0**-53),
+        (1e-12, 1.0 - 2.0**-53),
+        (1e-10, 1.0 - 1e-12),
+        (2.3764839326473235e-08, 0.999999999999999),
+        (3.405606432686025e-07, 0.999999999999991),
+        (3.990335737979116e-05, 0.9999999999958128),
+        (0.37617635396819993, 0.9999959238026642),
+        (1e-7, 1.0 + 2.0**-52),
+    ],
+)
+@pytest.mark.parametrize("tol", [1e-10, 1e-13])
+def test_disc_meets_tol_next_to_the_rim(L, d, tol):
+    # the integrand's features narrow to |d - r|, L and |d - r|/L next to
+    # psi = pi/2: a kink at (L, d) = (r, 0.999999 r), and bumps whose area
+    # a rule on psi, or on psi graded by a power, misses by 10 to 1000 tol.
+    # Behind the foot the disc's far edge d cos psi + q is as small as
+    # |d - r|, and formed as that sum it cancels to rounding
+    cfg = CanonicalConfig(L, 1.0, d)
+    assert abs(oracle.quad_disc(cfg, tol=tol) - omega_circ(cfg).value) <= tol
 
 
 @pytest.mark.parametrize(
@@ -344,19 +380,19 @@ def test_mc_runs_where_sched_getaffinity_is_missing(monkeypatch):
     cyl, src = CylinderSpec(3.0, 1.0), SourcePoint(2.0, -1.0)
     default = oracle.mc_total(cyl, src, _POOL_RAYS, seed=4)
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    # _block_pool() starts a fresh pool sized from the os.cpu_count() fallback
+    # _worker_pool() starts a fresh pool sized from the os.cpu_count() fallback
     monkeypatch.setattr(oracle, "_pool", None)
     assert oracle._usable_cpus() >= 1
     try:
         assert oracle.mc_total(cyl, src, _POOL_RAYS, seed=4) == default
     finally:
-        oracle._block_pool().shutdown()
+        oracle._worker_pool().shutdown()
 
 
 def _isotropic_draws(samples, seed):
     # isotropic rays from one Philox stream, drawn without the band
     g = np.random.Generator(np.random.Philox(key=seed))
-    return g.uniform(-1.0, 1.0, samples), g.uniform(0.0, TWO_PI, samples)
+    return g.uniform(-1.0, 1.0, samples), g.uniform(-math.pi, math.pi, samples)
 
 
 def _count_draw(L, d, z, samples, seed):
@@ -372,17 +408,17 @@ def _band_draw_hits(L, d, z, samples, seed):
     # mc_total's count by its documented layout, written apart from it: the
     # core's rays are hits untested; the tested rays, numbered in cell
     # order, go 2^15 to a slice, and slice j draws from the key's stream
-    # jumped j + 1 times cos(theta) of its rays, then their azimuth, each
-    # ray's mapped onto its cell's box
+    # jumped j + 1 times cos(theta) of its rays, then their azimuth phi,
+    # each ray's mapped onto its cell's box
     counts, boxes = _count_draw(L, d, z, samples, seed)
     cell = np.repeat(np.arange(len(boxes)), counts[1:-1])
-    lo, hi, az_lo, az_hi = np.array(boxes).T
+    lo, hi, phi_lo, phi_hi = np.array(boxes).T
     hits = counts[0]
     for j, first in enumerate(range(0, len(cell), oracle._SLICE)):
         c = cell[first:first + oracle._SLICE]
         g = np.random.Generator(np.random.Philox(key=seed).jumped(j + 1))
         u, v = g.random(len(c)), g.random(len(c))
-        hits += oracle._slice_hits(lo[c] + u * (hi[c] - lo[c]), az_lo[c] + v * (az_hi[c] - az_lo[c]), L, d, z)
+        hits += oracle._slice_hits(lo[c] + u * (hi[c] - lo[c]), phi_lo[c] + v * (phi_hi[c] - phi_lo[c]), L, d, z)
     return hits
 
 
@@ -436,7 +472,7 @@ def test_mc_cull_keeps_the_exact_test_count(L, d, z):
     assert est.hit_fraction == _band_draw_hits(L, d, z, samples, seed) / samples
 
 
-_WHOLE_SPHERE = (-1.0, 1.0, 0.0, TWO_PI, 1.0)
+_WHOLE_SPHERE = (-1.0, 1.0, -math.pi, math.pi)
 
 
 @pytest.mark.parametrize("L, d, z", [c for c in _CULL_CASES if oracle._band(*c) != _WHOLE_SPHERE])
@@ -444,22 +480,22 @@ def test_mc_rays_just_outside_the_band_miss(L, d, z):
     # rays up to `width` outside an edge of the widened, clipped band: the
     # exact test must call every one of them a miss, or the cull would drop
     # a hit (an edge clipped to the sphere has no rays outside it)
-    c_lo, c_hi, a_lo, a_hi, _ = oracle._band(L, d, z)
+    c_lo, c_hi, phi_lo, phi_hi = oracle._band(L, d, z)
     rng = np.random.default_rng(3)
     n = 4000
     cos_in = rng.uniform(c_lo, c_hi, n)
-    az_in = rng.uniform(a_lo, a_hi, n)
+    phi_in = rng.uniform(phi_lo, phi_hi, n)
     for width in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3):
         step = rng.uniform(0.0, width, n)
         rays = [
-            (np.minimum(c_hi + step, 1.0), az_in),
-            (np.maximum(c_lo - step, -1.0), az_in),
-            (cos_in, np.minimum(a_hi + step, TWO_PI)),
-            (cos_in, np.maximum(a_lo - step, 0.0)),
+            (np.minimum(c_hi + step, 1.0), phi_in),
+            (np.maximum(c_lo - step, -1.0), phi_in),
+            (cos_in, np.minimum(phi_hi + step, math.pi)),
+            (cos_in, np.maximum(phi_lo - step, -math.pi)),
         ]
-        for cos_t, az in rays:
-            out = (cos_t < c_lo) | (cos_t > c_hi) | (az < a_lo) | (az > a_hi)
-            assert oracle._slice_hits(cos_t[out], az[out], L, d, z) == 0, width
+        for cos_t, phi in rays:
+            out = (cos_t < c_lo) | (cos_t > c_hi) | (phi < phi_lo) | (phi > phi_hi)
+            assert oracle._slice_hits(cos_t[out], phi[out], L, d, z) == 0, width
 
 
 def _benchmark_like_sources(seed, n):
@@ -489,23 +525,24 @@ def test_mc_rays_inside_the_core_hit(L, d, z):
     # core a hit, its edges and corners included, or counting the core's rays
     # untested would add a miss as a hit
     band = oracle._band(L, d, z)
-    c_lo, c_hi, a_lo, a_hi, w = band
+    c_lo, c_hi, phi_lo, phi_hi = band
     core = oracle._core(L, d, z, band)
     if core is None:
         # only where the band is narrower than its and the core's margins
-        assert min(c_hi - c_lo, a_hi - a_lo) < 4.0 * oracle._SLACK
+        assert min(c_hi - c_lo, phi_hi - phi_lo) < 4.0 * oracle._SLACK
         return
-    k_lo, k_hi, b_lo, b_hi, w_core = core
-    assert c_lo < k_lo < k_hi < c_hi and a_lo < b_lo < b_hi < a_hi and 0.0 < w_core < w
-    assert w_core == pytest.approx((k_hi - k_lo) * (b_hi - b_lo) / (4.0 * math.pi), rel=1e-15)
+    k_lo, k_hi, q_lo, q_hi = core
+    w, w_core = oracle._share(*band), oracle._share(*core)
+    assert c_lo < k_lo < k_hi < c_hi and phi_lo < q_lo < q_hi < phi_hi and 0.0 < w_core < w
+    assert w_core == pytest.approx((k_hi - k_lo) * (q_hi - q_lo) / (4.0 * math.pi), rel=1e-15)
     rng = np.random.default_rng(_CORE_CASES.index((L, d, z)))
     n = 4000
-    cos_in, az_in = rng.uniform(k_lo, k_hi, n), rng.uniform(b_lo, b_hi, n)
+    cos_in, phi_in = rng.uniform(k_lo, k_hi, n), rng.uniform(q_lo, q_hi, n)
     cos_edge = np.where(rng.random(n) < 0.5, k_lo, k_hi)
-    az_edge = np.where(rng.random(n) < 0.5, b_lo, b_hi)
-    corners = np.array([k_lo, k_lo, k_hi, k_hi]), np.array([b_lo, b_hi, b_lo, b_hi])
-    for cos_t, az in [(cos_in, az_in), (cos_edge, az_in), (cos_in, az_edge), corners]:
-        assert oracle._slice_hits(cos_t, az, L, d, z) == len(cos_t)
+    phi_edge = np.where(rng.random(n) < 0.5, q_lo, q_hi)
+    corners = np.array([k_lo, k_lo, k_hi, k_hi]), np.array([q_lo, q_hi, q_lo, q_hi])
+    for cos_t, phi in [(cos_in, phi_in), (cos_edge, phi_in), (cos_in, phi_edge), corners]:
+        assert oracle._slice_hits(cos_t, phi, L, d, z) == len(cos_t)
 
 
 @pytest.mark.parametrize("L, d, z", [(3.0, 0.5, 1.5), (1.0, 0.0, 0.5), (1.0, 1.0, 0.5), (1.0, 1.0 - _EDGE, 0.5), (1e-6, 0.99, 5e-7)])
@@ -515,27 +552,46 @@ def test_mc_band_of_an_enclosed_or_wall_source_is_the_whole_sphere(L, d, z):
 
 
 def test_mc_band_of_a_face_source_is_the_half_sphere_below():
-    c_lo, c_hi, a_lo, a_hi, w = oracle._band(1.0, 0.3, 1.0)
-    assert c_lo == -1.0 and 0.0 < c_hi <= 2e-9 and (a_lo, a_hi) == (0.0, TWO_PI)
-    assert w == (c_hi + 1.0) / 2.0
+    band = c_lo, c_hi, phi_lo, phi_hi = oracle._band(1.0, 0.3, 1.0)
+    assert c_lo == -1.0 and 0.0 < c_hi <= 2e-9 and (phi_lo, phi_hi) == (-math.pi, math.pi)
+    assert oracle._share(*band) == (c_hi + 1.0) / 2.0
 
 
 def test_mc_far_band_keeps_few_rays():
     # the mc_oracle-like far source: about 0.5 % of directions reach the cylinder
-    cos_t, az = _isotropic_draws(100_000, 5)
-    c_lo, c_hi, a_lo, a_hi, _ = oracle._band(0.05, 40.0, 0.01)
-    kept = np.count_nonzero((cos_t >= c_lo) & (cos_t <= c_hi) & (az >= a_lo) & (az <= a_hi))
+    cos_t, phi = _isotropic_draws(100_000, 5)
+    c_lo, c_hi, phi_lo, phi_hi = oracle._band(0.05, 40.0, 0.01)
+    kept = np.count_nonzero((cos_t >= c_lo) & (cos_t <= c_hi) & (phi >= phi_lo) & (phi <= phi_hi))
     assert kept < 100
 
 
 @pytest.mark.parametrize("L, d, z", _CULL_CASES + [(1.0, 0.3, 1.0), (3.0, 0.5, 1.5), (1.0, 5.0, 0.5)])
 def test_mc_draw_box_is_the_clipped_band_and_its_area_share(L, d, z):
-    c_lo, c_hi, a_lo, a_hi, w = oracle._band(L, d, z)
-    assert -1.0 <= c_lo < c_hi <= 1.0 and 0.0 <= a_lo < a_hi <= TWO_PI and 0.0 < w <= 1.0
-    assert w == pytest.approx((c_hi - c_lo) * (a_hi - a_lo) / (4.0 * math.pi), rel=1e-15)
+    band = c_lo, c_hi, phi_lo, phi_hi = oracle._band(L, d, z)
+    w = oracle._share(*band)
+    assert -1.0 <= c_lo < c_hi <= 1.0 and -math.pi <= phi_lo < phi_hi <= math.pi and 0.0 < w <= 1.0
+    assert w == pytest.approx((c_hi - c_lo) * (phi_hi - phi_lo) / (4.0 * math.pi), rel=1e-15)
     # the whole rectangle, with w = 1 exactly, for a source inside or on the wall only
     enclosed = d <= 1.0 and 0.0 < z < L
-    assert ((c_lo, c_hi, a_lo, a_hi, w) == _WHOLE_SPHERE) == enclosed
+    assert (band == _WHOLE_SPHERE) == enclosed == (w == 1.0)
+
+
+@pytest.mark.parametrize("L, d, z", _CORE_CASES)
+def test_mc_boxes_and_exact_test_are_symmetric_in_phi(L, d, z):
+    # the band and the core are symmetric about phi = 0 bit for bit, and a
+    # ray at -phi gets the exact test's verdict at phi: on the band, and
+    # within 64 ulps of each box's edges in phi
+    band = oracle._band(L, d, z)
+    core = oracle._core(L, d, z, band)
+    boxes = [band] if core is None else [band, core]
+    assert all(box[2] == -box[3] for box in boxes)
+    rng = np.random.default_rng(_CORE_CASES.index((L, d, z)))
+    n = 4000
+    edges = np.array([box[3] for box in boxes])[rng.integers(0, len(boxes), n)]
+    cos_t = rng.uniform(band[0], band[1], 2 * n)
+    phi = np.concatenate([rng.uniform(0.0, band[3], n), edges + rng.integers(-64, 65, n) * np.spacing(edges)])
+    hits = oracle._hit_mask(cos_t, phi, L, d, z).copy()
+    assert np.array_equal(oracle._hit_mask(cos_t, -phi, L, d, z), hits)
 
 
 @pytest.mark.parametrize("L, d, z, n", [(1.0, 5.0, 0.5, 100_000), (1.0, 0.3, 1.0, 10_000)])
@@ -556,7 +612,7 @@ def test_mc_in_band_count_is_binomial(monkeypatch, L, d, z, n):
     # with the tested rays' hits at 0, a call's hits are the core's count
     monkeypatch.setattr(oracle, "_run_hits", recording)
     shares = oracle._cells(L, d, z)[0]
-    assert shares[0] == oracle._core(L, d, z, oracle._band(L, d, z))[4] > 0.0 and len(shares) == 5
+    assert shares[0] == oracle._share(*oracle._core(L, d, z, oracle._band(L, d, z))) > 0.0 and len(shares) == 5
     shares.append(1.0 - sum(shares))
     N = 1000
     rows = []
@@ -632,19 +688,18 @@ def test_mc_very_far_source_is_zero_without_warnings():
 @pytest.mark.parametrize("d", [1e6, 1e7, 1e8, 1e10, 1e14])
 def test_slice_hits_keeps_the_tangent_of_a_far_source(d):
     # nearly horizontal rays from z = r/2 at L = r reach the wall inside the
-    # slab, so the azimuth alone decides: a hit within asin(r/d) of pi
+    # slab, so the azimuth alone decides: a hit within asin(r/d) of phi = 0
     L, z = 1.0, 0.5
     tangent = math.asin(1.0 / d)
     rng = np.random.default_rng(8)
     n = 400_000
     cos_t = rng.uniform(-0.4 / d, 0.4 / d, n)
-    az = math.pi + rng.choice((-1.0, 1.0), n) * rng.uniform(0.0, 3.0 * tangent, n)
-    # the drawn azimuth's offset from pi itself, not from the double math.pi
-    off = np.abs((az - math.pi) - 1.2246467991473532e-16) / tangent
+    phi = rng.choice((-1.0, 1.0), n) * rng.uniform(0.0, 3.0 * tangent, n)
+    off = np.abs(phi) / tangent
     outside, inside = (off >= 1.05) & (off <= 3.0), off <= 0.95
     assert np.count_nonzero(outside) > n // 2 and np.count_nonzero(inside) > n // 5
-    assert oracle._slice_hits(cos_t[outside], az[outside], L, d, z) == 0
-    assert oracle._slice_hits(cos_t[inside], az[inside], L, d, z) == np.count_nonzero(inside)
+    assert oracle._slice_hits(cos_t[outside], phi[outside], L, d, z) == 0
+    assert oracle._slice_hits(cos_t[inside], phi[inside], L, d, z) == np.count_nonzero(inside)
 
 
 def test_mc_enclosed_source_in_a_huge_cylinder_hits_everything_without_warnings():
@@ -663,9 +718,12 @@ def test_mc_rejects_ratios_that_overflow(L, r, d, z):
         oracle.mc_total(CylinderSpec(L, r), SourcePoint(d, z), 1000)
 
 
-# (L, d, z, cos(theta), azimuth, hit) at r = 1. Surfaces are closed and a hit
-# needs t > 0: a ray that runs along a face or the wall hits, a ray that only
-# touches the surface at its own source point does not.
+# (L, d, z, cos(theta), az, hit) at r = 1, az = phi + pi the azimuth from the
+# direction away from the axis, in which the rays were first tabulated and
+# which their test ids spell: the tests hand the exact test phi = az - pi,
+# which is exact for az = pi. Surfaces are closed and a hit needs t > 0: a
+# ray that runs along a face or the wall hits, a ray that only touches the
+# surface at its own source point does not.
 _DEGENERATE_RAYS = [
     # on the axis below the base
     (1.0, 0.0, -1.0, 1.0, 0.0, True),
@@ -721,25 +779,26 @@ _DEGENERATE_RAYS = [
 
 @pytest.mark.parametrize("L, d, z, cos_t, az, hit", _DEGENERATE_RAYS)
 def test_slice_hits_degenerate_rays(L, d, z, cos_t, az, hit):
-    got = oracle._slice_hits(np.array([cos_t]), np.array([az]), L, d, z)
+    got = oracle._slice_hits(np.array([cos_t]), np.array([az - math.pi]), L, d, z)
     assert got == int(hit)
 
 
 def test_slice_hits_counts_each_ray_once():
     cos_t = np.array([r[3] for r in _DEGENERATE_RAYS[:5]])
-    az = np.array([r[4] for r in _DEGENERATE_RAYS[:5]])
-    assert oracle._slice_hits(cos_t, az, 1.0, 0.0, -1.0) == 2
+    phi = np.array([r[4] for r in _DEGENERATE_RAYS[:5]]) - math.pi
+    assert oracle._slice_hits(cos_t, phi, 1.0, 0.0, -1.0) == 2
 
 
-def _t_interval_hits(cos_t, az, L, px, pz):
-    # reference model: the ray-parameter form of the exact test. The ray is
-    # inside the infinite shell for t between the roots of a t^2 + 2 b t + c,
-    # c = px^2 - 1, with b^2 - a c taken as vx^2 - c vy^2, and inside the slab
-    # between -pz / vz and (L - pz) / vz; it hits where the two intervals meet
-    # at t > 0
+def _t_interval_hits(cos_t, phi, L, px, pz):
+    # reference model: the ray-parameter form of the exact test, the source
+    # at (px, 0, pz) and the axis along x = y = 0, so that phi = 0 points
+    # along -x. The ray is inside the infinite shell for t between the roots
+    # of a t^2 + 2 b t + c, c = px^2 - 1, with b^2 - a c taken as
+    # vx^2 - c vy^2, and inside the slab between -pz / vz and (L - pz) / vz;
+    # it hits where the two intervals meet at t > 0
     c = px * px - 1.0
     sin_t = np.sqrt(np.maximum(0.0, 1.0 - cos_t * cos_t))
-    vx, vy = sin_t * np.cos(az), sin_t * np.sin(az)
+    vx, vy = -sin_t * np.cos(phi), sin_t * np.sin(phi)
     a, b = vx * vx + vy * vy, px * vx
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         disc = vx * vx - c * (vy * vy)
@@ -758,13 +817,12 @@ def _t_interval_hits(cos_t, az, L, px, pz):
     return (lo <= hi) & (hi > 0.0)
 
 
-def _edge_margins(L, d, z, cos_t, az):
+def _edge_margins(L, d, z, cos_t, phi):
     # the exact test's three conditions for one ray at 40 digits, each as its
     # distance from the edge relative to the size of its terms: the shell
     # (cos^2 phi - c sin^2 phi), the base and the top
     with mpmath.workdps(40):
-        L, d, z, ct = (mpmath.mpf(float(v)) for v in (L, d, z, cos_t))
-        phi = mpmath.mpf(float(az)) - mpmath.pi
+        L, d, z, ct, phi = (mpmath.mpf(float(v)) for v in (L, d, z, cos_t, phi))
         cp, sp, st = mpmath.cos(phi), mpmath.sin(phi), mpmath.sqrt(1 - ct * ct)
         c = d * d - 1
         s2 = cp * cp - c * sp * sp
@@ -796,20 +854,20 @@ _MODEL_SOURCES = [
 @pytest.mark.parametrize("L, d, z", _MODEL_SOURCES)
 def test_exact_test_matches_the_t_interval_model_ray_by_ray(L, d, z):
     # seeded rays over the whole sphere, on the clipped band, and across the
-    # silhouette (1.5 times asin(r/d) either side of pi)
+    # silhouette (1.5 times asin(r/d) either side of phi = 0)
     n = 20_000
     rng = np.random.default_rng(_MODEL_SOURCES.index((L, d, z)))
-    c_lo, c_hi, a_lo, a_hi, _ = oracle._band(L, d, z)
+    c_lo, c_hi, phi_lo, phi_hi = oracle._band(L, d, z)
     half = math.asin(1.0 / d) if d > 1.0 else math.pi
-    for cos_t, az in [
-        (rng.uniform(-1.0, 1.0, n), rng.uniform(0.0, TWO_PI, n)),
-        (rng.uniform(c_lo, c_hi, n), rng.uniform(a_lo, a_hi, n)),
-        (rng.uniform(c_lo, c_hi, n), math.pi + rng.uniform(-1.5, 1.5, n) * half),
+    for cos_t, phi in [
+        (rng.uniform(-1.0, 1.0, n), rng.uniform(-math.pi, math.pi, n)),
+        (rng.uniform(c_lo, c_hi, n), rng.uniform(phi_lo, phi_hi, n)),
+        (rng.uniform(c_lo, c_hi, n), rng.uniform(-1.5, 1.5, n) * half),
     ]:
-        got = oracle._hit_mask(cos_t, az, L, d, z).copy()
-        split = np.flatnonzero(got != _t_interval_hits(cos_t, az, L, d, z))
-        assert split.size == 0, [(cos_t[j], az[j], got[j], _edge_margins(L, d, z, cos_t[j], az[j])) for j in split[:5]]
-        assert oracle._slice_hits(cos_t, az, L, d, z) == np.count_nonzero(got)
+        got = oracle._hit_mask(cos_t, phi, L, d, z).copy()
+        split = np.flatnonzero(got != _t_interval_hits(cos_t, phi, L, d, z))
+        assert split.size == 0, [(cos_t[j], phi[j], got[j], _edge_margins(L, d, z, cos_t[j], phi[j])) for j in split[:5]]
+        assert oracle._slice_hits(cos_t, phi, L, d, z) == np.count_nonzero(got)
 
 
 @pytest.mark.parametrize(
@@ -817,40 +875,40 @@ def test_exact_test_matches_the_t_interval_model_ray_by_ray(L, d, z):
     [(1.0, 1.0 + _EDGE, 0.5), (1.0, 1.0 - _TOUCH, 1.5), (0.0, 0.5, -1.0), (0.05, 40.0, 0.01), (3.0, 2.0, -1.0), (1.0, 1e8, -1.0)],
 )
 def test_exact_test_and_t_interval_model_split_only_within_an_ulp_of_an_edge(L, d, z):
-    # rays within 64 ulps of the silhouette (or of pi -+ pi/2) in azimuth and
-    # of a slab edge seen at the near, far and tangent distances in cos(theta):
+    # rays within 64 ulps of the silhouette (or of -+ pi/2) in phi and of a
+    # slab edge seen at the near, far and tangent distances in cos(theta):
     # where the two tests disagree, the ray lies within 2 eps of an edge at 40
     # digits, so either verdict is a rounding of it
     c, n = d * d - 1.0, 20_000
     rng = np.random.default_rng(5)
     half = math.asin(1.0 / d) if d > 1.0 else math.pi / 2
-    edge = np.where(rng.random(n) < 0.5, math.pi - half, math.pi + half)
-    az = edge + rng.integers(-64, 65, n) * np.spacing(edge)
+    edge = np.where(rng.random(n) < 0.5, -half, half)
+    phi = edge + rng.integers(-64, 65, n) * np.spacing(edge)
     u = np.array([max(0.0, d - 1.0), d + 1.0, math.sqrt(abs(c)), d])[rng.integers(0, 4, n)]
     steep = np.cos(np.arctan2(u, np.where(rng.random(n) < 0.5, -z, L - z)))
     cos_t = np.clip(steep + rng.integers(-64, 65, n) * np.spacing(np.abs(steep)), -1.0, 1.0)
-    got = oracle._hit_mask(cos_t, az, L, d, z).copy()
-    split = np.flatnonzero(got != _t_interval_hits(cos_t, az, L, d, z))
+    got = oracle._hit_mask(cos_t, phi, L, d, z).copy()
+    split = np.flatnonzero(got != _t_interval_hits(cos_t, phi, L, d, z))
     assert split.size <= n // 100
     for j in split:
-        assert min(_edge_margins(L, d, z, cos_t[j], az[j])) <= 2.0 * _EDGE, (cos_t[j], az[j])
+        assert min(_edge_margins(L, d, z, cos_t[j], phi[j])) <= 2.0 * _EDGE, (cos_t[j], phi[j])
 
 
 def test_exact_test_of_a_vertical_ray_when_l_minus_z_overflows():
     # L - z is inf: the largest double in its place keeps the hit
     L, d, z = 1e308, 0.5, -1e308
-    cos_t, az = np.array([1.0, 1.0, -1.0, 0.5]), np.array([0.0, math.pi, 0.0, 1.0])
-    want = _t_interval_hits(cos_t, az, L, d, z)
+    cos_t, phi = np.array([1.0, 1.0, -1.0, 0.5]), np.array([math.pi, 0.0, math.pi, 1.0 - math.pi])
+    want = _t_interval_hits(cos_t, phi, L, d, z)
     assert want.tolist() == [True, True, False, False]
-    assert oracle._hit_mask(cos_t, az, L, d, z).tolist() == want.tolist()
+    assert oracle._hit_mask(cos_t, phi, L, d, z).tolist() == want.tolist()
 
 
 def test_mc_reuses_one_block_pool():
     cyl, src = CylinderSpec(3.0, 1.0), SourcePoint(2.0, -1.0)
     oracle.mc_total(cyl, src, _POOL_RAYS, seed=4)
-    pool = oracle._block_pool()
+    pool = oracle._worker_pool()
     oracle.mc_total(cyl, src, _POOL_RAYS, seed=5)
-    assert oracle._block_pool() is pool
+    assert oracle._worker_pool() is pool
 
 
 def _mc_in_child(expected):
@@ -945,9 +1003,9 @@ def test_mc_shared_slices_count_is_the_sum_of_its_blocks(monkeypatch, L, d, z, s
     assert len(pieces) > slices and (slices == 1 or len(pieces) > len(boxes))
     lengths, exact = [], oracle._slice_hits
 
-    def recording(cos_t, az, *args):
+    def recording(cos_t, phi, *args):
         lengths.append(len(cos_t))
-        return exact(cos_t, az, *args)
+        return exact(cos_t, phi, *args)
 
     # one run of all the slices, in the caller's thread: full slices, then the rest
     monkeypatch.setattr(oracle, "_slice_hits", recording)
@@ -971,9 +1029,9 @@ def test_mc_cost_follows_the_tested_rays_not_the_samples(monkeypatch):
     L, d, z, samples = 1.0, 1000.0, 0.5, 10**12
     calls, streams, exact, stream = [], [], oracle._slice_hits, oracle._stream
 
-    def counting(cos_t, az, *args):
+    def counting(cos_t, phi, *args):
         calls.append(len(cos_t))
-        return exact(cos_t, az, *args)
+        return exact(cos_t, phi, *args)
 
     def counted_stream(key, counter):
         streams.append(counter)
@@ -1003,27 +1061,27 @@ def test_mc_accepts_the_largest_multinomial_count(samples):
 def test_mc_small_call_does_not_use_the_pool(monkeypatch):
     # about 51 expected in-band rays out of 10^7: far less than one slice
     L, d, z = _DISPATCH_CASES[0]
-    w = oracle._band(L, d, z)[4]
+    w = oracle._share(*oracle._band(L, d, z))
     assert 10**7 * w < oracle._SLICE
 
     def no_pool():
         raise AssertionError("a call with less than a slice of expected rays used the pool")
 
     expected = oracle.mc_total(CylinderSpec(L, 1.0), SourcePoint(d, z), 10**7, seed=3)
-    monkeypatch.setattr(oracle, "_block_pool", no_pool)
+    monkeypatch.setattr(oracle, "_worker_pool", no_pool)
     assert oracle.mc_total(CylinderSpec(L, 1.0), SourcePoint(d, z), 10**7, seed=3) == expected
 
 
 def test_mc_large_call_uses_the_pool_when_it_has_two_workers(monkeypatch):
     # about 74k tested rays: two full slices
     L, d, z = _DISPATCH_CASES[1]
-    calls, pool = [], oracle._block_pool
+    calls, pool = [], oracle._worker_pool
 
     def counted_pool():
         calls.append(1)
         return pool()
 
-    monkeypatch.setattr(oracle, "_block_pool", counted_pool)
+    monkeypatch.setattr(oracle, "_worker_pool", counted_pool)
     oracle.mc_total(CylinderSpec(L, 1.0), SourcePoint(d, z), _POOL_RAYS, seed=3)
     assert len(calls) == (oracle._usable_cpus() > 1)
 
@@ -1057,14 +1115,14 @@ def test_slice_hits_scratch_carries_nothing_between_slices():
     # longer-than-slice input, each tested in a fresh thread and then in
     # one thread in both orders
     L, d, z = _DISPATCH_CASES[1]
-    c_lo, c_hi, a_lo, a_hi, _ = oracle._band(L, d, z)
+    c_lo, c_hi, phi_lo, phi_hi = oracle._band(L, d, z)
     rng = np.random.default_rng(12)
     slices = []
     for n in (oracle._SLICE, 1, oracle._SLICE + 5, 1, oracle._SLICE):
-        slices.append((rng.uniform(c_lo, c_hi, n), rng.uniform(a_lo, a_hi, n)))
+        slices.append((rng.uniform(c_lo, c_hi, n), rng.uniform(phi_lo, phi_hi, n)))
     # a one-ray slice that hits, after full slices whose last rays miss and the other way round
-    slices[1] = (np.array([0.5]), np.array([math.pi]))
-    slices[3] = (np.array([0.9]), np.array([0.0]))
+    slices[1] = (np.array([0.5]), np.array([0.0]))
+    slices[3] = (np.array([0.9]), np.array([math.pi]))
 
     def counts(order):
         return [oracle._slice_hits(*slices[i], L, d, z) for i in order]
