@@ -138,22 +138,35 @@ def _in_units_of_r(
 
 
 def _gk15(f, a: float, b: float) -> tuple[float, float]:
-    """(15-point Kronrod value, |Kronrod - 7-point Gauss value|) of f on [a, b]."""
+    """(15-point Kronrod value, error estimate) of f on [a, b].
+
+    The estimate is the larger of |Kronrod - 7-point Gauss| and QUADPACK
+    qk15's, resasc min(1, (200 |K - G| / resasc)^1.5) floored at 50 eps
+    resabs, where resabs and resasc are the Kronrod integrals of |f| and
+    |f - mean|: the raw difference alone reads low where neither rule
+    resolves a feature of the panel.
+    """
     c, h = 0.5 * (a + b), 0.5 * (b - a)
     fc = f(c)
     k, g = _GK15_CENTRE[0] * fc, _GK15_CENTRE[1] * fc
+    nodes = [(_GK15_CENTRE[0], fc)]
     for x, wk, wg in _GK15:
-        pair = f(c - h * x) + f(c + h * x)
-        k, g = k + wk * pair, g + wg * pair
-    return k * h, abs((k - g) * h)
+        f1, f2 = f(c - h * x), f(c + h * x)
+        k, g = k + wk * (f1 + f2), g + wg * (f1 + f2)
+        nodes += (wk, f1), (wk, f2)
+    raw = abs((k - g) * h)
+    resabs, resasc = (abs(h) * sum(w * abs(v - shift) for w, v in nodes) for shift in (0.0, 0.5 * k))
+    # min(1, x^1.5) taken before the power, which overflows for a tiny resasc
+    est = resasc if 200.0 * raw >= resasc else resasc * (200.0 * raw / resasc) ** 1.5
+    return k * h, max(raw, est, 50.0 * _EPS * resabs)
 
 
 def _run_quad(f, a: float, b: float, epsabs: float, epsrel: float, what: str) -> float:
     """Integral of f over [a, b] by adaptive Gauss-Kronrod 7/15 quadrature.
 
     QUADPACK's QAG policy (Piessens et al., QUADPACK, 1983): a heap holds
-    the panels, and the one with the largest error estimate, |Kronrod -
-    Gauss| on it, is bisected, until the summed estimate is at most
+    the panels, and the one with the largest _gk15 error estimate is
+    bisected, until the summed estimate is at most
     max(epsabs, epsrel * |value|). After _SUBDIV bisections without that, it
     raises OracleFailure naming what. Every oracle here decides convergence
     through this one test.

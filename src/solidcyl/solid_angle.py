@@ -30,8 +30,14 @@ omega_cyl0
 
 omega_circ
     End disc of radius r at axial distance L from the source plane, source at
-    radial distance d from the disc axis. The default path uses only first
-    and second kind integrals, with m' = 1-m and a signed amplitude
+    radial distance d from the disc axis. At and outside the rim (d >= r) it
+    is the near face below plus the shell, CIRC = FACE + CYL0. The paper's
+    d > r form is 1/4 minus terms of order 1, which leaves a disc seen
+    edge-on or from a few radii away right only in absolute terms; FACE
+    and CYL0 each vanish with L, so their sum keeps a small disc's relative
+    accuracy (far off the plane, L >> r, they near -1/4 and 1/4 and cancel,
+    as every closed form does there). Inside the rim the path uses only
+    first and second kind integrals, with m' = 1-m and a signed amplitude
     sin(eps) = sgn(d-r) sqrt((1-n)/(1-m)):
 
         omega = 1/4 - (2 pi)^-1 { 2r/(d+r) sqrt(1-m/n) K(m)
@@ -40,8 +46,8 @@ omega_circ
     The paper writes this as two forms with eps >= 0, one for d > r and one
     for d < r. F(eps|m') and E(eps|m') are odd in eps, and the paper's
     radial factors n/(1+sqrt(1-n)) = 1 - sqrt(1-n) (d > r) and
-    1 + sqrt(1-n) (d < r) both equal 2r/(d+r), so one expression covers
-    both sides of the rim, as in Macklin's form. E(eps|m') is DLMF
+    1 + sqrt(1-n) (d < r) both equal 2r/(d+r), so the d < r form is the
+    d > r expression at eps < 0, as in Macklin's form. E(eps|m') is DLMF
     19.25.9's sum m F(eps|m') + (m m'/3) sin^3(eps) R_D(cos^2(eps), 1, n)
     + m' sin(eps) L/sqrt(L^2 + (d-r)^2) (at r = 1), whose terms share the
     sign of eps; F - (m'/3) sin^3(eps) R_D(cos^2(eps), n, 1) cancels two
@@ -51,8 +57,9 @@ omega_circ
     The third-kind form and the Macklin form are kept as cross-check paths;
     all three agree to roundoff away from d = r.
 
-near face (omega_total only)
-    Below the base outside the shell, omega_total needs CIRC(h) - CYL0(h).
+near face
+    Below the base outside the shell, omega_total needs CIRC(h) - CYL0(h),
+    and omega_circ at d >= r adds CYL0 back.
     The shell form and the disc's third-kind form carry the same complete
     Pi(n; m) and K(m), which cancel in closed form (see _face):
 
@@ -60,7 +67,8 @@ near face (omega_total only)
                               sin^3(gamma_o) R_J(cos^2, y, 1, sqrt(1-n))
                               - 2r/(d+r) sin(gamma_o) R_F(cos^2, y, 1) ]
 
-    It is -1/4 + omega_circ's equal-distance form at d = r and 0 at h = 0.
+    At d = r it is the equal-distance form below minus 1/4, and at h = 0
+    it is CIRC(0): 0 outside the rim and 1/4 on it.
 
 Each quantity has one route: the exact limits below where they apply, the
 elliptic form everywhere else. The large-L series (omega_cyl0_series) and
@@ -68,21 +76,23 @@ the disc cross-check paths are separate functions for verification only;
 no evaluator takes a route argument. Each closed form takes its exact parts
 and calls elliptic.carlson_* once per distinct argument tuple, with no
 wrapper in between: the shell term takes 1 R_F + 1 R_J and one
-arctangent, the disc term 1 R_F + 1 R_D at epsilon plus one AGM loop for
-its complete K(m) and K(m) - E(m) (elliptic._complete_pair, also the K of
-the equal-distance form), the near face 1 R_F + 1 R_J, the third-kind disc
-form 1 R_F + 1 R_J and the Macklin form 3 R_F + 3 R_D. So a 2-term or
-3-term omega_total costs 2 R_F + 2 R_J, and no hot-path kernel call has a
-zero argument.
+arctangent, the near face 1 R_F + 1 R_J, the disc inside the rim
+1 R_F + 1 R_D at epsilon plus one AGM loop for its complete K(m) and
+K(m) - E(m) (elliptic._complete_pair, also the K of the near face's
+equal-distance form), the disc at d >= r, face plus shell, 2 R_F + 2 R_J
+and one arctangent, the third-kind disc form 1 R_F + 1 R_J and the
+Macklin form 3 R_F + 3 R_D. So a 2-term or 3-term omega_total costs
+2 R_F + 2 R_J, and no hot-path kernel call has a zero argument.
 
 Each canonical term is one private function of plain floats at r = 1:
 _shell(L, d, t), _disc(L, d, t) and _face(h, d, t), with t = d - 1. Each
 takes the term's exact limits, then evaluates its closed form, and returns
 (value, method, err). The shell and the near face compute only the gamma_o
-parts of the parameters (_gamma_params), the disc only the epsilon parts
-(_eps_params). omega_total runs geometry's float case split and sums these
-functions directly; omega_cyl0 and omega_circ validate their input and call
-the same functions, and params_from_geometry and omega_cyl0_series work in
+parts of the parameters (_gamma_params), the disc inside the rim only the
+epsilon parts (_eps_params); at d >= r the disc is _face plus _shell, so
+the three call each other in that one direction only. omega_total runs
+geometry's float case split and sums these functions directly; omega_cyl0
+and omega_circ validate their input and call the same functions, and params_from_geometry and omega_cyl0_series work in
 the same units. So the answer is the same at any uniform scale, whether
 omega_total forms the canonical terms or a caller passes one directly.
 
@@ -117,8 +127,9 @@ Special values (the formulas above degenerate there, exact limits are used):
 omega_cyl0 = 1/4 at d = r with L > 0, and 0 at L = 0; omega_circ at L = 0 is
 {0, 1/4, 1/2} for d {>, =, <} r; on axis omega_circ = (1 - L/hyp)/2, which is
 evaluated as r^2/(2 hyp (hyp + L)) with hyp = sqrt(L^2+r^2) so that a far
-disc keeps its relative accuracy; at d = r
-omega_circ = 1/4 - sqrt(1-m1) K(m1)/(2 pi) with m1 = 4r^2/(L^2+4r^2).
+disc keeps its relative accuracy; at d = r the near face is
+-sqrt(1-m1) K(m1)/(2 pi) with m1 = 4r^2/(L^2+4r^2), and omega_circ is that
+plus the shell's 1/4.
 Note omega_cyl0 is discontinuous at the corner (d -> r+, L -> 0).
 """
 
@@ -215,7 +226,8 @@ class EllipticParams:
 
     so neither 1 - n sin^2(gamma_o) nor 1 - m' sin^2(eps) has a field of its
     own. sin_epsilon carries the sign of d - r (eps < 0 inside the rim),
-    which lets the disc's two forms be one; sqrt_one_minus_n is
+    which writes the paper's d < r disc form as its d > r one; omega_circ
+    evaluates that form only inside the rim. sqrt_one_minus_n is
     |d-r|/(d+r). The gamma_o parts exist only for d >= r (lateral-surface
     geometry), the epsilon parts only for m_prime > 0 (m itself may round up
     to 1.0 while the complement is still resolved); the unused entries are
@@ -330,9 +342,7 @@ def params_from_geometry(cfg: CanonicalConfig) -> EllipticParams:
             "omega_circ handles that case in closed form"
         )
     m, n, m_prime, s_n, s_mn, s_e, c2_e = _eps_params(L, d, t)
-    s_g = c2_g = y_g = None
-    if t >= 0.0:
-        s_g, c2_g, y_g = _gamma_params(L, d, t)[4:]
+    s_g, c2_g, y_g = _gamma_params(L, d, t)[4:] if t >= 0.0 else (None, None, None)
     return EllipticParams(m, n, m_prime, s_n, s_mn, s_n * s_n, s_g, c2_g, y_g, s_e, c2_e)
 
 
@@ -446,39 +456,29 @@ def omega_cyl0_series(cfg: CanonicalConfig, terms: int = 3) -> SolidAngle:
     if not all(map(math.isfinite, (t1, t2, t3)[: min(terms + 1, 3)])):
         raise DivergentError(f"the 1/L^2 expansion overflows at L/r = {L!r}; use omega_cyl0")
 
-    total = t1
-    if terms >= 2:
-        total += t2
-    if terms == 3:
-        total += t3
+    total = t1 if terms == 1 else t1 + t2 if terms == 2 else t1 + t2 + t3
     err = abs((t2, t3, t3)[terms - 1]) / _TWO_PI
     return SolidAngle(max(0.0, total / _TWO_PI), Method.SERIES, err)
 
 
-def _equal_distance_gap(L: float) -> float:
-    # 1/4 - omega_circ at d = r = 1, L > 0: both complete integrals collapse
-    # onto m1 = 4 / (L^2 + 4). Work with the complement (L/hypot)^2 so K
-    # stays finite when m1 rounds to 1. L = inf (L/r overflowed) is the far
-    # limit m1 = 0. Of m1 itself K needs only the AGM's stop test, for
-    # which 1 - m1c serves.
-    sqrt_m1c = L / math.hypot(L, 2.0) if L < math.inf else 1.0
-    m1c = sqrt_m1c * sqrt_m1c
-    if m1c == 0.0:
-        # sqrt_m1c * K underflows past the last digit of 1/4
-        return 0.0
-    return sqrt_m1c * elliptic._complete_pair(1.0 - m1c, m1c)[0] / _TWO_PI
-
-
 def _disc(L: float, d: float, t: float) -> tuple[float, Method, float]:
-    """(value, method, err) of the disc term at r = 1 for d >= 0, t = d - 1."""
+    """(value, method, err) of the disc term at r = 1 for d >= 0, t = d - 1.
+
+    At and outside the rim the disc is the near face plus the shell,
+    CIRC = FACE + CYL0, summed as omega_total sums the pair. Both vanish
+    with L, so a disc seen edge-on is not 1/4 minus terms of order 1, as in
+    the paper's d > r form. Inside the rim it is the first/second-kind
+    form.
+    """
+    if t >= 0.0:
+        (v1, m1, e1), (v2, m2, e2) = _face(L, d, t), _shell(L, d, t)
+        return v1 + v2, m2 if m1 is _SPECIAL else m1, e1 + e2
     if L == 0.0:
-        return (0.0 if t > 0.0 else (0.25 if t == 0.0 else 0.5)), _SPECIAL, 0.0
+        return 0.5, _SPECIAL, 0.0
     if d < _NEAR_AXIS:  # on the axis to within roundoff
         hyp = math.hypot(L, 1.0)
         # 1 - L/hyp without the cancellation that ruins it for L >> r
         return 0.5 / (hyp * (hyp + L)), _SPECIAL, _ERR_SPECIAL
-    if t == 0.0:
-        return 0.25 - _equal_distance_gap(L), _SPECIAL, _ERR_SPECIAL
     m, n, m_prime, _, s_mn, s_e, c2_e = _eps_params(L, d, t)
     # K and K - E come from one AGM loop. K - E scales with m, so m is taken
     # as 1 - m' where that subtraction rounds once (m' < 1/2): near m = 1 it
@@ -496,16 +496,19 @@ def _disc(L: float, d: float, t: float) -> tuple[float, Method, float]:
     rd = elliptic.carlson_rd(c2_e, 1.0, n)
     E_eps = m * F_eps + s_e * m_prime * ((m / 3.0) * s_e * s_e * rd + L / math.hypot(L, t))
     cross = K * E_eps - K_minus_E * F_eps
-    # the paper's n/(1 + sqrt(1-n)) (d > r) and 1 + sqrt(1-n) (d < r) are
-    # both 2/(d+1), and sin(eps) carries the sign of t: one form for both sides
+    # the paper's d < r factor 1 + sqrt(1-n) is 2/(d+1), and its sign flips
+    # of the eps terms are carried by sin(eps) < 0
     return 0.25 - ((2.0 / (d + 1.0)) * s_mn * K + cross) / _TWO_PI, _ELLIPTIC, _ERR_ELLIPTIC
 
 
 def omega_circ(cfg: CanonicalConfig) -> SolidAngle:
     """End disc of radius r at axial distance L, source at radial distance d.
 
-    Default evaluation uses the first/second-kind form; exact limits (L = 0,
-    d = 0, d = r) take their closed expressions.
+    At and outside the rim (d >= r) it is the near face plus the shell,
+    _face + _shell, as omega_total sums that pair below the base; that sum
+    keeps a small disc accurate relative to its value. Inside the rim the
+    first/second-kind form is the route. Exact limits (L = 0, d = 0, d = r)
+    take their closed expressions.
     """
     return SolidAngle(*_disc(*_units(cfg.L, cfg.r, cfg.d)))
 
@@ -524,11 +527,19 @@ def _face(h: float, d: float, t: float) -> tuple[float, Method, float]:
     one R_F and one R_J, both at gamma_o.
     """
     if h == 0.0:
-        return _disc(0.0, d, t)  # CYL0(0) = 0
+        # CYL0(0) = 0, and CIRC(0) is 0 outside the rim and 1/4 on it
+        return (0.0 if t > 0.0 else 0.25), _SPECIAL, 0.0
     if t == 0.0:
-        # both shells are exactly 1/4 at d = r, so CYL0(L+h) plus this rounds
-        # to omega_circ's equal-distance value bit for bit
-        return -_equal_distance_gap(h), _SPECIAL, _ERR_SPECIAL
+        # CIRC(h) - 1/4 at d = r = 1, h > 0: both complete integrals collapse
+        # onto m1 = 4 / (h^2 + 4). Work with the complement (h/hypot)^2 so K
+        # stays finite when m1 rounds to 1. h = inf (h/r overflowed) is the
+        # far limit m1 = 0. Of m1 itself K needs only the AGM's stop test,
+        # for which 1 - m1c serves.
+        sqrt_m1c = h / math.hypot(h, 2.0) if h < _INF else 1.0
+        m1c = sqrt_m1c * sqrt_m1c
+        # where m1c underflows, sqrt_m1c K falls past the last digit of 1/4
+        gap = sqrt_m1c * elliptic._complete_pair(1.0 - m1c, m1c)[0] / _TWO_PI if m1c > 0.0 else 0.0
+        return -gap, _SPECIAL, _ERR_SPECIAL
     n, _, s_n, s_mn, s_g, c2_g, y_g = _gamma_params(h, d, t)
     third = s_g * s_g * s_g * elliptic.carlson_rj(c2_g, y_g, 1.0, s_n)
     first = s_g * elliptic.carlson_rf(c2_g, y_g, 1.0)

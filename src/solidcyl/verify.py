@@ -90,9 +90,7 @@ def _disc_ratio(rng: random.Random) -> float:
 
 def _rel(a: float, b: float) -> float:
     scale = max(abs(a), abs(b))
-    if scale == 0.0:
-        return 0.0
-    return abs(a - b) / scale
+    return abs(a - b) / scale if scale != 0.0 else 0.0
 
 
 def _rel_floored(a: float, b: float) -> float:
@@ -102,7 +100,8 @@ def _rel_floored(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-4)
 
 
-@_suite(1e-10)  # pairwise relative (abs floor 1e-14), three disc paths; 1.1e-11
+@_suite(1e-10)  # three disc paths pairwise relative (abs floor 1e-14), 1.1e-11;
+# then omega_circ vs the third-kind form outside the rim, plain relative, 6.2e-14
 def suite_disc_cross(points: int, rng: random.Random) -> Iterator[tuple[float, str]]:
     for _ in range(points):
         cfg = CanonicalConfig(_log_uniform(rng, 0.01, 100.0), 1.0, _disc_ratio(rng))
@@ -110,6 +109,13 @@ def suite_disc_cross(points: int, rng: random.Random) -> Iterator[tuple[float, s
         b = solid_angle.omega_circ_third_kind(cfg).value
         c = solid_angle.omega_circ_macklin(cfg).value
         dev = max(_rel_floored(a, b), _rel_floored(a, c), _rel_floored(b, c))
+        yield dev, f"(L={cfg.L!r}, r=1.0, d={cfg.d!r})"
+    # outside the rim omega_circ is the near face plus the shell, and the
+    # third-kind form carries sqrt(1-m/n) outside its bracket: neither
+    # cancels a disc seen edge-on, so these agree relative to the value
+    for _ in range(points):
+        cfg = CanonicalConfig(_log_uniform(rng, 1e-12, 10.0), 1.0, _log_uniform(rng, 1.01, 10.0))
+        dev = _rel(solid_angle.omega_circ(cfg).value, solid_angle.omega_circ_third_kind(cfg).value)
         yield dev, f"(L={cfg.L!r}, r=1.0, d={cfg.d!r})"
 
 

@@ -79,7 +79,7 @@ def test_compute_series_route_is_tagged_series(capsys):
     code, out, _ = _run(capsys, ["compute", "--L", "20", "--r", "1", "--d", "1.01", "--z", "-1", "--method", "series"])
     assert code == 0
     assert "method = series" in out
-    assert "omega = 0.088505521667603448" in out
+    assert "omega = 0.088505521667603504" in out
     code, out, _ = _run(capsys, ["compute", "--L", "20", "--r", "1", "--d", "1.01", "--z", "10", "--method", "series"])
     assert code == 0 and "method = series" in out
 
@@ -347,6 +347,16 @@ def test_table_quantity_circ_rows_are_omega_circ(capsys):
         assert float(row[4]) == res.value and row[5] == res.method.value
 
 
+def test_table_quantity_circ_keeps_an_edge_on_disc_relative_exact(capsys):
+    # a disc 1e-9 r off the source plane, seen from 100 r: the first/second-kind
+    # form, 1/4 minus terms of order 1, printed 3.9e-16, 55 % off
+    code, out, _ = _run(capsys, ["table", "--quantity", "circ", "--L", "1e-9", "--d", "100"])
+    assert code == 0
+    got = float(out.splitlines()[1].split(",")[4])
+    # 50-digit quadrature of the positive d > r disc integrand
+    assert got == pytest.approx(2.50028127929986618121857747593e-16, rel=1e-13, abs=0.0)
+
+
 def test_table_steradians_scales_rows(capsys):
     _, plain, _ = _run(capsys, ["table", "--L", "1", "--d", "2"])
     _, scaled, _ = _run(capsys, ["table", "--L", "1", "--d", "2", "--steradians"])
@@ -497,6 +507,27 @@ def test_paper_form_fails_a_shell_with_its_rj_term_off_by_1e9(monkeypatch):
     assert verify_mod.run_suite("paper_form", 200, 0).passed
     monkeypatch.setattr(sa, "elliptic", ScaledRJ())
     res = verify_mod.run_suite("paper_form", 200, 0)
+    assert not res.passed, res.line()
+
+
+def test_disc_cross_fails_a_face_with_its_rj_term_off_by_1e9(monkeypatch):
+    # omega_circ outside the rim is the near face plus the shell, so the disc
+    # suite also checks the fused term omega_total takes below the base;
+    # _face is the one R_J caller with z = 1 and x > 0 (the third-kind
+    # form's R_J has x = 0)
+    sa = verify_mod.solid_angle
+
+    class ScaledFaceRJ:
+        def __getattr__(self, name):
+            return getattr(elliptic, name)
+
+        @staticmethod
+        def carlson_rj(x, y, z, p):
+            return elliptic.carlson_rj(x, y, z, p) * (1.0 + 1e-9 if z == 1.0 and x > 0.0 else 1.0)
+
+    assert verify_mod.run_suite("disc_cross", 200, 0).passed
+    monkeypatch.setattr(sa, "elliptic", ScaledFaceRJ())
+    res = verify_mod.run_suite("disc_cross", 200, 0)
     assert not res.passed, res.line()
 
 

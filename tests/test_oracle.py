@@ -146,6 +146,27 @@ def test_disc_at_a_tenth_of_that_height_meets_tol():
     assert abs(oracle.quad_disc(cfg, tol=1e-10) - omega_circ(cfg).value) <= 1e-10
 
 
+def test_disc_quadrature_per_side_of_pi_over_2_meets_tol():
+    # quad_disc's integrand next to the rim, taken as one quadrature per side
+    # of psi = pi/2, each graded toward pi/2: the far side's |Kronrod - Gauss|
+    # read 1.4e-10 where its error was 6.4e-10, and the sum missed by
+    # 1.03e-10; QUADPACK's qk15 estimate does not read low there
+    L, d = 0.37617635396819993, 0.9999959238026642
+    c = (d - 1.0) * (d + 1.0)
+
+    def side(sign, v):
+        x = math.pi / 2 * math.exp(-v)
+        cos_p, sin_p = math.cos(math.pi / 2 + sign * x), math.sin(math.pi / 2 + sign * x)
+        near, q = d * cos_p, math.sqrt(max(0.0, cos_p * cos_p - c * (sin_p * sin_p)))
+        # inside the rim the near distance is 0, so the integrand is 1 - cos t2
+        s = math.sin(0.5 * math.atan2(near + q if near >= 0.0 else -c / (q - near), L))
+        return x * 2.0 * s * s
+
+    tol = 1e-10
+    total = sum(oracle._run_quad(partial(side, sign), 0.0, 40.0, tol * TWO_PI, tol, "disc side") for sign in (-1.0, 1.0))
+    assert abs(total / TWO_PI - omega_circ(CanonicalConfig(L, 1.0, d)).value) <= tol
+
+
 @pytest.mark.parametrize("d", [0.0, 1e-9, 0.5, 0.99, 0.999999, 2.0])
 @pytest.mark.parametrize("L", [10.0**-k for k in range(2, 17)])
 def test_disc_meets_tol_on_thin_discs(L, d):

@@ -419,6 +419,78 @@ def test_circ_near_the_rim_at_small_L_matches_the_paper_form(L, d):
     assert abs(got - _paper_circ(L, d)) <= 1e-15
 
 
+def _disc_quadrature(L, r, d):
+    """omega_circ for d > r by 50-digit quadrature of a disc integrand whose parts are all positive.
+
+    At r = 1 the disc is (2 pi)^-1 int_0^psi0 h (R2^2 - R1^2) / (A1 A2 (A1 + A2)) dpsi,
+    R1,2 = d cos psi -+ sqrt(1 - d^2 sin^2 psi), A_i = sqrt(h^2 + R_i^2),
+    sin psi0 = 1/d. With sin psi = sin(psi0) cos v, c = d^2 - 1 and
+    R2 = sqrt(c + sin^2 v) + sin v, R1 = c/R2, it is
+
+        (h / 2 pi) int_0^{pi/2} 4 sin^2 v / (A1 A2 (A1 + A2)) dv.
+
+    The integrand changes shape at v ~ sqrt(c), so Gauss-Legendre panels
+    break at each decade of v from 0.1 down past sqrt(c); h stays outside
+    the integral so that the rule's absolute stop test sees an integrand of
+    order one.
+    """
+    with mpmath.workdps(50):
+        L, r, d = mpmath.mpf(L), mpmath.mpf(r), mpmath.mpf(d)
+        h, c = L / r, (d - r) / r * (d / r + 1)
+
+        def integrand(v):
+            s = mpmath.sin(v)
+            R2 = mpmath.sqrt(c + s * s) + s
+            A1, A2 = mpmath.hypot(h, c / R2), mpmath.hypot(h, R2)
+            return 4 * s * s / (A1 * A2 * (A1 + A2))
+
+        cuts = [mpmath.mpf(10) ** -k for k in range(int(-mpmath.log10(c) / 2) + 2, 0, -1)]
+        return float(h * mpmath.quad(integrand, [0, *cuts, mpmath.pi / 2], method="gauss-legendre") / (2 * mpmath.pi))
+
+
+_RIM_OFFSETS = (1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 9.0, 29.0, 99.0)
+
+
+@pytest.mark.parametrize("L", [1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0])
+def test_circ_outside_the_rim_is_relative_exact(L):
+    # the near face plus the shell; the first/second-kind form, 1/4 minus
+    # terms of order 1, missed (L, d) = (1e-12, 2) by 7.7e-4 and (1e-9, 100)
+    # by 0.55 relative
+    for t in _RIM_OFFSETS:
+        got = omega_circ(CanonicalConfig(L, 1.0, 1.0 + t)).value
+        assert got == pytest.approx(_disc_quadrature(L, 1.0, 1.0 + t), rel=1e-13, abs=0.0), (L, t)
+
+
+# relative errors of the first/second-kind form that omega_circ took at
+# d > r before, against _disc_quadrature at the offsets _RIM_OFFSETS,
+# rounded down to two digits. Past L = 10 r every closed form loses digits
+# to cancellation (ROADMAP item 5); the near face plus the shell may not
+# lose more than ten times as many
+_FIRST_SECOND_KIND_FAR_ERRORS = {
+    30.0: (1.1e-13, 6.7e-14, 1.7e-13, 2.6e-14, 6.8e-14, 1.3e-14, 7.2e-14, 2.0e-13, 8.0e-12),
+    100.0: (4.1e-13, 7.1e-13, 1.6e-12, 3.0e-13, 1.9e-12, 1.1e-12, 3.2e-12, 1.0e-12, 1.5e-11),
+    1e3: (4.4e-11, 4.4e-11, 1.5e-10, 6.2e-11, 7.2e-11, 1.6e-10, 3.3e-11, 3.3e-10, 6.0e-11),
+    1e4: (1.6e-8, 1.6e-8, 5.3e-9, 5.3e-9, 1.9e-8, 2.8e-8, 2.6e-9, 1.2e-8, 2.6e-9),
+}
+
+
+@pytest.mark.parametrize("L", sorted(_FIRST_SECOND_KIND_FAR_ERRORS))
+def test_circ_outside_the_rim_far_off_the_plane_keeps_its_digits(L):
+    for t, before in zip(_RIM_OFFSETS, _FIRST_SECOND_KIND_FAR_ERRORS[L]):
+        ref = _disc_quadrature(L, 1.0, 1.0 + t)
+        got = omega_circ(CanonicalConfig(L, 1.0, 1.0 + t)).value
+        assert abs(got - ref) <= 10.0 * before * ref, (L, t)
+
+
+def test_circ_one_ulp_outside_the_rim_at_a_huge_scale():
+    # L/r = 8e-49 and d one ulp past r: the disc is 6.09e-34, and the
+    # first/second-kind form returned 7.6e-15
+    cfg = CanonicalConfig(1.6578419131090095e95, 2.084705223392084e143, 2.0847052233920845e143)
+    ref = _disc_quadrature(cfg.L, cfg.r, cfg.d)
+    assert omega_circ(cfg).value == pytest.approx(ref, rel=1e-15, abs=0.0)
+    assert ref == pytest.approx(6.0904e-34, rel=1e-4)
+
+
 @pytest.mark.parametrize("h", [1e151, 1e152, 1e153, 1.3e154])
 @pytest.mark.parametrize("d", [0.14, 0.9, 2.0, 470.0])
 def test_disc_far_field_is_a_tiny_fraction(h, d):
@@ -524,8 +596,9 @@ def _carlson_calls(monkeypatch, fn, cfg):
     [
         (omega_cyl0, 1.0, 2.0, {"carlson_rf": 1, "carlson_rj": 1}),
         (omega_cyl0, 1e-3, 1.0 + 1e-9, {"carlson_rf": 1, "carlson_rj": 1}),
+        # outside the rim: the near face plus the shell
+        (omega_circ, 1.0, 2.0, {"carlson_rf": 2, "carlson_rj": 2}),
         # K and K - E come from the AGM loop, not from the kernels
-        (omega_circ, 1.0, 2.0, {"carlson_rf": 1, "carlson_rd": 1}),
         (omega_circ, 1.0, 0.5, {"carlson_rf": 1, "carlson_rd": 1}),
         (omega_circ_third_kind, 1.0, 2.0, {"carlson_rf": 1, "carlson_rj": 1}),
         (omega_circ_third_kind, 1.0, 0.5, {"carlson_rf": 1, "carlson_rj": 1}),
