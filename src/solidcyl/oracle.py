@@ -40,30 +40,33 @@ The discriminant has no d^2-sized terms to cancel, so the tangent test is
 good to a few eps at any source distance, and the test has no division.
 
 The exact test runs only on the rays whose verdict is in doubt: a squeeze
-(Marsaglia, Comput. Math. Appl. 3 (1977) 321) between two boxes in
-(cos theta, phi), both symmetric about phi = 0 and both from one rule
-(_box). Outside the cylinder's bounding band in polar angle and azimuth,
-widened past the exact test's own rounding and clipped to [-1, 1] x
-[-pi, pi] (_band), every ray misses; inside the core, narrowed past that
-rounding (_core), every ray hits.
-Only the frame between them, cut into four rectangles, is tested.
-Isotropic rays are uniform on the (cos theta, phi) rectangle, so a
-call's n rays fall into the cells by a multinomial law over their areas,
-uniformly within each. A call draws every cell's count at once, one
-multinomial draw from the stream of its key at counter 0, and adds the
-core's count to the hits. It numbers the tested rays in cell order and
-cuts them into 2^15-ray slices; each slice is a Philox stream of its own,
-draws its rays uniformly on their cells and is tested once. So the hit
-count has the distribution it has when all n rays are drawn and tested,
-and the call's cost follows its tested rays, not n. A source inside the
-cylinder or on its wall has a band of the whole sphere. Away from the
-wall its core is all but about 1e-9 of the sphere; on the wall, where
-V2 = 2 cos phi vanishes at |phi| = pi/2, a quarter of it. The integer hit
-counts of the slices are summed, so the estimate is bit-identical however
-the slices are run: in one contiguous run per worker, on a pool of one
-thread per usable CPU for a call with two or more full slices (and two
-CPUs to share them), in the caller's thread otherwise. The exact test
-works in its thread's scratch arrays, not fresh temporaries (_workspace).
+(Marsaglia, Comput. Math. Appl. 3 (1977) 321) between boxes in (cos
+theta, phi), all from one rule (_box). Outside the cylinder's bounding
+band in polar angle and azimuth, widened past the exact test's own
+rounding and clipped to [-1, 1] x [-pi, pi] (_band), every ray misses.
+The band's half phi >= 0 is cut into 32 strips in phi, graded toward the
+tangent outside the wall (_cells). In a strip the wall range [V1, V2]
+moves one way as |phi| grows, so each strip has a certain box in cos
+theta, taken at its outer edge and narrowed past that rounding, where
+every ray hits, inside a possible box, taken at its inner edge and
+widened, outside which every ray misses. Only the two cells between them,
+below and above the certain box, are tested. The exact test gives a ray
+at -phi the verdict at phi, bit for bit, so only phi >= 0 is drawn and
+each cell counts for itself and its mirror. Isotropic rays are uniform on
+the (cos theta, phi) rectangle, so a call's n rays fall into the cells by
+a multinomial law over their areas, uniformly within each. A call draws
+every cell's count at once, one multinomial draw from the stream of its
+key at counter 0, and adds the certain boxes' count to the hits. It
+numbers the tested rays in cell order and cuts them into 2^12-ray slices;
+each slice is a Philox stream of its own, draws its rays uniformly on
+their cells and is tested once. So the hit count has the distribution it
+has when all n rays are drawn and tested, and the call's cost follows its
+tested rays, not n. A source inside the cylinder has a band of the whole
+sphere, all but about 1e-9 of it certain; on the wall, where V2 = 2 cos
+phi vanishes at |phi| = pi/2, about half of it. Every call runs in its
+caller's thread, and the exact test works in that thread's scratch
+arrays, not fresh temporaries (_workspace); the integer hit counts of
+the slices are summed, so the estimate is bit-identical from run to run.
 
 The three quadratures share one integrator, _run_quad: adaptive
 Gauss-Kronrod 7/15 after QUADPACK's QAG, with the qk15 nodes and weights
@@ -76,12 +79,8 @@ from __future__ import annotations
 import heapq
 import math
 import operator
-import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from functools import partial
-from itertools import accumulate
 
 import numpy as np
 
@@ -111,11 +110,12 @@ _GK15 = (
     (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
 )
 _GK15_CENTRE = (0.209482141084727828012999174891714, 0.417959183673469387755102040816327)
-_SLICE = 1 << 15  # tested rays per Philox stream and exact-test call, a multiple of 16
+_SLICE = 1 << 12  # tested rays per Philox stream and exact-test call, a multiple of 16
 _EPS = sys.float_info.epsilon
-_SLACK = 1e-9  # absolute widening of the band, and narrowing of the core, in cos(theta) and phi
-# the core's half-width in azimuth as shares of the band's; the whole of it only for d < r
-_CORE_FRACTIONS = (0.25, 0.5, 0.7, 0.85, 0.95, 1.0)
+_SLACK = 1e-9  # absolute widening of the band and the possible boxes, and narrowing of the certain boxes
+_STRIPS = 32  # strips in phi, each a certain-hit box in cos(theta) between two tested cells
+_STEPS = np.arange(_STRIPS + 1) / _STRIPS
+_TURN = np.array(((1.0,), (-1.0,)))  # margins out at a strip's inner edge, in at its outer edge
 
 
 def _in_units_of_r(
@@ -296,43 +296,6 @@ class McEstimate:
             raise DomainError(f"seed must lie in [0, 2^128), the Philox key range; got {self.seed!r}")
 
 
-def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _worker_pool() -> ThreadPoolExecutor:
-    """The process's ray-casting workers, one thread per usable CPU, started on first use.
-
-    mc_total uses it only for a call with two or more full slices of tested
-    rays, giving each worker one contiguous run of slices; a smaller call
-    runs in the caller's thread. Each pool thread keeps its workspace
-    (about 1.6 MB) for its life.
-    The threads outlive a call: threads started per call can begin before
-    the last call's threads have handed back their malloc arenas, get fresh
-    arenas, and leave another worker's draw buffer and scratch resident,
-    which raises the process's peak RSS.
-    """
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=_usable_cpus())
-        return _pool
-
-
-def _forget_pool() -> None:
-    # a forked child has none of its parent's threads
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 _local = threading.local()
 
 
@@ -340,11 +303,12 @@ def _workspace(n: int) -> tuple[np.ndarray, ...]:
     """This thread's work arrays: a float draw buffer, then four float and two bool scratch arrays cut to length n.
 
     _run_hits draws a slice's rays, cos(theta) and then phi, into the
-    draw buffer, 2 * _SLICE long (512 kB), and _hit_mask works in the
-    scratch arrays, _SLICE long (about 1.1 MB together). All are allocated
-    on a thread's first use, replaced only when a longer n needs longer
-    scratch, and kept for the thread's life, so that neither the draws nor
-    the exact test allocate arrays per slice.
+    draw buffer, 2 * _SLICE long (64 kB), and _hit_mask works in the
+    scratch arrays, _SLICE long (136 kB together): about 200 kB for each
+    thread that calls mc_total. All are allocated on a thread's first use,
+    replaced only when a longer n needs longer scratch, and kept for the
+    thread's life, so that neither the draws nor the exact test allocate
+    arrays per slice.
     """
     arrays = getattr(_local, "arrays", None)
     if arrays is None or len(arrays[1]) < n:
@@ -431,22 +395,22 @@ def _share(lo: float, hi: float, phi_lo: float, phi_hi: float) -> float:
     return (hi - lo) / 2.0 * ((phi_hi - phi_lo) / _TWO_PI)
 
 
-def _box(L: float, z: float, a: float, b: float, half: float, slack: float) -> tuple[float, float, float, float]:
-    """(cos lo, cos hi, phi lo, phi hi): the rays with |phi| <= half whose height tests hold at a or b, moved out by slack.
+def _box(L: float, z: float, a, b, slack):
+    """(cos lo, cos hi): the rays whose height tests hold at a or b, each bound moved out by slack.
 
-    Units of r, a <= b horizontal distances from the source. A ray is at
+    Units of r, a and b the near and far horizontal distances from the
+    source, floats or NumPy arrays taken element by element. A ray is at
     the height z + u cot(theta) at the horizontal distance u, so it is at
     or above the base there iff cos(theta) >= cos atan2(u, -z), and at or
-    below the top iff cos(theta) <= cos atan2(u, L - z). The box holds the
-    rays above the base at a for z > 0 and at b otherwise, and below the
-    top at a for z < L and at b otherwise: the ends of [a, b] at which each
-    set of cos(theta) is widest. Each of the four bounds is then moved out
-    by slack, or in by -slack for slack < 0; the box is symmetric about
-    phi = 0 bit for bit.
+    below the top iff cos(theta) <= cos atan2(u, L - z). The range holds
+    the rays above the base at a for z > 0 and at b otherwise, and below
+    the top at a for z < L and at b otherwise: the ends of [a, b] at which
+    each set of cos(theta) is widest. Each bound is then moved out by
+    slack, or in by -slack for slack < 0.
     """
-    lo = math.cos(math.atan2(a if z > 0.0 else b, -z)) - slack
-    hi = math.cos(math.atan2(a if z < L else b, L - z)) + slack
-    return lo, hi, -(half + slack), half + slack
+    lo = np.cos(np.arctan2(a if z > 0.0 else b, -z)) - slack
+    hi = np.cos(np.arctan2(a if z < L else b, L - z)) + slack
+    return lo, hi
 
 
 def _band(L: float, d: float, z: float) -> tuple[float, float, float, float]:
@@ -457,7 +421,7 @@ def _band(L: float, d: float, z: float) -> tuple[float, float, float, float]:
     in [0, L]; for d > 1 its azimuth also lies within atan(1/sqrt(d^2 - 1))
     = asin(1/d) of phi = 0. Above the base at some such u means above it at
     the range's near end for z > 0 and its far end otherwise, and likewise
-    below the top, so _box with that range and half-width bounds every hit.
+    below the top, so _box with that range bounds every hit's cos(theta).
     The band is widened past the rounding of _slice_hits, so that a ray
     outside it is a miss there as well:
 
@@ -474,128 +438,140 @@ def _band(L: float, d: float, z: float) -> tuple[float, float, float, float]:
       both sides good to a few eps relative, which is a few eps of asin(1/d)
       in angle.
 
-    The band is then clipped to [-1, 1] x [-pi, pi]. A source inside the
-    cylinder or on its wall has the half-width pi, so it gets that whole
-    rectangle, whose _share is 1 exactly.
+    The band is then clipped to [-1, 1] x [-pi, pi]; it is symmetric about
+    phi = 0 bit for bit. A source inside the cylinder or on its wall has
+    the half-width pi, so it gets that whole rectangle, whose _share is 1
+    exactly.
     """
     c = d * d - 1.0
     du = 16.0 * _EPS * (1.0 + d)
     half = math.atan2(1.0, math.sqrt(c)) if c > 0.0 else math.pi
-    lo, hi, phi_lo, phi_hi = _box(L, z, max(0.0, d - 1.0 - du), d + 1.0 + du, half, _SLACK)
-    return max(lo, -1.0), min(hi, 1.0), max(phi_lo, -math.pi), min(phi_hi, math.pi)
+    lo, hi = _box(L, z, max(0.0, d - 1.0 - du), d + 1.0 + du, _SLACK)
+    phi = min(half + _SLACK, math.pi)
+    return max(float(lo), -1.0), min(float(hi), 1.0), -phi, phi
 
 
-def _core(L: float, d: float, z: float, band: tuple[float, ...]) -> tuple[float, float, float, float] | None:
-    """(cos lo, cos hi, phi lo, phi hi): a box inside _band's where _slice_hits finds only hits; or None.
+def _cells(L: float, d: float, z: float) -> tuple[np.ndarray, np.ndarray]:
+    """(shares, boxes): the area shares of a call's count draw but the miss's, and the tested cells' boxes.
 
-    band is _band(L, d, z), which the caller has at hand. Units of r,
-    s^2 = 1 - d^2 sin^2 phi. For d > 1, inside the tangent, V1 = d cos phi
-    - s rises and V2 = d cos phi + s falls as |phi| grows: their slopes are
-    d sin|phi| (d cos phi / s -+ 1), and d cos phi >= s there, since
-    (d cos phi)^2 - s^2 = d^2 - 1. For d <= 1, s >= |d cos phi|, so V1 = 0
-    and V2 falls on [0, pi], with slope -d sin|phi| (1 + d cos phi / s). So
-    on |phi| <= phi_in every ray's [V1, V2] contains [a, b] = [V1(phi_in),
-    V2(phi_in)]. Then b > 0 makes V2 > 0, and each height test of _hit_mask
-    holds at its V if it holds at a or b: the base test z sin + V cos >= 0
+    Units of r, c = d^2 - 1, s^2 = cos^2 phi - c sin^2 phi. _hit_mask gives
+    a ray at -phi the verdict at phi bit for bit, and the band is symmetric
+    in phi, so only phi >= 0 is drawn: a cell's share is that of its box
+    and the box's mirror, twice _share. The band's half phi >= 0 is cut
+    into K = _STRIPS strips [phi_j, phi_j+1] of the half-width h, asin(1/d)
+    for d > 1 and pi otherwise: graded toward the tangent for d > 1,
+    phi_j = h (1 - (1 - j/K)^2), and uniform otherwise; the last strip ends
+    at the band's edge.
+
+    In a strip the wall range [V1, V2] of _hit_mask moves one way. For
+    d > 1, inside the tangent, V1 = d cos phi - s rises and V2 = d cos phi
+    + s falls as phi grows: their slopes are d sin phi (d cos phi / s -+
+    1), and d cos phi >= s there, since (d cos phi)^2 - s^2 = d^2 - 1. For
+    d <= 1, s >= |d cos phi|, so V1 = 0 and V2 falls on [0, pi], with slope
+    -d sin phi (1 + d cos phi / s). So every ray of the strip has a [V1,
+    V2] that lies inside [V1, V2] at phi_j and contains [a, b] = [V1, V2]
+    at phi_j+1. The latter makes each ray hit whose cos(theta) is in
+    _box(L, z, a, b, 0), where b > 0: V2 >= b > 0, and each height test
+    holds at its V if it holds at a or b. The base test z sin + V cos >= 0
     takes V2 >= b for z < 0, where it needs cos(theta) > 0 and grows with
     V, and V1 <= a for z > 0, where it holds for cos(theta) >= 0 and
     otherwise falls with V; the top test likewise takes V1 <= a below the
-    top and V2 >= b from the top plane up. Those are the ends _box takes,
-    so every ray of _box(L, z, a, b, phi_in, 0) hits. In the base plane its
-    lower bound reads cos(theta) >= cos(pi/2) > 0, and in the top plane its
-    upper bound cos(theta) <= cos(pi/2), which the margin below takes under
-    0. The box is narrowed inside the rounding of _slice_hits by _band's
-    margins, turned inward:
+    top and V2 >= b from the top plane up. Those are the ends _box takes.
+    In the base plane its lower bound reads cos(theta) >= cos(pi/2) > 0,
+    and in the top plane its upper bound cos(theta) <= cos(pi/2), which
+    the margin below takes under 0. In the same way _box on [V1, V2] at
+    phi_j holds every hit of the strip, as _band's box holds every hit.
 
-    - a up and b down by 16 eps (1 + d). The V1, V2 that _slice_hits
-      computes for a ray of the box, and the a, b computed here, are each
-      within a few eps (1 + d) of their exact values, as _band argues, and
-      here also next to the tangent: phi_in is at most 0.95 asin(1/d), so
-      c tan^2 phi <= 0.95^2 (tan is convex) and s^2 >= (1 - 0.95^2) cos^2
-      phi, which keeps s good to a few eps.
-    - cos(theta) and phi by 1e-9, as in _band.
+    So each strip is cut in cos(theta) into a certain box, where every ray
+    hits, between two tested cells, below and above it, that fill the
+    possible box; outside the possible box every ray misses. Each is _box
+    with _band's margins, turned in for the certain box and out for the
+    possible one:
 
-    phi_in is each of _CORE_FRACTIONS times the band's half-width, asin(1/d)
-    for d > 1 and pi otherwise, and the box of largest area is kept. The
-    last fraction, the whole half-width, is tried only for d < 1, where
-    c < 0 and s^2 = cos^2 phi - c sin^2 phi is a sum, good to a few eps
-    everywhere. A fraction gives no box where s^2 or b is not positive
-    (for d from 1.3e154 on, c = d^2 - 1 is inf and s^2 is -inf), or where
-    the box is empty or not strictly inside _band's: from d of about 1e9
-    on, phi_in is below 1e-9 and every fraction's box is empty.
+    - V1 and V2 by du = 16 eps (1 + d), and for d > 1 by du / sqrt(1 - f^2),
+      f = phi/h at the strip's outer edge moved out by 1e-9. d cos phi is
+      good to a few eps d, and s^2 to a few eps cos^2 phi: inside the
+      tangent both of its terms are at most cos^2 phi. For d <= 1, s^2 is a
+      sum and s, at most 1, is good to a few eps. For d > 1, s = cos phi
+      sqrt(1 - c tan^2 phi), and c tan^2 phi <= (tan phi / tan h)^2 <= f^2
+      since tan is convex, so s, at least cos phi sqrt(1 - f^2), is good to
+      a few eps cos phi / sqrt(1 - f^2). Each ray of the strip, and each
+      edge, has an f no larger, so its V1 and V2 are good to a few eps (1 +
+      d) / sqrt(1 - f^2), in _slice_hits and here alike.
+    - the certain box's outer edge by 1e-9 in phi, which takes in the
+      rounding of the rays mapped onto the strip (at most pi, where V2 is
+      flat); a ray mapped onto a strip is never below its inner edge, since
+      lo + (hi - lo) u rounds to at least lo. cos(theta) by 1e-9, as in
+      _band.
+
+    The certain box is cut to the possible box, and the possible box to the
+    band's cos(theta) range. A strip has no certain box where b is not
+    positive or its box is empty, and its possible box is the band's range
+    where the margin is not finite: the strip next to the tangent, whose
+    edge moved out lies past it, and from d = 1.3e154 on, where c is inf,
+    every strip. From d of about 1e9 on, h is below 1e-9 and no strip has
+    a certain box.
+
+    shares[0] is the certain boxes' summed share and shares[1:] each tested
+    cell's. boxes holds the tested cells as columns of (cos lo, cos hi, phi
+    lo, phi hi), the K cells below the certain boxes and then the K above,
+    in strip order; strip j's certain box lies between columns j and K + j.
     """
-    c_lo, c_hi, phi_lo, phi_hi = band
+    c_lo, c_hi, _, edge = _band(L, d, z)
     c = d * d - 1.0
-    du = 16.0 * _EPS * (1.0 + d)
     half = math.atan2(1.0, math.sqrt(c)) if c > 0.0 else math.pi
-    best, area = None, 0.0
-    for f in _CORE_FRACTIONS if c < 0.0 else _CORE_FRACTIONS[:-1]:
-        phi = f * half
-        cos_phi, sin_phi = math.cos(phi), math.sin(phi)
-        s2 = cos_phi * cos_phi - c * (sin_phi * sin_phi)
-        if not s2 > 0.0:
-            continue
-        s = math.sqrt(s2)
-        a, b = max(0.0, d * cos_phi - s) + du, d * cos_phi + s - du
-        box = k_lo, k_hi, q_lo, q_hi = _box(L, z, a, b, phi, -_SLACK)
-        w = _share(*box)
-        if b > 0.0 and c_lo < k_lo < k_hi < c_hi and phi_lo < q_lo < q_hi < phi_hi and w > area:
-            best, area = box, w
-    return best
+    phi = half * (1.0 - np.square(1.0 - _STEPS)) if c > 0.0 else half * _STEPS
+    phi[-1] = edge
+    outer = np.minimum(phi[1:] + _SLACK, math.pi)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        du = 16.0 * _EPS * (1.0 + d)
+        if c > 0.0:
+            du = du / np.sqrt(1.0 - np.square(outer / half))
+        # row 0 at the inner edges, margins turned out; row 1 at the outer
+        # edges, margins turned in
+        at = np.array((phi[:-1], outer))
+        cos_p, sin_p = np.cos(at), np.sin(at)
+        s = np.sqrt(cos_p * cos_p - c * (sin_p * sin_p))
+        near = d * cos_p
+        a, b = np.maximum(np.maximum(near - s, 0.0) - _TURN * du, 0.0), near + s + _TURN * du
+        (p_lo, k_lo), (p_hi, k_hi) = _box(L, z, a, b, _TURN * _SLACK)
+    p_lo, p_hi = np.fmax(p_lo, c_lo), np.fmin(p_hi, c_hi)
+    k_lo, k_hi = np.maximum(k_lo, p_lo), np.minimum(k_hi, p_hi)
+    certain = (b[1] > 0.0) & (k_lo < k_hi)
+    k_lo, k_hi = np.where(certain, k_lo, p_hi), np.where(certain, k_hi, p_hi)
+    boxes = np.concatenate((p_lo, k_hi, k_lo, p_hi, phi[:-1], phi[:-1], phi[1:], phi[1:])).reshape(4, 2 * _STRIPS)
+    shares = 2.0 * np.concatenate(((_share(k_lo, k_hi, phi[:-1], phi[1:]).sum(),), _share(*boxes)))
+    return shares, boxes
 
 
-def _cells(L: float, d: float, z: float) -> tuple[list[float], list[tuple[float, float, float, float]]]:
-    """(shares, boxes): the area shares of a call's count draw but the miss's, and the tested cells' boxes.
+def _run_hits(key: int, counts: np.ndarray, boxes: np.ndarray, L: float, d: float, z: float) -> int:
+    """Hits among the tested rays of a call with Philox key `key`, counts[i] of them in the box boxes[:, i].
 
-    shares starts with _core's box's, 0.0 where there is no core, and then
-    gives each tested cell's, all from _share. The tested cells, as
-    (cos lo, cos hi, phi lo, phi hi) boxes, are the frame between _core's
-    box and _band's as four rectangles: the strips below and above the
-    core across the band's width, then the strips either side of it in
-    phi; without a core, the band's box alone.
-    """
-    band = _band(L, d, z)
-    core = _core(L, d, z, band)
-    if core is None:
-        return [0.0, _share(*band)], [band]
-    c_lo, c_hi, phi_lo, phi_hi = band
-    k_lo, k_hi, q_lo, q_hi = core
-    boxes = [(c_lo, k_lo, phi_lo, phi_hi), (k_hi, c_hi, phi_lo, phi_hi), (k_lo, k_hi, phi_lo, q_lo), (k_lo, k_hi, q_hi, phi_hi)]
-    return [_share(*box) for box in (core, *boxes)], boxes
-
-
-def _run_hits(
-    key: int, slices: range, boxes: list[tuple[float, float, float, float]], ends: list[int],
-    L: float, d: float, z: float,
-) -> int:
-    """Hits among the tested rays of the given slices of a call with Philox key `key`.
-
-    The tested rays are numbered in cell order: boxes[i] holds the rays
-    from ends[i - 1] (0 for i = 0) up to ends[i]. Slice j holds the rays
-    from j * _SLICE up to the smaller of (j + 1) * _SLICE and ends[-1]. Its
-    stream is Philox(key) started at counter (j + 1) * 2^128, the stream
-    Philox(key).jumped(j + 1) gives (_stream). It draws its m cos(theta)
-    uniforms, then its m phi uniforms, into this thread's draw buffer
-    (_workspace), maps each cell's part of them onto the cell's box in
-    place as lo + (hi - lo) u, which is what Generator.uniform computes, and
-    hands the slice to the exact test once. A ray's verdict depends only on
-    its slice's draws, so the count is the sum of the slices' counts
-    however they are grouped into runs.
+    The tested rays are numbered in cell order and cut into _SLICE-ray
+    slices: slice j holds the rays from j * _SLICE up to the smaller of
+    (j + 1) * _SLICE and their number. Its stream is Philox(key) started at
+    counter (j + 1) * 2^128, the stream Philox(key).jumped(j + 1) gives
+    (_stream). It draws its m cos(theta) uniforms, then its m phi uniforms,
+    into this thread's draw buffer (_workspace), maps them in place onto
+    their cells, each cell's bounds repeated over its rays in the slice, as
+    lo + (hi - lo) u, which is what Generator.uniform computes, and hands
+    the slice to the exact test once. A ray's verdict depends only on its
+    slice's draws, so the count is the sum of the slices' counts.
     """
     draws = _workspace(0)[0]
-    starts = [0, *ends[:-1]]
+    ends = np.concatenate(((0,), np.cumsum(counts)))
+    total = int(ends[-1])
+    # rows: cos lo, phi lo, cos width, phi width
+    cells = np.concatenate((boxes[::2], boxes[1::2] - boxes[::2]))
     hits = 0
-    for j in slices:
-        first = j * _SLICE
-        m = min(_SLICE, ends[-1] - first)
+    for j, first in enumerate(range(0, total, _SLICE)):
+        m = min(_SLICE, total - first)
+        cut = np.minimum(np.maximum(ends, first), first + m)
+        rays = np.repeat(cells, cut[1:] - cut[:-1], axis=1)
+        u = draws[:2 * m].reshape(2, m)
         _stream(key, j + 1).random(out=draws[:2 * m])
-        cos_t, phi = draws[:m], draws[m:2 * m]
-        for (lo, hi, phi_lo, phi_hi), a, b in zip(boxes, starts, ends):
-            a, b = max(a - first, 0), min(b - first, m)
-            if a < b:
-                for u, x0, x1 in ((cos_t[a:b], lo, hi), (phi[a:b], phi_lo, phi_hi)):
-                    np.add(x0, np.multiply(u, x1 - x0, out=u), out=u)
-        hits += _slice_hits(cos_t, phi, L, d, z)
+        np.add(np.multiply(u, rays[2:], out=u), rays[:2], out=u)
+        hits += _slice_hits(u[0], u[1], L, d, z)
     return hits
 
 
@@ -603,48 +579,40 @@ def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -
     """Isotropic ray caster for the whole closed surface.
 
     Directions are uniform on the sphere (uniform cos(theta), uniform
-    azimuth phi in [-pi, pi], 0 toward the axis). A ray hits iff a point of it past the source lies on or inside
-    the closed cylinder, which _hit_mask decides from the ray's azimuth and
-    polar angle, with no ray parameter and no division. The seed is the
-    Philox key, which takes any integer in [0, 2^128); the call's count
-    draw is the key's stream at counter 0 and its tested slice j the stream
-    at counter (j + 1) * 2^128 (the key's stream jumped j + 1 times), so a
-    fixed seed gives a bit-identical estimate regardless of how the slices
-    are scheduled, and distinct seeds give distinct streams. samples lies
-    in [1, 2^63), the range the multinomial count draw takes.
+    azimuth phi in [-pi, pi], 0 toward the axis). A ray hits iff a point of
+    it past the source lies on or inside the closed cylinder, which
+    _hit_mask decides from the ray's azimuth and polar angle, with no ray
+    parameter and no division. The seed is the Philox key, which takes any
+    integer in [0, 2^128); the call's count draw is the key's stream at
+    counter 0 and its tested slice j the stream at counter (j + 1) * 2^128
+    (the key's stream jumped j + 1 times), so a fixed seed gives a
+    bit-identical estimate, and distinct seeds give distinct streams.
+    samples lies in [1, 2^63), the range the multinomial count draw takes.
     Like every oracle here it works in units of r (_in_units_of_r), so a
     uniform scale by a power of two leaves the estimate bit-identical.
 
-    Only the rays whose verdict is in doubt are drawn and tested. _band
-    bounds the hits to a rectangle in (cos theta, phi), widened past the
-    exact test's rounding and clipped to [-1, 1] x [-pi, pi]; _core gives
-    a box inside it, narrowed past that rounding, on which every ray hits;
-    the frame between the two is cut into four rectangles, and _cells
-    gives each box's area share (_share). Isotropic directions are uniform
-    on [-1, 1] x [-pi, pi], so the call's rays fall into the core, the
-    rectangles and the rest of the sphere by a multinomial law over their
-    areas, uniformly in each, and the rays outside the band miss the exact
-    test. The call draws all these counts in one multinomial draw, the miss
-    share being max(0, 1 - the others' sum), counts the core's rays as hits
-    and draws and tests only the rectangles' rays, 2^15 to a slice
-    (_run_hits). So the hit count has the law it has when every ray is
-    drawn and tested, and a call's cost follows the rays it tests: over
-    the benchmark's configurations, the core holds a median 80-88 % of the
-    band, and a median call at 10^7 rays tests 4k-9k rays, one slice.
+    Only the rays whose verdict is in doubt are drawn and tested. _cells
+    cuts the half phi >= 0 of the band, which bounds the hits, into
+    _STRIPS strips in phi, and each strip in cos(theta) into a certain box,
+    where every ray hits, and two tested cells around it; the exact test
+    gives a ray at -phi the verdict at phi, so each cell stands for itself
+    and its mirror. Isotropic directions are uniform on [-1, 1] x [-pi,
+    pi], so the call's rays fall into the certain boxes, the tested cells
+    and the rest of the sphere by a multinomial law over their areas,
+    uniformly in each, and the rays of the rest miss the exact test. The
+    call draws all these counts in one multinomial draw, the miss share
+    being max(0, 1 - the others' sum), counts the certain boxes' rays as
+    hits, and draws and tests only the tested cells' rays, _SLICE to a
+    slice (_run_hits). So the hit count has the law it has when every ray
+    is drawn and tested, and a call's cost follows the rays it tests: 10^12
+    rays from 1000 r beside the shell test about 160.
 
-    The call counts one worker per full slice of its tested rays, at most
-    one per usable CPU, and cuts its slices into one contiguous run per
-    worker. With fewer than two workers, the one run goes through map in
-    the caller's thread; with two or more, the runs go to one process-wide
-    pool of one thread per CPU (_worker_pool), whose threads share the CPUs
-    while NumPy's draws and ufuncs release the GIL. A few thousand rays do
-    not pay for the pool: the exact test makes about 25 small NumPy calls,
-    and two workers pass the GIL back and forth around them. The integer
-    hit counts are summed, so the result depends on neither the dispatch
-    nor the worker count. Each thread keeps its workspace (_workspace: the
-    draw buffer, 512 kB, and the exact test's scratch, about 1.1 MB) for
-    its life: about 1.6 MB for each thread that has run slices, on top of
-    the interpreter and NumPy.
+    Every call runs in its caller's thread: over the benchmark's
+    configurations the certain boxes hold a median 94-97 % of the band,
+    and a median 10^7-ray call tests 155-515 rays, less than one slice,
+    which does not pay for handing work to other threads. The thread keeps
+    its workspace (_workspace: the draw buffer and the exact test's
+    scratch, about 200 kB) for its life.
 
     Any finite source distance is drawn and tested like any other: from
     d = 1.3e154 r on c = d^2 - 1 is inf, so s^2 = cos^2 phi - c sin^2 phi
@@ -661,14 +629,8 @@ def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -
     L, d, z, _ = _in_units_of_r(cyl.L, cyl.r, src.d, src.z)
 
     shares, boxes = _cells(L, d, z)
-    counts = _stream(seed, 0).multinomial(samples, [*shares, max(0.0, 1.0 - sum(shares))]).tolist()
-    ends = list(accumulate(counts[1:-1]))
-    slices, workers = -(-ends[-1] // _SLICE), min(ends[-1] // _SLICE, _usable_cpus())
-    # one contiguous run of slices per worker
-    parts = max(workers, 1)
-    cuts = [slices * i // parts for i in range(parts + 1)]
-    run = partial(_run_hits, seed, boxes=boxes, ends=ends, L=L, d=d, z=z)
-    hits = counts[0] + sum((_worker_pool().map if workers > 1 else map)(run, map(range, cuts, cuts[1:])))
+    counts = _stream(seed, 0).multinomial(samples, np.append(shares, max(0.0, 1.0 - shares.sum())))
+    hits = int(counts[0]) + _run_hits(seed, counts[1:-1], boxes, L, d, z)
 
     p = hits / samples
     return McEstimate(

@@ -103,6 +103,10 @@ def _rel_floored(a: float, b: float) -> float:
 @_suite(1e-10)  # three disc paths pairwise relative (abs floor 1e-14), 1.1e-11;
 # then omega_circ vs the third-kind form outside the rim, plain relative, 6.2e-14
 def suite_disc_cross(points: int, rng: random.Random) -> Iterator[tuple[float, str]]:
+    # the first loop checks omega_circ_macklin only through _rel_floored's
+    # floor: where the disc is below 1e-4 it is held to tol * 1e-4
+    # absolute, not relative, and outside the rim, where its 1/4-scale
+    # terms cancel, it can be far off relative to the value there
     for _ in range(points):
         cfg = CanonicalConfig(_log_uniform(rng, 0.01, 100.0), 1.0, _disc_ratio(rng))
         a = solid_angle.omega_circ(cfg).value
@@ -110,7 +114,8 @@ def suite_disc_cross(points: int, rng: random.Random) -> Iterator[tuple[float, s
         c = solid_angle.omega_circ_macklin(cfg).value
         dev = max(_rel_floored(a, b), _rel_floored(a, c), _rel_floored(b, c))
         yield dev, f"(L={cfg.L!r}, r=1.0, d={cfg.d!r})"
-    # outside the rim omega_circ is the near face plus the shell, and the
+    # the second loop is the plain relative check, with no floor: outside
+    # the rim omega_circ is the near face plus the shell, and the
     # third-kind form carries sqrt(1-m/n) outside its bracket: neither
     # cancels a disc seen edge-on, so these agree relative to the value
     for _ in range(points):

@@ -6,7 +6,6 @@ no elliptic machinery, and against frozen values from earlier runs.
 """
 
 import math
-import multiprocessing
 import os
 import random
 import subprocess
@@ -260,12 +259,6 @@ def test_quadratures_reject_ratios_that_overflow(quad, L, r, d):
 # ----------------------------------------------------------------- Monte Carlo
 
 
-# rays from (L, d, z) = (3, 2, -1) at r = 1 that make two full slices of
-# tested rays (about 74k), so that mc_total runs its slices on the pool
-# where there are two CPUs
-_POOL_RAYS = 5_000_001
-
-
 def test_mc_enclosed_hits_everything():
     est = oracle.mc_total(CylinderSpec(3.0, 2.0), SourcePoint(1.0, 1.5), 10_000, seed=7)
     assert est.hit_fraction == 1.0
@@ -280,9 +273,9 @@ def test_mc_same_seed_is_bit_identical():
 
 
 def test_mc_multi_block_run():
-    # 1.5e6 samples test about 38k rays in two slices; must agree with the closed form
+    # 2e7 samples test about 16k rays in four slices; must agree with the closed form
     cyl, src = CylinderSpec(3.0, 1.0), SourcePoint(2.0, 1.5)
-    est = oracle.mc_total(cyl, src, 1_500_000, seed=0)
+    est = oracle.mc_total(cyl, src, 20_000_000, seed=0)
     ref = omega_total(cyl, src).value
     assert abs(est.hit_fraction - ref) <= 3.0 * est.std_error
 
@@ -352,24 +345,24 @@ def test_mc_estimate_accepts_the_extreme_fields_a_call_can_return():
     assert oracle.McEstimate(0.0, 0.0, 1, 0).hit_fraction == 0.0
 
 
-# hits of the cell draw (one multinomial count draw for the core, the
-# frame's rectangles and the misses, then the frame rays slice by slice);
-# any change to the Philox draws, their order, the band, the core or the
-# scheduling of slices shows up here. Each count is also a plausible draw:
-# within 3 binomial sigma of the closed form, and every ray for the
-# enclosed source
+# hits of the cell draw (one multinomial count draw for the certain boxes,
+# the tested cells and the misses, then the tested rays slice by slice);
+# any change to the Philox draws, their order, the strips, their boxes or
+# the slicing shows up here. Each count is also a plausible draw: within 3
+# binomial sigma of the closed form, and every ray for the enclosed source
 @pytest.mark.parametrize(
     "L, r, d, z, samples, seed, hits",
     [
-        (3.0, 1.0, 2.0, -1.0, 2_500_001, 42, 126738),
-        (3.0, 1.0, 2.0, 1.5, 1_000_000, 0, 132953),
+        (3.0, 1.0, 2.0, -1.0, 2_500_001, 42, 126635),
+        (3.0, 1.0, 2.0, 1.5, 1_000_000, 0, 132876),
         (1.0, 1.0, 0.0, -10.0, 400_000, 3, 1049),
-        (0.05, 1.0, 40.0, 0.01, 1_234_567, 5, 7),
-        (2.0, 1.0, 1.0, 0.0, 777_777, 8, 194374),
+        (0.05, 1.0, 40.0, 0.01, 1_234_567, 5, 8),
+        # on the rim: about 207k tested rays in 51 slices
+        (2.0, 1.0, 1.0, 0.0, 777_777, 8, 194672),
         (3.0, 2.0, 1.0, 1.5, 10_000, 7, 10000),
-        (1.0, 1.0, 0.5, -0.25, 65_537, 11, 23193),
-        # about 212k tested rays in seven slices: the pool's path on two or more CPUs
-        (1.0, 1.0, 1.2, 0.5, 3_000_001, 41, 826351),
+        (1.0, 1.0, 0.5, -0.25, 65_537, 11, 23053),
+        # about 6.9k tested rays in two slices
+        (1.0, 1.0, 1.2, 0.5, 3_000_001, 41, 827239),
     ],
 )
 def test_mc_frozen_hit_counts(L, r, d, z, samples, seed, hits):
@@ -384,32 +377,6 @@ def test_mc_frozen_hit_counts(L, r, d, z, samples, seed, hits):
         assert abs(hits - samples * ref) <= 3.0 * math.sqrt(samples * ref * (1.0 - ref))
 
 
-def test_mc_estimate_independent_of_worker_count(monkeypatch):
-    # about 212k tested rays, six full slices: at 1, 2 and 7 usable CPUs,
-    # one worker in the caller's thread, then two and six on a pool of as
-    # many threads as CPUs
-    cyl, src = CylinderSpec(1.0, 1.0), SourcePoint(1.2, 0.5)
-    default = oracle.mc_total(cyl, src, 3_000_001, seed=13)
-    for cpus in (1, 2, 7):
-        with ThreadPoolExecutor(max_workers=cpus) as pool:
-            monkeypatch.setattr(oracle, "_pool", pool)
-            monkeypatch.setattr(oracle, "_usable_cpus", lambda: cpus)
-            assert oracle.mc_total(cyl, src, 3_000_001, seed=13) == default
-
-
-def test_mc_runs_where_sched_getaffinity_is_missing(monkeypatch):
-    cyl, src = CylinderSpec(3.0, 1.0), SourcePoint(2.0, -1.0)
-    default = oracle.mc_total(cyl, src, _POOL_RAYS, seed=4)
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    # _worker_pool() starts a fresh pool sized from the os.cpu_count() fallback
-    monkeypatch.setattr(oracle, "_pool", None)
-    assert oracle._usable_cpus() >= 1
-    try:
-        assert oracle.mc_total(cyl, src, _POOL_RAYS, seed=4) == default
-    finally:
-        oracle._worker_pool().shutdown()
-
-
 def _isotropic_draws(samples, seed):
     # isotropic rays from one Philox stream, drawn without the band
     g = np.random.Generator(np.random.Philox(key=seed))
@@ -417,23 +384,23 @@ def _isotropic_draws(samples, seed):
 
 
 def _count_draw(L, d, z, samples, seed):
-    # a call's cell counts (the core's, each tested cell's, the misses'),
-    # one multinomial draw from the key's stream at counter 0, and the
-    # tested cells' boxes
+    # a call's cell counts (the certain boxes', each tested cell's, the
+    # misses'), one multinomial draw from the key's stream at counter 0,
+    # and the tested cells' boxes
     shares, boxes = oracle._cells(L, d, z)
     g = np.random.Generator(np.random.Philox(key=seed))
-    return g.multinomial(samples, shares + [max(0.0, 1.0 - sum(shares))]).tolist(), boxes
+    return g.multinomial(samples, [*shares, max(0.0, 1.0 - sum(shares))]).tolist(), boxes
 
 
 def _band_draw_hits(L, d, z, samples, seed):
     # mc_total's count by its documented layout, written apart from it: the
-    # core's rays are hits untested; the tested rays, numbered in cell
-    # order, go 2^15 to a slice, and slice j draws from the key's stream
-    # jumped j + 1 times cos(theta) of its rays, then their azimuth phi,
-    # each ray's mapped onto its cell's box
+    # certain boxes' rays are hits untested; the tested rays, numbered in
+    # cell order, go oracle._SLICE to a slice, and slice j draws from the
+    # key's stream jumped j + 1 times cos(theta) of its rays, then their
+    # azimuth phi, each ray's mapped onto its cell's box
     counts, boxes = _count_draw(L, d, z, samples, seed)
-    cell = np.repeat(np.arange(len(boxes)), counts[1:-1])
-    lo, hi, phi_lo, phi_hi = np.array(boxes).T
+    cell = np.repeat(np.arange(boxes.shape[1]), counts[1:-1])
+    lo, hi, phi_lo, phi_hi = boxes
     hits = counts[0]
     for j, first in enumerate(range(0, len(cell), oracle._SLICE)):
         c = cell[first:first + oracle._SLICE]
@@ -494,13 +461,34 @@ def test_mc_cull_keeps_the_exact_test_count(L, d, z):
 
 
 _WHOLE_SPHERE = (-1.0, 1.0, -math.pi, math.pi)
+# sources 1e-9 r outside the wall, where the strips next to the tangent
+# hold the silhouette of a nearly flat wall
+_NEAR_WALL_CASES = [(1.0, 1.0 + 1e-9, 0.5), (1.0, 1.0 + 1e-9, -0.5), (1.0, 1.0 + 1e-9, 1.5), (1e-3, 1.0 + 1e-9, 0.0)]
 
 
-@pytest.mark.parametrize("L, d, z", [c for c in _CULL_CASES if oracle._band(*c) != _WHOLE_SPHERE])
+def _strips(L, d, z):
+    # each strip's (possible lo, certain lo, certain hi, possible hi, phi lo,
+    # phi hi), read off its two tested cells: the one below its certain box
+    # and the one above it
+    boxes = oracle._cells(L, d, z)[1]
+    below, above = np.split(boxes, 2, axis=1)
+    return list(zip(below[0], below[1], above[0], above[1], below[2], below[3]))
+
+
+def _across(rng, phi_lo, phi_hi, n):
+    # azimuths across a strip: uniform inside, on both edges, and their mirrors
+    phi = np.concatenate([rng.uniform(phi_lo, phi_hi, n), [phi_lo, phi_hi] * (n // 8)])
+    return np.concatenate([phi, -phi])
+
+
+@pytest.mark.parametrize("L, d, z", _CULL_CASES + _NEAR_WALL_CASES)
 def test_mc_rays_just_outside_the_band_miss(L, d, z):
-    # rays up to `width` outside an edge of the widened, clipped band: the
-    # exact test must call every one of them a miss, or the cull would drop
-    # a hit (an edge clipped to the sphere has no rays outside it)
+    # rays up to `width` outside an edge of the widened, clipped band, and
+    # outside each strip's possible box in cos(theta) across the strip's
+    # azimuths, the strip next to the tangent and the last one before it
+    # included: the exact test must call every one of them a miss, or the
+    # cull would drop a hit (an edge clipped to the sphere has no rays
+    # outside it)
     c_lo, c_hi, phi_lo, phi_hi = oracle._band(L, d, z)
     rng = np.random.default_rng(3)
     n = 4000
@@ -517,6 +505,14 @@ def test_mc_rays_just_outside_the_band_miss(L, d, z):
         for cos_t, phi in rays:
             out = (cos_t < c_lo) | (cos_t > c_hi) | (phi < phi_lo) | (phi > phi_hi)
             assert oracle._slice_hits(cos_t[out], phi[out], L, d, z) == 0, width
+    for j, (p_lo, _, _, p_hi, q_lo, q_hi) in enumerate(_strips(L, d, z)):
+        assert c_lo <= p_lo <= p_hi <= c_hi and 0.0 <= q_lo <= q_hi <= phi_hi, j
+        phi = _across(rng, q_lo, q_hi, 400)
+        for width in (1e-15, 1e-12, 1e-9, 1e-6, 1e-3):
+            step = rng.uniform(0.0, width, len(phi))
+            for cos_t in (np.minimum(p_hi + step, 1.0), np.maximum(p_lo - step, -1.0)):
+                out = (cos_t < p_lo) | (cos_t > p_hi)
+                assert oracle._slice_hits(cos_t[out], phi[out], L, d, z) == 0, (j, width)
 
 
 def _benchmark_like_sources(seed, n):
@@ -540,30 +536,57 @@ _CORE_CASES = (
 )
 
 
-@pytest.mark.parametrize("L, d, z", _CORE_CASES)
+@pytest.mark.parametrize("L, d, z", _CORE_CASES + _NEAR_WALL_CASES)
 def test_mc_rays_inside_the_core_hit(L, d, z):
-    # the mirror of the test above: the exact test must call every ray in the
-    # core a hit, its edges and corners included, or counting the core's rays
-    # untested would add a miss as a hit
-    band = oracle._band(L, d, z)
-    c_lo, c_hi, phi_lo, phi_hi = band
-    core = oracle._core(L, d, z, band)
-    if core is None:
-        # only where the band is narrower than its and the core's margins
-        assert min(c_hi - c_lo, phi_hi - phi_lo) < 4.0 * oracle._SLACK
+    # the mirror of the test above: the exact test must call every ray in
+    # every strip's certain box a hit, its edges and corners and its mirror
+    # at -phi included, or counting the certain boxes' rays untested would
+    # add a miss as a hit. The ray farthest out in phi decides the box, so a
+    # box taken at its strip's inner edge fails here
+    c_lo, c_hi, _, phi_hi = oracle._band(L, d, z)
+    strips = _strips(L, d, z)
+    certain = [strip for strip in strips if strip[1] < strip[2]]
+    if not certain:
+        # only where the band is narrower than its and the boxes' margins
+        assert min(c_hi - c_lo, phi_hi) < 4.0 * oracle._SLACK
         return
-    k_lo, k_hi, q_lo, q_hi = core
-    w, w_core = oracle._share(*band), oracle._share(*core)
-    assert c_lo < k_lo < k_hi < c_hi and phi_lo < q_lo < q_hi < phi_hi and 0.0 < w_core < w
-    assert w_core == pytest.approx((k_hi - k_lo) * (q_hi - q_lo) / (4.0 * math.pi), rel=1e-15)
-    rng = np.random.default_rng(_CORE_CASES.index((L, d, z)))
-    n = 4000
-    cos_in, phi_in = rng.uniform(k_lo, k_hi, n), rng.uniform(q_lo, q_hi, n)
-    cos_edge = np.where(rng.random(n) < 0.5, k_lo, k_hi)
-    phi_edge = np.where(rng.random(n) < 0.5, q_lo, q_hi)
-    corners = np.array([k_lo, k_lo, k_hi, k_hi]), np.array([q_lo, q_hi, q_lo, q_hi])
-    for cos_t, phi in [(cos_in, phi_in), (cos_edge, phi_in), (cos_in, phi_edge), corners]:
-        assert oracle._slice_hits(cos_t, phi, L, d, z) == len(cos_t)
+    # the strip next to the tangent of an outside source has none
+    assert d <= 1.0 or strips[-1][1] == strips[-1][2]
+    rng = np.random.default_rng((_CORE_CASES + _NEAR_WALL_CASES).index((L, d, z)))
+    n = 400
+    for j, (p_lo, k_lo, k_hi, p_hi, q_lo, q_hi) in enumerate(certain):
+        assert p_lo <= k_lo < k_hi <= p_hi, j
+        phi = _across(rng, q_lo, q_hi, n)
+        cos_in = rng.uniform(k_lo, k_hi, len(phi))
+        cos_edge = np.where(rng.random(len(phi)) < 0.5, k_lo, k_hi)
+        corners = np.array([k_lo, k_lo, k_hi, k_hi] * 2), np.array([q_lo, q_hi, q_lo, q_hi, -q_lo, -q_hi, -q_lo, -q_hi])
+        for cos_t, phi_t in [(cos_in, phi), (cos_edge, phi), corners]:
+            assert oracle._slice_hits(cos_t, phi_t, L, d, z) == len(cos_t), j
+
+
+@pytest.mark.parametrize("L, d, z", _CULL_CASES + [(1.0, 0.3, 1.0), (3.0, 0.5, 1.5), (1.0, 5.0, 0.5)])
+def test_mc_cells_and_their_mirrors_tile_the_possible_boxes(L, d, z):
+    # the strips run from phi = 0 to the band's edge without gap or overlap;
+    # in each the two tested cells and the certain box between them fill
+    # the possible box; each share is a cell's area and its mirror's at
+    # -phi, (hi - lo)(phi hi - phi lo) / (2 pi) of the sphere's, so that a
+    # source inside the cylinder, whose strips cover the sphere, has shares
+    # summing to 1
+    shares, boxes = oracle._cells(L, d, z)
+    K = oracle._STRIPS
+    assert shares.shape == (2 * K + 1,) and boxes.shape == (4, 2 * K)
+    strips = _strips(L, d, z)
+    phi = [strip[4] for strip in strips] + [strips[-1][5]]
+    assert phi[0] == 0.0 and phi[-1] == oracle._band(L, d, z)[3] and all(np.diff(phi) >= 0.0)
+    area = (boxes[1] - boxes[0]) * (boxes[3] - boxes[2]) / TWO_PI
+    assert np.allclose(shares[1:], area, rtol=1e-15, atol=0.0)
+    certain = sum((k_hi - k_lo) * (q_hi - q_lo) for _, k_lo, k_hi, _, q_lo, q_hi in strips) / TWO_PI
+    possible = sum((p_hi - p_lo) * (q_hi - q_lo) for p_lo, _, _, p_hi, q_lo, q_hi in strips) / TWO_PI
+    assert shares[0] == pytest.approx(certain, rel=1e-14, abs=1e-300)
+    assert sum(shares) == pytest.approx(possible, rel=1e-14)
+    assert possible <= oracle._share(*oracle._band(L, d, z)) * (1.0 + 1e-15)
+    if d < 1.0 and 0.0 < z < L:
+        assert sum(shares) == pytest.approx(1.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("L, d, z", [(3.0, 0.5, 1.5), (1.0, 0.0, 0.5), (1.0, 1.0, 0.5), (1.0, 1.0 - _EDGE, 0.5), (1e-6, 0.99, 5e-7)])
@@ -599,16 +622,15 @@ def test_mc_draw_box_is_the_clipped_band_and_its_area_share(L, d, z):
 
 @pytest.mark.parametrize("L, d, z", _CORE_CASES)
 def test_mc_boxes_and_exact_test_are_symmetric_in_phi(L, d, z):
-    # the band and the core are symmetric about phi = 0 bit for bit, and a
-    # ray at -phi gets the exact test's verdict at phi: on the band, and
-    # within 64 ulps of each box's edges in phi
+    # the band is symmetric about phi = 0 bit for bit, and a ray at -phi
+    # gets the exact test's verdict at phi: on the band, and within 64 ulps
+    # of each strip's edges in phi, so that a strip's rays at phi >= 0 can
+    # stand for its mirror's
     band = oracle._band(L, d, z)
-    core = oracle._core(L, d, z, band)
-    boxes = [band] if core is None else [band, core]
-    assert all(box[2] == -box[3] for box in boxes)
+    assert band[2] == -band[3]
     rng = np.random.default_rng(_CORE_CASES.index((L, d, z)))
     n = 4000
-    edges = np.array([box[3] for box in boxes])[rng.integers(0, len(boxes), n)]
+    edges = np.array([strip[5] for strip in _strips(L, d, z)])[rng.integers(0, oracle._STRIPS, n)]
     cos_t = rng.uniform(band[0], band[1], 2 * n)
     phi = np.concatenate([rng.uniform(0.0, band[3], n), edges + rng.integers(-64, 65, n) * np.spacing(edges)])
     hits = oracle._hit_mask(cos_t, phi, L, d, z).copy()
@@ -617,42 +639,47 @@ def test_mc_boxes_and_exact_test_are_symmetric_in_phi(L, d, z):
 
 @pytest.mark.parametrize("L, d, z, n", [(1.0, 5.0, 0.5, 100_000), (1.0, 0.3, 1.0, 10_000)])
 def test_mc_in_band_count_is_binomial(monkeypatch, L, d, z, n):
-    # over 1,000 seeds, the counts one call draws for the core, each frame
-    # rectangle and the misses follow the multinomial law over their area
-    # shares: each count, and the tested rays' sum, k ~ Binomial(n, w) with
-    # w its share, has mean n w and variance n w (1 - w), each within 4
-    # standard errors (a narrow band, and a face source whose band is
-    # clipped); and the core's count has covariance -n w w' with each
-    # other cell's
+    # over 1,000 seeds, the counts one call draws for the certain boxes, the
+    # two tested cells of each strip and the misses, 2 K + 2 categories,
+    # follow the multinomial law over their area shares: each count, and the
+    # tested rays' sum, k ~ Binomial(n, w) with w its share, has mean n w
+    # and variance n w (1 - w), each within 4 standard errors (a narrow
+    # band, and a face source whose band is clipped), a cell of share 0
+    # draws no ray; and the certain boxes' count has covariance -n w w'
+    # with each other cell's
     calls = []
 
-    def recording(key, slices, boxes, ends, L, d, z):
-        calls.append(ends)
+    def recording(key, counts, boxes, L, d, z):
+        calls.append(counts.tolist())
         return 0
 
-    # with the tested rays' hits at 0, a call's hits are the core's count
+    # with the tested rays' hits at 0, a call's hits are the certain boxes' count
     monkeypatch.setattr(oracle, "_run_hits", recording)
-    shares = oracle._cells(L, d, z)[0]
-    assert shares[0] == oracle._share(*oracle._core(L, d, z, oracle._band(L, d, z))) > 0.0 and len(shares) == 5
+    shares = oracle._cells(L, d, z)[0].tolist()
+    assert shares[0] > 0.0 and len(shares) == 2 * oracle._STRIPS + 1
     shares.append(1.0 - sum(shares))
     N = 1000
     rows = []
     for seed in range(N):
         calls.clear()
         est = oracle.mc_total(CylinderSpec(L, 1.0), SourcePoint(d, z), n, seed=seed)
-        ends = calls[0]
-        assert all(e == ends for e in calls)
-        tested = np.diff([0, *ends]).tolist()
-        rows.append([round(est.hit_fraction * n), *tested, n - round(est.hit_fraction * n) - ends[-1]])
+        (tested,) = calls
+        hits = round(est.hit_fraction * n)
+        rows.append([hits, *tested, n - hits - sum(tested)])
     counts = np.array(rows, dtype=float)
+    assert counts.shape[1] == 2 * oracle._STRIPS + 2
     cells = [(counts[:, i], w) for i, w in enumerate(shares)] + [(counts[:, 1:-1].sum(axis=1), sum(shares[1:-1]))]
     for ks, w in cells:
+        if w == 0.0:
+            assert not ks.any()
+            continue
         var = n * w * (1.0 - w)
         kurt = (1.0 - 6.0 * w * (1.0 - w)) / var  # excess kurtosis of Binomial(n, w)
         assert abs(ks.mean() - n * w) <= 4.0 * math.sqrt(var / N)
         assert abs(ks.var(ddof=1) - var) <= 4.0 * var * math.sqrt(2.0 / (N - 1) + kurt / N)
-    # the core's count against each other cell's: the sample covariance of
-    # two counts has standard error about sqrt(var var' / N) and more
+    # the certain boxes' count against each other cell's: the sample
+    # covariance of two counts has standard error about sqrt(var var' / N)
+    # and more
     for i in range(1, len(shares)):
         cov = np.cov(counts[:, 0], counts[:, i])[0, 1]
         var0, var1 = (n * w * (1.0 - w) for w in (shares[0], shares[i]))
@@ -924,33 +951,6 @@ def test_exact_test_of_a_vertical_ray_when_l_minus_z_overflows():
     assert oracle._hit_mask(cos_t, phi, L, d, z).tolist() == want.tolist()
 
 
-def test_mc_reuses_one_block_pool():
-    cyl, src = CylinderSpec(3.0, 1.0), SourcePoint(2.0, -1.0)
-    oracle.mc_total(cyl, src, _POOL_RAYS, seed=4)
-    pool = oracle._worker_pool()
-    oracle.mc_total(cyl, src, _POOL_RAYS, seed=5)
-    assert oracle._worker_pool() is pool
-
-
-def _mc_in_child(expected):
-    got = oracle.mc_total(CylinderSpec(3.0, 1.0), SourcePoint(2.0, -1.0), _POOL_RAYS, seed=4)
-    if got != expected:
-        raise SystemExit(1)
-
-
-@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork on this platform")
-def test_mc_runs_in_a_forked_child_after_the_parent_used_the_pool():
-    # the child inherits no pool threads; it must start its own, not wait on the parent's
-    expected = oracle.mc_total(CylinderSpec(3.0, 1.0), SourcePoint(2.0, -1.0), _POOL_RAYS, seed=4)
-    child = multiprocessing.get_context("fork").Process(target=_mc_in_child, args=(expected,))
-    child.start()
-    child.join(60)
-    alive = child.is_alive()
-    if alive:
-        child.kill()
-    assert not alive and child.exitcode == 0
-
-
 @pytest.mark.parametrize("key", [0, 5, 2**64 - 1, 2**64 + 5, 2**127 + 3])
 def test_mc_block_stream_starts_at_its_counter(key):
     # a call draws the key's Philox stream in blocks of 2^128 counter
@@ -979,34 +979,24 @@ def test_mc_rejects_seeds_outside_the_philox_key_range(seed):
         oracle.mc_total(CylinderSpec(1.0, 1.0), SourcePoint(2.0, 0.5), 1000, seed=seed)
 
 
-# a narrow band (about 5e-6 of the sphere) and a wide one (about 5 %)
-_DISPATCH_CASES = [(0.05, 40.0, 0.01), (3.0, 2.0, -1.0)]
-
-
-def _blockwise_hits(L, d, z, samples, seed, mapper):
-    # a call's count block by block: the core's count from the count draw's
-    # block 0, then each slice's block run on its own, as a run of one slice
-    counts, boxes = _count_draw(L, d, z, samples, seed)
-    ends = list(accumulate(counts[1:-1]))
-    run = partial(oracle._run_hits, seed, boxes=boxes, ends=ends, L=L, d=d, z=z)
-    return counts[0] + sum(mapper(run, [range(j, j + 1) for j in range(-(-ends[-1] // oracle._SLICE))]))
-
-
-@pytest.mark.parametrize("L, d, z", _DISPATCH_CASES)
+@pytest.mark.parametrize("L, d, z", [(0.05, 40.0, 0.01), (3.0, 2.0, -1.0)])
 def test_mc_count_is_the_sum_of_its_blocks_on_either_dispatch(L, d, z):
+    # a narrow band (about 5e-6 of the sphere) and a wide one (about 5 %):
+    # the call's one run of its slices counts what its slices count drawn
+    # and tested one by one, each from its own stream
     samples, seed = 2_500_001, 31
     est = oracle.mc_total(CylinderSpec(L, 1.0), SourcePoint(d, z), samples, seed=seed)
-    assert est.hit_fraction == _blockwise_hits(L, d, z, samples, seed, map) / samples
-    with ThreadPoolExecutor(max_workers=2) as two:
-        assert est.hit_fraction == _blockwise_hits(L, d, z, samples, seed, two.map) / samples
+    assert est.hit_fraction == _band_draw_hits(L, d, z, samples, seed) / samples
 
 
-# tested rays, in the band but not in the core: about 10.6k, so that all
-# four frame rectangles share one part slice; about 44k, so that a slice
-# end cuts a rectangle; and about 212k, seven slices, so that a rectangle
-# spans more than two slices. The slices that rectangles share must still
-# count as the sum of their blocks run one by one
-_SHARED_SLICE_CASES = [(1.0, 4.0, 0.5, 4_000_003), (3.0, 2.0, -1.0, 3_000_001), (1.0, 1.2, 0.5, 3_000_001)]
+# tested rays: about 350 and 1.5k, so that all the cells with rays share
+# one part slice; about 6.9k, so that a slice end cuts a cell; and about
+# 69k, 17 slices, so that a cell spans more than two slices. The slices
+# that cells share must still count as the sum of their blocks, each slice
+# drawn from its own stream
+_SHARED_SLICE_CASES = [
+    (1.0, 4.0, 0.5, 4_000_003), (3.0, 2.0, -1.0, 3_000_001), (1.0, 1.2, 0.5, 3_000_001), (1.0, 1.2, 0.5, 30_000_001),
+]
 
 
 @pytest.mark.parametrize("L, d, z, samples", _SHARED_SLICE_CASES)
@@ -1015,13 +1005,15 @@ def test_mc_shared_slices_count_is_the_sum_of_its_blocks(monkeypatch, L, d, z, s
     counts, boxes = _count_draw(L, d, z, samples, seed)
     ends = list(accumulate(counts[1:-1]))
     slices = -(-ends[-1] // oracle._SLICE)
-    # the (slice, rectangle) pairs that share rays
+    # the (slice, cell) pairs that share rays
     pieces = {
         (j, i)
         for i, (a, b) in enumerate(zip([0, *ends[:-1]], ends))
+        if a < b
         for j in range(a // oracle._SLICE, -(-b // oracle._SLICE))
     }
-    assert len(pieces) > slices and (slices == 1 or len(pieces) > len(boxes))
+    cells = sum(1 for k in counts[1:-1] if k)
+    assert len(pieces) > slices and (slices == 1 or len(pieces) > cells)
     lengths, exact = [], oracle._slice_hits
 
     def recording(cos_t, phi, *args):
@@ -1030,22 +1022,20 @@ def test_mc_shared_slices_count_is_the_sum_of_its_blocks(monkeypatch, L, d, z, s
 
     # one run of all the slices, in the caller's thread: full slices, then the rest
     monkeypatch.setattr(oracle, "_slice_hits", recording)
-    one_run = counts[0] + oracle._run_hits(seed, range(slices), boxes, ends, L, d, z)
+    one_run = counts[0] + oracle._run_hits(seed, np.array(counts[1:-1]), boxes, L, d, z)
     monkeypatch.setattr(oracle, "_slice_hits", exact)
     q, rest = divmod(ends[-1], oracle._SLICE)
     assert lengths == [oracle._SLICE] * q + [rest] * (rest > 0)
 
-    blockwise = _blockwise_hits(L, d, z, samples, seed, map)
-    assert one_run == blockwise == _band_draw_hits(L, d, z, samples, seed)
-    with ThreadPoolExecutor(max_workers=2) as two:
-        assert _blockwise_hits(L, d, z, samples, seed, two.map) == blockwise
+    blockwise = _band_draw_hits(L, d, z, samples, seed)
+    assert one_run == blockwise
     est = oracle.mc_total(CylinderSpec(L, 1.0), SourcePoint(d, z), samples, seed=seed)
     assert est.hit_fraction == blockwise / samples
 
 
 def test_mc_cost_follows_the_tested_rays_not_the_samples(monkeypatch):
     # 10^12 rays from a far source beside the shell: about 1.6e5 in the band
-    # and 8k tested, so two Philox streams (the count draw's and one
+    # and 160 tested, so two Philox streams (the count draw's and one
     # slice's) and one exact-test call
     L, d, z, samples = 1.0, 1000.0, 0.5, 10**12
     calls, streams, exact, stream = [], [], oracle._slice_hits, oracle._stream
@@ -1079,40 +1069,14 @@ def test_mc_accepts_the_largest_multinomial_count(samples):
     assert est.samples == 2**63 - 1 and est.hit_fraction == 0.0
 
 
-def test_mc_small_call_does_not_use_the_pool(monkeypatch):
-    # about 51 expected in-band rays out of 10^7: far less than one slice
-    L, d, z = _DISPATCH_CASES[0]
-    w = oracle._share(*oracle._band(L, d, z))
-    assert 10**7 * w < oracle._SLICE
-
-    def no_pool():
-        raise AssertionError("a call with less than a slice of expected rays used the pool")
-
-    expected = oracle.mc_total(CylinderSpec(L, 1.0), SourcePoint(d, z), 10**7, seed=3)
-    monkeypatch.setattr(oracle, "_worker_pool", no_pool)
-    assert oracle.mc_total(CylinderSpec(L, 1.0), SourcePoint(d, z), 10**7, seed=3) == expected
-
-
-def test_mc_large_call_uses_the_pool_when_it_has_two_workers(monkeypatch):
-    # about 74k tested rays: two full slices
-    L, d, z = _DISPATCH_CASES[1]
-    calls, pool = [], oracle._worker_pool
-
-    def counted_pool():
-        calls.append(1)
-        return pool()
-
-    monkeypatch.setattr(oracle, "_worker_pool", counted_pool)
-    oracle.mc_total(CylinderSpec(L, 1.0), SourcePoint(d, z), _POOL_RAYS, seed=3)
-    assert len(calls) == (oracle._usable_cpus() > 1)
-
-
 def test_mc_concurrent_callers_get_their_sequential_results():
-    cases = [(*_DISPATCH_CASES[0], 7), (*_DISPATCH_CASES[1], 8), (*_DISPATCH_CASES[0], 9), (*_DISPATCH_CASES[1], 10)]
+    # a narrow band (about 5e-6 of the sphere, a few tested rays) and a wide
+    # one (about 5 %, about 10k tested rays in three slices), two callers each
+    cases = [(0.05, 40.0, 0.01, 7), (3.0, 2.0, -1.0, 8), (0.05, 40.0, 0.01, 9), (3.0, 2.0, -1.0, 10)]
 
     def one(case):
         L, d, z, seed = case
-        return oracle.mc_total(CylinderSpec(L, 1.0), SourcePoint(d, z), _POOL_RAYS, seed=seed)
+        return oracle.mc_total(CylinderSpec(L, 1.0), SourcePoint(d, z), 20_000_001, seed=seed)
 
     sequential = [one(case) for case in cases]
     start = threading.Barrier(len(cases))
@@ -1121,7 +1085,7 @@ def test_mc_concurrent_callers_get_their_sequential_results():
         start.wait(timeout=60)
         return one(case)
 
-    # short GIL slices, so that callers and pool threads interleave within each slice
+    # short GIL slices, so that the callers interleave within each slice
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -1132,10 +1096,10 @@ def test_mc_concurrent_callers_get_their_sequential_results():
 
 
 def test_slice_hits_scratch_carries_nothing_between_slices():
-    # the wide case's box, filled: slices of a full slice, one ray and a
+    # a wide band's box, filled: slices of a full slice, one ray and a
     # longer-than-slice input, each tested in a fresh thread and then in
     # one thread in both orders
-    L, d, z = _DISPATCH_CASES[1]
+    L, d, z = 3.0, 2.0, -1.0
     c_lo, c_hi, phi_lo, phi_hi = oracle._band(L, d, z)
     rng = np.random.default_rng(12)
     slices = []
