@@ -64,9 +64,9 @@ has when all n rays are drawn and tested, and the call's cost follows its
 tested rays, not n. A source inside the cylinder has a band of the whole
 sphere, all but about 1e-9 of it certain; on the wall, where V2 = 2 cos
 phi vanishes at |phi| = pi/2, about half of it. Every call runs in its
-caller's thread, and the exact test works in that thread's scratch
-arrays, not fresh temporaries (_workspace); the integer hit counts of
-the slices are summed, so the estimate is bit-identical from run to run.
+caller's thread, and the exact test and the boxes take [V1, V2] from one
+function (_wall); the integer hit counts of the slices are summed, so the
+estimate is bit-identical from run to run.
 
 The three quadratures share one integrator, _run_quad: adaptive
 Gauss-Kronrod 7/15 after QUADPACK's QAG, with the qk15 nodes and weights
@@ -110,7 +110,7 @@ _GK15 = (
     (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
 )
 _GK15_CENTRE = (0.209482141084727828012999174891714, 0.417959183673469387755102040816327)
-_SLICE = 1 << 12  # tested rays per Philox stream and exact-test call, a multiple of 16
+_SLICE = 1 << 12  # tested rays per Philox stream and exact-test call
 _EPS = sys.float_info.epsilon
 _SLACK = 1e-9  # absolute widening of the band and the possible boxes, and narrowing of the certain boxes
 _STRIPS = 32  # strips in phi, each a certain-hit box in cos(theta) between two tested cells
@@ -299,25 +299,6 @@ class McEstimate:
 _local = threading.local()
 
 
-def _workspace(n: int) -> tuple[np.ndarray, ...]:
-    """This thread's work arrays: a float draw buffer, then four float and two bool scratch arrays cut to length n.
-
-    _run_hits draws a slice's rays, cos(theta) and then phi, into the
-    draw buffer, 2 * _SLICE long (64 kB), and _hit_mask works in the
-    scratch arrays, _SLICE long (136 kB together): about 200 kB for each
-    thread that calls mc_total. All are allocated on a thread's first use,
-    replaced only when a longer n needs longer scratch, and kept for the
-    thread's life, so that neither the draws nor the exact test allocate
-    arrays per slice.
-    """
-    arrays = getattr(_local, "arrays", None)
-    if arrays is None or len(arrays[1]) < n:
-        size = max(n, _SLICE)
-        floats, bools = (np.empty(size) for _ in range(4)), (np.empty(size, bool) for _ in range(2))
-        arrays = _local.arrays = (np.empty(2 * _SLICE), *floats, *bools)
-    return (arrays[0], *(buf[:n] for buf in arrays[1:]))
-
-
 def _stream(key: int, counter: int) -> np.random.Generator:
     """This thread's generator, set to the stream of Philox(key) started at counter * 2^128.
 
@@ -334,14 +315,29 @@ def _stream(key: int, counter: int) -> np.random.Generator:
     return _local.gen
 
 
-def _hit_mask(cos_t: np.ndarray, phi: np.ndarray, L: float, d: float, z: float) -> np.ndarray:
-    """Which rays hit: a bool view of this thread's scratch, valid until its next call.
+def _wall(phi, d: float):
+    """(V1, V2): the horizontal distances from the source over which a ray at azimuth phi runs inside the shell.
 
-    Units of r, c = d^2 - 1, phi the ray's azimuth from the line that joins
-    the source to the axis, as the paper measures it. A ray runs inside the
-    infinite shell over the horizontal distances [V1, V2] = [max(0, d cos
-    phi - s), d cos phi + s], s = sqrt(cos^2 phi - c sin^2 phi), which is
-    NaN where the azimuth misses the shell. It hits iff V2 > 0, it is at or
+    Units of r, c = d^2 - 1, phi a NumPy array measured from the line that
+    joins the source to the axis, as the paper measures it: [V1, V2] =
+    [max(0, d cos phi - s), d cos phi + s], s = sqrt(cos^2 phi - c sin^2
+    phi), NaN where the azimuth misses the infinite shell. The discriminant
+    has no d^2-sized terms to cancel. The exact test and the strips' boxes
+    both take the range from here, so they round it alike.
+    """
+    c = d * d - 1.0  # radial quadratic constant term (py = 0 by symmetry)
+    with np.errstate(invalid="ignore"):
+        cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+        s = np.sqrt(cos_phi * cos_phi - c * (sin_phi * sin_phi))
+        near = d * cos_phi
+        return np.maximum(near - s, 0.0), near + s
+
+
+def _hit_mask(cos_t: np.ndarray, phi: np.ndarray, L: float, d: float, z: float) -> np.ndarray:
+    """Which rays hit, as a new bool array.
+
+    Units of r, c = d^2 - 1. A ray runs inside the infinite shell over the
+    horizontal distances [V1, V2] of _wall. It hits iff V2 > 0, it is at or
     above the base at the far end of [V1, V2] for z < 0 and the near end
     for z > 0 (z sin + V cos >= 0), and at or below the top at the near
     end for z < L and the far end for z > L ((L - z) sin - V cos >= 0).
@@ -350,40 +346,20 @@ def _hit_mask(cos_t: np.ndarray, phi: np.ndarray, L: float, d: float, z: float) 
     A vertical ray on the wall line (c = 0) runs along the wall, so its V2
     is infinite whatever its azimuth.
     """
-    f0, f1, f2, f3, hit, ok = _workspace(len(cos_t))[1:]
-    c = d * d - 1.0  # radial quadratic constant term (py = 0 by symmetry)
-    with np.errstate(invalid="ignore"):
-        cos_phi = np.cos(phi, out=f1)
-        sin2 = np.square(np.sin(phi, out=f0), out=f0)
-        s = np.sqrt(np.subtract(np.square(cos_phi, out=f2), np.multiply(c, sin2, out=f0), out=f0), out=f0)
-        near = np.multiply(d, cos_phi, out=f1)
-        v2 = np.add(near, s, out=f2)
-        v1 = np.maximum(np.subtract(near, s, out=f1), 0.0, out=f1)
-        sin_t = np.sqrt(np.subtract(1.0, np.square(cos_t, out=f0), out=f0), out=f0)
-    if c == 0.0:
-        np.copyto(v2, np.inf, where=np.equal(sin_t, 0.0, out=ok))
-    np.greater(v2, 0.0, out=hit)
-
-    # V cos(theta), in place, for the V each height test takes: the far end
-    # below the base and the near end above it; the near end below the top
-    # and the far end above it
-    low = v2 if z < 0.0 else v1
-    high = v1 if z < L else v2
-    np.multiply(low, cos_t, out=low)
-    if high is not low:
-        np.multiply(high, cos_t, out=high)
+    v1, v2 = _wall(phi, d)
+    sin_t = np.sqrt(1.0 - cos_t * cos_t)
+    if d * d - 1.0 == 0.0:
+        v2 = np.where(sin_t == 0.0, np.inf, v2)
+    # V cos(theta) for the V each height test takes: the far end below the
+    # base and the near end above it; the near end below the top and the
+    # far end above it
+    low = (v2 if z < 0.0 else v1) * cos_t
+    high = (v1 if z < L else v2) * cos_t
     # z sin + V cos >= 0 exactly when V cos >= -z sin, both sides rounded alike
-    if z == 0.0:
-        np.greater_equal(cos_t, 0.0, out=ok)
-    else:
-        np.greater_equal(low, np.multiply(-z, sin_t, out=f3), out=ok)
-    np.logical_and(hit, ok, out=hit)
-    if z == L:
-        np.less_equal(cos_t, 0.0, out=ok)
-    else:
-        # L - z overflows only for z < 0 < L, where the largest double decides alike
-        np.greater_equal(np.multiply(min(L - z, sys.float_info.max), sin_t, out=f3), high, out=ok)
-    return np.logical_and(hit, ok, out=hit)
+    above = cos_t >= 0.0 if z == 0.0 else low >= -z * sin_t
+    # L - z overflows only for z < 0 < L, where the largest double decides alike
+    below = cos_t <= 0.0 if z == L else min(L - z, sys.float_info.max) * sin_t >= high
+    return (v2 > 0.0) & above & below
 
 
 def _slice_hits(cos_t: np.ndarray, phi: np.ndarray, L: float, d: float, z: float) -> int:
@@ -463,7 +439,7 @@ def _cells(L: float, d: float, z: float) -> tuple[np.ndarray, np.ndarray]:
     phi_j = h (1 - (1 - j/K)^2), and uniform otherwise; the last strip ends
     at the band's edge.
 
-    In a strip the wall range [V1, V2] of _hit_mask moves one way. For
+    In a strip the wall range [V1, V2] of _wall moves one way. For
     d > 1, inside the tangent, V1 = d cos phi - s rises and V2 = d cos phi
     + s falls as phi grows: their slopes are d sin phi (d cos phi / s -+
     1), and d cos phi >= s there, since (d cos phi)^2 - s^2 = d^2 - 1. For
@@ -497,7 +473,8 @@ def _cells(L: float, d: float, z: float) -> tuple[np.ndarray, np.ndarray]:
       since tan is convex, so s, at least cos phi sqrt(1 - f^2), is good to
       a few eps cos phi / sqrt(1 - f^2). Each ray of the strip, and each
       edge, has an f no larger, so its V1 and V2 are good to a few eps (1 +
-      d) / sqrt(1 - f^2), in _slice_hits and here alike.
+      d) / sqrt(1 - f^2), in _slice_hits and here alike: both take them
+      from _wall.
     - the certain box's outer edge by 1e-9 in phi, which takes in the
       rounding of the rays mapped onto the strip (at most pi, where V2 is
       flat); a ray mapped onto a strip is never below its inner edge, since
@@ -523,17 +500,14 @@ def _cells(L: float, d: float, z: float) -> tuple[np.ndarray, np.ndarray]:
     phi = half * (1.0 - np.square(1.0 - _STEPS)) if c > 0.0 else half * _STEPS
     phi[-1] = edge
     outer = np.minimum(phi[1:] + _SLACK, math.pi)
+    # row 0 at the inner edges, margins turned out; row 1 at the outer
+    # edges, margins turned in
+    v1, v2 = _wall(np.array((phi[:-1], outer)), d)
     with np.errstate(invalid="ignore", divide="ignore"):
         du = 16.0 * _EPS * (1.0 + d)
         if c > 0.0:
             du = du / np.sqrt(1.0 - np.square(outer / half))
-        # row 0 at the inner edges, margins turned out; row 1 at the outer
-        # edges, margins turned in
-        at = np.array((phi[:-1], outer))
-        cos_p, sin_p = np.cos(at), np.sin(at)
-        s = np.sqrt(cos_p * cos_p - c * (sin_p * sin_p))
-        near = d * cos_p
-        a, b = np.maximum(np.maximum(near - s, 0.0) - _TURN * du, 0.0), near + s + _TURN * du
+        a, b = np.maximum(v1 - _TURN * du, 0.0), v2 + _TURN * du
         (p_lo, k_lo), (p_hi, k_hi) = _box(L, z, a, b, _TURN * _SLACK)
     p_lo, p_hi = np.fmax(p_lo, c_lo), np.fmin(p_hi, c_hi)
     k_lo, k_hi = np.maximum(k_lo, p_lo), np.minimum(k_hi, p_hi)
@@ -552,13 +526,12 @@ def _run_hits(key: int, counts: np.ndarray, boxes: np.ndarray, L: float, d: floa
     (j + 1) * _SLICE and their number. Its stream is Philox(key) started at
     counter (j + 1) * 2^128, the stream Philox(key).jumped(j + 1) gives
     (_stream). It draws its m cos(theta) uniforms, then its m phi uniforms,
-    into this thread's draw buffer (_workspace), maps them in place onto
-    their cells, each cell's bounds repeated over its rays in the slice, as
-    lo + (hi - lo) u, which is what Generator.uniform computes, and hands
-    the slice to the exact test once. A ray's verdict depends only on its
-    slice's draws, so the count is the sum of the slices' counts.
+    maps them onto their cells, each cell's bounds repeated over its rays
+    in the slice, as lo + (hi - lo) u, which is what Generator.uniform
+    computes, and hands the slice to the exact test once. A ray's verdict
+    depends only on its slice's draws, so the count is the sum of the
+    slices' counts.
     """
-    draws = _workspace(0)[0]
     ends = np.concatenate(((0,), np.cumsum(counts)))
     total = int(ends[-1])
     # rows: cos lo, phi lo, cos width, phi width
@@ -568,9 +541,7 @@ def _run_hits(key: int, counts: np.ndarray, boxes: np.ndarray, L: float, d: floa
         m = min(_SLICE, total - first)
         cut = np.minimum(np.maximum(ends, first), first + m)
         rays = np.repeat(cells, cut[1:] - cut[:-1], axis=1)
-        u = draws[:2 * m].reshape(2, m)
-        _stream(key, j + 1).random(out=draws[:2 * m])
-        np.add(np.multiply(u, rays[2:], out=u), rays[:2], out=u)
+        u = _stream(key, j + 1).random(2 * m).reshape(2, m) * rays[2:] + rays[:2]
         hits += _slice_hits(u[0], u[1], L, d, z)
     return hits
 
@@ -610,9 +581,9 @@ def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -
     Every call runs in its caller's thread: over the benchmark's
     configurations the certain boxes hold a median 94-97 % of the band,
     and a median 10^7-ray call tests 155-515 rays, less than one slice,
-    which does not pay for handing work to other threads. The thread keeps
-    its workspace (_workspace: the draw buffer and the exact test's
-    scratch, about 200 kB) for its life.
+    which does not pay for handing work to other threads. Each slice's
+    draws and the exact test's arrays are fresh NumPy temporaries, about
+    400 kB at their peak for a full slice, freed once it is counted.
 
     Any finite source distance is drawn and tested like any other: from
     d = 1.3e154 r on c = d^2 - 1 is inf, so s^2 = cos^2 phi - c sin^2 phi

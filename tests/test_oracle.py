@@ -450,12 +450,19 @@ _CULL_CASES = [
 ]
 
 
-@pytest.mark.parametrize("L, d, z", _CULL_CASES)
-def test_mc_cull_keeps_the_exact_test_count(L, d, z):
+# (L, d, z, samples, seed): every cull case at 200,003 rays, and a narrow
+# band (about 5e-6 of the sphere) and a wide one (about 5 %) at 2,500,001
+_CULL_DRAWS = [pytest.param(*case, 200_003, 17, id="-".join(map(str, case))) for case in _CULL_CASES] + [
+    (0.05, 40.0, 0.01, 2_500_001, 31), (3.0, 2.0, -1.0, 2_500_001, 31),
+]
+
+
+@pytest.mark.parametrize("L, d, z, samples, seed", _CULL_DRAWS)
+def test_mc_cull_keeps_the_exact_test_count(L, d, z, samples, seed):
     # the cell draw culls every ray outside the band by never drawing it:
     # mc_total's count equals the exact test run, outside mc_total, on the
-    # rays of the multinomial cell counts drawn on the frame's boxes
-    samples, seed = 200_003, 17
+    # rays of the multinomial cell counts drawn on the tested cells' boxes,
+    # each slice drawn and tested one by one from its own stream
     est = oracle.mc_total(CylinderSpec(L, 1.0), SourcePoint(d, z), samples, seed=seed)
     assert est.hit_fraction == _band_draw_hits(L, d, z, samples, seed) / samples
 
@@ -591,7 +598,7 @@ def test_mc_cells_and_their_mirrors_tile_the_possible_boxes(L, d, z):
 
 @pytest.mark.parametrize("L, d, z", [(3.0, 0.5, 1.5), (1.0, 0.0, 0.5), (1.0, 1.0, 0.5), (1.0, 1.0 - _EDGE, 0.5), (1e-6, 0.99, 5e-7)])
 def test_mc_band_of_an_enclosed_or_wall_source_is_the_whole_sphere(L, d, z):
-    # the band culls nothing here; only the core spares these sources exact tests
+    # the band culls nothing here; only the strips' certain boxes spare these sources exact tests
     assert oracle._band(L, d, z) == _WHOLE_SPHERE
 
 
@@ -633,7 +640,7 @@ def test_mc_boxes_and_exact_test_are_symmetric_in_phi(L, d, z):
     edges = np.array([strip[5] for strip in _strips(L, d, z)])[rng.integers(0, oracle._STRIPS, n)]
     cos_t = rng.uniform(band[0], band[1], 2 * n)
     phi = np.concatenate([rng.uniform(0.0, band[3], n), edges + rng.integers(-64, 65, n) * np.spacing(edges)])
-    hits = oracle._hit_mask(cos_t, phi, L, d, z).copy()
+    hits = oracle._hit_mask(cos_t, phi, L, d, z)
     assert np.array_equal(oracle._hit_mask(cos_t, -phi, L, d, z), hits)
 
 
@@ -912,7 +919,7 @@ def test_exact_test_matches_the_t_interval_model_ray_by_ray(L, d, z):
         (rng.uniform(c_lo, c_hi, n), rng.uniform(phi_lo, phi_hi, n)),
         (rng.uniform(c_lo, c_hi, n), rng.uniform(-1.5, 1.5, n) * half),
     ]:
-        got = oracle._hit_mask(cos_t, phi, L, d, z).copy()
+        got = oracle._hit_mask(cos_t, phi, L, d, z)
         split = np.flatnonzero(got != _t_interval_hits(cos_t, phi, L, d, z))
         assert split.size == 0, [(cos_t[j], phi[j], got[j], _edge_margins(L, d, z, cos_t[j], phi[j])) for j in split[:5]]
         assert oracle._slice_hits(cos_t, phi, L, d, z) == np.count_nonzero(got)
@@ -935,7 +942,7 @@ def test_exact_test_and_t_interval_model_split_only_within_an_ulp_of_an_edge(L, 
     u = np.array([max(0.0, d - 1.0), d + 1.0, math.sqrt(abs(c)), d])[rng.integers(0, 4, n)]
     steep = np.cos(np.arctan2(u, np.where(rng.random(n) < 0.5, -z, L - z)))
     cos_t = np.clip(steep + rng.integers(-64, 65, n) * np.spacing(np.abs(steep)), -1.0, 1.0)
-    got = oracle._hit_mask(cos_t, phi, L, d, z).copy()
+    got = oracle._hit_mask(cos_t, phi, L, d, z)
     split = np.flatnonzero(got != _t_interval_hits(cos_t, phi, L, d, z))
     assert split.size <= n // 100
     for j in split:
@@ -977,16 +984,6 @@ def test_mc_seeds_past_64_bits_are_distinct_keys():
 def test_mc_rejects_seeds_outside_the_philox_key_range(seed):
     with pytest.raises(DomainError, match="seed"):
         oracle.mc_total(CylinderSpec(1.0, 1.0), SourcePoint(2.0, 0.5), 1000, seed=seed)
-
-
-@pytest.mark.parametrize("L, d, z", [(0.05, 40.0, 0.01), (3.0, 2.0, -1.0)])
-def test_mc_count_is_the_sum_of_its_blocks_on_either_dispatch(L, d, z):
-    # a narrow band (about 5e-6 of the sphere) and a wide one (about 5 %):
-    # the call's one run of its slices counts what its slices count drawn
-    # and tested one by one, each from its own stream
-    samples, seed = 2_500_001, 31
-    est = oracle.mc_total(CylinderSpec(L, 1.0), SourcePoint(d, z), samples, seed=seed)
-    assert est.hit_fraction == _band_draw_hits(L, d, z, samples, seed) / samples
 
 
 # tested rays: about 350 and 1.5k, so that all the cells with rays share
@@ -1095,7 +1092,7 @@ def test_mc_concurrent_callers_get_their_sequential_results():
         sys.setswitchinterval(interval)
 
 
-def test_slice_hits_scratch_carries_nothing_between_slices():
+def test_slice_hits_do_not_depend_on_order_or_thread():
     # a wide band's box, filled: slices of a full slice, one ray and a
     # longer-than-slice input, each tested in a fresh thread and then in
     # one thread in both orders
@@ -1120,6 +1117,22 @@ def test_slice_hits_scratch_carries_nothing_between_slices():
     assert alone[1] == 1 and alone[3] == 0 and min(alone[0], alone[2], alone[4]) > 0
     assert counts(range(len(slices))) == alone
     assert counts(reversed(range(len(slices)))) == alone[::-1]
+
+
+def test_hit_mask_result_outlives_its_next_call():
+    # a full slice's verdicts, then a second call on other rays of the same
+    # length, whose verdicts differ: the first result is left as it was
+    L, d, z = 3.0, 2.0, -1.0
+    c_lo, c_hi, phi_lo, phi_hi = oracle._band(L, d, z)
+    rng = np.random.default_rng(13)
+    first_rays, second_rays = (
+        (rng.uniform(c_lo, c_hi, oracle._SLICE), rng.uniform(phi_lo, phi_hi, oracle._SLICE)) for _ in range(2)
+    )
+    first = oracle._hit_mask(*first_rays, L, d, z)
+    want = first.tolist()
+    second = oracle._hit_mask(*second_rays, L, d, z)
+    assert second.tolist() != want
+    assert first.tolist() == want == _t_interval_hits(*first_rays, L, d, z).tolist()
 
 
 def test_cli_and_mc_do_not_import_scipy():
