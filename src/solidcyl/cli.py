@@ -11,6 +11,11 @@ the exact double the library produced. Normalized solid angle (fraction of
 4*pi) is the default; --steradians rescales. Exit codes: 0 success, 1 domain
 or runtime failure, 2 usage.
 
+What a command prints depends on its arguments alone: no environment
+variable is read, each --seed defaults to 0, and verify runs every suite at
+the bound its @_suite declaration gives. compute --method auto (the default)
+is omega_total; series, quadrature and montecarlo are verification routes.
+
 Table grids are dimensionless (r = 1); each axis takes either a comma list
 ("0.5,1,2") or a range spec "start:stop:count:linear" / "start:stop:count:log".
 Rows are emitted in lexicographic (L, d, z) order and a given request always
@@ -22,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from functools import partial
@@ -48,7 +52,7 @@ def _fmt(v: float) -> str:
 
 
 def _parse_axis(text: str) -> tuple[float, ...]:
-    """Axis spec: comma-separated floats, or start:stop:count:linear|log."""
+    """Axis spec: comma-separated floats, or start:stop:count:linear|log from start to stop as typed."""
     try:
         if ":" in text:
             parts = text.split(":")
@@ -59,34 +63,23 @@ def _parse_axis(text: str) -> tuple[float, ...]:
             kind = parts[3]
             if count < 1:
                 raise ValueError("count must be >= 1")
+            if kind not in ("linear", "log"):
+                raise ValueError(f"unknown range kind {kind!r}")
+            if kind == "log" and (start <= 0.0 or stop <= 0.0):
+                raise ValueError("log range needs positive endpoints")
+            if count == 1:
+                return (start,)
             if kind == "linear":
-                if count == 1:
-                    return (start,)
                 step = (stop - start) / (count - 1)
-                return tuple(start + i * step for i in range(count))
-            if kind == "log":
-                if start <= 0.0 or stop <= 0.0:
-                    raise ValueError("log range needs positive endpoints")
-                if count == 1:
-                    return (start,)
+                inner = (start + i * step for i in range(1, count - 1))
+            else:
                 la, lb = math.log(start), math.log(stop)
-                return tuple(math.exp(la + i * (lb - la) / (count - 1)) for i in range(count))
-            raise ValueError(f"unknown range kind {kind!r}")
+                inner = (math.exp(la + i * (lb - la) / (count - 1)) for i in range(1, count - 1))
+            # the range ends on the values typed, not on their roundings through the step
+            return (start, *inner, stop)
         return tuple(float(p) for p in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad axis spec {text!r}: {exc}") from exc
-
-
-def _resolve_seed(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("SOLIDCYL_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise SolidCylError(f"SOLIDCYL_SEED must be an integer; got {env!r}") from exc
 
 
 def _route_total(cyl: CylinderSpec, src: SourcePoint, method: str) -> SolidAngle:
@@ -134,11 +127,11 @@ def _evaluated_terms(cyl: CylinderSpec, src: SourcePoint) -> str:
 def _evaluate(args) -> tuple[SolidAngle, str]:
     cyl = CylinderSpec(args.L, args.r)
     src = SourcePoint(args.d, args.z)
-    if args.method in ("auto", "elliptic"):
+    if args.method == "auto":
         return omega_total(cyl, src), _evaluated_terms(cyl, src)
     terms = decompose(cyl, src).describe()
     if args.method == "montecarlo":
-        est = mc_total(cyl, src, args.samples, _resolve_seed(args.seed))
+        est = mc_total(cyl, src, args.samples, args.seed)
         return SolidAngle(est.hit_fraction, Method.MONTECARLO, est.std_error), terms
     return _route_total(cyl, src, args.method), terms
 
@@ -196,24 +189,8 @@ def _parse_count(name: str, text: str) -> int:
     return count
 
 
-def _parse_tolerance(text: str) -> tuple[str, float]:
-    name, sep, raw = text.partition("=")
-    if not sep:
-        raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}")
-    if name not in verify_mod.SUITES:
-        raise argparse.ArgumentTypeError(f"unknown suite {name!r}; known: {', '.join(verify_mod.SUITES)}")
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad tolerance value in {text!r}") from exc
-    if not value >= 0.0:
-        raise argparse.ArgumentTypeError(f"tolerance must be a number >= 0; got {text!r}")
-    return name, value
-
-
 def _cmd_verify(args) -> int:
-    overrides = dict(args.tolerance or [])
-    results = verify_mod.run_all(points=args.points, seed=_resolve_seed(args.seed), overrides=overrides)
+    results = verify_mod.run_all(points=args.points, seed=args.seed)
     for res in results:
         print(res.line())
     failed = [res for res in results if not res.passed]
@@ -238,15 +215,15 @@ def _build_parser() -> argparse.ArgumentParser:
     comp.add_argument("--z", type=float, default=0.0, help="source height above the lower base plane (default 0)")
     comp.add_argument(
         "--method",
-        choices=["auto", "elliptic", "series", "quadrature", "montecarlo"],
+        choices=["auto", "series", "quadrature", "montecarlo"],
         default="auto",
-        help="evaluation route (default auto)",
+        help="auto: omega_total, the default; series, quadrature, montecarlo: verification routes",
     )
     comp.add_argument("--steradians", action="store_true", help="print 4*pi times the normalized value")
     comp.add_argument(
         "--samples", type=partial(_parse_count, "samples"), default=1_000_000, help="Monte Carlo rays (default 1000000)"
     )
-    comp.add_argument("--seed", type=int, default=None, help="RNG seed (beats SOLIDCYL_SEED; default 0)")
+    comp.add_argument("--seed", type=int, default=0, help="Monte Carlo seed, in [0, 2^128) (default 0)")
     comp.set_defaults(func=_cmd_compute)
 
     tab = sub.add_parser("table", help="sweep a grid and emit CSV or JSON")
@@ -263,14 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument(
         "--points", type=partial(_parse_count, "points"), default=200, help="configurations per suite (default 200)"
     )
-    ver.add_argument("--seed", type=int, default=None, help="RNG seed (beats SOLIDCYL_SEED; default 0)")
-    ver.add_argument(
-        "--tolerance",
-        type=_parse_tolerance,
-        action="append",
-        metavar="NAME=VALUE",
-        help="override a suite tolerance, e.g. --tolerance disc_cross=1e-9",
-    )
+    ver.add_argument("--seed", type=int, default=0, help="seed of the suites' configuration draws (default 0)")
     ver.set_defaults(func=_cmd_verify)
     return parser
 

@@ -62,8 +62,9 @@ each slice is a Philox stream of its own, draws its rays uniformly on
 their cells and is tested once. So the hit count has the distribution it
 has when all n rays are drawn and tested, and the call's cost follows its
 tested rays, not n. A source inside the cylinder has a band of the whole
-sphere, all but about 1e-9 of it certain; on the wall, where V2 = 2 cos
-phi vanishes at |phi| = pi/2, about half of it. Every call runs in its
+sphere, all but about 1e-9 of it certain; a source on the wall, where V2
+= 2 cos phi vanishes at |phi| = pi/2, the half |phi| <= pi/2 of it, and
+it tests under 1 % of its rays. Every call runs in its
 caller's thread, and the exact test and the boxes take [V1, V2] from one
 function (_wall); the integer hit counts of the slices are summed, so the
 estimate is bit-identical from run to run.
@@ -394,10 +395,11 @@ def _band(L: float, d: float, z: float) -> tuple[float, float, float, float]:
 
     Units of r. A hit point lies at a horizontal distance u in
     [max(0, d - 1), d + 1] from the source and at a height z + u cot(theta)
-    in [0, L]; for d > 1 its azimuth also lies within atan(1/sqrt(d^2 - 1))
-    = asin(1/d) of phi = 0. Above the base at some such u means above it at
-    the range's near end for z > 0 and its far end otherwise, and likewise
-    below the top, so _box with that range bounds every hit's cos(theta).
+    in [0, L]; for d >= 1 its azimuth also lies within atan2(1, sqrt(d^2 -
+    1)) of phi = 0, asin(1/d) outside the wall and pi/2 on it. Above the
+    base at some such u means above it at the range's near end for z > 0
+    and its far end otherwise, and likewise below the top, so _box with
+    that range bounds every hit's cos(theta).
     The band is widened past the rounding of _slice_hits, so that a ray
     outside it is a miss there as well:
 
@@ -415,13 +417,17 @@ def _band(L: float, d: float, z: float) -> tuple[float, float, float, float]:
       in angle.
 
     The band is then clipped to [-1, 1] x [-pi, pi]; it is symmetric about
-    phi = 0 bit for bit. A source inside the cylinder or on its wall has
-    the half-width pi, so it gets that whole rectangle, whose _share is 1
-    exactly.
+    phi = 0 bit for bit. A source inside the cylinder has the half-width
+    pi, so it gets that whole rectangle, whose _share is 1 exactly. A
+    source on the wall (c = 0) has pi/2: there d cos phi and s = |cos phi|
+    are exact, so V2 is 0 for |phi| >= pi/2. Vertical rays along the wall
+    line are the one exception to "outside the band every ray misses":
+    _hit_mask lets them hit at any azimuth, and they form a set of zero
+    area, which no draw reaches.
     """
     c = d * d - 1.0
     du = 16.0 * _EPS * (1.0 + d)
-    half = math.atan2(1.0, math.sqrt(c)) if c > 0.0 else math.pi
+    half = math.atan2(1.0, math.sqrt(c)) if c >= 0.0 else math.pi
     lo, hi = _box(L, z, max(0.0, d - 1.0 - du), d + 1.0 + du, _SLACK)
     phi = min(half + _SLACK, math.pi)
     return max(float(lo), -1.0), min(float(hi), 1.0), -phi, phi
@@ -434,16 +440,16 @@ def _cells(L: float, d: float, z: float) -> tuple[np.ndarray, np.ndarray]:
     a ray at -phi the verdict at phi bit for bit, and the band is symmetric
     in phi, so only phi >= 0 is drawn: a cell's share is that of its box
     and the box's mirror, twice _share. The band's half phi >= 0 is cut
-    into K = _STRIPS strips [phi_j, phi_j+1] of the half-width h, asin(1/d)
-    for d > 1 and pi otherwise: graded toward the tangent for d > 1,
-    phi_j = h (1 - (1 - j/K)^2), and uniform otherwise; the last strip ends
-    at the band's edge.
+    into K = _STRIPS strips [phi_j, phi_j+1] of the half-width h, atan2(1,
+    sqrt(c)) for d >= 1 and pi otherwise: graded toward the tangent for
+    d >= 1, phi_j = h (1 - (1 - j/K)^2), and uniform otherwise; the last
+    strip ends at the band's edge.
 
     In a strip the wall range [V1, V2] of _wall moves one way. For
-    d > 1, inside the tangent, V1 = d cos phi - s rises and V2 = d cos phi
+    d >= 1, inside the tangent, V1 = d cos phi - s rises and V2 = d cos phi
     + s falls as phi grows: their slopes are d sin phi (d cos phi / s -+
     1), and d cos phi >= s there, since (d cos phi)^2 - s^2 = d^2 - 1. For
-    d <= 1, s >= |d cos phi|, so V1 = 0 and V2 falls on [0, pi], with slope
+    d < 1, s >= |d cos phi|, so V1 = 0 and V2 falls on [0, pi], with slope
     -d sin phi (1 + d cos phi / s). So every ray of the strip has a [V1,
     V2] that lies inside [V1, V2] at phi_j and contains [a, b] = [V1, V2]
     at phi_j+1. The latter makes each ray hit whose cos(theta) is in
@@ -464,11 +470,11 @@ def _cells(L: float, d: float, z: float) -> tuple[np.ndarray, np.ndarray]:
     with _band's margins, turned in for the certain box and out for the
     possible one:
 
-    - V1 and V2 by du = 16 eps (1 + d), and for d > 1 by du / sqrt(1 - f^2),
+    - V1 and V2 by du = 16 eps (1 + d), and for d >= 1 by du / sqrt(1 - f^2),
       f = phi/h at the strip's outer edge moved out by 1e-9. d cos phi is
       good to a few eps d, and s^2 to a few eps cos^2 phi: inside the
-      tangent both of its terms are at most cos^2 phi. For d <= 1, s^2 is a
-      sum and s, at most 1, is good to a few eps. For d > 1, s = cos phi
+      tangent both of its terms are at most cos^2 phi. For d < 1, s^2 is a
+      sum and s, at most 1, is good to a few eps. For d >= 1, s = cos phi
       sqrt(1 - c tan^2 phi), and c tan^2 phi <= (tan phi / tan h)^2 <= f^2
       since tan is convex, so s, at least cos phi sqrt(1 - f^2), is good to
       a few eps cos phi / sqrt(1 - f^2). Each ray of the strip, and each
@@ -496,8 +502,8 @@ def _cells(L: float, d: float, z: float) -> tuple[np.ndarray, np.ndarray]:
     """
     c_lo, c_hi, _, edge = _band(L, d, z)
     c = d * d - 1.0
-    half = math.atan2(1.0, math.sqrt(c)) if c > 0.0 else math.pi
-    phi = half * (1.0 - np.square(1.0 - _STEPS)) if c > 0.0 else half * _STEPS
+    half = math.atan2(1.0, math.sqrt(c)) if c >= 0.0 else math.pi
+    phi = half * (1.0 - np.square(1.0 - _STEPS)) if c >= 0.0 else half * _STEPS
     phi[-1] = edge
     outer = np.minimum(phi[1:] + _SLACK, math.pi)
     # row 0 at the inner edges, margins turned out; row 1 at the outer
@@ -505,7 +511,7 @@ def _cells(L: float, d: float, z: float) -> tuple[np.ndarray, np.ndarray]:
     v1, v2 = _wall(np.array((phi[:-1], outer)), d)
     with np.errstate(invalid="ignore", divide="ignore"):
         du = 16.0 * _EPS * (1.0 + d)
-        if c > 0.0:
+        if c >= 0.0:
             du = du / np.sqrt(1.0 - np.square(outer / half))
         a, b = np.maximum(v1 - _TURN * du, 0.0), v2 + _TURN * du
         (p_lo, k_lo), (p_hi, k_hi) = _box(L, z, a, b, _TURN * _SLACK)

@@ -4,17 +4,17 @@ Each suite draws configurations from a seeded generator, evaluates a
 cross-check (formula vs formula, formula vs oracle, or an invariant) and
 yields one (deviation, where) pair per check. run_suite alone counts the
 checks and reports the worst deviation together with the configuration
-that produced it. The CLI's verify command runs all suites and fails on any
-violation; the test suite reuses them with fault injection to prove they
-can actually catch a broken build.
+that produced it against the suite's one bound. The CLI's verify command
+runs all suites and fails on any violation; the test suite reuses them
+with fault injection to prove they can actually catch a broken build.
 
 Each suite is declared in one place: the @_suite(tolerance, share)
-decorator on its generator registers the check in SUITES, its default bound
-in DEFAULT_TOLERANCES and its share of the point budget, and the order of
+decorator on its generator registers the check in SUITES, its bound in
+DEFAULT_TOLERANCES and its share of the point budget, and the order of
 definition below is the order run_all reports in. cyl0_quad checks
 omega_cyl0 against the gamma-form quadrature, which differ by 8.1e-16 at
-worst, so its default is 1e-13; cyl0_pair compares the phi form with the
-gamma form, which agree to 3.3e-14 at worst, near the wall, so its default
+worst, so its bound is 1e-13; cyl0_pair compares the phi form with the
+gamma form, which agree to 3.3e-14 at worst, near the wall, so its bound
 is 5e-12.
 
 Suites deliberately call through the module objects (solid_angle.omega_circ
@@ -41,9 +41,9 @@ _POINT_SCALE = {}
 
 
 def _suite(tolerance: float, share: float = 1.0):
-    """Register suite_<name> under <name> with its default tolerance and point share.
+    """Register suite_<name> under <name> with its tolerance and point share.
 
-    Each default is about 100 times the worst deviation the suite showed over
+    Each tolerance is about 100 times the worst deviation the suite showed over
     302 seeds (0-299, 701562, 12345) at 200 and 2000 points, rounded up to 1,
     2 or 5 times a power of ten, and never above the value it had before that
     measurement: tolerances only tighten. The worst deviation follows each
@@ -257,12 +257,12 @@ def suite_discontinuity(points: int, rng: random.Random) -> Iterator[tuple[float
     yield off_edge, where
 
 
-def run_suite(name: str, points: int, seed: int, tolerance: float | None = None) -> SuiteResult:
+def run_suite(name: str, points: int, seed: int) -> SuiteResult:
     if name not in SUITES:
         raise DomainError(f"unknown verification suite {name!r}; known: {sorted(SUITES)}")
     if not points >= 1:
         raise DomainError(f"points must be at least 1; got {points!r}")
-    tol = DEFAULT_TOLERANCES[name] if tolerance is None else tolerance
+    tol = DEFAULT_TOLERANCES[name]
     n = max(1, int(points * _POINT_SCALE[name]))
     # string seeds hash through sha512, so child streams are stable across runs
     rng = random.Random(f"{seed}:{name}")
@@ -276,9 +276,5 @@ def run_suite(name: str, points: int, seed: int, tolerance: float | None = None)
     return SuiteResult(name, checks, max_dev, tol, worst, max_dev <= tol)
 
 
-def run_all(points: int = 200, seed: int = 0, overrides: dict[str, float] | None = None) -> list[SuiteResult]:
-    overrides = overrides or {}
-    for key in overrides:
-        if key not in SUITES:
-            raise DomainError(f"unknown tolerance override {key!r}; known: {sorted(SUITES)}")
-    return [run_suite(name, points, seed, overrides.get(name)) for name in SUITES]
+def run_all(points: int = 200, seed: int = 0) -> list[SuiteResult]:
+    return [run_suite(name, points, seed) for name in SUITES]

@@ -357,8 +357,8 @@ def test_mc_estimate_accepts_the_extreme_fields_a_call_can_return():
         (3.0, 1.0, 2.0, 1.5, 1_000_000, 0, 132876),
         (1.0, 1.0, 0.0, -10.0, 400_000, 3, 1049),
         (0.05, 1.0, 40.0, 0.01, 1_234_567, 5, 8),
-        # on the rim: about 207k tested rays in 51 slices
-        (2.0, 1.0, 1.0, 0.0, 777_777, 8, 194672),
+        # on the rim: 175 tested rays in one slice
+        (2.0, 1.0, 1.0, 0.0, 777_777, 8, 194694),
         (3.0, 2.0, 1.0, 1.5, 10_000, 7, 10000),
         (1.0, 1.0, 0.5, -0.25, 65_537, 11, 23053),
         # about 6.9k tested rays in two slices
@@ -596,10 +596,23 @@ def test_mc_cells_and_their_mirrors_tile_the_possible_boxes(L, d, z):
         assert sum(shares) == pytest.approx(1.0, rel=1e-15)
 
 
-@pytest.mark.parametrize("L, d, z", [(3.0, 0.5, 1.5), (1.0, 0.0, 0.5), (1.0, 1.0, 0.5), (1.0, 1.0 - _EDGE, 0.5), (1e-6, 0.99, 5e-7)])
+@pytest.mark.parametrize("L, d, z", [(3.0, 0.5, 1.5), (1.0, 0.0, 0.5), (1.0, 1.0 - _EDGE, 0.5), (1e-6, 0.99, 5e-7)])
 def test_mc_band_of_an_enclosed_or_wall_source_is_the_whole_sphere(L, d, z):
-    # the band culls nothing here; only the strips' certain boxes spare these sources exact tests
+    # the band culls nothing here, one ulp inside the wall included; only
+    # the strips' certain boxes spare these sources exact tests
     assert oracle._band(L, d, z) == _WHOLE_SPHERE
+
+
+@pytest.mark.parametrize("L, d, z", [(1.0, 1.0, 0.5), (2.0, 1.0, 0.0), (1.0, 1.0, -0.5), (1e-6, 1.0, -1e-6)])
+def test_mc_band_of_a_wall_source_is_the_half_toward_the_axis(L, d, z):
+    # on the wall d cos phi and s = |cos phi| are exact, so V2 is 0 for
+    # |phi| >= pi/2: the band's half-width is pi/2 plus its margin, and the
+    # strips graded toward pi/2 leave under 1 % of the rays to the exact test
+    c_lo, c_hi, phi_lo, phi_hi = oracle._band(L, d, z)
+    assert phi_hi == -phi_lo == math.pi / 2 + oracle._SLACK
+    if 0.0 < z < L:
+        assert (c_lo, c_hi) == (-1.0, 1.0)
+    assert sum(oracle._cells(L, d, z)[0][1:]) < 1e-2
 
 
 def test_mc_band_of_a_face_source_is_the_half_sphere_below():
@@ -622,8 +635,8 @@ def test_mc_draw_box_is_the_clipped_band_and_its_area_share(L, d, z):
     w = oracle._share(*band)
     assert -1.0 <= c_lo < c_hi <= 1.0 and -math.pi <= phi_lo < phi_hi <= math.pi and 0.0 < w <= 1.0
     assert w == pytest.approx((c_hi - c_lo) * (phi_hi - phi_lo) / (4.0 * math.pi), rel=1e-15)
-    # the whole rectangle, with w = 1 exactly, for a source inside or on the wall only
-    enclosed = d <= 1.0 and 0.0 < z < L
+    # the whole rectangle, with w = 1 exactly, for a source inside the wall only
+    enclosed = d < 1.0 and 0.0 < z < L
     assert (band == _WHOLE_SPHERE) == enclosed == (w == 1.0)
 
 
@@ -1135,11 +1148,12 @@ def test_hit_mask_result_outlives_its_next_call():
     assert first.tolist() == want == _t_interval_hits(*first_rays, L, d, z).tolist()
 
 
-def test_cli_and_mc_do_not_import_scipy():
-    # a None entry makes every import of scipy raise ImportError
+def test_cli_and_mc_need_numpy_alone():
+    # a None entry makes every import of that name raise ImportError: SciPy,
+    # and the test extras mpmath and hypothesis
     code = (
         "import sys\n"
-        "sys.modules['scipy'] = None\n"
+        "sys.modules.update(scipy=None, mpmath=None, hypothesis=None)\n"
         "from solidcyl import cli, verify\n"
         "from solidcyl.geometry import CanonicalConfig, CylinderSpec, SourcePoint\n"
         "from solidcyl.oracle import mc_total, quad_disc\n"
@@ -1148,7 +1162,10 @@ def test_cli_and_mc_do_not_import_scipy():
         "quad_disc(CanonicalConfig(2.0, 1.0, 1.0))\n"
         "argv = ['compute', '--L', '3', '--r', '1', '--d', '2', '--z', '-1', '--method', 'quadrature']\n"
         "assert cli.main(argv) == 0\n"
-        "print(sorted(m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy' and mod is not None))\n"
+        "argv = ['compute', '--L', '20', '--r', '1', '--d', '1.01', '--z', '-1', '--method', 'series']\n"
+        "assert cli.main(argv) == 0\n"
+        "blocked = ('scipy', 'mpmath', 'hypothesis')\n"
+        "print(sorted(m for m, mod in sys.modules.items() if m.split('.')[0] in blocked and mod is not None))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(solidcyl.__file__)))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
