@@ -55,16 +55,16 @@ at -phi the verdict at phi, bit for bit, so only phi >= 0 is drawn and
 each cell counts for itself and its mirror. Isotropic rays are uniform on
 the (cos theta, phi) rectangle, so a call's n rays fall into the cells by
 a multinomial law over their areas, uniformly within each. A call draws
-every cell's count at once, one multinomial draw from the stream of its
-key at counter 0, and adds the certain boxes' count to the hits. It
-numbers the tested rays in cell order and cuts them into 2^12-ray slices;
-each slice is a Philox stream of its own, draws its rays uniformly on
-their cells and is tested once. So the hit count has the distribution it
-has when all n rays are drawn and tested, and the call's cost follows its
-tested rays, not n. A source inside the cylinder has a band of the whole
-sphere, all but about 1e-9 of it certain; a source on the wall, where V2
-= 2 cos phi vanishes at |phi| = pi/2, the half |phi| <= pi/2 of it, and
-it tests under 1 % of its rays. Every call runs in its
+from one Philox stream, its key the seed: first every cell's count at
+once, in one multinomial draw, and it adds the certain boxes' count to
+the hits. It numbers the tested rays in cell order and cuts them into
+2^12-ray slices; each slice, in turn, draws its rays uniformly on their
+cells from the same stream and is tested once. So the hit count has the
+distribution it has when all n rays are drawn and tested, and the call's
+cost follows its tested rays, not n. A source inside the cylinder has a
+band of the whole sphere, all but about 1e-9 of it certain; a source on
+the wall, where V2 = 2 cos phi vanishes at |phi| = pi/2, the half |phi|
+<= pi/2 of it, and it tests under 1 % of its rays. Every call runs in its
 caller's thread, and the exact test and the boxes take [V1, V2] from one
 function (_wall); the integer hit counts of the slices are summed, so the
 estimate is bit-identical from run to run.
@@ -111,7 +111,7 @@ _GK15 = (
     (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
 )
 _GK15_CENTRE = (0.209482141084727828012999174891714, 0.417959183673469387755102040816327)
-_SLICE = 1 << 12  # tested rays per Philox stream and exact-test call
+_SLICE = 1 << 12  # tested rays per exact-test call
 _EPS = sys.float_info.epsilon
 _SLACK = 1e-9  # absolute widening of the band and the possible boxes, and narrowing of the certain boxes
 _STRIPS = 32  # strips in phi, each a certain-hit box in cos(theta) between two tested cells
@@ -300,18 +300,19 @@ class McEstimate:
 _local = threading.local()
 
 
-def _stream(key: int, counter: int) -> np.random.Generator:
-    """This thread's generator, set to the stream of Philox(key) started at counter * 2^128.
+def _stream(key: int) -> np.random.Generator:
+    """This thread's generator, set to the stream Philox(key=key) starts.
 
-    That is the stream Philox(key).jumped(counter) gives. Each thread keeps
-    one Philox and sets its key and counter: a new Philox costs several
-    times as much, most of it seeding the key it is then given.
+    Each thread keeps one Philox, as a new one costs several times as much,
+    most of it seeding the key it is then given. Every call resets its key,
+    its counter and its buffer, so the draws that follow do not depend on
+    the calls before it.
     """
     if not hasattr(_local, "bits"):
         _local.bits = np.random.Philox(key=0)
         _local.gen, _local.state = np.random.Generator(_local.bits), _local.bits.state
+    # the saved state keeps a fresh Philox's counter 0 and empty buffer
     _local.state["state"]["key"][:] = key & 0xFFFF_FFFF_FFFF_FFFF, key >> 64
-    _local.state["state"]["counter"][:] = 0, 0, counter, 0
     _local.bits.state = _local.state
     return _local.gen
 
@@ -524,30 +525,28 @@ def _cells(L: float, d: float, z: float) -> tuple[np.ndarray, np.ndarray]:
     return shares, boxes
 
 
-def _run_hits(key: int, counts: np.ndarray, boxes: np.ndarray, L: float, d: float, z: float) -> int:
-    """Hits among the tested rays of a call with Philox key `key`, counts[i] of them in the box boxes[:, i].
+def _run_hits(gen: np.random.Generator, counts: np.ndarray, boxes: np.ndarray, L: float, d: float, z: float) -> int:
+    """Hits among the tested rays of a call drawn from `gen`, counts[i] of them in the box boxes[:, i].
 
     The tested rays are numbered in cell order and cut into _SLICE-ray
-    slices: slice j holds the rays from j * _SLICE up to the smaller of
-    (j + 1) * _SLICE and their number. Its stream is Philox(key) started at
-    counter (j + 1) * 2^128, the stream Philox(key).jumped(j + 1) gives
-    (_stream). It draws its m cos(theta) uniforms, then its m phi uniforms,
-    maps them onto their cells, each cell's bounds repeated over its rays
-    in the slice, as lo + (hi - lo) u, which is what Generator.uniform
+    slices: a slice holds the next rays, up to _SLICE of them. Each slice
+    in turn draws its m cos(theta) uniforms, then its m phi uniforms, from
+    gen, maps them onto their cells, each cell's bounds repeated over its
+    rays in the slice, as lo + (hi - lo) u, which is what Generator.uniform
     computes, and hands the slice to the exact test once. A ray's verdict
-    depends only on its slice's draws, so the count is the sum of the
-    slices' counts.
+    depends only on its own draws, so the count is the sum of the slices'
+    counts.
     """
     ends = np.concatenate(((0,), np.cumsum(counts)))
     total = int(ends[-1])
     # rows: cos lo, phi lo, cos width, phi width
     cells = np.concatenate((boxes[::2], boxes[1::2] - boxes[::2]))
     hits = 0
-    for j, first in enumerate(range(0, total, _SLICE)):
+    for first in range(0, total, _SLICE):
         m = min(_SLICE, total - first)
         cut = np.minimum(np.maximum(ends, first), first + m)
         rays = np.repeat(cells, cut[1:] - cut[:-1], axis=1)
-        u = _stream(key, j + 1).random(2 * m).reshape(2, m) * rays[2:] + rays[:2]
+        u = gen.random(2 * m).reshape(2, m) * rays[2:] + rays[:2]
         hits += _slice_hits(u[0], u[1], L, d, z)
     return hits
 
@@ -560,10 +559,10 @@ def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -
     it past the source lies on or inside the closed cylinder, which
     _hit_mask decides from the ray's azimuth and polar angle, with no ray
     parameter and no division. The seed is the Philox key, which takes any
-    integer in [0, 2^128); the call's count draw is the key's stream at
-    counter 0 and its tested slice j the stream at counter (j + 1) * 2^128
-    (the key's stream jumped j + 1 times), so a fixed seed gives a
-    bit-identical estimate, and distinct seeds give distinct streams.
+    integer in [0, 2^128); a call draws from the one stream that key
+    starts (_stream), first its counts and then its tested slices in turn,
+    so a fixed seed gives a bit-identical estimate, whatever calls came
+    before it in the thread, and distinct seeds give distinct streams.
     samples lies in [1, 2^63), the range the multinomial count draw takes.
     Like every oracle here it works in units of r (_in_units_of_r), so a
     uniform scale by a power of two leaves the estimate bit-identical.
@@ -580,8 +579,11 @@ def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -
     call draws all these counts in one multinomial draw, the miss share
     being max(0, 1 - the others' sum), counts the certain boxes' rays as
     hits, and draws and tests only the tested cells' rays, _SLICE to a
-    slice (_run_hits). So the hit count has the law it has when every ray
-    is drawn and tested, and a call's cost follows the rays it tests: 10^12
+    slice (_run_hits), from the values of the stream that follow the count
+    draw. The multinomial draw reads a stopping-time number of the
+    stream's values, so the values after it are uniform and independent of
+    the counts. So the hit count has the law it has when every ray is
+    drawn and tested, and a call's cost follows the rays it tests: 10^12
     rays from 1000 r beside the shell test about 160.
 
     Every call runs in its caller's thread: over the benchmark's
@@ -606,8 +608,9 @@ def mc_total(cyl: CylinderSpec, src: SourcePoint, samples: int, seed: int = 0) -
     L, d, z, _ = _in_units_of_r(cyl.L, cyl.r, src.d, src.z)
 
     shares, boxes = _cells(L, d, z)
-    counts = _stream(seed, 0).multinomial(samples, np.append(shares, max(0.0, 1.0 - shares.sum())))
-    hits = int(counts[0]) + _run_hits(seed, counts[1:-1], boxes, L, d, z)
+    gen = _stream(seed)
+    counts = gen.multinomial(samples, np.append(shares, max(0.0, 1.0 - shares.sum())))
+    hits = int(counts[0]) + _run_hits(gen, counts[1:-1], boxes, L, d, z)
 
     p = hits / samples
     return McEstimate(

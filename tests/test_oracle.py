@@ -353,16 +353,16 @@ def test_mc_estimate_accepts_the_extreme_fields_a_call_can_return():
 @pytest.mark.parametrize(
     "L, r, d, z, samples, seed, hits",
     [
-        (3.0, 1.0, 2.0, -1.0, 2_500_001, 42, 126635),
-        (3.0, 1.0, 2.0, 1.5, 1_000_000, 0, 132876),
+        (3.0, 1.0, 2.0, -1.0, 2_500_001, 42, 126626),
+        (3.0, 1.0, 2.0, 1.5, 1_000_000, 0, 132888),
         (1.0, 1.0, 0.0, -10.0, 400_000, 3, 1049),
         (0.05, 1.0, 40.0, 0.01, 1_234_567, 5, 8),
         # on the rim: 175 tested rays in one slice
         (2.0, 1.0, 1.0, 0.0, 777_777, 8, 194694),
         (3.0, 2.0, 1.0, 1.5, 10_000, 7, 10000),
-        (1.0, 1.0, 0.5, -0.25, 65_537, 11, 23053),
+        (1.0, 1.0, 0.5, -0.25, 65_537, 11, 23044),
         # about 6.9k tested rays in two slices
-        (1.0, 1.0, 1.2, 0.5, 3_000_001, 41, 827239),
+        (1.0, 1.0, 1.2, 0.5, 3_000_001, 41, 827359),
     ],
 )
 def test_mc_frozen_hit_counts(L, r, d, z, samples, seed, hits):
@@ -385,26 +385,25 @@ def _isotropic_draws(samples, seed):
 
 def _count_draw(L, d, z, samples, seed):
     # a call's cell counts (the certain boxes', each tested cell's, the
-    # misses'), one multinomial draw from the key's stream at counter 0,
-    # and the tested cells' boxes
+    # misses'), one multinomial draw from the key's stream, the tested
+    # cells' boxes, and the stream, left where the count draw ends
     shares, boxes = oracle._cells(L, d, z)
     g = np.random.Generator(np.random.Philox(key=seed))
-    return g.multinomial(samples, [*shares, max(0.0, 1.0 - sum(shares))]).tolist(), boxes
+    return g.multinomial(samples, [*shares, max(0.0, 1.0 - sum(shares))]).tolist(), boxes, g
 
 
 def _band_draw_hits(L, d, z, samples, seed):
     # mc_total's count by its documented layout, written apart from it: the
     # certain boxes' rays are hits untested; the tested rays, numbered in
-    # cell order, go oracle._SLICE to a slice, and slice j draws from the
-    # key's stream jumped j + 1 times cos(theta) of its rays, then their
+    # cell order, go oracle._SLICE to a slice, and each slice in turn draws
+    # from the count draw's stream cos(theta) of its rays, then their
     # azimuth phi, each ray's mapped onto its cell's box
-    counts, boxes = _count_draw(L, d, z, samples, seed)
+    counts, boxes, g = _count_draw(L, d, z, samples, seed)
     cell = np.repeat(np.arange(boxes.shape[1]), counts[1:-1])
     lo, hi, phi_lo, phi_hi = boxes
     hits = counts[0]
-    for j, first in enumerate(range(0, len(cell), oracle._SLICE)):
+    for first in range(0, len(cell), oracle._SLICE):
         c = cell[first:first + oracle._SLICE]
-        g = np.random.Generator(np.random.Philox(key=seed).jumped(j + 1))
         u, v = g.random(len(c)), g.random(len(c))
         hits += oracle._slice_hits(lo[c] + u * (hi[c] - lo[c]), phi_lo[c] + v * (phi_hi[c] - phi_lo[c]), L, d, z)
     return hits
@@ -462,7 +461,7 @@ def test_mc_cull_keeps_the_exact_test_count(L, d, z, samples, seed):
     # the cell draw culls every ray outside the band by never drawing it:
     # mc_total's count equals the exact test run, outside mc_total, on the
     # rays of the multinomial cell counts drawn on the tested cells' boxes,
-    # each slice drawn and tested one by one from its own stream
+    # each slice drawn and tested one by one from the count draw's stream
     est = oracle.mc_total(CylinderSpec(L, 1.0), SourcePoint(d, z), samples, seed=seed)
     assert est.hit_fraction == _band_draw_hits(L, d, z, samples, seed) / samples
 
@@ -669,7 +668,7 @@ def test_mc_in_band_count_is_binomial(monkeypatch, L, d, z, n):
     # with each other cell's
     calls = []
 
-    def recording(key, counts, boxes, L, d, z):
+    def recording(gen, counts, boxes, L, d, z):
         calls.append(counts.tolist())
         return 0
 
@@ -971,19 +970,6 @@ def test_exact_test_of_a_vertical_ray_when_l_minus_z_overflows():
     assert oracle._hit_mask(cos_t, phi, L, d, z).tolist() == want.tolist()
 
 
-@pytest.mark.parametrize("key", [0, 5, 2**64 - 1, 2**64 + 5, 2**127 + 3])
-def test_mc_block_stream_starts_at_its_counter(key):
-    # a call draws the key's Philox stream in blocks of 2^128 counter
-    # values: the count draw takes block 0 and slice j block j + 1. Block b,
-    # Philox(key) started at counter b * 2^128, is the key's stream jumped b
-    # times, and no slice's block starts as the count draw's
-    count_draw = np.random.Generator(np.random.Philox(key=key)).random(4)
-    for j in range(64):
-        jumped = np.random.Generator(np.random.Philox(key=key).jumped(j + 1)).random(4)
-        started = np.random.Generator(np.random.Philox(key=key, counter=[0, 0, j + 1, 0])).random(4)
-        assert np.array_equal(jumped, started) and not np.array_equal(started, count_draw), j
-
-
 def test_mc_seeds_past_64_bits_are_distinct_keys():
     cyl, src = CylinderSpec(3.0, 1.0), SourcePoint(2.0, -1.0)
     low = oracle.mc_total(cyl, src, 100_000, seed=5)
@@ -1002,8 +988,7 @@ def test_mc_rejects_seeds_outside_the_philox_key_range(seed):
 # tested rays: about 350 and 1.5k, so that all the cells with rays share
 # one part slice; about 6.9k, so that a slice end cuts a cell; and about
 # 69k, 17 slices, so that a cell spans more than two slices. The slices
-# that cells share must still count as the sum of their blocks, each slice
-# drawn from its own stream
+# that cells share must still count as the sum of their blocks
 _SHARED_SLICE_CASES = [
     (1.0, 4.0, 0.5, 4_000_003), (3.0, 2.0, -1.0, 3_000_001), (1.0, 1.2, 0.5, 3_000_001), (1.0, 1.2, 0.5, 30_000_001),
 ]
@@ -1012,7 +997,7 @@ _SHARED_SLICE_CASES = [
 @pytest.mark.parametrize("L, d, z, samples", _SHARED_SLICE_CASES)
 def test_mc_shared_slices_count_is_the_sum_of_its_blocks(monkeypatch, L, d, z, samples):
     seed = 41
-    counts, boxes = _count_draw(L, d, z, samples, seed)
+    counts, boxes, gen = _count_draw(L, d, z, samples, seed)
     ends = list(accumulate(counts[1:-1]))
     slices = -(-ends[-1] // oracle._SLICE)
     # the (slice, cell) pairs that share rays
@@ -1032,7 +1017,7 @@ def test_mc_shared_slices_count_is_the_sum_of_its_blocks(monkeypatch, L, d, z, s
 
     # one run of all the slices, in the caller's thread: full slices, then the rest
     monkeypatch.setattr(oracle, "_slice_hits", recording)
-    one_run = counts[0] + oracle._run_hits(seed, np.array(counts[1:-1]), boxes, L, d, z)
+    one_run = counts[0] + oracle._run_hits(gen, np.array(counts[1:-1]), boxes, L, d, z)
     monkeypatch.setattr(oracle, "_slice_hits", exact)
     q, rest = divmod(ends[-1], oracle._SLICE)
     assert lengths == [oracle._SLICE] * q + [rest] * (rest > 0)
@@ -1045,8 +1030,8 @@ def test_mc_shared_slices_count_is_the_sum_of_its_blocks(monkeypatch, L, d, z, s
 
 def test_mc_cost_follows_the_tested_rays_not_the_samples(monkeypatch):
     # 10^12 rays from a far source beside the shell: about 1.6e5 in the band
-    # and 160 tested, so two Philox streams (the count draw's and one
-    # slice's) and one exact-test call
+    # and 160 tested, so one Philox stream, for the count draw and the one
+    # slice, and one exact-test call
     L, d, z, samples = 1.0, 1000.0, 0.5, 10**12
     calls, streams, exact, stream = [], [], oracle._slice_hits, oracle._stream
 
@@ -1054,15 +1039,15 @@ def test_mc_cost_follows_the_tested_rays_not_the_samples(monkeypatch):
         calls.append(len(cos_t))
         return exact(cos_t, phi, *args)
 
-    def counted_stream(key, counter):
-        streams.append(counter)
-        return stream(key, counter)
+    def counted_stream(key):
+        streams.append(key)
+        return stream(key)
 
     monkeypatch.setattr(oracle, "_slice_hits", counting)
     monkeypatch.setattr(oracle, "_stream", counted_stream)
     cyl, src = CylinderSpec(L, 1.0), SourcePoint(d, z)
     est = oracle.mc_total(cyl, src, samples, seed=2)
-    assert streams == [0, 1] and len(calls) == 1 and 0 < calls[0] < oracle._SLICE
+    assert streams == [2] and len(calls) == 1 and 0 < calls[0] < oracle._SLICE
     assert abs(est.hit_fraction - omega_total(cyl, src).value) <= 6.0 * est.std_error
 
 
@@ -1103,6 +1088,24 @@ def test_mc_concurrent_callers_get_their_sequential_results():
             assert list(callers.map(together, cases, timeout=300)) == sequential
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_mc_calls_in_one_thread_share_nothing():
+    # seeds A, B, A in turn in one thread: the thread's Philox is reset on
+    # every call, so A gives its estimate twice, the one it gives as the
+    # first call of a fresh thread. B, with another source and ray count,
+    # leaves the stream at another counter and buffer position than A
+    a = (CylinderSpec(1.0, 1.0), SourcePoint(1.2, 0.5), 3_000_001, 41)
+    b = (CylinderSpec(3.0, 1.0), SourcePoint(2.0, -1.0), 2_500_001, 42)
+
+    def one(case):
+        cyl, src, samples, seed = case
+        return oracle.mc_total(cyl, src, samples, seed=seed)
+
+    with ThreadPoolExecutor(max_workers=1) as fresh:
+        first = fresh.submit(one, a).result(timeout=60)
+    in_turn = [one(case) for case in (a, b, a)]
+    assert in_turn[0] == in_turn[2] == first and in_turn[1] != first
 
 
 def test_slice_hits_do_not_depend_on_order_or_thread():
